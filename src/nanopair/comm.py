@@ -2,6 +2,10 @@
 
 The phases, run per communication epoch:
 
+* load balance    (stencil worlds with more than one rank) every rank sends
+                  every other rank a histogram of its particles along each
+                  axis; all ranks move the slab cuts to the same
+                  count-balanced positions and rebuild their pattern
 * exchange        migrate ownership of particles that left their rank's
                   region (positions wrapped across periodic boundaries,
                   velocities travel along)
@@ -15,7 +19,10 @@ sub-phase is posted before any matching receive runs. This holds whether the
 runner drives ranks round-robin in one thread or through a pool.
 
 Wire records are little-endian: u8 kind (0 exchange, 1 border, 2 sync,
-3 migrate), u32 particle count, then count x (3 or 6) f8 payload.
+3 migrate, 4 load), u32 row count, then count x width f8 payload. A row is
+one particle: 6 reals (position, velocity) for exchange and migrate, 3
+(position) for border and sync. A load record has 3 rows, one per axis, of
+LOAD_BINS particle counts.
 """
 
 from __future__ import annotations
@@ -36,6 +43,8 @@ __all__ = [
     "WIRE_BORDER",
     "WIRE_SYNC",
     "WIRE_MIGRATE",
+    "WIRE_LOAD",
+    "LOAD_BINS",
     "pack_particles",
     "unpack_particles",
     "MailboxTransport",
@@ -49,6 +58,8 @@ __all__ = [
     "rank_grid_coords",
     "rank_grid_index",
     "slab_bounds",
+    "uniform_cuts",
+    "balance_slabs",
     "exchange",
     "define_borders",
     "synchronize",
@@ -59,9 +70,14 @@ WIRE_EXCHANGE = 0
 WIRE_BORDER = 1
 WIRE_SYNC = 2
 WIRE_MIGRATE = 3
+WIRE_LOAD = 4
+
+# Histogram bins per axis in a load record; a balanced cut lands on one of
+# their edges (or on a clamp bound).
+LOAD_BINS = 256
 
 _HEADER = struct.Struct("<BI")
-_WIDTH = {WIRE_EXCHANGE: 6, WIRE_BORDER: 3, WIRE_SYNC: 3, WIRE_MIGRATE: 6}
+_WIDTH = {WIRE_EXCHANGE: 6, WIRE_BORDER: 3, WIRE_SYNC: 3, WIRE_MIGRATE: 6, WIRE_LOAD: LOAD_BINS}
 
 
 def pack_particles(kind: int, payload: np.ndarray) -> bytes:
@@ -156,6 +172,9 @@ class CommPattern:
 
     rounds: list[list[PatternEntry]]
     kind: str = "stencil"
+    # stencil patterns: the rank grid and the per-axis slab cuts they were built on
+    rank_grid: tuple[int, int, int] | None = None
+    cuts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -197,14 +216,24 @@ def rank_grid_coords(rank: int, grid) -> tuple[int, int, int]:
     return rank % gx, (rank // gx) % gy, rank // (gx * gy)
 
 
-def slab_bounds(global_box: AABB, grid, coords) -> AABB:
-    """Ownership slab of a rank-grid cell; boundary reals are shared exactly
-    by both sides because every rank evaluates the same expression."""
+def uniform_cuts(global_box: AABB, grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Equal-width slab boundaries of a rank grid: g + 1 reals per axis."""
     lo = global_box.lo
     ext = global_box.extent()
-    g = np.asarray(grid, dtype=np.float64)
-    c = np.asarray(coords, dtype=np.float64)
-    return AABB.from_arrays(lo + ext * (c / g), lo + ext * ((c + 1.0) / g))
+    return tuple(lo[d] + ext[d] * (np.arange(grid[d] + 1, dtype=np.float64) / grid[d]) for d in range(3))
+
+
+def slab_bounds(global_box: AABB, grid, coords, cuts=None) -> AABB:
+    """Ownership slab of a rank-grid cell between its cuts (uniform by default).
+
+    Boundary reals are shared exactly by both sides because every rank reads
+    the same cut values.
+    """
+    if cuts is None:
+        cuts = uniform_cuts(global_box, grid)
+    lo = [cuts[d][coords[d]] for d in range(3)]
+    hi = [cuts[d][coords[d] + 1] for d in range(3)]
+    return AABB.from_arrays(lo, hi)
 
 
 def six_stencil_pattern(
@@ -212,16 +241,21 @@ def six_stencil_pattern(
     this_rank: int,
     global_box: AABB,
     spacing: float,
+    cuts=None,
 ) -> CommPattern:
-    """Face-neighbor pattern over a regular rank grid, one round per dimension.
+    """Face-neighbor pattern over a rank grid, one round per dimension.
+
+    Slabs lie between `cuts` (per-axis boundaries, uniform by default).
 
     The exchange condition is "strictly outside my slab through this face";
     the border condition is "within spacing of this face". Both emit positions
     shifted by the domain length when the face is the periodic boundary.
     """
     gx, gy, gz = rank_grid
+    if cuts is None:
+        cuts = uniform_cuts(global_box, rank_grid)
     coords = rank_grid_coords(this_rank, rank_grid)
-    slab = slab_bounds(global_box, rank_grid, coords)
+    slab = slab_bounds(global_box, rank_grid, coords, cuts)
     ext = global_box.extent()
     rounds = []
     for dim in range(3):
@@ -271,7 +305,7 @@ def six_stencil_pattern(
                 )
             )
         rounds.append(entries)
-    return CommPattern(rounds)
+    return CommPattern(rounds, rank_grid=tuple(rank_grid), cuts=cuts)
 
 
 def _image_offsets(ext: np.ndarray) -> np.ndarray:
@@ -333,8 +367,82 @@ def block_neighborhood_pattern(
 
 
 # ---------------------------------------------------------------------------
-# the three phases (rank-program generators; `yield` is a collective barrier)
+# the phases (rank-program generators; `yield` is a collective barrier)
 # ---------------------------------------------------------------------------
+
+
+def _balanced_cuts(old: np.ndarray, hist: np.ndarray, spacing: float) -> np.ndarray:
+    """Cuts of one axis that split the histogram's count evenly, within clamps.
+
+    Interior cut k moves to the first bin edge where the running count
+    reaches k/g of the total, unless at its old position (rounded to a bin
+    edge) the running count is already as close to k/g: on a lattice, whole
+    planes share a bin, and a move that gains nothing only shifts which
+    planes become ghosts. The cut is then clamped to stay at least `spacing`
+    above both the old cut k - 1 and the new cut k - 1, and at least
+    `spacing` below the old cut k + 1. Every slab therefore stays at least
+    `spacing` wide (one border hop still reaches every ghost), and every
+    particle, even one that drifted less than half the Verlet buffer past its
+    old slab, lands in the old owner's slab or a face neighbour's (one
+    exchange hop reaches it). If the old cuts already break those bounds the
+    axis keeps them.
+    """
+    g = old.size - 1
+    lo, ext = old[0], old[-1] - old[0]
+    running = np.concatenate([[0.0], np.cumsum(hist)])
+    target = running[-1] * np.arange(1, g) / g
+    reach = np.searchsorted(running, target)
+    at_old = np.rint((old[1:-1] - lo) / ext * hist.size).astype(np.int64)
+    stay = np.abs(running[at_old] - target) <= np.abs(running[reach] - target)
+    want = np.where(stay, old[1:-1], lo + ext * (reach / hist.size))
+    new = old.copy()
+    for k in range(1, g):
+        floor = max(old[k - 1], new[k - 1]) + spacing
+        ceiling = old[k + 1] - spacing
+        if floor > ceiling:
+            return old
+        new[k] = min(max(want[k - 1], floor), ceiling)
+    return new
+
+
+def balance_slabs(world: RankWorld, store: ParticleStore):
+    """Move the stencil slab cuts so each slab holds about the same particle count.
+
+    Runs at an epoch boundary, before exchange. Worlds of one rank and block
+    patterns return without a barrier. Each rank sends every other rank a
+    load record: per axis, a LOAD_BINS histogram of its local positions,
+    wrapped into the domain. Every rank sums the histograms in rank order,
+    so all ranks derive the same cuts, then rebuilds its ownership slab and
+    its pattern from them; the exchange that follows moves the particles.
+    """
+    pattern = world.pattern
+    if world.size == 1 or pattern.kind != "stencil" or pattern.cuts is None:
+        return
+    me = world.rank
+    box = world.global_box
+    pos = pbc_correct(store.local_positions(), box)
+    bins = np.floor((pos - box.lo) / box.extent() * LOAD_BINS).astype(np.int64)
+    bins = np.clip(bins, 0, LOAD_BINS - 1)
+    hist = np.stack([np.bincount(bins[:, d], minlength=LOAD_BINS) for d in range(3)]).astype(np.float64)
+    blob = pack_particles(WIRE_LOAD, hist)
+    for peer in range(world.size):
+        if peer != me:
+            world.transport.send(me, peer, blob)
+    yield
+    total = np.zeros_like(hist)
+    for peer in range(world.size):
+        if peer == me:
+            total += hist
+            continue
+        kind, data = unpack_particles(world.transport.recv(me, peer))
+        if kind != WIRE_LOAD:
+            raise ProtocolError(f"rank {me} expected load record from {peer}, got kind {kind}")
+        total += data
+    spacing = world.domain.spacing
+    cuts = tuple(_balanced_cuts(old, total[d], spacing) for d, old in enumerate(pattern.cuts))
+    grid = pattern.rank_grid
+    world.domain.ownership = [slab_bounds(box, grid, rank_grid_coords(me, grid), cuts)]
+    world.pattern = six_stencil_pattern(grid, me, box, spacing, cuts)
 
 
 def exchange(world: RankWorld, store: ParticleStore):

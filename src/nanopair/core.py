@@ -240,6 +240,17 @@ class SimConfig:
             c = self.aosoa_cluster
             if c < 1 or (c & (c - 1)) != 0:
                 raise ConfigError(f"aosoa_cluster must be a power of two, got {c}")
+        if self.potential_kind == "sd":
+            if self.cutoff < self.diameter:
+                raise ConfigError(
+                    f"cutoff ({self.cutoff}) must be at least the sphere diameter "
+                    f"({self.diameter}) for potential_kind='sd', or lists drop contacts"
+                )
+            if self.damping > 0:
+                raise ConfigError(
+                    f"damping must be 0 for potential_kind='sd' (got {self.damping}): "
+                    "ghost copies carry no velocity, so the dashpot is wrong across rank faces"
+                )
         if self.fill not in _FILLS:
             raise ConfigError(f"fill must be one of {_FILLS}, got {self.fill!r}")
         if self.interaction_radius() <= 0:

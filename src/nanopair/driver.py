@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import Backend, default_backend
-from .comm import RankWorld, define_borders, exchange, synchronize
+from .comm import RankWorld, balance_slabs, define_borders, exchange, synchronize
 from .core import SimConfig
 from .errors import GuardViolation
 from .neighbor import build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
@@ -100,8 +100,9 @@ def _momentum(store: ParticleStore, mass: float) -> np.ndarray:
 
 
 def _reneighbor(state: SimState, world: RankWorld, cfg: SimConfig):
-    """Full epoch: exchange, borders, re-bin, rebuild lists."""
+    """Full epoch: balance slabs, exchange, borders, re-bin, rebuild lists."""
     with state.timers.track("comm"):
+        yield from balance_slabs(world, state.store)
         yield from exchange(world, state.store)
         state.plan = yield from define_borders(world, state.store)
     with state.timers.track("neigh"):

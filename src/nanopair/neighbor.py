@@ -32,7 +32,9 @@ _STENCIL = np.array(
     dtype=np.int64,
 )
 
-_CHUNK = 4096
+# locals per build pass; bounds the candidate temporaries (27 cells x padded
+# occupancy per row)
+_CHUNK = 1024
 
 
 @dataclass
@@ -95,7 +97,7 @@ class NeighborLists:
 
     half: bool
     radius: float
-    indices: ArrayHandle  # (n_local, capacity) int32 through the chosen layout
+    indices: ArrayHandle  # (n_local, max count) int32 through the chosen layout, -1 padded
     counts: np.ndarray  # (n_local,)
     ref_positions: np.ndarray  # local positions at build time
     n_local: int
@@ -112,78 +114,53 @@ class NeighborLists:
         return np.column_stack([ii, mat[ii, slot]])
 
 
-def _fill_lists(
-    grid: CellGrid,
-    pos: np.ndarray,
-    n_local: int,
-    rsq_max: float,
-    half: bool,
-    cap: int,
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """One construction pass; returns None when cap overflows."""
-    mat = np.full((n_local, cap), -1, dtype=np.int32)
-    counts = np.zeros(n_local, dtype=np.int32)
-    occ = grid.occupants
-    for start in range(0, n_local, _CHUNK):
-        stop = min(start + _CHUNK, n_local)
-        m = stop - start
-        cells27 = grid.cell_id(grid.coords[start:stop, None, :] + _STENCIL[None, :, :])
-        cand = occ[cells27].reshape(m, -1)  # (m, 27 * max_occ)
-        valid = cand >= 0
-        cj = np.where(valid, cand, 0)
-        delta = pos[start:stop, None, :] - pos[cj]
-        rsq = np.einsum("ijk,ijk->ij", delta, delta)
-        ii = np.arange(start, stop, dtype=np.int64)[:, None]
-        keep = valid & (rsq < rsq_max)
-        if half:
-            keep &= (cj >= n_local) | (cj > ii)
-        else:
-            keep &= cj != ii
-        rows, cols = np.nonzero(keep)
-        per_row = np.bincount(rows, minlength=m)
-        if per_row.size and per_row.max() > cap:
-            return None
-        counts[start:stop] = per_row
-        row_starts = np.concatenate([[0], np.cumsum(per_row)])[:-1]
-        slots = np.arange(rows.size) - row_starts[rows]
-        mat[start + rows, slots] = cand[rows, cols]
-    return mat, counts
-
-
 def build_neighbor_lists(
     store: ParticleStore,
     grid: CellGrid,
     r: float,
     half: bool,
     list_layout: LayoutDescriptor | None = None,
-    initial_capacity: int | None = None,
 ) -> NeighborLists:
     """Collect, for each local particle, every other particle within r.
 
     Half mode keeps one ordered copy per local pair (owned by the lower
     index); pairs with a ghost partner always live on the local particle.
-    Candidate capacity grows geometrically on overflow and the pass reruns.
+    One pass per chunk of locals compresses the 27-cell occupants to real
+    candidates, filters them by index and by distance, and the list width is
+    the largest per-particle count, so no slot is padding beyond that row.
     """
     n_local = store.n_local
-    pos = store.all_positions()
+    xyz = np.ascontiguousarray(store.all_positions().T)
     rsq_max = r * r
-    if initial_capacity is None:
-        # expected count for a uniform cloud, with headroom
-        density = max(n_local, 1) / max(np.prod(grid.dims) * grid.cell_size**3, 1e-30)
-        expect = 4.19 * r**3 * density * (0.6 if half else 1.1)
-        initial_capacity = max(8, int(expect) + 8)
-    cap = initial_capacity
-    while True:
-        got = _fill_lists(grid, pos, n_local, rsq_max, half, cap)
-        if got is not None:
-            mat, counts = got
-            break
-        cap = cap * 2
+    occ = grid.occupants
+    counts = np.zeros(n_local, dtype=np.int32)
+    rows_parts, nbr_parts = [], []
+    for start in range(0, n_local, _CHUNK):
+        stop = min(start + _CHUNK, n_local)
+        cells27 = grid.cell_id(grid.coords[start:stop, None, :] + _STENCIL[None, :, :])
+        cand = occ[cells27].reshape(stop - start, -1)
+        real = cand >= 0
+        j = cand[real]
+        i = np.repeat(np.arange(start, stop), np.count_nonzero(real, axis=1))
+        keep = ((j >= n_local) | (j > i)) if half else (j != i)
+        i, j = i[keep], j[keep]
+        delta = xyz[:, i] - xyz[:, j]
+        keep = np.einsum("ij,ij->j", delta, delta) < rsq_max
+        i, j = i[keep], j[keep]
+        counts[start:stop] = np.bincount(i - start, minlength=stop - start)
+        rows_parts.append(i)
+        nbr_parts.append(j)
+    # at least one column, so an empty list is still a valid handle
+    width = max(int(counts.max()) if n_local else 0, 1)
+    mat = np.full((n_local, width), -1, dtype=np.int32)
+    if rows_parts:
+        i = np.concatenate(rows_parts)
+        row_starts = np.cumsum(counts) - counts
+        mat[i, np.arange(i.size) - row_starts[i]] = np.concatenate(nbr_parts)
     if list_layout is None:
         list_layout = row_major_layout()
-    handle = ArrayHandle(list_layout, max(n_local, 1), max(cap, 1), dtype=np.int32)
-    if n_local:
-        handle.write_rows(0, mat)
+    handle = ArrayHandle(list_layout, max(n_local, 1), width, dtype=np.int32)
+    handle.write_rows(0, mat)
     return NeighborLists(
         half=half,
         radius=r,

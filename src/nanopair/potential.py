@@ -64,7 +64,8 @@ class SpringDashpot:
     The normal spring pushes overlapping spheres apart; the dashpot damps the
     relative normal velocity. Both terms vanish for non-overlapping spheres.
     Ghost copies carry zero velocity, so the dashpot term is only meaningful
-    for local pairs (the balancing experiments run with damping zero).
+    for local pairs; `SimConfig.validate()` therefore rejects damping > 0
+    (and a cutoff below the diameter) for simulation runs.
     """
 
     stiffness: float = 100.0
@@ -141,11 +142,17 @@ def compute_forces(
 ):
     """Evaluate pair forces into store.forces for every local particle.
 
-    In half mode each stored pair also applies the equal-and-opposite force to
-    the partner. Accumulation order is fixed (particle-major, list order, then
-    partner scatter per chunk) so serial runs are reproducible bit for bit.
+    Each backend chunk of list rows is flattened to (i, j) entries, entries at
+    or beyond the law's cutoff are dropped, and the law runs once per
+    surviving entry. A particle's own force is the sum of its entries in list
+    order (np.bincount accumulates sequentially). In half mode the reactions
+    on local partners are then subtracted, all chunks' entries in one
+    bincount in chunk order, so the result does not depend on the chunk size
+    or on which backend ran the chunks, bit for bit.
+
     With accumulate_energy the total pair potential energy is returned;
-    otherwise returns None.
+    otherwise returns None. A half-list entry with a ghost partner carries
+    half the pair energy, since the ghost's owner stores the same pair.
     """
     if half is None:
         half = lists.half
@@ -154,60 +161,53 @@ def compute_forces(
     if backend is None:
         backend = SerialBackend()
     n_local = store.n_local
-    pos = store.all_positions()
+    if n_local == 0:
+        store.forces.fill_rows(0, store.n_ghost, 0.0)
+        return 0.0 if accumulate_energy else None
+    # coordinate-major copy: gathers and differences run on contiguous rows
+    xyz = np.ascontiguousarray(store.all_positions().T)
     vel = store.all_velocities() if law.needs_velocities else None
     mat = lists.as_matrix()
     counts = lists.counts
-    cap = mat.shape[1] if mat.size else 0
     cutoff_rsq = law.cutoff_rsq
-    forces = np.zeros((n_local, 3))
-    energies = []
-    slot = np.arange(cap, dtype=np.int32)[None, :]
+    slot = np.arange(mat.shape[1])[None, :]
 
     def do_chunk(start: int, stop: int):
-        rows = mat[start:stop]
-        valid = slot < counts[start:stop, None]
-        j = np.where(valid, rows, 0)
-        delta = pos[start:stop, None, :] - pos[j]
-        rsq = np.einsum("ijk,ijk->ij", delta, delta)
-        within = valid & (rsq < cutoff_rsq)
-        if np.any(within & (rsq == 0.0)):
-            bi, bs = np.nonzero(within & (rsq == 0.0))
-            raise SingularityError(
-                f"coincident pair: local {start + bi[0]} and neighbor {rows[bi[0], bs[0]]}"
-            )
-        rsq_safe = np.where(within, rsq, 1.0)
+        cnt = counts[start:stop]
+        j = mat[start:stop][slot < cnt[:, None]]
+        i = np.repeat(np.arange(start, stop), cnt)
+        delta = np.repeat(xyz[:, start:stop], cnt, axis=1) - xyz[:, j]
+        rsq = np.einsum("ij,ij->j", delta, delta)
+        within = rsq < cutoff_rsq
+        i, j, delta, rsq = i[within], j[within], delta[:, within].T, rsq[within]
+        if np.any(rsq == 0.0):
+            k = int(np.argmin(rsq))
+            raise SingularityError(f"coincident pair: local {i[k]} and neighbor {j[k]}")
         if law.needs_velocities:
-            f = law.pair_force(delta, rsq_safe, vel[start:stop, None, :], vel[j])
+            f = law.pair_force(delta, rsq, vel[i], vel[j])
         else:
-            f = law.pair_force(delta, rsq_safe)
-        f = np.where(within[..., None], f, 0.0)
-        own = f.sum(axis=1)
+            f = law.pair_force(delta, rsq)
+        m = stop - start
+        own = np.column_stack([np.bincount(i - start, weights=f[:, c], minlength=m) for c in range(3)])
         reaction = None
         if half:
-            jj = j[within]
-            ff = f[within]
-            back = jj < n_local
-            reaction = (jj[back], ff[back])
+            back = j < n_local
+            reaction = (j[back], f[back])
         energy = None
         if accumulate_energy:
-            pair_e = np.where(within, law.pair_energy(rsq_safe), 0.0).sum()
-            energy = pair_e if half else 0.5 * pair_e
-        return start, own, reaction, energy
+            e = law.pair_energy(rsq)
+            energy = np.where(j < n_local, e, 0.5 * e).sum() if half else 0.5 * e.sum()
+        return own, reaction, energy
 
-    bounds = list(range(0, n_local, backend.chunk_size)) or [0]
-    results = backend.run([(s, min(s + backend.chunk_size, n_local)) for s in bounds], do_chunk)
-    for start, own, reaction, energy in results:
-        forces[start : start + own.shape[0]] = own
-        if energy is not None:
-            energies.append(energy)
-    # partner scatter applied after the owned sums, in chunk order
-    for _, _, reaction, _ in results:
-        if reaction is not None:
-            jj, ff = reaction
-            for c in range(3):
-                forces[:, c] -= np.bincount(jj, weights=ff[:, c], minlength=n_local)
+    chunk = backend.chunk_size
+    results = backend.run([(s, min(s + chunk, n_local)) for s in range(0, n_local, chunk)], do_chunk)
+    forces = np.concatenate([own for own, _, _ in results])
+    if half:
+        jj = np.concatenate([r[0] for _, r, _ in results])
+        ff = np.concatenate([r[1] for _, r, _ in results])
+        for c in range(3):
+            forces[:, c] -= np.bincount(jj, weights=ff[:, c], minlength=n_local)
     store.forces.write_rows(0, forces)
     if store.n_ghost:
         store.forces.fill_rows(n_local, store.n_ghost, 0.0)
-    return float(np.sum(energies)) if accumulate_energy else None
+    return float(np.sum([e for _, _, e in results])) if accumulate_energy else None

@@ -151,3 +151,17 @@ class TestSimConfig:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SimConfig(**kwargs).validate()
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            ({"cutoff": 0.5, "diameter": 1.0}, "cutoff"),
+            ({"cutoff": 1.0, "damping": 0.5}, "damping"),
+        ],
+    )
+    def test_spring_dashpot_rejected(self, kwargs, field):
+        with pytest.raises(ConfigError, match=field):
+            SimConfig(potential_kind="sd", **kwargs).validate()
+
+    def test_spring_dashpot_contact_cutoff_accepted(self):
+        SimConfig(potential_kind="sd", cutoff=1.0, diameter=1.0, damping=0.0).validate()

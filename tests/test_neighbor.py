@@ -147,14 +147,15 @@ class TestNeighborLists:
         np.testing.assert_array_equal(a.counts, b.counts)
 
     def test_capacity_regrow(self):
-        # clump of points forces per-particle counts past the initial guess
+        # a dense clump sizes the list to its largest count in one pass
         rng = np.random.default_rng(5)
         pos = 5.0 + rng.uniform(-0.1, 0.1, size=(60, 3))
         box = AABB.cube(0.0, 10.0)
         store = make_store(pos)
         grid = build_cell_grid(store, box, 2.5)
-        lists = build_neighbor_lists(store, grid, 2.5, half=False, initial_capacity=4)
+        lists = build_neighbor_lists(store, grid, 2.5, half=False)
         assert lists.counts.tolist() == [59] * 60
+        assert lists.indices.size_y == 59
 
     def test_neighbor_major_layout_round_trips(self):
         rng = np.random.default_rng(6)

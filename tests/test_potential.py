@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanopair.backend import SerialBackend, ThreadBackend
 from nanopair.core import AABB, SimConfig, Vec3
 from nanopair.errors import SingularityError
 from nanopair.layout import row_major_layout
@@ -238,3 +239,46 @@ class TestComputeForces:
         lists = build_neighbor_lists(store, grid, 2.8, half=True)
         with pytest.raises(SingularityError):
             compute_forces(store, lists, LennardJones())
+
+    def test_half_list_energy_counts_ghost_pairs_once(self):
+        cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
+        law = law_from_config(cfg)
+        energy = {}
+        for half in (False, True):
+            store, box, r = periodic_store(cfg)
+            grid = build_cell_grid(store, box, r)
+            lists = build_neighbor_lists(store, grid, r, half=half)
+            energy[half] = compute_forces(store, lists, law, accumulate_energy=True)
+        assert abs(energy[True] - energy[False]) < 1e-10
+
+    @pytest.mark.parametrize("n_ghost", [0, 2])
+    def test_rank_without_locals(self, n_ghost):
+        store = ParticleStore(row_major_layout(), 4)
+        ghosts = np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]])[:n_ghost]
+        if n_ghost:
+            store.append_ghosts(ghosts, peer=1)
+        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        for half in (False, True):
+            lists = build_neighbor_lists(store, grid, 2.8, half=half)
+            assert lists.n_local == 0 and lists.pairs().shape == (0, 2)
+            energy = compute_forces(store, lists, LennardJones(), accumulate_energy=True)
+            assert energy == 0.0
+            assert np.all(store.forces.read_rows(0, store.n_total) == 0.0)
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_chunking_and_threads_bitwise_equal(self, half):
+        cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
+        law = law_from_config(cfg)
+        store, box, r = periodic_store(cfg)
+        grid = build_cell_grid(store, box, r)
+        lists = build_neighbor_lists(store, grid, r, half=half)
+        small = SerialBackend()
+        small.chunk_size = 37
+        threaded = ThreadBackend(2)
+        threaded.chunk_size = 50
+        out = []
+        for backend in (SerialBackend(), small, ThreadBackend(2), threaded):
+            compute_forces(store, lists, law, backend=backend)
+            out.append(store.local_forces())
+        for got in out[1:]:
+            np.testing.assert_array_equal(got, out[0])
