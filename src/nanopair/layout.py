@@ -8,10 +8,14 @@ buffer:
 * clustered      offset = c * (i * size_y + y) + j with i = x >> shift,
                  j = x & (c - 1)                  (AoSoA, cluster size c)
 
-The layout is fixed at handle creation, so every access compiles down to one
-arithmetic expression; callers that only touch data through get/set/add (or
-the bulk row operations, which use the same index math) observe identical
-results under every layout.
+The layout is fixed at handle creation. Scalar accessors (get/set/add and the
+vec3 forms) address the buffer through the index map. The bulk row
+operations go through one zero-copy strided view of the same buffer instead:
+(size_x, size_y) for row-major and column-major, (clusters, size_y, c) for
+clustered. A row range is a slice of that view and a row gather indexes one
+axis (clustered: the cluster and lane axes), so no per-element index array
+is built. Both routes address the same elements, so callers observe
+identical results under every layout.
 """
 
 from __future__ import annotations
@@ -104,7 +108,9 @@ class ArrayHandle:
     """A logical (size_x, size_y) array stored through a layout's index map.
 
     The buffer is padded to the layout's required capacity; padding elements
-    are zero-initialized and never addressed by valid indices.
+    are zero-initialized and never addressed by valid indices. `view` is the
+    zero-copy strided view of the buffer that the bulk row operations use;
+    writes through it write the buffer.
     """
 
     def __init__(self, layout: LayoutDescriptor, size_x: int, size_y: int, dtype=np.float64):
@@ -113,6 +119,13 @@ class ArrayHandle:
         self.size_y = int(size_y)
         self.dtype = np.dtype(dtype)
         self.buf = np.zeros(layout.required_capacity(size_x, size_y), dtype=self.dtype)
+        if layout.kind is LayoutKind.ROW_MAJOR:
+            self.view = self.buf.reshape(self.size_x, self.size_y)
+        elif layout.kind is LayoutKind.COLUMN_MAJOR:
+            self.view = self.buf.reshape(self.size_y, self.size_x).T
+        else:
+            c = layout.cluster_size
+            self.view = self.buf.reshape(-(-self.size_x // c), self.size_y, c)
         self._lock = threading.Lock() if layout.atomic_add else None
 
     @property
@@ -159,55 +172,72 @@ class ArrayHandle:
         self.add(i, 1, v[1])
         self.add(i, 2, v[2])
 
-    def _row_indices(self, start: int, count: int) -> np.ndarray:
-        x = np.arange(start, start + count, dtype=np.int64)[:, None]
-        y = np.arange(self.size_y, dtype=np.int64)[None, :]
-        return self.index(x, y)
+    def _row_blocks(self, start: int, count: int):
+        """Cover rows [start, start+count) with views of `view`.
+
+        Yields (a, b, block): rows start+a .. start+b live in `block`, whose
+        leading axes hold those rows in order and whose last axis is y.
+        """
+        if count == 0:
+            return
+        if start < 0 or count < 0 or start + count > self.size_x:
+            raise IndexError(f"rows [{start}, {start + count}) outside size_x={self.size_x}")
+        if self.layout.kind is not LayoutKind.CLUSTERED:
+            yield 0, count, self.view[start : start + count]
+            return
+        c, shift, stop = self.layout.cluster_size, self.layout.shift, start + count
+        k0, k1 = start >> shift, (stop - 1) >> shift
+        j0 = start & self.layout.mask
+        if k0 == k1:
+            yield 0, count, self.view[k0, :, j0 : j0 + count].T
+            return
+        # partial head cluster, whole clusters, partial tail cluster
+        head, tail = c - j0, stop - (k1 << shift)
+        yield 0, head, self.view[k0, :, j0:].T
+        if k1 > k0 + 1:
+            yield head, count - tail, self.view[k0 + 1 : k1].transpose(0, 2, 1)
+        yield count - tail, count, self.view[k1, :, :tail].T
 
     def read_rows(self, start: int = 0, count: int | None = None) -> np.ndarray:
         """Copy rows [start, start+count) out as a (count, size_y) array."""
         if count is None:
             count = self.size_x - start
-        if count == 0:
-            return np.empty((0, self.size_y), dtype=self.dtype)
-        if start < 0 or start + count > self.size_x:
-            raise IndexError(f"rows [{start}, {start + count}) outside size_x={self.size_x}")
-        return self.buf[self._row_indices(start, count)]
+        out = np.empty((count, self.size_y), dtype=self.dtype)
+        for a, b, block in self._row_blocks(start, count):
+            out[a:b].reshape(block.shape)[...] = block
+        return out
 
     def write_rows(self, start: int, rows: np.ndarray) -> None:
         rows = np.asarray(rows)
-        count = rows.shape[0]
-        if count == 0:
-            return
-        if start < 0 or start + count > self.size_x:
-            raise IndexError(f"rows [{start}, {start + count}) outside size_x={self.size_x}")
-        self.buf[self._row_indices(start, count)] = rows
+        for a, b, block in self._row_blocks(start, rows.shape[0]):
+            block[...] = rows[a:b].reshape(block.shape)
 
     def fill_rows(self, start: int, count: int, value=0.0) -> None:
         if count > 0:
-            self.buf[self._row_indices(start, count)] = value
+            for _, _, block in self._row_blocks(start, count):
+                block[...] = value
 
-    def _scatter_indices(self, x_indices: np.ndarray) -> np.ndarray:
-        x = np.asarray(x_indices, dtype=np.int64)[:, None]
-        y = np.arange(self.size_y, dtype=np.int64)[None, :]
-        return self.index(x, y)
+    def _rows_key(self, x_indices):
+        """Index into `view` selecting the given rows; checks their range."""
+        x = np.asarray(x_indices, dtype=np.int64)
+        if x.size and (x.min() < 0 or x.max() >= self.size_x):
+            raise IndexError("row index outside size_x")
+        if self.layout.kind is LayoutKind.CLUSTERED:
+            return x >> self.layout.shift, slice(None), x & self.layout.mask
+        return x
 
     def read_rows_at(self, x_indices) -> np.ndarray:
         """Gather arbitrary rows as a (k, size_y) copy."""
-        x = np.asarray(x_indices, dtype=np.int64)
-        if x.size == 0:
-            return np.empty((0, self.size_y), dtype=self.dtype)
-        if x.min() < 0 or x.max() >= self.size_x:
-            raise IndexError("row index outside size_x")
-        return self.buf[self._scatter_indices(x)]
+        key = self._rows_key(x_indices)
+        if self.layout.kind is LayoutKind.ROW_MAJOR:
+            return np.take(self.view, key, axis=0)
+        if self.layout.kind is LayoutKind.COLUMN_MAJOR:
+            # take along the contiguous axis of the (size_y, size_x) buffer
+            return np.take(self.view.T, key, axis=1).T
+        return self.view[key]
 
     def write_rows_at(self, x_indices, rows: np.ndarray) -> None:
-        x = np.asarray(x_indices, dtype=np.int64)
-        if x.size == 0:
-            return
-        if x.min() < 0 or x.max() >= self.size_x:
-            raise IndexError("row index outside size_x")
-        self.buf[self._scatter_indices(x)] = rows
+        self.view[self._rows_key(x_indices)] = rows
 
     def grown(self, new_size_x: int) -> "ArrayHandle":
         """A new handle with the same layout and contents, larger size_x."""

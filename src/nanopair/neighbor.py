@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import AABB
 from .errors import ProtocolError
-from .layout import ArrayHandle, LayoutDescriptor, row_major_layout
+from .layout import ArrayHandle, row_major_layout
 from .particles import ParticleStore
 
 __all__ = [
@@ -93,17 +93,26 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid
 
 @dataclass
 class NeighborLists:
-    """Per-local-particle candidate lists valid until positions drift too far."""
+    """Per-local-particle candidate lists valid until positions drift too far.
+
+    Row i of the row-major (n_local, width) matrix holds the counts[i]
+    partners of local i, in build order, then -1 padding to the width, which
+    is the largest count (at least 1). Entries may lie beyond the force
+    cutoff, inside the Verlet buffer.
+    """
 
     half: bool
     radius: float
-    indices: ArrayHandle  # (n_local, max count) int32 through the chosen layout, -1 padded
+    indices: ArrayHandle  # row-major int32 matrix; size_x is max(n_local, 1)
     counts: np.ndarray  # (n_local,)
     ref_positions: np.ndarray  # local positions at build time
     n_local: int
 
     def as_matrix(self) -> np.ndarray:
-        return self.indices.read_rows(0, self.n_local)
+        """The (n_local, width) list as a read-only zero-copy view."""
+        mat = self.indices.view[: self.n_local]
+        mat.flags.writeable = False
+        return mat
 
     def pairs(self) -> np.ndarray:
         """(k, 2) array of (i, j) entries, in storage order."""
@@ -119,7 +128,6 @@ def build_neighbor_lists(
     grid: CellGrid,
     r: float,
     half: bool,
-    list_layout: LayoutDescriptor | None = None,
 ) -> NeighborLists:
     """Collect, for each local particle, every other particle within r.
 
@@ -134,7 +142,7 @@ def build_neighbor_lists(
     rsq_max = r * r
     occ = grid.occupants
     counts = np.zeros(n_local, dtype=np.int32)
-    rows_parts, nbr_parts = [], []
+    nbr_parts = []
     for start in range(0, n_local, _CHUNK):
         stop = min(start + _CHUNK, n_local)
         cells27 = grid.cell_id(grid.coords[start:stop, None, :] + _STENCIL[None, :, :])
@@ -144,23 +152,19 @@ def build_neighbor_lists(
         i = np.repeat(np.arange(start, stop), np.count_nonzero(real, axis=1))
         keep = ((j >= n_local) | (j > i)) if half else (j != i)
         i, j = i[keep], j[keep]
-        delta = xyz[:, i] - xyz[:, j]
+        delta = np.take(xyz, i, axis=1) - np.take(xyz, j, axis=1)
         keep = np.einsum("ij,ij->j", delta, delta) < rsq_max
         i, j = i[keep], j[keep]
         counts[start:stop] = np.bincount(i - start, minlength=stop - start)
-        rows_parts.append(i)
         nbr_parts.append(j)
     # at least one column, so an empty list is still a valid handle
     width = max(int(counts.max()) if n_local else 0, 1)
-    mat = np.full((n_local, width), -1, dtype=np.int32)
-    if rows_parts:
-        i = np.concatenate(rows_parts)
-        row_starts = np.cumsum(counts) - counts
-        mat[i, np.arange(i.size) - row_starts[i]] = np.concatenate(nbr_parts)
-    if list_layout is None:
-        list_layout = row_major_layout()
-    handle = ArrayHandle(list_layout, max(n_local, 1), width, dtype=np.int32)
-    handle.write_rows(0, mat)
+    handle = ArrayHandle(row_major_layout(), max(n_local, 1), width, dtype=np.int32)
+    mat = handle.view
+    mat.fill(-1)
+    if n_local:
+        # a boolean mask assigns in row-major order: each row's partners in turn
+        mat[:n_local][np.arange(width) < counts[:, None]] = np.concatenate(nbr_parts)
     return NeighborLists(
         half=half,
         radius=r,

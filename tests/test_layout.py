@@ -3,6 +3,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanopair.layout import (
     ArrayHandle,
@@ -157,6 +159,61 @@ class TestBulkRows:
         ref = program(row_major_layout())
         for lay in ALL_LAYOUTS[1:]:
             assert program(lay) == ref
+
+
+VIEW_LAYOUTS = [
+    row_major_layout(),
+    column_major_layout(),
+    clustered_layout(1),
+    clustered_layout(4),
+    clustered_layout(8),
+]
+
+
+@st.composite
+def handle_and_rows(draw):
+    """A handle whose buffer (cluster padding included) holds distinct values,
+    a row range [start, start+count) and a list of distinct rows."""
+    lay = draw(st.sampled_from(VIEW_LAYOUTS))
+    size_x = draw(st.integers(1, 40).filter(lambda n: lay.cluster_size == 1 or n % lay.cluster_size))
+    size_y = draw(st.integers(1, 4))
+    start = draw(st.integers(0, size_x))
+    count = draw(st.integers(0, size_x - start))
+    rows = draw(st.lists(st.integers(0, size_x - 1), unique=True, max_size=size_x))
+    a = ArrayHandle(lay, size_x, size_y)
+    a.buf[:] = np.arange(a.buf.size) + 0.5
+    return a, start, count, np.array(rows, dtype=np.int64)
+
+
+def reference_index(a, x):
+    """Buffer offsets of rows x through the index map, (len(x), size_y)."""
+    return a.index(np.asarray(x, dtype=np.int64)[:, None], np.arange(a.size_y)[None, :])
+
+
+class TestRowViews:
+    @given(handle_and_rows())
+    @settings(max_examples=200)
+    def test_row_methods_match_index_map(self, case):
+        a, start, count, rows = case
+        span = np.arange(start, start + count)
+        before = a.buf.copy()
+        np.testing.assert_array_equal(a.read_rows(start, count), before[reference_index(a, span)])
+        np.testing.assert_array_equal(a.read_rows_at(rows), before[reference_index(a, rows)])
+
+        new = -np.arange(count * a.size_y, dtype=np.float64).reshape(count, a.size_y) - 1.0
+        a.write_rows(start, new)
+        want = before.copy()
+        want[reference_index(a, span)] = new
+        np.testing.assert_array_equal(a.buf, want)
+
+        a.fill_rows(start, count, 7.0)
+        want[reference_index(a, span)] = 7.0
+        np.testing.assert_array_equal(a.buf, want)
+
+        new = -np.arange(rows.size * a.size_y, dtype=np.float64).reshape(-1, a.size_y) - 0.25
+        a.write_rows_at(rows, new)
+        want[reference_index(a, rows)] = new
+        np.testing.assert_array_equal(a.buf, want)
 
 
 def test_layout_from_config():

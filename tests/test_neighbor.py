@@ -3,7 +3,7 @@ import pytest
 
 from nanopair.core import AABB, minimum_image
 from nanopair.errors import ProtocolError
-from nanopair.layout import column_major_layout, row_major_layout
+from nanopair.layout import row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
 from nanopair.particles import ParticleStore
 
@@ -156,16 +156,6 @@ class TestNeighborLists:
         lists = build_neighbor_lists(store, grid, 2.5, half=False)
         assert lists.counts.tolist() == [59] * 60
         assert lists.indices.size_y == 59
-
-    def test_neighbor_major_layout_round_trips(self):
-        rng = np.random.default_rng(6)
-        pos = rng.uniform(0, 8, size=(100, 3))
-        box = AABB.cube(0.0, 8.0)
-        store = make_store(pos)
-        grid = build_cell_grid(store, box, 2.8)
-        a = build_neighbor_lists(store, grid, 2.8, half=True)
-        b = build_neighbor_lists(store, grid, 2.8, half=True, list_layout=column_major_layout())
-        np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
 
 
 class TestDisplacement:

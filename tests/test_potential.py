@@ -110,6 +110,16 @@ class TestSpringDashpot:
             stiffness=0.0, damping=3.0, diameter=1.0,
         )
         assert f.x == pytest.approx(6.0, abs=1e-12)
+        g = spring_dashpot_force(
+            Vec3(-0.8, 0.0, 0.0), 0.64, Vec3(1, 0, 0), Vec3(-1, 0, 0),
+            stiffness=0.0, damping=3.0, diameter=1.0,
+        )
+        assert g.x == pytest.approx(-6.0, abs=1e-12)
+
+    def test_velocities_read_only_with_damping(self):
+        assert not SpringDashpot(damping=0.0).needs_velocities
+        assert SpringDashpot(damping=3.0).needs_velocities
+        assert not LennardJones().needs_velocities
 
     def test_continuity_at_contact(self):
         law = SpringDashpot(stiffness=250.0, damping=0.0, diameter=1.0)
@@ -142,11 +152,16 @@ def periodic_store(cfg):
 
     box = cfg.domain()
     pos = lattice_positions(cfg, box)
-    store = ParticleStore(row_major_layout(), len(pos) * 2)
     rng = np.random.default_rng(cfg.rng_seed)
     vel = (rng.random((len(pos), 3)) - 0.5) * cfg.velocity_scale
-    store.append_locals(pos, vel)
     r = cfg.interaction_radius()
+    return with_periodic_ghosts(pos, vel, box, r), box, r
+
+
+def with_periodic_ghosts(pos, vel, box, r):
+    """Store of the given locals plus every periodic image within r of the box."""
+    store = ParticleStore(row_major_layout(), len(pos) * 2)
+    store.append_locals(pos, vel)
     ext = box.extent()
     ghosts = []
     for ox in (-1, 0, 1):
@@ -160,7 +175,20 @@ def periodic_store(cfg):
                 )
                 ghosts.append(shifted[near])
     store.append_ghosts(np.vstack(ghosts), peer=0)
-    return store, box, r
+    return store
+
+
+def jittered_store(seed, r):
+    """5^3 simple-cubic sites at spacing 1.1 jittered by up to 0.25 per axis,
+    with random velocities: unequal list rows, overlapping spheres of
+    diameter 1, and ghost partners across every face."""
+    rng = np.random.default_rng(seed)
+    n_side, spacing = 5, 1.1
+    box = AABB.cube(0.0, n_side * spacing)
+    sites = np.stack(np.meshgrid(*[np.arange(n_side)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    pos = (sites + 0.5) * spacing + rng.uniform(-0.25, 0.25, size=sites.shape)
+    vel = rng.normal(size=pos.shape)
+    return with_periodic_ghosts(pos, vel, box, r), box
 
 
 class TestComputeForces:
@@ -265,11 +293,20 @@ class TestComputeForces:
             assert energy == 0.0
             assert np.all(store.forces.read_rows(0, store.n_total) == 0.0)
 
-    @pytest.mark.parametrize("half", [False, True])
-    def test_chunking_and_threads_bitwise_equal(self, half):
-        cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
-        law = law_from_config(cfg)
-        store, box, r = periodic_store(cfg)
+    @pytest.mark.parametrize(
+        "half,kind",
+        [(False, "lj"), (True, "lj"), (False, "sd"), (True, "sd")],
+        ids=["False", "True", "sd-False", "sd-True"],
+    )
+    def test_chunking_and_threads_bitwise_equal(self, half, kind):
+        if kind == "lj":
+            cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
+            law = law_from_config(cfg)
+            store, box, r = periodic_store(cfg)
+        else:
+            law = SpringDashpot(stiffness=100.0, damping=2.0, diameter=1.0)
+            r = 1.3
+            store, box = jittered_store(3, r)
         grid = build_cell_grid(store, box, r)
         lists = build_neighbor_lists(store, grid, r, half=half)
         small = SerialBackend()
@@ -282,3 +319,62 @@ class TestComputeForces:
             out.append(store.local_forces())
         for got in out[1:]:
             np.testing.assert_array_equal(got, out[0])
+
+
+def pair_loop_forces(store, lists, law, half):
+    """Oracle: forces and energy from one `pair_force` call per list entry."""
+    n_local = store.n_local
+    pos, vel = store.all_positions(), store.all_velocities()
+    mat = lists.as_matrix()
+    forces = np.zeros((n_local, 3))
+    energy = 0.0
+    for i in range(n_local):
+        for j in mat[i, : lists.counts[i]]:
+            delta = pos[i] - pos[j]
+            rsq = float(delta @ delta)
+            if rsq >= law.cutoff_rsq:
+                continue
+            f = law.pair_force(delta, rsq, vel[i], vel[j])
+            forces[i] += f
+            e = float(law.pair_energy(rsq))
+            if half and j < n_local:
+                forces[j] -= f
+                energy += e
+            else:
+                energy += 0.5 * e
+    return forces, energy
+
+
+class TestKernelOracle:
+    # fixed before the first run: 1e-12 relative to the largest force component
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize(
+        "law,r",
+        [
+            (LennardJones(1.0, 1.0, 2.5), 2.8),
+            (SpringDashpot(stiffness=100.0, damping=0.0, diameter=1.0), 1.3),
+            (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 1.3),
+        ],
+        ids=["lj", "sd", "sd-damped"],
+    )
+    @pytest.mark.parametrize("half", [False, True])
+    def test_matches_pair_loop(self, law, r, half):
+        store, box = jittered_store(21, r)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+        # the build puts the farthest cells last in each row; shuffling the
+        # partners puts in-cutoff entries in every column, the last included
+        rng = np.random.default_rng(5)
+        for i, k in enumerate(lists.counts):
+            lists.indices.view[i, :k] = rng.permutation(lists.indices.view[i, :k])
+        mat = lists.as_matrix()
+        # rows of unequal length (padding) and ghost partners both occur
+        assert lists.counts.min() < lists.counts.max() == mat.shape[1]
+        assert np.any(mat >= store.n_local)
+        want, want_energy = pair_loop_forces(store, lists, law, half)
+        got_energy = compute_forces(store, lists, law, half=half, accumulate_energy=True)
+        got = store.local_forces()
+        scale = np.abs(want).max()
+        assert scale > 0.0
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=self.RTOL * scale)
+        assert abs(got_energy - want_energy) <= self.RTOL * abs(want_energy)
