@@ -18,7 +18,6 @@ __all__ = [
     "ConfigError",
     "pbc_correct",
     "minimum_image",
-    "aabb_union",
     "aabb_distance",
 ]
 
@@ -101,34 +100,6 @@ class AABB:
         """Half-open membership test for an (n, 3) array of points."""
         p = np.atleast_2d(points)
         return np.all((p >= self.lo) & (p < self.hi), axis=1)
-
-
-# Reduction identity for box unions: every real box absorbs it.
-_INVERTED = None
-
-
-def inverted_aabb() -> AABB:
-    """The union identity: min at +inf, max at -inf (bypasses validation)."""
-    global _INVERTED
-    if _INVERTED is None:
-        box = object.__new__(AABB)
-        object.__setattr__(box, "min", Vec3(math.inf, math.inf, math.inf))
-        object.__setattr__(box, "max", Vec3(-math.inf, -math.inf, -math.inf))
-        _INVERTED = box
-    return _INVERTED
-
-
-def aabb_union(a: AABB, b: AABB) -> AABB:
-    """Componentwise min of mins and max of maxes.
-
-    Commutative, associative, and idempotent; `inverted_aabb()` is the
-    identity, which lets it seed fold-style reductions.
-    """
-    lo = np.minimum(a.lo, b.lo)
-    hi = np.maximum(a.hi, b.hi)
-    if not np.all(lo <= hi):
-        return inverted_aabb()
-    return AABB.from_arrays(lo, hi)
 
 
 def aabb_distance(points: np.ndarray, box: AABB, ord: str = "linf") -> np.ndarray:

@@ -5,6 +5,10 @@ buffer), never less, so candidate pairs for any particle come from the 27
 surrounding cells. The grid covers the rank's bounding box plus exactly one
 shell of ghost cells; particles farther out than that shell indicate a missed
 exchange and raise ProtocolError.
+
+Every local in a cell shares that cell's 27-cell candidates, so the list
+build gathers them, and their coordinates, once per cell and tests the
+cell's locals against them together (see `build_neighbor_lists`).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ __all__ = [
     "NeighborLists",
     "build_cell_grid",
     "build_neighbor_lists",
+    "far_padded_positions",
     "max_displacement_since_rebuild",
 ]
 
@@ -32,9 +37,15 @@ _STENCIL = np.array(
     dtype=np.int64,
 )
 
-# locals per build pass; bounds the candidate temporaries (27 cells x padded
-# occupancy per row)
-_CHUNK = 1024
+# entry budget of the list build: a block's padded 27-cell gather and a
+# sub-block's (locals x candidates) distance arrays hold at most about this
+# many entries, so the float64 temporaries (256 kB each) stay in a core's L2
+# cache. 8192 paid more per-call overhead; 65536 was slower on the half-list
+# workloads.
+_BUILD_ENTRIES = 32768
+# coordinate of the column that -1 padding selects: far beyond any box and
+# any cutoff, yet its squared distances stay finite
+FAR = 1e150
 
 
 @dataclass
@@ -98,7 +109,9 @@ class NeighborLists:
     Row i of the row-major (n_local, width) matrix holds the counts[i]
     partners of local i, in build order, then -1 padding to the width, which
     is the largest count (at least 1). Entries may lie beyond the force
-    cutoff, inside the Verlet buffer.
+    cutoff, inside the Verlet buffer. The lists belong to a store with
+    n_local locals and n_total particles; any other count means the store
+    changed since the build.
     """
 
     half: bool
@@ -107,6 +120,7 @@ class NeighborLists:
     counts: np.ndarray  # (n_local,)
     ref_positions: np.ndarray  # local positions at build time
     n_local: int
+    n_total: int  # locals plus ghosts at build time
 
     def as_matrix(self) -> np.ndarray:
         """The (n_local, width) list as a read-only zero-copy view."""
@@ -123,6 +137,77 @@ class NeighborLists:
         return np.column_stack([ii, mat[ii, slot]])
 
 
+def far_padded_positions(store: ParticleStore) -> np.ndarray:
+    """Coordinate-major (3, n_total + 1) copy of all positions.
+
+    The extra last column, the one a -1 index selects, lies FAR away, so a
+    -1 padded partner or candidate is an entry beyond any cutoff.
+    """
+    xyz = np.full((3, store.n_total + 1), FAR)
+    xyz[:, : store.n_total] = store.all_positions().T
+    return xyz
+
+
+def _cell_ordered_rows(store: ParticleStore, grid: CellGrid, rsq_max: float, half: bool):
+    """The list rows of all locals, walked in cell order.
+
+    Returns the stable cell order of the locals, the partner counts of the
+    rows in that order, and the rows' partners concatenated in that order.
+    """
+    n_local = store.n_local
+    if n_local == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+    xyz = far_padded_positions(store)
+    cid = grid.cell_id(grid.coords[:n_local])
+    order = np.argsort(cid, kind="stable")
+    cells, first, per_cell = np.unique(cid[order], return_index=True, return_counts=True)
+    first = np.append(first, n_local)
+    xs = np.take(xyz, order, axis=1)
+    # the cell id is linear in the coordinates, so a stencil step is a flat offset
+    soff = grid.cell_id(_STENCIL)
+    occ = grid.occupants
+    counts = np.empty(n_local, dtype=np.int32)
+    partners = []
+    # whole cells per block: its padded 27-cell gather holds at most _BUILD_ENTRIES
+    cells_per_block = max(1, _BUILD_ENTRIES // (len(_STENCIL) * occ.shape[1]))
+    for c0 in range(0, cells.size, cells_per_block):
+        c1 = min(c0 + cells_per_block, cells.size)
+        # each cell's 27-cell occupants, compressed to the left and -1 padded
+        cand = occ[cells[c0:c1, None] + soff].reshape(c1 - c0, -1)
+        real = cand >= 0
+        n_cand = np.count_nonzero(real, axis=1)
+        width = int(n_cand.max())
+        packed = np.full((c1 - c0, width), -1, dtype=np.int32)
+        packed[np.arange(width) < n_cand[:, None]] = cand[real]
+        kc = np.take(xyz, packed, axis=1)
+        row_cell = np.repeat(np.arange(c1 - c0), per_cell[c0:c1])
+        lo, hi = first[c0], first[c1]
+        step = max(1, _BUILD_ENTRIES // width)
+        for a in range(lo, hi, step):
+            b = min(a + step, hi)
+            u = row_cell[a - lo : b - lo]
+            # squared distances of each row to its cell's candidates, axis by axis
+            rsq = np.take(kc[0], u, axis=0)
+            rsq -= xs[0, a:b, None]
+            rsq *= rsq
+            t = np.empty_like(rsq)
+            for axis in (1, 2):
+                np.take(kc[axis], u, axis=0, out=t)
+                t -= xs[axis, a:b, None]
+                t *= t
+                rsq += t
+            keep = rsq < rsq_max
+            j = np.take(packed, u, axis=0)
+            i = order[a:b, None]
+            # the index rule drops the particle itself and, for half lists, the
+            # copy of a local pair on its higher index (a ghost's index is above
+            # every local's); a coincident partner stays for the force kernel
+            keep &= (j > i) if half else (j != i)
+            counts[a:b] = np.count_nonzero(keep, axis=1)
+            partners.append(np.compress(keep.ravel(), j.ravel()))
+    return order, counts, np.concatenate(partners)
+
+
 def build_neighbor_lists(
     store: ParticleStore,
     grid: CellGrid,
@@ -133,38 +218,31 @@ def build_neighbor_lists(
 
     Half mode keeps one ordered copy per local pair (owned by the lower
     index); pairs with a ghost partner always live on the local particle.
-    One pass per chunk of locals compresses the 27-cell occupants to real
-    candidates, filters them by index and by distance, and the list width is
-    the largest per-particle count, so no slot is padding beyond that row.
+
+    The locals are taken in cell order (stable by index within a cell). A
+    block of whole cells gathers each cell's 27-cell occupants once,
+    compressed to the left and -1 padded to the block's largest candidate
+    count, and their coordinates once; the block's locals then meet their
+    cell's candidates in sub-blocks of about _BUILD_ENTRIES entries, with the
+    squared distance summed axis by axis in place. The entries within r that
+    pass the index rule form the rows, which are filled at the exact width
+    (the largest count) and moved back to local order. Each row lists its
+    partners in stencil-cell order and, within a cell, in occupant order:
+    the same list a per-local gather of the 27 cells gives.
     """
     n_local = store.n_local
-    xyz = np.ascontiguousarray(store.all_positions().T)
-    rsq_max = r * r
-    occ = grid.occupants
-    counts = np.zeros(n_local, dtype=np.int32)
-    nbr_parts = []
-    for start in range(0, n_local, _CHUNK):
-        stop = min(start + _CHUNK, n_local)
-        cells27 = grid.cell_id(grid.coords[start:stop, None, :] + _STENCIL[None, :, :])
-        cand = occ[cells27].reshape(stop - start, -1)
-        real = cand >= 0
-        j = cand[real]
-        i = np.repeat(np.arange(start, stop), np.count_nonzero(real, axis=1))
-        keep = ((j >= n_local) | (j > i)) if half else (j != i)
-        i, j = i[keep], j[keep]
-        delta = np.take(xyz, i, axis=1) - np.take(xyz, j, axis=1)
-        keep = np.einsum("ij,ij->j", delta, delta) < rsq_max
-        i, j = i[keep], j[keep]
-        counts[start:stop] = np.bincount(i - start, minlength=stop - start)
-        nbr_parts.append(j)
+    order, counts_by_cell, partners = _cell_ordered_rows(store, grid, r * r, half)
     # at least one column, so an empty list is still a valid handle
-    width = max(int(counts.max()) if n_local else 0, 1)
+    width = max(int(counts_by_cell.max(initial=0)), 1)
+    by_cell = np.full((n_local, width), -1, dtype=np.int32)
+    # a boolean mask assigns in row-major order: each row's partners in turn
+    by_cell[np.arange(width) < counts_by_cell[:, None]] = partners
     handle = ArrayHandle(row_major_layout(), max(n_local, 1), width, dtype=np.int32)
     mat = handle.view
     mat.fill(-1)
-    if n_local:
-        # a boolean mask assigns in row-major order: each row's partners in turn
-        mat[:n_local][np.arange(width) < counts[:, None]] = np.concatenate(nbr_parts)
+    mat[order] = by_cell
+    counts = np.empty_like(counts_by_cell)
+    counts[order] = counts_by_cell
     return NeighborLists(
         half=half,
         radius=r,
@@ -172,6 +250,7 @@ def build_neighbor_lists(
         counts=counts,
         ref_positions=store.local_positions(),
         n_local=n_local,
+        n_total=store.n_total,
     )
 
 

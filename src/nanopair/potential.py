@@ -15,8 +15,8 @@ import numpy as np
 
 from .backend import Backend, SerialBackend
 from .core import Vec3
-from .errors import SingularityError
-from .neighbor import NeighborLists
+from .errors import ProtocolError, SingularityError
+from .neighbor import NeighborLists, far_padded_positions
 from .particles import ParticleStore
 
 # list entries per row block of the force kernel. A block's (3, rows, width)
@@ -24,9 +24,6 @@ from .particles import ParticleStore
 # as fast in back-to-back calls but slower on a call that follows unrelated
 # work (cold cache); 4096 paid more per-block call overhead.
 _BLOCK_ENTRIES = 8192
-# coordinate of the column that list padding selects: far beyond any box and
-# any cutoff, yet its squared distances stay finite
-_FAR = 1e150
 
 __all__ = [
     "LennardJones",
@@ -168,7 +165,7 @@ def compute_forces(
     _BLOCK_ENTRIES entries and works on each block as a whole: gather the
     partners' coordinates, take the law's scalar s per entry, set s to 0 at
     or beyond the cutoff, and sum s * delta along each row. A padding slot
-    (-1) selects a coordinate column placed _FAR away, so it is an entry
+    (-1) selects the far column of `far_padded_positions`, so it is an entry
     beyond the cutoff whose force is exactly 0. A particle's own force is
     therefore its row sum. In half mode the reactions on local partners are
     subtracted afterwards, the in-cutoff entries of all chunks in one
@@ -186,12 +183,16 @@ def compute_forces(
     if backend is None:
         backend = SerialBackend()
     n_local, n_total = store.n_local, store.n_total
+    if (n_local, n_total) != (lists.n_local, lists.n_total):
+        raise ProtocolError(
+            f"store has {n_local} locals and {n_total} particles but the lists were "
+            f"built for {lists.n_local} locals and {lists.n_total} particles"
+        )
     if n_local == 0:
         store.forces.fill_rows(0, store.n_ghost, 0.0)
         return 0.0 if accumulate_energy else None
     # coordinate-major copies; the extra last column is what index -1 selects
-    xyz = np.full((3, n_total + 1), _FAR)
-    xyz[:, :n_total] = store.all_positions().T
+    xyz = far_padded_positions(store)
     vel = None
     if law.needs_velocities:
         vel = np.zeros((3, n_total + 1))

@@ -8,8 +8,6 @@ from nanopair.core import (
     ConfigError,
     SimConfig,
     Vec3,
-    aabb_union,
-    inverted_aabb,
     minimum_image,
     pbc_correct,
 )
@@ -85,42 +83,6 @@ class TestMinimumImage:
         for off in offs:
             cand = deltas + off * L
             assert np.all(norms_got <= (cand * cand).sum(axis=1) + 1e-12)
-
-
-class TestAabbUnion:
-    def test_idempotent(self):
-        a = AABB(Vec3(0, 1, 2), Vec3(3, 4, 5))
-        assert aabb_union(a, a) == a
-
-    def test_componentwise_extrema(self):
-        a = AABB.cube(0, 1)
-        b = AABB.cube(2, 3)
-        u = aabb_union(a, b)
-        assert u == AABB.cube(0, 3)
-
-    def test_identity_element(self):
-        a = AABB(Vec3(-1, 0, 2), Vec3(5, 6, 7))
-        assert aabb_union(inverted_aabb(), a) == a
-        assert aabb_union(a, inverted_aabb()) == a
-
-    def test_fold_order_independent(self):
-        rng = np.random.default_rng(5)
-        boxes = []
-        for _ in range(20):
-            lo = rng.uniform(-10, 10, 3)
-            hi = lo + rng.uniform(0.1, 5.0, 3)
-            boxes.append(AABB.from_arrays(lo, hi))
-
-        def fold(seq):
-            acc = inverted_aabb()
-            for b in seq:
-                acc = aabb_union(acc, b)
-            return acc
-
-        ref = fold(sorted(boxes, key=lambda b: (b.min.x, b.min.y, b.min.z)))
-        perm = list(boxes)
-        rng.shuffle(perm)
-        assert fold(perm) == ref
 
 
 class TestSimConfig:

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
 
+from nanopair import neighbor
 from nanopair.core import AABB, minimum_image
 from nanopair.errors import ProtocolError
 from nanopair.layout import row_major_layout
-from nanopair.neighbor import build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
+from nanopair.neighbor import (
+    _STENCIL,
+    build_cell_grid,
+    build_neighbor_lists,
+    max_displacement_since_rebuild,
+)
 from nanopair.particles import ParticleStore
 
 
@@ -156,6 +162,87 @@ class TestNeighborLists:
         lists = build_neighbor_lists(store, grid, 2.5, half=False)
         assert lists.counts.tolist() == [59] * 60
         assert lists.indices.size_y == 59
+
+
+def reference_lists(store, grid, r, half):
+    """Per-local reference: for each local, the stencil cells in order and
+    each cell's occupants in order, the index rule, then the r^2 filter.
+    Returns the -1 padded (n_local, width) matrix and the counts."""
+    pos = store.all_positions()
+    rows = []
+    for i in range(store.n_local):
+        row = []
+        for step in _STENCIL:
+            for j in grid.occupants[grid.cell_id(grid.coords[i] + step)]:
+                j = int(j)
+                if j < 0 or (j <= i if half else j == i):
+                    continue
+                d = pos[i] - pos[j]
+                if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < r * r:
+                    row.append(j)
+        rows.append(row)
+    width = max([len(row) for row in rows] + [1])
+    mat = np.full((len(rows), width), -1, dtype=np.int32)
+    for i, row in enumerate(rows):
+        mat[i, : len(row)] = row
+    return mat, np.array([len(row) for row in rows], dtype=np.int32)
+
+
+def ghost_shell(rng, n, box_len, r):
+    """n points within one cell shell of the cube [0, box_len)^3, outside it."""
+    pts = []
+    while len(pts) < n:
+        p = rng.uniform(-0.95 * r, box_len + 0.95 * r, size=3)
+        if np.any((p < 0.0) | (p >= box_len)):
+            pts.append(p)
+    return np.array(pts)
+
+
+def oracle_case(name):
+    """(locals and ghosts stacked, n_ghost, box length, r) for one store shape."""
+    rng = np.random.default_rng(17)
+    r, box_len = 2.0, 9.0
+    if name == "cloud":
+        locs = rng.uniform(0.0, box_len, size=(250, 3))
+        ghosts = ghost_shell(rng, 150, box_len, r)
+    elif name == "clump":
+        # one cell holds far more than the mean occupancy
+        locs = np.vstack(
+            [rng.uniform(0.0, box_len, size=(150, 3)), 4.1 + rng.uniform(0.0, 1.8, size=(120, 3))]
+        )
+        ghosts = ghost_shell(rng, 60, box_len, r)
+    elif name == "ghost_only_cells":
+        # few locals in a corner: most cells around them hold only ghosts
+        locs = rng.uniform(0.0, 3.0, size=(12, 3))
+        ghosts = np.vstack([rng.uniform(3.0, box_len, size=(200, 3)), ghost_shell(rng, 100, box_len, r)])
+    else:  # no locals
+        locs = np.zeros((0, 3))
+        ghosts = ghost_shell(rng, 80, box_len, r)
+    return np.vstack([locs, ghosts]), len(ghosts), box_len, r
+
+
+class TestExactLists:
+    """The build must give exactly the per-local reference list, partner
+    order included: forces sum the row in that order."""
+
+    @pytest.mark.parametrize("budget", [None, 50], ids=["default-blocks", "tiny-blocks"])
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("name", ["cloud", "clump", "ghost_only_cells", "no_locals"])
+    def test_equals_reference(self, name, half, budget, monkeypatch):
+        if budget is not None:
+            # a tiny entry budget splits blocks inside cells and every row's cells
+            monkeypatch.setattr(neighbor, "_BUILD_ENTRIES", budget)
+        pos, n_ghost, box_len, r = oracle_case(name)
+        store = make_store(pos, n_ghost=n_ghost)
+        grid = build_cell_grid(store, AABB.cube(0.0, box_len), r)
+        lists = build_neighbor_lists(store, grid, r, half=half)
+        want_mat, want_counts = reference_lists(store, grid, r, half)
+        np.testing.assert_array_equal(lists.as_matrix(), want_mat)
+        np.testing.assert_array_equal(lists.counts, want_counts)
+        assert lists.indices.size_y == want_mat.shape[1]
+        if name == "clump":
+            occupied = grid.counts[grid.counts > 0]
+            assert grid.counts.max() > 4 * occupied.mean()
 
 
 class TestDisplacement:

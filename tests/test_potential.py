@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from nanopair.backend import SerialBackend, ThreadBackend
 from nanopair.core import AABB, SimConfig, Vec3
-from nanopair.errors import SingularityError
+from nanopair.errors import ProtocolError, SingularityError
 from nanopair.layout import row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists
 from nanopair.particles import ParticleStore, create_lattice
@@ -278,6 +278,26 @@ class TestComputeForces:
             lists = build_neighbor_lists(store, grid, r, half=half)
             energy[half] = compute_forces(store, lists, law, accumulate_energy=True)
         assert abs(energy[True] - energy[False]) < 1e-10
+
+    @pytest.mark.parametrize("edit", ["drop_local", "add_ghost"])
+    def test_stale_lists_rejected(self, edit):
+        # lists index the store as it was at build time; after an edit, row 0
+        # would be taken against shifted partner indices
+        sites = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        store = ParticleStore(row_major_layout(), 64)
+        store.append_locals(1.0 + 1.2 * sites[:40], np.zeros((40, 3)))
+        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        lists = build_neighbor_lists(store, grid, 2.8, half=False)
+        if edit == "drop_local":
+            store.compact_locals(np.arange(40) > 0)
+            counts = "39 locals and 39 particles .* 40 locals and 40 particles"
+        else:
+            store.append_ghosts(np.array([[8.5, 4.0, 4.0]]), peer=1)
+            counts = "40 locals and 41 particles .* 40 locals and 40 particles"
+        with pytest.raises(ProtocolError, match=counts):
+            compute_forces(store, lists, LennardJones())
+        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=False), LennardJones())
 
     @pytest.mark.parametrize("n_ghost", [0, 2])
     def test_rank_without_locals(self, n_ghost):
