@@ -3,7 +3,8 @@
 The serial backend runs chunks in submission order on the calling thread. The
 threaded backend farms chunks out to a pool; chunk boundaries and the order in
 which results are combined stay fixed, so both backends produce identical
-numbers (the pool only helps because numpy releases the GIL on large ops).
+numbers (the pool only helps because the compiled force loop releases the
+GIL while it runs).
 """
 
 from __future__ import annotations

@@ -5,31 +5,40 @@ s comes from `force_scalar` as a function of the squared separation (and, for
 the contact model with damping, of delta . (v_i - v_j)). They are therefore
 antisymmetric under exchanging the pair, which is what lets half neighbor
 lists update both partners from one entry.
+
+`compute_forces` runs the laws through one compiled C row loop
+(pair_kernel.c, next to this file), which follows the operation order of
+`force_scalar` and `pair_energy`; those stay as the Python reference the
+kernel is tested against. The loop is compiled once per process with the
+system C compiler (`cc`, see `_CC`), so a C compiler is a run-time
+requirement of this package.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import subprocess
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .backend import Backend, SerialBackend
-from .core import Vec3
 from .errors import ProtocolError, SingularityError
-from .neighbor import NeighborLists, far_padded_positions
+from .neighbor import NeighborLists
 from .particles import ParticleStore
 
-# list entries per row block of the force kernel. A block's (3, rows, width)
-# temporaries are about 200 kB each and stay in a core's L2 cache. 32768 was
-# as fast in back-to-back calls but slower on a call that follows unrelated
-# work (cold cache); 4096 paid more per-block call overhead.
-_BLOCK_ENTRIES = 8192
+# compiler command for the kernel; the flags fix the arithmetic to the
+# source's order on every machine: no fused multiply-add, no fast-math, no
+# host-specific instruction set
+_CC = ("cc", "-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_SOURCE = Path(__file__).with_name("pair_kernel.c")
 
 __all__ = [
     "LennardJones",
     "SpringDashpot",
-    "lj_force",
-    "spring_dashpot_force",
     "compute_forces",
     "law_from_config",
 ]
@@ -62,6 +71,11 @@ class LennardJones:
         s = self.force_scalar(np.asarray(rsq, dtype=np.float64))
         return s[..., None] * np.asarray(delta)
 
+    @property
+    def kernel_args(self) -> tuple[int, tuple[float, ...]]:
+        """Law code and parameters of the compiled loop (see pair_kernel.c)."""
+        return 0, (self.epsilon, self.sigma**6)
+
     def pair_energy(self, rsq: np.ndarray) -> np.ndarray:
         sigma6 = self.sigma**6
         sr6 = sigma6 / (rsq * rsq * rsq)
@@ -91,6 +105,11 @@ class SpringDashpot:
     @property
     def cutoff_rsq(self) -> float:
         return self.diameter * self.diameter
+
+    @property
+    def kernel_args(self) -> tuple[int, tuple[float, ...]]:
+        """Law code and parameters of the compiled loop (see pair_kernel.c)."""
+        return 1, (self.stiffness, self.damping, self.diameter)
 
     def force_scalar(self, rsq: np.ndarray, vdot=None) -> np.ndarray:
         """s with force = s * delta, zero outside contact.
@@ -125,30 +144,41 @@ def law_from_config(cfg):
     raise ValueError(f"unknown potential {cfg.potential_kind!r}")
 
 
-def lj_force(delta: Vec3, rsq: float, epsilon: float, sigma: float) -> Vec3:
-    """Force on particle i from one Lennard-Jones partner at separation delta."""
-    if rsq == 0.0:
-        raise SingularityError("coincident particles in Lennard-Jones force")
-    law = LennardJones(epsilon, sigma)
-    return Vec3.from_array(law.pair_force(delta.as_array(), np.float64(rsq)))
-
-
-def spring_dashpot_force(
-    delta: Vec3,
-    rsq: float,
-    v_i: Vec3,
-    v_j: Vec3,
-    stiffness: float,
-    damping: float,
-    diameter: float,
-) -> Vec3:
-    """Contact force on sphere i; zero unless the spheres overlap."""
-    if rsq == 0.0:
-        raise SingularityError("coincident particles in spring-dashpot force")
-    law = SpringDashpot(stiffness, damping, diameter)
-    return Vec3.from_array(
-        law.pair_force(delta.as_array(), np.float64(rsq), v_i.as_array(), v_j.as_array())
-    )
+@functools.cache
+def _kernel():
+    """`pair_forces` and `add_reactions` of pair_kernel.c, compiled and loaded
+    once per process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lib = Path(tmp) / "pair_kernel.so"
+        cmd = [*_CC, "-o", str(lib), str(_KERNEL_SOURCE), "-lm"]
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot compile the pair kernel: {' '.join(cmd)}: {exc}") from exc
+        if done.returncode != 0:
+            raise RuntimeError(
+                f"cannot compile the pair kernel: {' '.join(cmd)} exited with "
+                f"{done.returncode}:\n{done.stderr}"
+            )
+        dll = ctypes.CDLL(str(lib))
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    idx = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    i64 = ctypes.c_int64
+    fn = dll.pair_forces
+    fn.argtypes = [
+        ctypes.c_int, f64, ctypes.c_double, ctypes.c_int,  # law, params, cutoff_rsq, use_vel
+        f64, f64, i64,  # x, v, n_total
+        i32, i64, i32,  # mat, width, counts
+        i64, i64, i64, ctypes.c_int,  # start, stop, n_local, half
+        f64, idx, f64, i64,  # own, back_j, back_f, cap
+        ctypes.POINTER(i64), ctypes.c_void_p,  # n_back, row energies (NULL: not accumulated)
+    ]
+    fn.restype = i64
+    add = dll.add_reactions
+    add.argtypes = [i64, idx, f64, i64, f64]  # n, back_j, back_f, cap, acc
+    add.restype = None
+    return fn, add
 
 
 def compute_forces(
@@ -161,20 +191,22 @@ def compute_forces(
 ):
     """Evaluate pair forces into store.forces for every local particle.
 
-    The kernel walks the (n_local, width) list in blocks of rows of about
-    _BLOCK_ENTRIES entries and works on each block as a whole: gather the
-    partners' coordinates, take the law's scalar s per entry, set s to 0 at
-    or beyond the cutoff, and sum s * delta along each row. A padding slot
-    (-1) selects the far column of `far_padded_positions`, so it is an entry
-    beyond the cutoff whose force is exactly 0. A particle's own force is
-    therefore its row sum. In half mode the reactions on local partners are
-    subtracted afterwards, the in-cutoff entries of all chunks in one
-    np.bincount in row order, so the result does not depend on the chunk
-    size or on which backend ran the chunks, bit for bit.
+    Each chunk of rows is one call of the compiled loop, which releases the
+    GIL. For local i it reads only the counts[i] real partners of row i, never
+    the -1 padding; an entry at or beyond the cutoff adds nothing, and the
+    force on i is the sum of s * delta over the rest, in row order. In half
+    mode each in-cutoff entry with a local partner j also yields (j, s *
+    delta); after all chunks, one serial loop sums these entries per partner
+    in row order (the sums np.bincount would form) and the sums are
+    subtracted, so the result does not depend on the chunk size or on which
+    backend ran the chunks, bit for bit.
 
     With accumulate_energy the total pair potential energy is returned;
     otherwise returns None. A half-list entry with a ghost partner carries
     half the pair energy, since the ghost's owner stores the same pair.
+
+    Raises SingularityError on a coincident pair and on a non-finite force,
+    ProtocolError on lists that do not belong to the store as it is.
     """
     if half is None:
         half = lists.half
@@ -191,58 +223,54 @@ def compute_forces(
     if n_local == 0:
         store.forces.fill_rows(0, store.n_ghost, 0.0)
         return 0.0 if accumulate_energy else None
-    # coordinate-major copies; the extra last column is what index -1 selects
-    xyz = far_padded_positions(store)
-    vel = None
-    if law.needs_velocities:
-        vel = np.zeros((3, n_total + 1))
-        vel[:, :n_total] = store.all_velocities().T
     mat = lists.as_matrix()
-    rows_per_block = max(1, _BLOCK_ENTRIES // mat.shape[1])
-    cutoff_rsq = law.cutoff_rsq
+    counts = lists.counts
+    width = mat.shape[1]
+    if counts.shape != (n_local,) or counts.max() > width:
+        raise ProtocolError(f"list counts do not fit {n_local} rows of width {width}")
+    kernel, add_reactions = _kernel()
+    code, params = law.kernel_args
+    params = np.array(params, dtype=np.float64)
+    xyz = np.ascontiguousarray(store.all_positions().T)
+    # the loop reads velocities only for a law that needs them
+    vel = np.ascontiguousarray(store.all_velocities().T) if law.needs_velocities else xyz
+    forces = np.empty((n_local, 3))
+    row_energy = np.empty(n_local) if accumulate_energy else None
 
     def do_chunk(start: int, stop: int):
-        own = np.empty((stop - start, 3))
-        back_j, back_f = [], []
-        energy = 0.0
-        for lo in range(start, stop, rows_per_block):
-            hi = min(lo + rows_per_block, stop)
-            m = mat[lo:hi]
-            delta = xyz[:, lo:hi, None] - np.take(xyz, m, axis=1)
-            rsq = np.einsum("cij,cij->ij", delta, delta)
-            if not rsq.all():
-                a, b = np.argwhere(rsq == 0.0)[0]
-                raise SingularityError(f"coincident pair: local {lo + a} and neighbor {m[a, b]}")
-            within = rsq < cutoff_rsq
-            vdot = None
-            if vel is not None:
-                vrel = vel[:, lo:hi, None] - np.take(vel, m, axis=1)
-                vdot = np.einsum("cij,cij->ij", delta, vrel)
-            s = np.where(within, law.force_scalar(rsq, vdot), 0.0)
-            own[lo - start : hi - start] = np.einsum("cij,ij->ic", delta, s)
-            if half:
-                # flat offsets of in-cutoff entries with a local partner;
-                # padding is never within the cutoff, so these partners are >= 0
-                k = np.flatnonzero(within & (m < n_local))
-                back_j.append(np.take(m, k))
-                back_f.append(np.take(delta.reshape(3, -1), k, axis=1) * np.take(s, k))
-            if accumulate_energy:
-                e = law.pair_energy(rsq[within])
-                if half:
-                    energy += np.where(m[within] < n_local, e, 0.5 * e).sum()
-                else:
-                    energy += 0.5 * e.sum()
-        return own, back_j, back_f, energy
+        cap = int(counts[start:stop].sum()) if half else 0
+        back_j = np.empty(cap, dtype=np.int64)
+        back_f = np.empty((3, cap))
+        n_back = ctypes.c_int64()
+        bad = kernel(
+            code, params, law.cutoff_rsq, law.needs_velocities,
+            xyz, vel, n_total,
+            mat, width, counts,
+            start, stop, n_local, half,
+            forces[start:stop], back_j, back_f, cap,
+            ctypes.byref(n_back), None if row_energy is None else row_energy[start:stop].ctypes.data,
+        )
+        if bad >= 0:
+            i, k = divmod(bad, width)
+            j = int(mat[i, k])
+            if 0 <= j < n_total:
+                raise SingularityError(f"coincident pair: local {i} and neighbor {j}")
+            raise ProtocolError(f"list row {i} names particle {j} of {n_total}")
+        return back_j, back_f, n_back.value
 
     chunk = backend.chunk_size
     results = backend.run([(s, min(s + chunk, n_local)) for s in range(0, n_local, chunk)], do_chunk)
-    forces = np.concatenate([r[0] for r in results])
     if half:
-        jj = np.concatenate([j for r in results for j in r[1]])
-        ff = np.concatenate([f for r in results for f in r[2]], axis=1)
-        for c in range(3):
-            forces[:, c] -= np.bincount(jj, weights=ff[c], minlength=n_local)
+        reactions = np.zeros((n_local, 3))
+        for back_j, back_f, n in results:
+            add_reactions(n, back_j, back_f, back_f.shape[1], reactions)
+        # an inf reaction meets the non-finite check below, not a warning here
+        with np.errstate(invalid="ignore", over="ignore"):
+            forces -= reactions
+    if not np.isfinite(forces).all():
+        bad = int(np.argmin(np.isfinite(forces).all(axis=1)))
+        raise SingularityError(f"non-finite force on local {bad}")
     store.forces.write_rows(0, forces)
     if store.n_ghost:
         store.forces.fill_rows(n_local, store.n_ghost, 0.0)
-    return float(np.sum([r[3] for r in results])) if accumulate_energy else None
+    return None if row_energy is None else float(row_energy.sum())

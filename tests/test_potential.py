@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanopair import potential
 from nanopair.backend import SerialBackend, ThreadBackend
-from nanopair.core import AABB, SimConfig, Vec3
+from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError, SingularityError
 from nanopair.layout import row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists
@@ -14,8 +15,6 @@ from nanopair.potential import (
     SpringDashpot,
     compute_forces,
     law_from_config,
-    lj_force,
-    spring_dashpot_force,
 )
 
 
@@ -25,10 +24,19 @@ def lj_reference(delta, rsq, epsilon, sigma):
     return 24.0 * epsilon * s6 * (2.0 * s6 - 1.0) / rsq * delta
 
 
+def forces_of_pair(law, pos, half):
+    """Local forces of a two-particle store in a box of edge 9, without ghosts."""
+    store = ParticleStore(row_major_layout(), 2)
+    store.append_locals(pos, np.zeros((2, 3)))
+    grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+    compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=half), law)
+    return store.local_forces()
+
+
 class TestLennardJones:
     def test_unit_separation(self):
-        f = lj_force(Vec3(1.0, 0.0, 0.0), 1.0, epsilon=1.0, sigma=1.0)
-        assert (f.x, f.y, f.z) == (24.0, 0.0, 0.0)
+        f = LennardJones(1.0, 1.0).pair_force(np.array([1.0, 0.0, 0.0]), 1.0)
+        assert tuple(f) == (24.0, 0.0, 0.0)
 
     def test_zero_at_potential_minimum(self):
         # the well bottom sits at r = 2^(1/6) sigma; no representable rsq makes
@@ -67,8 +75,9 @@ class TestLennardJones:
         assert np.all(np.abs(got - want) <= 4 * np.spacing(scale))
 
     def test_singularity(self):
-        with pytest.raises(SingularityError):
-            lj_force(Vec3(0.0, 0.0, 0.0), 0.0, 1.0, 1.0)
+        # full lists; test_singular_pair_identified covers half lists
+        with pytest.raises(SingularityError, match="local 0 and neighbor 1"):
+            forces_of_pair(LennardJones(), np.array([[4.0, 4.0, 4.0], [4.0, 4.0, 4.0]]), half=False)
 
     @given(st.floats(0.81, 2.49), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
     @settings(max_examples=300)
@@ -82,39 +91,29 @@ class TestLennardJones:
 
 class TestSpringDashpot:
     def test_worked_overlap(self):
-        f = spring_dashpot_force(
-            Vec3(0.8, 0.0, 0.0), 0.64, Vec3(0, 0, 0), Vec3(0, 0, 0),
-            stiffness=100.0, damping=0.0, diameter=1.0,
-        )
-        assert f.x == pytest.approx(20.0, abs=1e-12)
-        assert (f.y, f.z) == (0.0, 0.0)
+        law = SpringDashpot(stiffness=100.0, damping=0.0, diameter=1.0)
+        f = law.pair_force(np.array([0.8, 0.0, 0.0]), 0.64, np.zeros(3), np.zeros(3))
+        assert f[0] == pytest.approx(20.0, abs=1e-12)
+        assert (f[1], f[2]) == (0.0, 0.0)
 
     def test_no_contact_no_force(self):
-        f = spring_dashpot_force(
-            Vec3(1.2, 0.0, 0.0), 1.44, Vec3(1, 0, 0), Vec3(-1, 0, 0),
-            stiffness=100.0, damping=5.0, diameter=1.0,
-        )
-        assert (f.x, f.y, f.z) == (0.0, 0.0, 0.0)
+        law = SpringDashpot(stiffness=100.0, damping=5.0, diameter=1.0)
+        f = law.pair_force(np.array([1.2, 0.0, 0.0]), 1.44, np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))
+        assert tuple(f) == (0.0, 0.0, 0.0)
 
     def test_zero_constants_zero_force(self):
-        f = spring_dashpot_force(
-            Vec3(0.3, 0.1, 0.0), 0.1, Vec3(1, 2, 3), Vec3(-1, 0, 1),
-            stiffness=0.0, damping=0.0, diameter=1.0,
-        )
-        assert (f.x, f.y, f.z) == (0.0, 0.0, 0.0)
+        law = SpringDashpot(stiffness=0.0, damping=0.0, diameter=1.0)
+        f = law.pair_force(np.array([0.3, 0.1, 0.0]), 0.1, np.array([1.0, 2, 3]), np.array([-1.0, 0, 1]))
+        assert tuple(f) == (0.0, 0.0, 0.0)
 
     def test_dashpot_term(self):
         # head-on approach at speed 2: damping force opposes the spring push
-        f = spring_dashpot_force(
-            Vec3(0.8, 0.0, 0.0), 0.64, Vec3(-1, 0, 0), Vec3(1, 0, 0),
-            stiffness=0.0, damping=3.0, diameter=1.0,
-        )
-        assert f.x == pytest.approx(6.0, abs=1e-12)
-        g = spring_dashpot_force(
-            Vec3(-0.8, 0.0, 0.0), 0.64, Vec3(1, 0, 0), Vec3(-1, 0, 0),
-            stiffness=0.0, damping=3.0, diameter=1.0,
-        )
-        assert g.x == pytest.approx(-6.0, abs=1e-12)
+        law = SpringDashpot(stiffness=0.0, damping=3.0, diameter=1.0)
+        left, right = np.array([-1.0, 0, 0]), np.array([1.0, 0, 0])
+        f = law.pair_force(np.array([0.8, 0.0, 0.0]), 0.64, left, right)
+        assert f[0] == pytest.approx(6.0, abs=1e-12)
+        g = law.pair_force(np.array([-0.8, 0.0, 0.0]), 0.64, right, left)
+        assert g[0] == pytest.approx(-6.0, abs=1e-12)
 
     def test_velocities_read_only_with_damping(self):
         assert not SpringDashpot(damping=0.0).needs_velocities
@@ -142,8 +141,9 @@ class TestSpringDashpot:
         np.testing.assert_array_equal(fwd, -rev)
 
     def test_singularity(self):
-        with pytest.raises(SingularityError):
-            spring_dashpot_force(Vec3(0, 0, 0), 0.0, Vec3(0, 0, 0), Vec3(0, 0, 0), 1.0, 1.0, 1.0)
+        law = SpringDashpot(stiffness=1.0, damping=1.0, diameter=1.0)
+        with pytest.raises(SingularityError, match="local 0 and neighbor 1"):
+            forces_of_pair(law, np.array([[4.0, 4.0, 4.0], [4.0, 4.0, 4.0]]), half=True)
 
 
 def periodic_store(cfg):
@@ -268,6 +268,13 @@ class TestComputeForces:
         with pytest.raises(SingularityError):
             compute_forces(store, lists, LennardJones())
 
+    @pytest.mark.parametrize("half", [False, True])
+    def test_non_finite_force_rejected(self, half):
+        # 1e-60 apart: rsq = 1e-120 is a normal double, but sigma^6 / rsq^3 overflows to inf
+        pos = np.array([[1e-60, 4.0, 4.0], [0.0, 4.0, 4.0]])
+        with pytest.raises(SingularityError, match="non-finite force on local 0"):
+            forces_of_pair(LennardJones(), pos, half=half)
+
     def test_half_list_energy_counts_ghost_pairs_once(self):
         cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
         law = law_from_config(cfg)
@@ -298,6 +305,23 @@ class TestComputeForces:
             compute_forces(store, lists, LennardJones())
         grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
         compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=False), LennardJones())
+
+    @pytest.mark.parametrize("edit", ["partner", "count"])
+    def test_corrupt_lists_rejected(self, edit):
+        # list data out of range must raise, not make the compiled loop read outside the arrays
+        pos = np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]])
+        store = ParticleStore(row_major_layout(), 2)
+        store.append_locals(pos, np.zeros((2, 3)))
+        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        lists = build_neighbor_lists(store, grid, 2.8, half=False)
+        if edit == "partner":
+            lists.indices.view[1, 0] = 2
+            match = "list row 1 names particle 2 of 2"
+        else:
+            lists.counts[0] = lists.indices.size_y + 1
+            match = "list counts do not fit 2 rows of width 1"
+        with pytest.raises(ProtocolError, match=match):
+            compute_forces(store, lists, LennardJones())
 
     @pytest.mark.parametrize("n_ghost", [0, 2])
     def test_rank_without_locals(self, n_ghost):
@@ -339,6 +363,26 @@ class TestComputeForces:
             out.append(store.local_forces())
         for got in out[1:]:
             np.testing.assert_array_equal(got, out[0])
+
+
+@pytest.mark.parametrize(
+    "cc,message",
+    [
+        (("no-such-compiler-for-nanopair",), "no-such-compiler-for-nanopair"),
+        ((*potential._CC, "--no-such-flag"), r"exited with \d+:\n.*--no-such-flag"),
+    ],
+    ids=["missing", "rejected"],
+)
+def test_kernel_build_failure_reported(monkeypatch, cc, message):
+    potential._kernel.cache_clear()
+    monkeypatch.setattr(potential, "_CC", cc)
+    try:
+        with pytest.raises(RuntimeError, match=f"cannot compile the pair kernel: {cc[0]}"):
+            forces_of_pair(LennardJones(), np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]]), half=True)
+        with pytest.raises(RuntimeError, match=message):
+            potential._kernel()
+    finally:
+        potential._kernel.cache_clear()
 
 
 def pair_loop_forces(store, lists, law, half):
