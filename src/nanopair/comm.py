@@ -18,11 +18,16 @@ points; a runner advances all ranks one barrier at a time, so every send of a
 sub-phase is posted before any matching receive runs. This holds whether the
 runner drives ranks round-robin in one thread or through a pool.
 
+Between epochs, every step, the ranks of a multi-rank world also all-gather
+their largest displacement since the last rebuild (`gather_displacements`),
+so that all of them can start an epoch early at the same step.
+
 Wire records are little-endian: u8 kind (0 exchange, 1 border, 2 sync,
-3 migrate, 4 load), u32 row count, then count x width f8 payload. A row is
-one particle: 6 reals (position, velocity) for exchange and migrate, 3
-(position) for border and sync. A load record has 3 rows, one per axis, of
-LOAD_BINS particle counts.
+3 migrate, 4 load, 5 displacement), u32 row count, then count x width f8
+payload. A row is one particle: 6 reals (position, velocity) for exchange
+and migrate, 3 (position) for border and sync. A load record has 3 rows, one
+per axis, of LOAD_BINS particle counts; a displacement record has one row of
+one real.
 """
 
 from __future__ import annotations
@@ -44,6 +49,7 @@ __all__ = [
     "WIRE_SYNC",
     "WIRE_MIGRATE",
     "WIRE_LOAD",
+    "WIRE_DISPLACEMENT",
     "LOAD_BINS",
     "pack_particles",
     "unpack_particles",
@@ -60,6 +66,7 @@ __all__ = [
     "slab_bounds",
     "uniform_cuts",
     "balance_slabs",
+    "gather_displacements",
     "exchange",
     "define_borders",
     "synchronize",
@@ -71,13 +78,21 @@ WIRE_BORDER = 1
 WIRE_SYNC = 2
 WIRE_MIGRATE = 3
 WIRE_LOAD = 4
+WIRE_DISPLACEMENT = 5
 
 # Histogram bins per axis in a load record; a balanced cut lands on one of
 # their edges (or on a clamp bound).
 LOAD_BINS = 256
 
 _HEADER = struct.Struct("<BI")
-_WIDTH = {WIRE_EXCHANGE: 6, WIRE_BORDER: 3, WIRE_SYNC: 3, WIRE_MIGRATE: 6, WIRE_LOAD: LOAD_BINS}
+_WIDTH = {
+    WIRE_EXCHANGE: 6,
+    WIRE_BORDER: 3,
+    WIRE_SYNC: 3,
+    WIRE_MIGRATE: 6,
+    WIRE_LOAD: LOAD_BINS,
+    WIRE_DISPLACEMENT: 1,
+}
 
 
 def pack_particles(kind: int, payload: np.ndarray) -> bytes:
@@ -88,11 +103,21 @@ def pack_particles(kind: int, payload: np.ndarray) -> bytes:
 
 
 def unpack_particles(blob: bytes) -> tuple[int, np.ndarray]:
+    """(kind, count x width payload) of a record; ProtocolError on a record
+    that is cut short, too long or of an unknown kind."""
+    if len(blob) < _HEADER.size:
+        raise ProtocolError(f"wire record of {len(blob)} bytes is shorter than its header")
     kind, count = _HEADER.unpack_from(blob)
+    if kind not in _WIDTH:
+        raise ProtocolError(f"wire record of unknown kind {kind}")
     width = _WIDTH[kind]
+    size = len(blob) - _HEADER.size
+    if size != 8 * count * width:
+        raise ProtocolError(
+            f"wire record of kind {kind} announces {count} particles of {width} reals, "
+            f"payload has {size} bytes"
+        )
     data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    if data.size != count * width:
-        raise ProtocolError(f"wire record announces {count} particles, payload has {data.size} reals")
     return kind, data.reshape(count, width).astype(np.float64)
 
 
@@ -443,6 +468,36 @@ def balance_slabs(world: RankWorld, store: ParticleStore):
     grid = pattern.rank_grid
     world.domain.ownership = [slab_bounds(box, grid, rank_grid_coords(me, grid), cuts)]
     world.pattern = six_stencil_pattern(grid, me, box, spacing, cuts)
+
+
+def gather_displacements(world: RankWorld, displacement: float):
+    """Every rank's displacement, in rank order, on every rank.
+
+    Each rank sends every other rank a one-real displacement record, the way
+    `balance_slabs` sends its load record, and reads theirs after one
+    barrier. A world of one rank returns at once, without a message.
+    """
+    if world.size == 1:
+        return np.array([displacement])
+    me = world.rank
+    blob = pack_particles(WIRE_DISPLACEMENT, np.array([[displacement]]))
+    for peer in range(world.size):
+        if peer != me:
+            world.transport.send(me, peer, blob)
+    yield
+    out = np.empty(world.size)
+    out[me] = displacement
+    for peer in range(world.size):
+        if peer == me:
+            continue
+        kind, data = unpack_particles(world.transport.recv(me, peer))
+        if kind != WIRE_DISPLACEMENT or data.shape != (1, 1):
+            raise ProtocolError(
+                f"rank {me} expected a displacement record from rank {peer}, got kind {kind} "
+                f"with {data.shape[0]} rows"
+            )
+        out[peer] = data[0, 0]
+    return out
 
 
 def exchange(world: RankWorld, store: ParticleStore):

@@ -3,9 +3,16 @@
 A rank's whole run is a generator (see `rank_program`): communication phases
 yield at their internal barriers, and the driver yields a ("step", k) marker
 after completing step k, which doubles as the global barrier the harness uses
-for trajectory dumps. Step order is half-kick + drift, communicate (full
-epoch every reneigh_interval steps, ghost refresh otherwise), rebuild
-neighbor structures on epochs, forces, then the closing half-kick.
+for trajectory dumps. Step order:
+
+1. half-kick + drift;
+2. on every reneigh_interval-th step, a full epoch: balance, exchange,
+   borders, then the cell grid and the lists are rebuilt;
+3. on any other step, the ranks all-gather their largest displacement since
+   the last rebuild. If the largest of all reaches half the Verlet buffer,
+   every rank starts a full epoch at this step; otherwise the ghosts are
+   refreshed and the lists stay;
+4. forces, then the closing half-kick.
 """
 
 from __future__ import annotations
@@ -17,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .backend import Backend, default_backend
-from .comm import RankWorld, balance_slabs, define_borders, exchange, synchronize
+from .comm import (
+    RankWorld,
+    balance_slabs,
+    define_borders,
+    exchange,
+    gather_displacements,
+    synchronize,
+)
 from .core import SimConfig
 from .errors import GuardViolation
 from .neighbor import build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
@@ -58,6 +72,7 @@ class SimState:
     timers: PhaseTimers = field(default_factory=PhaseTimers)
     steps_since_rebuild: int = 0
     max_displacement_seen: float = 0.0
+    rebuilds: int = 0  # list rebuilds in the step loop, scheduled or triggered
 
 
 @dataclass
@@ -69,6 +84,7 @@ class RankReport:
     timers: PhaseTimers
     max_displacement_seen: float
     steps: int
+    rebuilds: int  # list rebuilds in steps 1..steps, scheduled or triggered
 
 
 def initial_integrate(store: ParticleStore, dt: float, mass: float) -> None:
@@ -113,17 +129,30 @@ def _reneighbor(state: SimState, world: RankWorld, cfg: SimConfig):
     state.steps_since_rebuild = 0
 
 
-def _check_guard(state: SimState, cfg: SimConfig) -> None:
+def _lists_outlived(state: SimState, world: RankWorld, cfg: SimConfig):
+    """Whether any rank moved a particle half the Verlet buffer since the last rebuild.
+
+    Every rank takes its own largest displacement and the ranks all-gather
+    them, so all ranks give the same answer. Raises GuardViolation when the
+    bound is reached on the first step after a rebuild: a particle moved half
+    the buffer in one step, so dt is too large for the buffer.
+    """
+    with state.timers.track("other"):
+        disp = max_displacement_since_rebuild(state.store, state.lists)
+        state.max_displacement_seen = max(state.max_displacement_seen, disp)
+    with state.timers.track("comm"):
+        disps = yield from gather_displacements(world, disp)
+    bound = 0.5 * cfg.verlet_buffer
+    if disps.max() < bound:
+        return False
     if state.steps_since_rebuild == 0:
-        return
-    disp = max_displacement_since_rebuild(state.store, state.lists)
-    state.max_displacement_seen = max(state.max_displacement_seen, disp)
-    if disp >= 0.5 * cfg.verlet_buffer:
+        who = int(np.argmax(disps))
         raise GuardViolation(
-            f"particles moved {disp:.4g} since the last rebuild, which exceeds half "
-            f"the Verlet buffer ({cfg.verlet_buffer}); increase the buffer or lower "
-            f"reneigh_interval ({cfg.reneigh_interval})"
+            f"rank {world.rank}, step {state.step}: a particle of rank {who} moved "
+            f"{disps[who]:.4g} in the one step since the last rebuild, at least half the "
+            f"Verlet buffer ({cfg.verlet_buffer}); lower dt ({cfg.dt}) or enlarge the buffer"
         )
+    return True
 
 
 def rank_program(
@@ -153,14 +182,13 @@ def rank_program(
         state.step = step
         with state.timers.track("other"):
             initial_integrate(store, cfg.dt, cfg.mass)
-        if step % cfg.reneigh_interval == 0:
+        if step % cfg.reneigh_interval == 0 or (yield from _lists_outlived(state, world, cfg)):
             yield from _reneighbor(state, world, cfg)
+            state.rebuilds += 1
         else:
             with state.timers.track("comm"):
                 yield from synchronize(world, store, state.plan)
             state.steps_since_rebuild += 1
-        with state.timers.track("other"):
-            _check_guard(state, cfg)
         with state.timers.track("force"):
             compute_forces(store, state.lists, law, backend=backend)
         with state.timers.track("other"):
@@ -175,4 +203,5 @@ def rank_program(
         timers=state.timers,
         max_displacement_seen=state.max_displacement_seen,
         steps=cfg.steps,
+        rebuilds=state.rebuilds,
     )

@@ -1,0 +1,72 @@
+"""The compiled loops of pair_kernel.c (next to this file), built and loaded once.
+
+`library()` compiles the source with the system C compiler (`cc`, see `_CC`)
+on first use in a process and returns the loaded library with the argument
+types of its functions declared: `build_lists` and `spread_rows` (the
+neighbor-list build), `pair_forces` and `add_reactions` (the force kernel).
+A C compiler is therefore a run-time requirement of this package. Both
+neighbor.py and potential.py call into it, which is why the loader lives in
+its own module.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import subprocess
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+# compiler command for the loops; the flags fix the arithmetic to the
+# source's order on every machine: no fused multiply-add, no fast-math, no
+# host-specific instruction set
+_CC = ("cc", "-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_KERNEL_SOURCE = Path(__file__).with_name("pair_kernel.c")
+
+__all__ = ["library"]
+
+
+@functools.cache
+def library() -> ctypes.CDLL:
+    """pair_kernel.c, compiled and loaded once per process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        lib = Path(tmp) / "pair_kernel.so"
+        cmd = [*_CC, "-o", str(lib), str(_KERNEL_SOURCE), "-lm"]
+        try:
+            done = subprocess.run(cmd, capture_output=True, text=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot compile the pair kernel: {' '.join(cmd)}: {exc}") from exc
+        if done.returncode != 0:
+            raise RuntimeError(
+                f"cannot compile the pair kernel: {' '.join(cmd)} exited with "
+                f"{done.returncode}:\n{done.stderr}"
+            )
+        dll = ctypes.CDLL(str(lib))
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
+    idx = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    i64 = ctypes.c_int64
+    dll.build_lists.argtypes = [
+        f64, i64,  # x, n_total
+        i32, i64, idx,  # occ, max_occ, cell_counts
+        idx, idx, ctypes.c_double, ctypes.c_int,  # cell_of, soff, rsq_max, half
+        i64, i64, i32, i64,  # start, n_local, buf, cap
+        i32, ctypes.POINTER(i64),  # counts, need
+    ]
+    dll.build_lists.restype = i64
+    dll.spread_rows.argtypes = [i64, i32, i32, i32, i64]  # n, flat, counts, mat, width
+    dll.spread_rows.restype = None
+    dll.pair_forces.argtypes = [
+        ctypes.c_int, f64, ctypes.c_double, ctypes.c_int,  # law, params, cutoff_rsq, use_vel
+        f64, f64, i64,  # x, v, n_total
+        i32, i64, i32,  # mat, width, counts
+        i64, i64, i64, ctypes.c_int,  # start, stop, n_local, half
+        f64, idx, f64, i64,  # own, back_j, back_f, cap
+        ctypes.POINTER(i64), ctypes.c_void_p,  # n_back, row energies (NULL: not accumulated)
+    ]
+    dll.pair_forces.restype = i64
+    dll.add_reactions.argtypes = [i64, idx, f64, i64, f64]  # n, back_j, back_f, cap, acc
+    dll.add_reactions.restype = None
+    return dll

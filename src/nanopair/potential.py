@@ -7,34 +7,25 @@ antisymmetric under exchanging the pair, which is what lets half neighbor
 lists update both partners from one entry.
 
 `compute_forces` runs the laws through one compiled C row loop
-(pair_kernel.c, next to this file), which follows the operation order of
+(`pair_forces` in pair_kernel.c), which follows the operation order of
 `force_scalar` and `pair_energy`; those stay as the Python reference the
-kernel is tested against. The loop is compiled once per process with the
-system C compiler (`cc`, see `_CC`), so a C compiler is a run-time
-requirement of this package.
+kernel is tested against. `nanopair.kernel` compiles pair_kernel.c once per
+process with the system C compiler, for this loop and for the neighbor-list
+build alike, so a C compiler is a run-time requirement of this package.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
-import subprocess
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
+from . import kernel
 from .backend import Backend, SerialBackend
 from .errors import ProtocolError, SingularityError
 from .neighbor import NeighborLists
 from .particles import ParticleStore
-
-# compiler command for the kernel; the flags fix the arithmetic to the
-# source's order on every machine: no fused multiply-add, no fast-math, no
-# host-specific instruction set
-_CC = ("cc", "-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_KERNEL_SOURCE = Path(__file__).with_name("pair_kernel.c")
 
 __all__ = [
     "LennardJones",
@@ -144,43 +135,6 @@ def law_from_config(cfg):
     raise ValueError(f"unknown potential {cfg.potential_kind!r}")
 
 
-@functools.cache
-def _kernel():
-    """`pair_forces` and `add_reactions` of pair_kernel.c, compiled and loaded
-    once per process."""
-    with tempfile.TemporaryDirectory() as tmp:
-        lib = Path(tmp) / "pair_kernel.so"
-        cmd = [*_CC, "-o", str(lib), str(_KERNEL_SOURCE), "-lm"]
-        try:
-            done = subprocess.run(cmd, capture_output=True, text=True)
-        except OSError as exc:
-            raise RuntimeError(f"cannot compile the pair kernel: {' '.join(cmd)}: {exc}") from exc
-        if done.returncode != 0:
-            raise RuntimeError(
-                f"cannot compile the pair kernel: {' '.join(cmd)} exited with "
-                f"{done.returncode}:\n{done.stderr}"
-            )
-        dll = ctypes.CDLL(str(lib))
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    idx = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    i64 = ctypes.c_int64
-    fn = dll.pair_forces
-    fn.argtypes = [
-        ctypes.c_int, f64, ctypes.c_double, ctypes.c_int,  # law, params, cutoff_rsq, use_vel
-        f64, f64, i64,  # x, v, n_total
-        i32, i64, i32,  # mat, width, counts
-        i64, i64, i64, ctypes.c_int,  # start, stop, n_local, half
-        f64, idx, f64, i64,  # own, back_j, back_f, cap
-        ctypes.POINTER(i64), ctypes.c_void_p,  # n_back, row energies (NULL: not accumulated)
-    ]
-    fn.restype = i64
-    add = dll.add_reactions
-    add.argtypes = [i64, idx, f64, i64, f64]  # n, back_j, back_f, cap, acc
-    add.restype = None
-    return fn, add
-
-
 def compute_forces(
     store: ParticleStore,
     lists: NeighborLists,
@@ -228,7 +182,7 @@ def compute_forces(
     width = mat.shape[1]
     if counts.shape != (n_local,) or counts.max() > width:
         raise ProtocolError(f"list counts do not fit {n_local} rows of width {width}")
-    kernel, add_reactions = _kernel()
+    lib = kernel.library()
     code, params = law.kernel_args
     params = np.array(params, dtype=np.float64)
     xyz = np.ascontiguousarray(store.all_positions().T)
@@ -242,7 +196,7 @@ def compute_forces(
         back_j = np.empty(cap, dtype=np.int64)
         back_f = np.empty((3, cap))
         n_back = ctypes.c_int64()
-        bad = kernel(
+        bad = lib.pair_forces(
             code, params, law.cutoff_rsq, law.needs_velocities,
             xyz, vel, n_total,
             mat, width, counts,
@@ -263,7 +217,7 @@ def compute_forces(
     if half:
         reactions = np.zeros((n_local, 3))
         for back_j, back_f, n in results:
-            add_reactions(n, back_j, back_f, back_f.shape[1], reactions)
+            lib.add_reactions(n, back_j, back_f, back_f.shape[1], reactions)
         # an inf reaction meets the non-finite check below, not a warning here
         with np.errstate(invalid="ignore", over="ignore"):
             forces -= reactions

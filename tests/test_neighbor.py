@@ -72,6 +72,20 @@ class TestCellGrid:
 
 
 class TestNeighborLists:
+    def test_local_in_ghost_shell_rejected(self):
+        # the 27 cells around a local outside the grid's box are not all in the grid
+        store = make_store([[5.0, 5.0, 5.0], [-2.4, 5.0, 5.0]])
+        grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+        with pytest.raises(ProtocolError, match="local particle 1 lies in the ghost shell"):
+            build_neighbor_lists(store, grid, 2.5, half=False)
+
+    def test_grid_of_other_store_rejected(self):
+        store = make_store([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0]])
+        grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+        store.append_ghosts(np.array([[-1.0, 5.0, 5.0]]), peer=0)
+        with pytest.raises(ProtocolError, match="bins 2 particles, the store holds 3"):
+            build_neighbor_lists(store, grid, 2.5, half=False)
+
     def test_pair_within_radius(self):
         box = AABB.cube(0.0, 12.0)
         r = 2.0
@@ -225,16 +239,21 @@ class TestExactLists:
     """The build must give exactly the per-local reference list, partner
     order included: forces sum the row in that order."""
 
-    @pytest.mark.parametrize("budget", [None, 50], ids=["default-blocks", "tiny-blocks"])
+    @pytest.mark.parametrize("buffer", [None, 64, "largest-row"], ids=["default-blocks", "tiny-blocks", "one-row"])
     @pytest.mark.parametrize("half", [False, True])
     @pytest.mark.parametrize("name", ["cloud", "clump", "ghost_only_cells", "no_locals"])
-    def test_equals_reference(self, name, half, budget, monkeypatch):
-        if budget is not None:
-            # a tiny entry budget splits blocks inside cells and every row's cells
-            monkeypatch.setattr(neighbor, "_BUILD_ENTRIES", budget)
+    def test_equals_reference(self, name, half, buffer, monkeypatch):
         pos, n_ghost, box_len, r = oracle_case(name)
         store = make_store(pos, n_ghost=n_ghost)
         grid = build_cell_grid(store, AABB.cube(0.0, box_len), r)
+        if buffer == "largest-row":
+            # the row with the most candidates fills the buffer exactly
+            cells = grid.cell_id(grid.coords[: store.n_local, None, :] + _STENCIL)
+            buffer = int(grid.counts[cells].sum(axis=1).max(initial=0))
+        if buffer is not None:
+            # 64 holds one or two rows per call; a row with more candidates
+            # gets a buffer of its own size
+            monkeypatch.setattr(neighbor, "_LIST_BUFFER", buffer)
         lists = build_neighbor_lists(store, grid, r, half=half)
         want_mat, want_counts = reference_lists(store, grid, r, half)
         np.testing.assert_array_equal(lists.as_matrix(), want_mat)

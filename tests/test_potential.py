@@ -1,9 +1,11 @@
+import subprocess
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopair import potential
+from nanopair import kernel
 from nanopair.backend import SerialBackend, ThreadBackend
 from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError, SingularityError
@@ -369,20 +371,27 @@ class TestComputeForces:
     "cc,message",
     [
         (("no-such-compiler-for-nanopair",), "no-such-compiler-for-nanopair"),
-        ((*potential._CC, "--no-such-flag"), r"exited with \d+:\n.*--no-such-flag"),
+        ((*kernel._CC, "--no-such-flag"), r"exited with \d+:\n.*--no-such-flag"),
     ],
     ids=["missing", "rejected"],
 )
 def test_kernel_build_failure_reported(monkeypatch, cc, message):
-    potential._kernel.cache_clear()
-    monkeypatch.setattr(potential, "_CC", cc)
+    kernel.library.cache_clear()
+    monkeypatch.setattr(kernel, "_CC", cc)
     try:
         with pytest.raises(RuntimeError, match=f"cannot compile the pair kernel: {cc[0]}"):
             forces_of_pair(LennardJones(), np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]]), half=True)
         with pytest.raises(RuntimeError, match=message):
-            potential._kernel()
+            kernel.library()
     finally:
-        potential._kernel.cache_clear()
+        kernel.library.cache_clear()
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    """Both C loops build warning-free under -Wall -Wextra, with the package's own flags."""
+    cmd = [*kernel._CC, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(kernel._KERNEL_SOURCE), "-lm"]
+    done = subprocess.run(cmd, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def pair_loop_forces(store, lists, law, half):
