@@ -7,17 +7,15 @@ for the default Lennard-Jones setup). All reals are double precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
-    "Vec3",
     "AABB",
     "SimConfig",
     "ConfigError",
     "pbc_correct",
-    "minimum_image",
     "aabb_distance",
 ]
 
@@ -27,68 +25,35 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class Vec3:
-    """Immutable 3-vector of doubles."""
-
-    x: float
-    y: float
-    z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z], dtype=np.float64)
-
-    @classmethod
-    def from_array(cls, a) -> "Vec3":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "Vec3":
-        return Vec3(-self.x, -self.y, -self.z)
-
-    def scale(self, s: float) -> "Vec3":
-        return Vec3(self.x * s, self.y * s, self.z * s)
-
-    def dot(self, other: "Vec3") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
-
-    def norm2(self) -> float:
-        return self.dot(self)
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm2())
-
-
-@dataclass(frozen=True)
 class AABB:
-    """Axis-aligned box with inclusive lower and exclusive upper bounds."""
+    """Axis-aligned box with inclusive lower and exclusive upper bounds.
 
-    min: Vec3
-    max: Vec3
+    `min` and `max` are (x, y, z) tuples of floats.
+    """
+
+    min: tuple[float, float, float]
+    max: tuple[float, float, float]
 
     def __post_init__(self) -> None:
-        if not (self.min.x <= self.max.x and self.min.y <= self.max.y and self.min.z <= self.max.z):
+        if not all(a <= b for a, b in zip(self.min, self.max)):
             raise ValueError(f"inverted AABB: {self.min} > {self.max}")
 
     @classmethod
     def from_arrays(cls, lo, hi) -> "AABB":
-        return cls(Vec3.from_array(lo), Vec3.from_array(hi))
+        return cls(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
 
     @classmethod
     def cube(cls, lo: float, hi: float) -> "AABB":
-        return cls(Vec3(lo, lo, lo), Vec3(hi, hi, hi))
+        lo, hi = float(lo), float(hi)
+        return cls((lo, lo, lo), (hi, hi, hi))
 
     @property
     def lo(self) -> np.ndarray:
-        return self.min.as_array()
+        return np.array(self.min, dtype=np.float64)
 
     @property
     def hi(self) -> np.ndarray:
-        return self.max.as_array()
+        return np.array(self.max, dtype=np.float64)
 
     def extent(self) -> np.ndarray:
         return self.hi - self.lo
@@ -120,10 +85,8 @@ def pbc_correct(p, global_box: AABB):
     """Wrap positions into [min, max) by integer multiples of the domain length.
 
     In-domain points pass through untouched, which makes the function exactly
-    idempotent. Accepts a Vec3 or an (n, 3) array; returns the same kind.
+    idempotent. Accepts a (3,) or an (n, 3) array; returns the same shape.
     """
-    if isinstance(p, Vec3):
-        return Vec3.from_array(pbc_correct(p.as_array()[None, :], global_box)[0])
     lo, hi = global_box.lo, global_box.hi
     length = hi - lo
     if np.any(length <= 0):
@@ -137,22 +100,13 @@ def pbc_correct(p, global_box: AABB):
     return np.where(inside, pts, wrapped)
 
 
-def minimum_image(delta, global_box: AABB):
-    """Map a separation vector into (-L/2, L/2] per component.
-
-    Valid for |delta| < 1.5 L; callers handling larger separations should wrap
-    positions first.
-    """
-    if isinstance(delta, Vec3):
-        return Vec3.from_array(minimum_image(delta.as_array()[None, :], global_box)[0])
-    length = global_box.extent()
-    d = np.array(delta, dtype=np.float64)
-    return d - length * np.ceil(d / length - 0.5)
-
-
 _LAYOUT_KINDS = ("aos", "soa", "aosoa")
 _POTENTIALS = ("lj", "sd")
 _FILLS = ("full", "half-diagonal")
+_REAL_FIELDS = (
+    "lattice_density", "dt", "cutoff", "verlet_buffer", "epsilon", "sigma",
+    "stiffness", "damping", "diameter", "mass", "velocity_scale",
+)
 
 
 @dataclass(frozen=True)
@@ -193,6 +147,10 @@ class SimConfig:
             raise ConfigError(
                 f"particles_per_cell must be 1, 2, or 4 (lattice basis), got {self.particles_per_cell}"
             )
+        # every comparison below is False for NaN, so finiteness is checked first
+        for name in _REAL_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("lattice_density", "cutoff", "sigma", "epsilon", "diameter", "mass"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -244,7 +202,7 @@ class SimConfig:
     def domain(self) -> AABB:
         a = self.lattice_constant()
         nx, ny, nz = self.unit_cells
-        return AABB(Vec3(0.0, 0.0, 0.0), Vec3(nx * a, ny * a, nz * a))
+        return AABB((0.0, 0.0, 0.0), (nx * a, ny * a, nz * a))
 
     def with_overrides(self, **kwargs) -> "SimConfig":
         return replace(self, **kwargs)

@@ -1,4 +1,4 @@
-"""2D array storage with a selectable linear index function.
+"""2D array storage with a selectable layout, read and written by rows.
 
 Three layouts are supported for logical (size_x, size_y) arrays over one flat
 buffer:
@@ -8,19 +8,16 @@ buffer:
 * clustered      offset = c * (i * size_y + y) + j with i = x >> shift,
                  j = x & (c - 1)                  (AoSoA, cluster size c)
 
-The layout is fixed at handle creation. Scalar accessors (get/set/add and the
-vec3 forms) address the buffer through the index map. The bulk row
-operations go through one zero-copy strided view of the same buffer instead:
-(size_x, size_y) for row-major and column-major, (clusters, size_y, c) for
-clustered. A row range is a slice of that view and a row gather indexes one
-axis (clustered: the cluster and lane axes), so no per-element index array
-is built. Both routes address the same elements, so callers observe
-identical results under every layout.
+The layout is fixed at handle creation. Every access goes through one
+zero-copy strided view of the buffer: (size_x, size_y) for row-major and
+column-major, (clusters, size_y, c) for clustered. A row range is a slice of
+that view and a row gather indexes one axis (clustered: the cluster and lane
+axes), so no per-element index array is built, and callers observe identical
+rows under every layout.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,7 +44,6 @@ class LayoutKind(Enum):
 class LayoutDescriptor:
     kind: LayoutKind
     cluster_size: int = 1
-    atomic_add: bool = False
 
     def __post_init__(self) -> None:
         c = self.cluster_size
@@ -62,16 +58,6 @@ class LayoutDescriptor:
     def mask(self) -> int:
         return self.cluster_size - 1
 
-    def index_2d(self, size_x: int, size_y: int, x, y):
-        """Linear offset of element (x, y); broadcasts over integer arrays."""
-        if self.kind is LayoutKind.ROW_MAJOR:
-            return x * size_y + y
-        if self.kind is LayoutKind.COLUMN_MAJOR:
-            return y * size_x + x
-        i = x >> self.shift
-        j = x & self.mask
-        return self.cluster_size * (i * size_y + y) + j
-
     def required_capacity(self, size_x: int, size_y: int) -> int:
         """Buffer length needed for all valid (x, y); clusters pad size_x up."""
         if self.kind is LayoutKind.CLUSTERED:
@@ -81,36 +67,36 @@ class LayoutDescriptor:
         return size_x * size_y
 
 
-def row_major_layout(atomic_add: bool = False) -> LayoutDescriptor:
-    return LayoutDescriptor(LayoutKind.ROW_MAJOR, atomic_add=atomic_add)
+def row_major_layout() -> LayoutDescriptor:
+    return LayoutDescriptor(LayoutKind.ROW_MAJOR)
 
 
-def column_major_layout(atomic_add: bool = False) -> LayoutDescriptor:
-    return LayoutDescriptor(LayoutKind.COLUMN_MAJOR, atomic_add=atomic_add)
+def column_major_layout() -> LayoutDescriptor:
+    return LayoutDescriptor(LayoutKind.COLUMN_MAJOR)
 
 
-def clustered_layout(cluster_size: int, atomic_add: bool = False) -> LayoutDescriptor:
-    return LayoutDescriptor(LayoutKind.CLUSTERED, cluster_size, atomic_add)
+def clustered_layout(cluster_size: int) -> LayoutDescriptor:
+    return LayoutDescriptor(LayoutKind.CLUSTERED, cluster_size)
 
 
-def layout_from_config(kind: str, cluster: int = 8, atomic_add: bool = False) -> LayoutDescriptor:
+def layout_from_config(kind: str, cluster: int = 8) -> LayoutDescriptor:
     """Map the user-facing names (aos, soa, aosoa) onto layout descriptors."""
     if kind == "aos":
-        return row_major_layout(atomic_add)
+        return row_major_layout()
     if kind == "soa":
-        return column_major_layout(atomic_add)
+        return column_major_layout()
     if kind == "aosoa":
-        return clustered_layout(cluster, atomic_add)
+        return clustered_layout(cluster)
     raise ValueError(f"unknown layout {kind!r}")
 
 
 class ArrayHandle:
-    """A logical (size_x, size_y) array stored through a layout's index map.
+    """A logical (size_x, size_y) array in one layout, accessed by rows.
 
     The buffer is padded to the layout's required capacity; padding elements
-    are zero-initialized and never addressed by valid indices. `view` is the
-    zero-copy strided view of the buffer that the bulk row operations use;
-    writes through it write the buffer.
+    are zero-initialized and belong to no row. `view` is the zero-copy strided
+    view of the buffer; every row method reads or writes through it, and so
+    may a caller that indexes it directly (writes through it write the buffer).
     """
 
     def __init__(self, layout: LayoutDescriptor, size_x: int, size_y: int, dtype=np.float64):
@@ -126,51 +112,6 @@ class ArrayHandle:
         else:
             c = layout.cluster_size
             self.view = self.buf.reshape(-(-self.size_x // c), self.size_y, c)
-        self._lock = threading.Lock() if layout.atomic_add else None
-
-    @property
-    def capacity(self) -> int:
-        return self.buf.size
-
-    def index(self, x, y):
-        return self.layout.index_2d(self.size_x, self.size_y, x, y)
-
-    def _check(self, x: int, y: int) -> None:
-        if not (0 <= x < self.size_x and 0 <= y < self.size_y):
-            raise IndexError(f"({x}, {y}) outside ({self.size_x}, {self.size_y})")
-
-    def get(self, x: int, y: int):
-        self._check(x, y)
-        return self.buf[self.index(x, y)].item()
-
-    def set(self, x: int, y: int, v) -> None:
-        self._check(x, y)
-        self.buf[self.index(x, y)] = v
-
-    def add(self, x: int, y: int, v) -> None:
-        """Accumulate; linearizable under concurrent callers when atomic_add is set."""
-        self._check(x, y)
-        idx = self.index(x, y)
-        if self._lock is not None:
-            with self._lock:
-                self.buf[idx] += v
-        else:
-            self.buf[idx] += v
-
-    def get_vec3(self, i: int) -> np.ndarray:
-        self._check(i, 2)
-        return self.buf[[self.index(i, 0), self.index(i, 1), self.index(i, 2)]].copy()
-
-    def set_vec3(self, i: int, v) -> None:
-        self._check(i, 2)
-        self.buf[self.index(i, 0)] = v[0]
-        self.buf[self.index(i, 1)] = v[1]
-        self.buf[self.index(i, 2)] = v[2]
-
-    def add_vec3(self, i: int, v) -> None:
-        self.add(i, 0, v[0])
-        self.add(i, 1, v[1])
-        self.add(i, 2, v[2])
 
     def _row_blocks(self, start: int, count: int):
         """Cover rows [start, start+count) with views of `view`.

@@ -7,14 +7,12 @@ ghost region always stays contiguous after the locals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import AABB, ConfigError, SimConfig, Vec3
+from .core import AABB, ConfigError, SimConfig
 from .layout import ArrayHandle, LayoutDescriptor, row_major_layout
 
-__all__ = ["ParticleStore", "ParticleAccessor", "create_lattice", "lattice_positions"]
+__all__ = ["ParticleStore", "create_lattice", "lattice_positions"]
 
 # Basis offsets (in unit-cell fractions) for the supported particles-per-cell
 # counts: simple cubic, body-centered, face-centered.
@@ -74,45 +72,25 @@ class ParticleStore:
     def local_forces(self) -> np.ndarray:
         return self.forces.read_rows(0, self.n_local)
 
-    def local_state(self) -> np.ndarray:
-        """(n_local, 6) array of position columns then velocity columns."""
-        return np.hstack([self.local_positions(), self.local_velocities()])
-
     # -- local-region editing ----------------------------------------------
 
     def append_locals(self, pos: np.ndarray, vel: np.ndarray) -> None:
+        """Append locals after the current ones.
+
+        Requires an empty ghost region (exchange clears ghosts first).
+        """
+        if self.n_ghost != 0:
+            raise RuntimeError("append_locals requires an empty ghost region")
         pos = np.atleast_2d(pos)
         vel = np.atleast_2d(vel)
         k = pos.shape[0]
         if k == 0:
             return
-        self.ensure_capacity(self.n_total + k)
-        if self.n_ghost > 0:
-            # slide the ghost block right so ghosts stay contiguous after locals
-            for h in (self.positions, self.velocities, self.forces):
-                block = h.read_rows(self.n_local, self.n_ghost)
-                h.write_rows(self.n_local + k, block)
+        self.ensure_capacity(self.n_local + k)
         self.positions.write_rows(self.n_local, pos)
         self.velocities.write_rows(self.n_local, vel)
         self.forces.fill_rows(self.n_local, k, 0.0)
         self.n_local += k
-
-    def remove_locals(self, indices) -> None:
-        """Swap-remove the given local indices (order of survivors not preserved)."""
-        for i in sorted(np.asarray(indices, dtype=np.int64), reverse=True):
-            last = self.n_local - 1
-            if i < 0 or i > last:
-                raise IndexError(f"local index {i} out of range")
-            if i != last:
-                for h in (self.positions, self.velocities, self.forces):
-                    h.write_rows(i, h.read_rows(last, 1))
-            if self.n_ghost > 0:
-                # pull the final ghost into the freed slot to stay contiguous
-                for h in (self.positions, self.velocities, self.forces):
-                    h.write_rows(last, h.read_rows(last + self.n_ghost, 1))
-                self.ghost_peer = np.roll(self.ghost_peer, 1)
-                self.ghost_ordinal = np.roll(self.ghost_ordinal, 1)
-            self.n_local = last
 
     def compact_locals(self, keep: np.ndarray) -> None:
         """Drop locals where `keep` is False, preserving the survivors' order.
@@ -156,31 +134,6 @@ class ParticleStore:
 
     def set_ghost_positions(self, start: int, pos: np.ndarray) -> None:
         self.positions.write_rows(start, pos)
-
-
-@dataclass
-class ParticleAccessor:
-    """Scalar per-particle accessors bound to one store (Vec3 in, Vec3 out)."""
-
-    store: ParticleStore
-
-    def get_position(self, i: int) -> Vec3:
-        return Vec3.from_array(self.store.positions.get_vec3(i))
-
-    def set_position(self, i: int, v: Vec3) -> None:
-        self.store.positions.set_vec3(i, v.as_array())
-
-    def get_velocity(self, i: int) -> Vec3:
-        return Vec3.from_array(self.store.velocities.get_vec3(i))
-
-    def set_velocity(self, i: int, v: Vec3) -> None:
-        self.store.velocities.set_vec3(i, v.as_array())
-
-    def get_force(self, i: int) -> Vec3:
-        return Vec3.from_array(self.store.forces.get_vec3(i))
-
-    def add_force(self, i: int, v: Vec3) -> None:
-        self.store.forces.add_vec3(i, v.as_array())
 
 
 def lattice_positions(cfg: SimConfig, domain: AABB) -> np.ndarray:

@@ -139,7 +139,6 @@ def compute_forces(
     store: ParticleStore,
     lists: NeighborLists,
     law,
-    half: bool | None = None,
     backend: Backend | None = None,
     accumulate_energy: bool = False,
 ):
@@ -148,8 +147,8 @@ def compute_forces(
     Each chunk of rows is one call of the compiled loop, which releases the
     GIL. For local i it reads only the counts[i] real partners of row i, never
     the -1 padding; an entry at or beyond the cutoff adds nothing, and the
-    force on i is the sum of s * delta over the rest, in row order. In half
-    mode each in-cutoff entry with a local partner j also yields (j, s *
+    force on i is the sum of s * delta over the rest, in row order. For half
+    lists each in-cutoff entry with a local partner j also yields (j, s *
     delta); after all chunks, one serial loop sums these entries per partner
     in row order (the sums np.bincount would form) and the sums are
     subtracted, so the result does not depend on the chunk size or on which
@@ -162,10 +161,7 @@ def compute_forces(
     Raises SingularityError on a coincident pair and on a non-finite force,
     ProtocolError on lists that do not belong to the store as it is.
     """
-    if half is None:
-        half = lists.half
-    if half and not lists.half:
-        raise ValueError("half-mode accumulation needs half-built lists")
+    half = lists.half
     if backend is None:
         backend = SerialBackend()
     n_local, n_total = store.n_local, store.n_total

@@ -9,12 +9,15 @@ from nanopair.comm import (
     RankDomain,
     RankWorld,
     _balanced_cuts,
+    define_borders,
+    exchange,
     factor_rank_grid,
     gather_displacements,
     pack_particles,
     rank_grid_coords,
     six_stencil_pattern,
     slab_bounds,
+    synchronize,
     uniform_cuts,
     unpack_particles,
 )
@@ -233,3 +236,39 @@ class TestWireFaults:
         for got in advance(gens):
             np.testing.assert_array_equal(got, [0.25, 0.5])
         assert transport.pending() == 0
+
+
+class TestProtocolFaults:
+    def test_synchronize_rejects_stale_plan(self):
+        pos, vel = initial_state(SD)
+        worlds, stores, transport = make_worlds(SD, 2, pos, vel)
+        gens = [define_borders(w, s) for w, s in zip(worlds, stores)]
+        plans = advance(gens)
+        while any(p is None for p in plans):
+            plans = advance(gens)
+        assert transport.pending() == 0
+        # a ghost that the plan does not know of
+        n_local, n_ghost = stores[1].n_local, stores[1].n_ghost
+        stores[1].append_ghosts(np.zeros((1, 3)), peer=0)
+        with pytest.raises(
+            ProtocolError,
+            match=rf"rank 1: store \({n_local} locals, {n_ghost + 1} ghosts\) does not match "
+            rf"the border plan \({n_local}, {n_ghost}\)",
+        ):
+            next(synchronize(worlds[1], stores[1], plans[1]))
+
+    def test_exchange_rejects_particle_two_slabs_away(self):
+        # at P = 3 the slabs lie along x; rank 0 sends a particle past its
+        # upper face to rank 1, one slab on, though it belongs to rank 2
+        pos, vel = initial_state(SD)
+        worlds, stores, transport = make_worlds(SD, 3, pos, vel)
+        assert factor_rank_grid(3) == (3, 1, 1)
+        target = worlds[2].domain.ownership[0]
+        stores[0].positions.write_rows(0, ((target.lo + target.hi) / 2)[None, :])
+        gens = [exchange(w, s) for w, s in zip(worlds, stores)]
+        with pytest.raises(
+            ProtocolError,
+            match=r"^rank 1: after exchange, local particle at .* is outside the ownership region$",
+        ):
+            for _ in range(10):
+                advance(gens)

@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopair.core import (
-    AABB,
-    ConfigError,
-    SimConfig,
-    Vec3,
-    minimum_image,
-    pbc_correct,
-)
+from nanopair.core import AABB, ConfigError, SimConfig, pbc_correct
 
 BOX8 = AABB.cube(0.0, 8.0)
 
@@ -26,13 +19,13 @@ def wrap_by_repeated_subtraction(x, lo, hi):
 
 class TestPbcCorrect:
     def test_single_period_wrap(self):
-        p = pbc_correct(Vec3(-0.1, 1.0, 1.0), BOX8)
-        assert p.x == pytest.approx(7.9)
-        assert p.y == 1.0 and p.z == 1.0
+        p = pbc_correct(np.array([-0.1, 1.0, 1.0]), BOX8)
+        assert p[0] == pytest.approx(7.9)
+        assert p[1] == 1.0 and p[2] == 1.0
 
     def test_identity_inside(self):
-        p = Vec3(3.25, 0.0, 7.999)
-        assert pbc_correct(p, BOX8) == p
+        p = np.array([3.25, 0.0, 7.999])
+        np.testing.assert_array_equal(pbc_correct(p, BOX8), p)
 
     def test_multi_period_matches_repeated_subtraction(self):
         rng = np.random.default_rng(7)
@@ -40,49 +33,20 @@ class TestPbcCorrect:
         got = pbc_correct(np.column_stack([xs, xs * 0 + 1, xs * 0 + 1]), BOX8)[:, 0]
         want = [wrap_by_repeated_subtraction(x, 0.0, 8.0) for x in xs]
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert pbc_correct(Vec3(16.5, 0, 0), BOX8).x == pytest.approx(0.5)
+        assert pbc_correct(np.array([16.5, 0, 0]), BOX8)[0] == pytest.approx(0.5)
 
     @given(st.floats(-100.0, 100.0), st.floats(-100.0, 100.0), st.floats(-100.0, 100.0))
     @settings(max_examples=200)
     def test_idempotent_exactly(self, x, y, z):
-        once = pbc_correct(Vec3(x, y, z), BOX8)
+        once = pbc_correct(np.array([x, y, z]), BOX8)
         twice = pbc_correct(once, BOX8)
-        assert (twice.x, twice.y, twice.z) == (once.x, once.y, once.z)
+        np.testing.assert_array_equal(twice, once)
 
     def test_result_in_half_open_domain(self):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-30, 30, size=(500, 3))
         out = pbc_correct(pts, BOX8)
         assert np.all(out >= 0.0) and np.all(out < 8.0)
-
-
-class TestMinimumImage:
-    def test_nearest_image(self):
-        d = minimum_image(Vec3(7.9, 0.0, 0.0), BOX8)
-        assert d.x == pytest.approx(-0.1)
-
-    def test_zero(self):
-        d = minimum_image(Vec3(0.0, 0.0, 0.0), BOX8)
-        assert (d.x, d.y, d.z) == (0.0, 0.0, 0.0)
-
-    def test_half_open_interval_convention(self):
-        assert minimum_image(Vec3(4.0, 0, 0), BOX8).x == 4.0
-        assert minimum_image(Vec3(-4.0, 0, 0), BOX8).x == 4.0
-
-    def test_matches_27_image_enumeration(self):
-        # independent oracle: try all 27 lattice offsets, keep the shortest
-        rng = np.random.default_rng(11)
-        deltas = rng.uniform(-11.9, 11.9, size=(300, 3))
-        L = 8.0
-        offs = np.array(
-            [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)],
-            dtype=np.float64,
-        )
-        got = minimum_image(deltas, BOX8)
-        norms_got = (got * got).sum(axis=1)
-        for off in offs:
-            cand = deltas + off * L
-            assert np.all(norms_got <= (cand * cand).sum(axis=1) + 1e-12)
 
 
 class TestSimConfig:
@@ -124,6 +88,17 @@ class TestSimConfig:
     def test_spring_dashpot_rejected(self, kwargs, field):
         with pytest.raises(ConfigError, match=field):
             SimConfig(potential_kind="sd", **kwargs).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["lattice_density", "dt", "cutoff", "verlet_buffer", "epsilon", "sigma",
+         "stiffness", "damping", "diameter", "mass", "velocity_scale"],
+    )
+    def test_non_finite_real_rejected(self, field, value):
+        # x <= 0 and x < 0 are both False for NaN, so only a finiteness check catches it
+        with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+            SimConfig(unit_cells=(6, 6, 6), **{field: value}).validate()
 
     def test_spring_dashpot_contact_cutoff_accepted(self):
         SimConfig(potential_kind="sd", cutoff=1.0, diameter=1.0, damping=0.0).validate()

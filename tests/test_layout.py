@@ -1,5 +1,4 @@
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import strategies as st
 
 from nanopair.layout import (
     ArrayHandle,
+    LayoutKind,
     clustered_layout,
     column_major_layout,
     layout_from_config,
@@ -22,19 +22,31 @@ ALL_LAYOUTS = [
 ]
 
 
+def index_2d(lay, size_x, size_y, x, y):
+    """Reference index map: buffer offset of element (x, y); broadcasts over
+    integer arrays. The row methods are checked against it."""
+    if lay.kind is LayoutKind.ROW_MAJOR:
+        return x * size_y + y
+    if lay.kind is LayoutKind.COLUMN_MAJOR:
+        return y * size_x + x
+    i = x >> lay.shift
+    j = x & lay.mask
+    return lay.cluster_size * (i * size_y + y) + j
+
+
 class TestIndexFormulas:
     def test_row_major_example(self):
         lay = row_major_layout()
-        assert lay.index_2d(size_x=4, size_y=3, x=2, y=1) == 7
+        assert index_2d(lay, size_x=4, size_y=3, x=2, y=1) == 7
 
     def test_column_major_example(self):
         lay = column_major_layout()
-        assert lay.index_2d(size_x=5, size_y=3, x=2, y=1) == 7
+        assert index_2d(lay, size_x=5, size_y=3, x=2, y=1) == 7
 
     def test_clustered_example(self):
         # i = 5 >> 2 = 1, j = 5 & 3 = 1: 4 * (1 * 3 + 1) + 1 = 17
         lay = clustered_layout(4)
-        assert lay.index_2d(size_x=8, size_y=3, x=5, y=1) == 17
+        assert index_2d(lay, size_x=8, size_y=3, x=5, y=1) == 17
 
     @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
     @pytest.mark.parametrize("size_x,size_y", [(1, 1), (5, 3), (64, 8), (17, 4)])
@@ -42,7 +54,7 @@ class TestIndexFormulas:
         seen = set()
         cap = lay.required_capacity(size_x, size_y)
         for x, y in itertools.product(range(size_x), range(size_y)):
-            idx = lay.index_2d(size_x, size_y, x, y)
+            idx = index_2d(lay, size_x, size_y, x, y)
             assert 0 <= idx < cap
             seen.add(idx)
         assert len(seen) == size_x * size_y
@@ -52,72 +64,11 @@ class TestIndexFormulas:
         row = row_major_layout()
         for size_x, size_y in [(1, 1), (7, 3), (16, 5)]:
             for x, y in itertools.product(range(size_x), range(size_y)):
-                assert unit.index_2d(size_x, size_y, x, y) == row.index_2d(size_x, size_y, x, y)
+                assert index_2d(unit, size_x, size_y, x, y) == index_2d(row, size_x, size_y, x, y)
 
     def test_bad_cluster_size(self):
         with pytest.raises(ValueError):
             clustered_layout(6)
-
-
-class TestScalarOps:
-    @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
-    def test_set_get_roundtrip(self, lay):
-        a = ArrayHandle(lay, 10, 3)
-        a.set(3, 1, 2.5)
-        assert a.get(3, 1) == 2.5
-
-    def test_add_identity(self):
-        a = ArrayHandle(row_major_layout(), 4, 3)
-        a.set(1, 2, 9.0)
-        a.add(1, 2, 0.0)
-        assert a.get(1, 2) == 9.0
-
-    def test_out_of_range_rejected(self):
-        a = ArrayHandle(row_major_layout(), 4, 3)
-        with pytest.raises(IndexError):
-            a.get(4, 0)
-        with pytest.raises(IndexError):
-            a.set(0, 3, 1.0)
-
-    def test_concurrent_atomic_add_sums_exactly(self):
-        a = ArrayHandle(row_major_layout(atomic_add=True), 2, 3)
-        n, workers = 2000, 8
-
-        def hammer(_):
-            for _ in range(n // workers):
-                a.add(1, 1, 1.0)
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(hammer, range(workers)))
-        assert a.get(1, 1) == float(n)
-
-
-class TestVec3Ops:
-    @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
-    def test_roundtrip_sequence(self, lay):
-        rng = np.random.default_rng(0)
-        n = 23
-        a = ArrayHandle(lay, n, 3)
-        vals = rng.normal(size=(n, 3))
-        for i in range(n):
-            a.set_vec3(i, vals[i])
-        for i in range(n):
-            np.testing.assert_array_equal(a.get_vec3(i), vals[i])
-
-    def test_add_vec3(self):
-        a = ArrayHandle(row_major_layout(), 3, 3)
-        a.set_vec3(0, [1.0, 2.0, 3.0])
-        a.add_vec3(0, [0.5, -2.0, 1.0])
-        np.testing.assert_array_equal(a.get_vec3(0), [1.5, 0.0, 4.0])
-
-    def test_soa_and_aos_buffers_are_permutations(self):
-        rng = np.random.default_rng(1)
-        vals = rng.normal(size=(8, 3))
-        handles = [ArrayHandle(row_major_layout(), 8, 3), ArrayHandle(column_major_layout(), 8, 3)]
-        for h in handles:
-            for i in range(8):
-                h.set_vec3(i, vals[i])
-        assert sorted(handles[0].buf.tolist()) == sorted(handles[1].buf.tolist())
 
 
 class TestBulkRows:
@@ -130,8 +81,30 @@ class TestBulkRows:
         a.write_rows(0, vals)
         np.testing.assert_array_equal(a.read_rows(0, n), vals)
         for i in range(n):
-            np.testing.assert_array_equal(a.get_vec3(i), vals[i])
+            np.testing.assert_array_equal(a.buf[index_2d(lay, n, 3, i, np.arange(3))], vals[i])
         np.testing.assert_array_equal(a.read_rows(5, 7), vals[5:12])
+
+    def test_soa_and_aos_buffers_are_permutations(self):
+        rng = np.random.default_rng(1)
+        vals = rng.normal(size=(8, 3))
+        handles = [ArrayHandle(row_major_layout(), 8, 3), ArrayHandle(column_major_layout(), 8, 3)]
+        for h in handles:
+            h.write_rows(0, vals)
+        assert sorted(handles[0].buf.tolist()) == sorted(handles[1].buf.tolist())
+
+    @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
+    def test_out_of_range_rejected(self, lay):
+        a = ArrayHandle(lay, 4, 3)
+        with pytest.raises(IndexError):
+            a.read_rows(2, 3)
+        with pytest.raises(IndexError):
+            a.write_rows(3, np.zeros((2, 3)))
+        with pytest.raises(IndexError):
+            a.fill_rows(-1, 2)
+        with pytest.raises(IndexError):
+            a.read_rows_at([0, 4])
+        with pytest.raises(IndexError):
+            a.write_rows_at([-1], np.zeros((1, 3)))
 
     @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
     def test_grown_preserves_contents(self, lay):
@@ -144,17 +117,14 @@ class TestBulkRows:
         assert b.size_x == 21
 
     def test_layout_transparency_program(self):
-        # identical get/set/add call sequence must give identical reads
+        # an identical sequence of row edits must give identical reads
         def program(lay):
             a = ArrayHandle(lay, 12, 3)
-            out = []
-            for i in range(12):
-                a.set_vec3(i, [i * 1.0, i * 2.0, i * 3.0])
-            for i in range(0, 12, 3):
-                a.add(i, 1, 0.25)
-            for i in range(12):
-                out.append(tuple(a.get_vec3(i)))
-            return out
+            a.write_rows(0, np.arange(12.0)[:, None] * [1.0, 2.0, 3.0])
+            every_third = np.arange(0, 12, 3)
+            a.write_rows_at(every_third, a.read_rows_at(every_third) + [0.0, 0.25, 0.0])
+            a.fill_rows(10, 2, -1.0)
+            return [tuple(row) for row in a.read_rows(0, 12)] + [tuple(a.read_rows_at([11, 4]).ravel())]
 
         ref = program(row_major_layout())
         for lay in ALL_LAYOUTS[1:]:
@@ -187,7 +157,8 @@ def handle_and_rows(draw):
 
 def reference_index(a, x):
     """Buffer offsets of rows x through the index map, (len(x), size_y)."""
-    return a.index(np.asarray(x, dtype=np.int64)[:, None], np.arange(a.size_y)[None, :])
+    x = np.asarray(x, dtype=np.int64)[:, None]
+    return index_2d(a.layout, a.size_x, a.size_y, x, np.arange(a.size_y)[None, :])
 
 
 class TestRowViews:

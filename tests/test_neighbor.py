@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanopair import neighbor
-from nanopair.core import AABB, minimum_image
+from nanopair.core import AABB
 from nanopair.errors import ProtocolError
 from nanopair.layout import row_major_layout
 from nanopair.neighbor import (
@@ -24,14 +24,12 @@ def make_store(pos, n_ghost=0):
     return store
 
 
-def brute_force_pairs(pos, r, box=None):
-    """O(N^2) oracle: unordered index pairs closer than r (min-image if box given)."""
+def brute_force_pairs(pos, r):
+    """O(N^2) oracle: unordered index pairs closer than r."""
     pairs = set()
     n = len(pos)
     for i in range(n):
         delta = pos[i] - pos
-        if box is not None:
-            delta = minimum_image(delta, box)
         rsq = (delta * delta).sum(axis=1)
         for j in range(i + 1, n):
             if rsq[j] < r * r:
@@ -276,9 +274,9 @@ class TestDisplacement:
         store = make_store(pos)
         grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
-        p = store.positions.get_vec3(7)
-        p[0] += 0.125
-        store.positions.set_vec3(7, p)
+        p = store.positions.read_rows(7, 1)
+        p[0, 0] += 0.125
+        store.positions.write_rows(7, p)
         assert max_displacement_since_rebuild(store, lists) == pytest.approx(0.125)
 
     def test_random_walk_triangle_inequality(self):

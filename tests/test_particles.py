@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from nanopair.core import SimConfig, Vec3
+from nanopair.core import SimConfig
 from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
-from nanopair.particles import ParticleAccessor, ParticleStore, create_lattice, lattice_positions
+from nanopair.particles import ParticleStore, create_lattice, lattice_positions
 
 LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(8)]
 
 
-def sorted_rows(a):
-    return a[np.lexsort(a.T[::-1])]
+def local_state(store):
+    """(n_local, 6): position columns, then velocity columns."""
+    return np.hstack([store.local_positions(), store.local_velocities()])
 
 
 class TestCreateLattice:
@@ -61,14 +62,14 @@ class TestRegionEditing:
         store.append_locals(np.zeros((3, 3)), np.zeros((3, 3)))
         store.append_locals([[1.0, 2.0, 3.0]], [[0.0, 0.0, 0.0]])
         assert store.n_local == 4
-        store.remove_locals([3])
+        store.compact_locals(np.arange(4) != 3)
         assert store.n_local == 3
 
     def test_remove_last_touches_nothing_else(self):
         store = ParticleStore(row_major_layout(), 4)
         pos = np.arange(12.0).reshape(4, 3)
         store.append_locals(pos, np.zeros((4, 3)))
-        store.remove_locals([3])
+        store.compact_locals(np.arange(4) != 3)
         np.testing.assert_array_equal(store.local_positions(), pos[:3])
 
     def test_capacity_grows_geometrically(self):
@@ -86,30 +87,34 @@ class TestRegionEditing:
         shadow = []
         for step in range(300):
             if shadow and rng.random() < 0.4:
-                i = int(rng.integers(len(shadow)))
-                store.remove_locals([i])
-                shadow[i] = shadow[-1]
-                shadow.pop()
+                keep = rng.random(len(shadow)) < 0.8
+                store.compact_locals(keep)
+                shadow = [row for row, k in zip(shadow, keep) if k]
             else:
-                row = rng.normal(size=3)
-                store.append_locals(row[None, :], np.zeros((1, 3)))
-                shadow.append(tuple(row))
+                rows = rng.normal(size=(int(rng.integers(1, 4)), 6))
+                store.append_locals(rows[:, :3], rows[:, 3:])
+                shadow.extend(map(tuple, rows))
             assert store.n_local == len(shadow)
-        got = sorted(map(tuple, store.local_positions()))
-        assert got == sorted(shadow)
+        np.testing.assert_array_equal(local_state(store), np.array(shadow).reshape(-1, 6))
 
     def test_ghosts_stay_contiguous_after_local_edits(self):
+        # local edits need an empty ghost region, so they cannot split it
         store = ParticleStore(row_major_layout(), 4)
         store.append_locals(np.arange(9.0).reshape(3, 3), np.zeros((3, 3)))
         store.append_ghosts(np.array([[100.0, 0, 0], [200.0, 0, 0]]), peer=1)
         assert store.n_ghost == 2
-        store.remove_locals([0])
-        assert store.n_local == 2 and store.n_ghost == 2
-        ghosts = store.positions.read_rows(store.n_local, store.n_ghost)
-        assert sorted(ghosts[:, 0].tolist()) == [100.0, 200.0]
+        before = store.all_positions()
+        with pytest.raises(RuntimeError, match="append_locals requires an empty ghost region"):
+            store.append_locals([[5.0, 5.0, 5.0]], [[0.0, 0.0, 0.0]])
+        with pytest.raises(RuntimeError, match="compact_locals requires an empty ghost region"):
+            store.compact_locals(np.array([False, True, True]))
+        assert store.n_local == 3 and store.n_ghost == 2
+        np.testing.assert_array_equal(store.all_positions(), before)
+        store.clear_ghosts()
         store.append_locals([[5.0, 5.0, 5.0]], [[0.0, 0.0, 0.0]])
+        store.append_ghosts(np.array([[300.0, 0, 0]]), peer=1)
         ghosts = store.positions.read_rows(store.n_local, store.n_ghost)
-        assert sorted(ghosts[:, 0].tolist()) == [100.0, 200.0]
+        assert store.n_local == 4 and ghosts[:, 0].tolist() == [300.0]
 
     def test_compact_locals(self):
         store = ParticleStore(row_major_layout(), 6)
@@ -124,25 +129,13 @@ class TestLayoutInvariance:
         rng = np.random.default_rng(23)
         pos = rng.normal(size=(40, 3))
         vel = rng.normal(size=(40, 3))
-        states = []
+        keep_first = rng.random(30) < 0.7
+        keep_second = rng.random(int(keep_first.sum()) + 10) < 0.7
+        want = np.hstack([pos, vel])[np.append(keep_first, np.ones(10, dtype=bool))][keep_second]
         for lay in LAYOUTS:
             store = ParticleStore(lay, 8)
             store.append_locals(pos[:30], vel[:30])
-            store.remove_locals([5, 17])
+            store.compact_locals(keep_first)
             store.append_locals(pos[30:], vel[30:])
-            states.append(sorted_rows(store.local_state()))
-        np.testing.assert_array_equal(states[0], states[1])
-        np.testing.assert_array_equal(states[0], states[2])
-
-
-def test_accessor_roundtrip():
-    store = ParticleStore(row_major_layout(), 4)
-    store.append_locals(np.zeros((2, 3)), np.zeros((2, 3)))
-    acc = ParticleAccessor(store)
-    acc.set_position(1, Vec3(1.0, 2.0, 3.0))
-    assert acc.get_position(1) == Vec3(1.0, 2.0, 3.0)
-    acc.set_velocity(0, Vec3(-1.0, 0.5, 0.0))
-    assert acc.get_velocity(0) == Vec3(-1.0, 0.5, 0.0)
-    acc.add_force(1, Vec3(1.0, 1.0, 1.0))
-    acc.add_force(1, Vec3(0.5, 0.0, -1.0))
-    assert acc.get_force(1) == Vec3(1.5, 1.0, 0.0)
+            store.compact_locals(keep_second)
+            np.testing.assert_array_equal(local_state(store), want)

@@ -214,7 +214,7 @@ class TestComputeForces:
             store, box, r = periodic_store(cfg)
             grid = build_cell_grid(store, box, r)
             lists = build_neighbor_lists(store, grid, r, half=half)
-            compute_forces(store, lists, law, half=half)
+            compute_forces(store, lists, law)
             results[half] = store.local_forces()
         assert np.max(np.abs(results[True] - results[False])) < 1e-10
 
@@ -256,8 +256,7 @@ class TestComputeForces:
             store, build_neighbor_lists(store, grid, 2.8, half=True), law, accumulate_energy=True
         )
         e_full = compute_forces(
-            store, build_neighbor_lists(store, grid, 2.8, half=False), law,
-            half=False, accumulate_energy=True,
+            store, build_neighbor_lists(store, grid, 2.8, half=False), law, accumulate_energy=True
         )
         assert e_half == pytest.approx(0.0, abs=1e-12)  # r = 1: the 12-6 terms cancel
         assert e_full == pytest.approx(e_half, abs=1e-12)
@@ -445,7 +444,7 @@ class TestKernelOracle:
         assert lists.counts.min() < lists.counts.max() == mat.shape[1]
         assert np.any(mat >= store.n_local)
         want, want_energy = pair_loop_forces(store, lists, law, half)
-        got_energy = compute_forces(store, lists, law, half=half, accumulate_energy=True)
+        got_energy = compute_forces(store, lists, law, accumulate_energy=True)
         got = store.local_forces()
         scale = np.abs(want).max()
         assert scale > 0.0
