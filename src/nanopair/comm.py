@@ -2,7 +2,7 @@
 
 The phases, run per communication epoch:
 
-* load balance    (stencil worlds with more than one rank) every rank sends
+* load balance    (worlds with more than one rank) every rank sends
                   every other rank a histogram of its particles along each
                   axis; all ranks move the slab cuts to the same
                   count-balanced positions and rebuild their pattern
@@ -22,12 +22,16 @@ Between epochs, every step, the ranks of a multi-rank world also all-gather
 their largest displacement since the last rebuild (`gather_displacements`),
 so that all of them can start an epoch early at the same step.
 
+There is one domain decomposition: each rank owns a slab of a near-cubic
+rank grid and talks to its six face neighbours, one round per axis.
+
 Wire records are little-endian: u8 kind (0 exchange, 1 border, 2 sync,
-3 migrate, 4 load, 5 displacement), u32 row count, then count x width f8
-payload. A row is one particle: 6 reals (position, velocity) for exchange
-and migrate, 3 (position) for border and sync. A load record has 3 rows, one
-per axis, of LOAD_BINS particle counts; a displacement record has one row of
-one real.
+4 load, 5 displacement), u32 row count, then count x width f8 payload. Kind
+3 is retired and never reused, and the other numbers are kept on purpose, so
+that a kind byte means the same record in every version. A row is one
+particle: 6 reals (position, velocity) for exchange, 3 (position) for border
+and sync. A load record has 3 rows, one per axis, of LOAD_BINS particle
+counts; a displacement record has one row of one real.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AABB, aabb_distance, pbc_correct
+from .core import AABB, pbc_correct
 from .errors import ProtocolError
 from .particles import ParticleStore
 
@@ -47,7 +51,6 @@ __all__ = [
     "WIRE_EXCHANGE",
     "WIRE_BORDER",
     "WIRE_SYNC",
-    "WIRE_MIGRATE",
     "WIRE_LOAD",
     "WIRE_DISPLACEMENT",
     "LOAD_BINS",
@@ -59,7 +62,6 @@ __all__ = [
     "CommPattern",
     "PatternEntry",
     "six_stencil_pattern",
-    "block_neighborhood_pattern",
     "factor_rank_grid",
     "rank_grid_coords",
     "rank_grid_index",
@@ -76,7 +78,6 @@ __all__ = [
 WIRE_EXCHANGE = 0
 WIRE_BORDER = 1
 WIRE_SYNC = 2
-WIRE_MIGRATE = 3
 WIRE_LOAD = 4
 WIRE_DISPLACEMENT = 5
 
@@ -89,7 +90,6 @@ _WIDTH = {
     WIRE_EXCHANGE: 6,
     WIRE_BORDER: 3,
     WIRE_SYNC: 3,
-    WIRE_MIGRATE: 6,
     WIRE_LOAD: LOAD_BINS,
     WIRE_DISPLACEMENT: 1,
 }
@@ -147,13 +147,15 @@ class MailboxTransport:
 
 @dataclass
 class RankDomain:
-    """Per-rank ownership region, ghost-layer width, and neighbor table."""
+    """Per-rank ownership region and ghost-layer width.
+
+    `ownership` holds one box, the rank's slab between the current cuts;
+    `balance_slabs` replaces it every epoch.
+    """
 
     rank: int
     ownership: list[AABB]
     spacing: float
-    grid_box: AABB | None = None  # static cell-grid box; None means crop to particles
-    neighbors: list[tuple[int, list[AABB]]] = field(default_factory=list)
 
     def owns(self, points: np.ndarray) -> np.ndarray:
         points = np.atleast_2d(points)
@@ -163,11 +165,10 @@ class RankDomain:
         return mask
 
     def grid_box_for(self, store: ParticleStore) -> AABB:
-        if self.grid_box is not None:
-            return self.grid_box
+        """Bounding box of the store's particles, or the slab when it is empty."""
         pos = store.all_positions()
         if pos.shape[0] == 0:
-            return self.ownership[0] if self.ownership else AABB.cube(0.0, self.spacing)
+            return self.ownership[0]
         return AABB.from_arrays(pos.min(axis=0), pos.max(axis=0) + 1e-9)
 
 
@@ -186,20 +187,18 @@ class PatternEntry:
 
 @dataclass
 class CommPattern:
-    """Barrier-separated rounds of peer entries.
+    """The face stencil: barrier-separated rounds of peer entries, one per axis.
 
-    The face-stencil pattern needs one round per dimension so corner ghosts
-    can hop across successive faces; the block pattern routes in one round.
-    `kind` selects the exchange routing discipline: "stencil" conditions are
-    already disjoint per round, "block" conditions are membership tests that
-    get filtered by ownership and cross-checked for unique claims.
+    One round per axis lets a particle or a ghost cross an edge or a corner
+    by hopping over successive faces. Within a round the two entries' exchange
+    conditions are disjoint, so each particle leaves through at most one face.
+    `rank_grid` and `cuts` (per-axis slab boundaries) are what the pattern was
+    built on; `balance_slabs` moves the cuts and builds the next pattern.
     """
 
     rounds: list[list[PatternEntry]]
-    kind: str = "stencil"
-    # stencil patterns: the rank grid and the per-axis slab cuts they were built on
-    rank_grid: tuple[int, int, int] | None = None
-    cuts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    rank_grid: tuple[int, int, int]
+    cuts: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -333,64 +332,6 @@ def six_stencil_pattern(
     return CommPattern(rounds, rank_grid=tuple(rank_grid), cuts=cuts)
 
 
-def _image_offsets(ext: np.ndarray) -> np.ndarray:
-    steps = np.array([-1.0, 0.0, 1.0])
-    grid = np.stack(np.meshgrid(steps, steps, steps, indexing="ij"), axis=-1).reshape(-1, 3)
-    return grid * ext
-
-
-def block_neighborhood_pattern(
-    domain: RankDomain,
-    global_box: AABB,
-    spacing: float,
-) -> CommPattern:
-    """One entry per neighbor rank, driven by its list of block boxes.
-
-    Border distance to a block uses the max-norm, which reproduces the face
-    stencil's slab semantics exactly when the blocks are the stencil slabs.
-    Periodic images are enumerated explicitly, so a rank can neighbor itself
-    across the boundary (the P = 1 world ghosts its own images).
-    """
-    offsets = _image_offsets(global_box.extent())
-    self_rank = domain.rank
-    rounds_entries = []
-    for peer, blocks in domain.neighbors:
-
-        def make_conds(peer=peer, blocks=tuple(blocks)):
-            def border_cond(pos):
-                idx_parts, pos_parts = [], []
-                for off in offsets:
-                    if peer == self_rank and not np.any(off):
-                        continue
-                    shifted = pos + off
-                    near = np.zeros(pos.shape[0], dtype=bool)
-                    for box in blocks:
-                        near |= aabb_distance(shifted, box, ord="linf") <= spacing
-                    if np.any(near):
-                        idx = np.nonzero(near)[0]
-                        idx_parts.append(idx)
-                        pos_parts.append(shifted[idx])
-                if not idx_parts:
-                    return np.empty(0, dtype=np.int64), np.empty((0, 3))
-                return np.concatenate(idx_parts), np.vstack(pos_parts)
-
-            def exchange_cond(pos):
-                corrected = pbc_correct(pos, global_box)
-                inside = np.zeros(pos.shape[0], dtype=bool)
-                for box in blocks:
-                    inside |= box.contains(corrected)
-                idx = np.nonzero(inside)[0]
-                return idx, corrected[idx]
-
-            return border_cond, exchange_cond
-
-        border_cond, exchange_cond = make_conds()
-        rounds_entries.append(
-            PatternEntry(peer, peer, border_cond=border_cond, exchange_cond=exchange_cond)
-        )
-    return CommPattern([rounds_entries] if rounds_entries else [[]], kind="block")
-
-
 # ---------------------------------------------------------------------------
 # the phases (rank-program generators; `yield` is a collective barrier)
 # ---------------------------------------------------------------------------
@@ -431,18 +372,18 @@ def _balanced_cuts(old: np.ndarray, hist: np.ndarray, spacing: float) -> np.ndar
 
 
 def balance_slabs(world: RankWorld, store: ParticleStore):
-    """Move the stencil slab cuts so each slab holds about the same particle count.
+    """Move the slab cuts so each slab holds about the same particle count.
 
-    Runs at an epoch boundary, before exchange. Worlds of one rank and block
-    patterns return without a barrier. Each rank sends every other rank a
-    load record: per axis, a LOAD_BINS histogram of its local positions,
-    wrapped into the domain. Every rank sums the histograms in rank order,
-    so all ranks derive the same cuts, then rebuilds its ownership slab and
-    its pattern from them; the exchange that follows moves the particles.
+    Runs at an epoch boundary, before exchange. A world of one rank returns
+    without a barrier. Each rank sends every other rank a load record: per
+    axis, a LOAD_BINS histogram of its local positions, wrapped into the
+    domain. Every rank sums the histograms in rank order, so all ranks derive
+    the same cuts, then rebuilds its ownership slab and its pattern from
+    them; the exchange that follows moves the particles.
     """
-    pattern = world.pattern
-    if world.size == 1 or pattern.kind != "stencil" or pattern.cuts is None:
+    if world.size == 1:
         return
+    pattern = world.pattern
     me = world.rank
     box = world.global_box
     pos = pbc_correct(store.local_positions(), box)
@@ -503,30 +444,21 @@ def gather_displacements(world: RankWorld, displacement: float):
 def exchange(world: RankWorld, store: ParticleStore):
     """Move particles that left this rank's region to their new owners.
 
-    Runs on every rank at an epoch boundary. Positions are wrapped across the
-    periodic boundary in transit; velocities travel with them. After the final
-    round every local must satisfy the ownership predicate.
+    Runs on every rank at an epoch boundary, one stencil round per axis: a
+    local strictly outside the slab through a face goes to that face's
+    neighbour, so a particle past an edge or a corner reaches the diagonal
+    owner over two or three rounds. Positions are wrapped across the periodic
+    boundary in transit (in place when the neighbour is this rank itself);
+    velocities travel with them. After the final round every local must lie
+    in the slab, or ProtocolError: a particle more than one slab away is lost.
     """
     store.clear_ghosts()
     me = world.rank
-    block = world.pattern.kind == "block"
     for entries in world.pattern.rounds:
         pos = store.local_positions()
-        owned = world.domain.owns(pos) if block else None
-        claimed = np.zeros(store.n_local, dtype=bool)
         departing = np.zeros(store.n_local, dtype=bool)
         for entry in entries:
             idx, emitted = entry.exchange_cond(pos)
-            if block:
-                # only particles outside my region are candidates
-                away = ~owned[idx]
-                idx, emitted = idx[away], emitted[away]
-                if np.any(claimed[idx]):
-                    dup = idx[claimed[idx]][0]
-                    raise ProtocolError(
-                        f"rank {me}: particle at {pos[dup]} claimed by several owners"
-                    )
-                claimed[idx] = True
             if entry.send_to == me:
                 # periodic self-image: wrap in place, nothing travels
                 store.positions.write_rows_at(idx, emitted)
@@ -536,14 +468,6 @@ def exchange(world: RankWorld, store: ParticleStore):
                 me, entry.send_to, pack_particles(WIRE_EXCHANGE, np.hstack([emitted, vel]))
             )
             departing[idx] = True
-        if block:
-            stranded = ~owned & ~claimed
-            if np.any(stranded):
-                i = int(np.nonzero(stranded)[0][0])
-                raise ProtocolError(
-                    f"rank {me}: particle at {pos[i]} owned by no listed neighbor "
-                    "(stale neighborhood)"
-                )
         store.compact_locals(~departing)
         yield
         for entry in entries:
@@ -600,9 +524,9 @@ def define_borders(world: RankWorld, store: ParticleStore):
     Later rounds scan ghosts created by earlier rounds, which is how edge and
     corner images propagate across dimensions under the face stencil.
     """
-    if store.n_ghost:
-        raise ProtocolError("define_borders must start with an empty ghost region")
     me = world.rank
+    if store.n_ghost:
+        raise ProtocolError(f"rank {me}: define_borders must start with an empty ghost region")
     plan_rounds: list[_PlanRound] = []
     for entries in world.pattern.rounds:
         rnd = _PlanRound()

@@ -16,7 +16,6 @@ __all__ = [
     "SimConfig",
     "ConfigError",
     "pbc_correct",
-    "aabb_distance",
 ]
 
 
@@ -58,27 +57,10 @@ class AABB:
     def extent(self) -> np.ndarray:
         return self.hi - self.lo
 
-    def volume(self) -> float:
-        return float(np.prod(self.extent()))
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Half-open membership test for an (n, 3) array of points."""
         p = np.atleast_2d(points)
         return np.all((p >= self.lo) & (p < self.hi), axis=1)
-
-
-def aabb_distance(points: np.ndarray, box: AABB, ord: str = "linf") -> np.ndarray:
-    """Distance from each point to the box (0 inside).
-
-    `ord` is "linf" (max over per-axis gaps) or "l2" (Euclidean).
-    """
-    p = np.atleast_2d(points)
-    gap = np.maximum(np.maximum(box.lo - p, p - box.hi), 0.0)
-    if ord == "linf":
-        return gap.max(axis=1)
-    if ord == "l2":
-        return np.sqrt((gap * gap).sum(axis=1))
-    raise ValueError(f"unknown distance order {ord!r}")
 
 
 def pbc_correct(p, global_box: AABB):
@@ -103,6 +85,7 @@ def pbc_correct(p, global_box: AABB):
 _LAYOUT_KINDS = ("aos", "soa", "aosoa")
 _POTENTIALS = ("lj", "sd")
 _FILLS = ("full", "half-diagonal")
+_INT_FIELDS = ("particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster", "rng_seed")
 _REAL_FIELDS = (
     "lattice_density", "dt", "cutoff", "verlet_buffer", "epsilon", "sigma",
     "stiffness", "damping", "diameter", "mass", "velocity_scale",
@@ -143,6 +126,11 @@ class SimConfig:
         uc = self.unit_cells
         if len(uc) != 3 or any((not isinstance(n, int)) or n <= 0 for n in uc):
             raise ConfigError(f"unit_cells must be three positive integers, got {uc!r}")
+        # 4.0 would pass the checks below, and a float cluster size breaks the power-of-two test
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.particles_per_cell not in (1, 2, 4):
             raise ConfigError(
                 f"particles_per_cell must be 1, 2, or 4 (lattice basis), got {self.particles_per_cell}"

@@ -110,7 +110,6 @@ class NeighborLists:
     """
 
     half: bool
-    radius: float
     indices: ArrayHandle  # row-major int32 matrix; size_x is max(n_local, 1)
     counts: np.ndarray  # (n_local,)
     ref_positions: np.ndarray  # local positions at build time
@@ -203,7 +202,6 @@ def build_neighbor_lists(
         lib.spread_rows(b - a, entries, counts[a:b], mat[a:b], width)
     return NeighborLists(
         half=half,
-        radius=r,
         indices=handle,
         counts=counts,
         ref_positions=store.local_positions(),

@@ -1,20 +1,27 @@
+import functools
+import inspect
+
 import numpy as np
 import pytest
 
 from nanopair.backend import SerialBackend
 from nanopair.comm import (
     LOAD_BINS,
+    WIRE_BORDER,
+    WIRE_EXCHANGE,
     WIRE_SYNC,
     MailboxTransport,
     RankDomain,
     RankWorld,
     _balanced_cuts,
+    balance_slabs,
     define_borders,
     exchange,
     factor_rank_grid,
     gather_displacements,
     pack_particles,
     rank_grid_coords,
+    rank_grid_index,
     six_stencil_pattern,
     slab_bounds,
     synchronize,
@@ -40,12 +47,15 @@ SD = SimConfig(
     steps=40,
 ).validate()
 
+# miniMD's LJ setup on a small lattice (864 atoms)
+LJ = SimConfig(unit_cells=(6, 6, 6), steps=40).validate()
 
-def make_worlds(cfg, ranks, pos, vel):
+
+def make_worlds(cfg, ranks, pos, vel, transport_cls=MailboxTransport):
     box = cfg.domain()
     grid = factor_rank_grid(ranks)
     spacing = cfg.interaction_radius()
-    transport = MailboxTransport(ranks)
+    transport = transport_cls(ranks)
     worlds, stores = [], []
     for r in range(ranks):
         slab = slab_bounds(box, grid, rank_grid_coords(r, grid))
@@ -111,6 +121,46 @@ def gather(stores):
         np.vstack([s.local_positions() for s in stores]),
         np.vstack([s.local_velocities() for s in stores]),
     )
+
+
+def run_phase(gens):
+    """Advance every rank's phase generator to its end, in lockstep; returns their results."""
+    results = advance(gens)
+    while not all(inspect.getgeneratorstate(g) == inspect.GEN_CLOSED for g in gens):
+        results = advance(gens)
+    return results
+
+
+def border_plans(worlds, stores):
+    """Every rank's border plan, with the transport drained."""
+    return run_phase([define_borders(w, s) for w, s in zip(worlds, stores)])
+
+
+INVARIANCE_CONFIGS = {
+    "sd-halfdiag": SD,
+    "lj-half": LJ.with_overrides(half_neighbor=True),
+    "lj-full": LJ,
+}
+
+
+@functools.cache
+def one_rank_reference(name):
+    """Final (positions, velocities) and list rebuild count of the P = 1 run."""
+    cfg = INVARIANCE_CONFIGS[name]
+    _, stores, _, reports = run_lockstep(cfg, 1, *initial_state(cfg))
+    return gather(stores), reports[0].rebuilds
+
+
+class TestRankCountInvariance:
+    @pytest.mark.parametrize("ranks", [3, 4, 8])
+    @pytest.mark.parametrize("name", list(INVARIANCE_CONFIGS))
+    def test_matches_one_rank(self, name, ranks):
+        cfg = INVARIANCE_CONFIGS[name]
+        ref, ref_rebuilds = one_rank_reference(name)
+        _, stores, transport, reports = run_lockstep(cfg, ranks, *initial_state(cfg))
+        assert transport.pending() == 0
+        assert [rep.rebuilds for rep in reports] == [ref_rebuilds] * ranks
+        assert matched_deviation(cfg.domain().extent(), ref, gather(stores)) <= 1e-12
 
 
 class TestCountBalancedSlabs:
@@ -238,14 +288,129 @@ class TestWireFaults:
         assert transport.pending() == 0
 
 
+class RecordingTransport(MailboxTransport):
+    """A mailbox that also keeps (src, dst, rows) of every exchange record sent."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.exchanged = []
+
+    def send(self, src, dst, blob):
+        kind, data = unpack_particles(blob)
+        if kind == WIRE_EXCHANGE:
+            self.exchanged.extend((src, dst, row) for row in data)
+        super().send(src, dst, blob)
+
+
+class TestExchangeRouting:
+    """A local just below rank 0's lower x and y faces lies, across the
+    periodic boundary, in the slab diagonally opposite in x and y."""
+
+    def run_corner_exchange(self, ranks):
+        pos, vel = initial_state(LJ)
+        worlds, stores, transport = make_worlds(LJ, ranks, pos, vel, RecordingTransport)
+        ext = LJ.domain().extent()
+        p = np.array([-1e-3, -1e-3, 0.25 * ext[2]])
+        stores[0].positions.write_rows(0, p[None, :])
+        v = stores[0].velocities.read_rows(0, 1)[0]
+        assert not np.any(worlds[0].domain.owns(p))
+        run_phase([exchange(w, s) for w, s in zip(worlds, stores)])
+        assert sum(s.n_local for s in stores) == pos.shape[0]
+        assert transport.pending() == 0
+        return worlds, stores, transport, p, v, ext
+
+    @staticmethod
+    def holders(stores, v):
+        """(rank, position) of every local that carries velocity v."""
+        return [
+            (r, s.local_positions()[i])
+            for r, s in enumerate(stores)
+            for i in np.nonzero(np.all(s.local_velocities() == v, axis=1))[0]
+        ]
+
+    def test_corner_crossing_reaches_diagonal_owner(self):
+        worlds, stores, transport, p, v, ext = self.run_corner_exchange(8)
+        grid = (2, 2, 2)
+        x_peer = rank_grid_index((1, 0, 0), grid)
+        diagonal = rank_grid_index((1, 1, 0), grid)
+        # the x round sends it to the x neighbour, the y round on to the diagonal owner
+        hops = [(src, dst, row) for src, dst, row in transport.exchanged if np.array_equal(row[3:], v)]
+        assert [(src, dst) for src, dst, _ in hops] == [(0, x_peer), (x_peer, diagonal)]
+        np.testing.assert_array_equal(hops[0][2][:3], p + [ext[0], 0.0, 0.0])
+        [(rank, x)] = self.holders(stores, v)
+        assert rank == diagonal
+        np.testing.assert_array_equal(x, p + [ext[0], ext[1], 0.0])
+        assert worlds[diagonal].domain.owns(x).all()
+
+    def test_single_rank_wraps_in_place(self):
+        _, stores, transport, p, v, ext = self.run_corner_exchange(1)
+        assert transport.exchanged == []
+        [(rank, x)] = self.holders(stores, v)
+        assert rank == 0
+        np.testing.assert_array_equal(x, p + [ext[0], ext[1], 0.0])
+        np.testing.assert_array_equal(stores[0].local_positions()[0], x)
+
+
 class TestProtocolFaults:
+    @pytest.mark.parametrize(
+        "start, wrong, message",
+        [
+            (lambda w, s: balance_slabs(w[0], s[0]), WIRE_SYNC, "rank 0 expected load record from 1, got kind 2"),
+            (lambda w, s: exchange(w[0], s[0]), WIRE_BORDER, "rank 0 expected exchange record, got kind 1"),
+            (lambda w, s: define_borders(w[0], s[0]), WIRE_EXCHANGE, "rank 0 expected border record, got kind 0"),
+            (
+                lambda w, s: synchronize(w[0], s[0], border_plans(w, s)[0]),
+                WIRE_BORDER,
+                "rank 0 expected sync record, got kind 1",
+            ),
+        ],
+        ids=["balance_slabs", "exchange", "define_borders", "synchronize"],
+    )
+    def test_record_of_wrong_kind_rejected(self, start, wrong, message):
+        worlds, stores, transport = make_worlds(SD, 2, *initial_state(SD))
+        gen = start(worlds, stores)
+        # rank 0 runs the phase alone, and rank 1's first record to it is of the wrong kind
+        transport.send(1, 0, pack_particles(wrong, np.empty((0, 3))))
+        assert next(gen) is None
+        with pytest.raises(ProtocolError, match=f"^{message}$"):
+            next(gen)
+
+    def test_sync_record_of_wrong_length_rejected(self):
+        worlds, stores, transport = make_worlds(SD, 2, *initial_state(SD))
+        plan = border_plans(worlds, stores)[0]
+        first = plan.rounds[0].recvs[0]
+        assert first.peer == 1
+        transport.send(1, 0, pack_particles(WIRE_SYNC, np.zeros((first.count + 1, 3))))
+        gen = synchronize(worlds[0], stores[0], plan)
+        assert next(gen) is None
+        with pytest.raises(
+            ProtocolError,
+            match=rf"^rank 0: sync from 1 carries {first.count + 1} particles, plan expects {first.count}$",
+        ):
+            next(gen)
+
+    def test_define_borders_rejects_existing_ghosts(self):
+        worlds, stores, transport = make_worlds(SD, 2, *initial_state(SD))
+        border_plans(worlds, stores)
+        assert stores[1].n_ghost > 0
+        with pytest.raises(ProtocolError, match="^rank 1: define_borders must start with an empty ghost region$"):
+            next(define_borders(worlds[1], stores[1]))
+
+    def test_recv_without_message_rejected(self):
+        transport = MailboxTransport(2)
+        message = "^rank 1 expected a message from 0 but none arrived$"
+        with pytest.raises(ProtocolError, match=message):
+            transport.recv(1, 0)
+        # a mailbox emptied by an earlier receive is still empty
+        transport.send(0, 1, pack_particles(WIRE_SYNC, np.zeros((1, 3))))
+        transport.recv(1, 0)
+        with pytest.raises(ProtocolError, match=message):
+            transport.recv(1, 0)
+
     def test_synchronize_rejects_stale_plan(self):
         pos, vel = initial_state(SD)
         worlds, stores, transport = make_worlds(SD, 2, pos, vel)
-        gens = [define_borders(w, s) for w, s in zip(worlds, stores)]
-        plans = advance(gens)
-        while any(p is None for p in plans):
-            plans = advance(gens)
+        plans = border_plans(worlds, stores)
         assert transport.pending() == 0
         # a ghost that the plan does not know of
         n_local, n_ghost = stores[1].n_local, stores[1].n_ghost
