@@ -1,10 +1,12 @@
 """Execution backends for the chunked kernels.
 
-The serial backend runs chunks in submission order on the calling thread. The
-threaded backend farms chunks out to a pool; chunk boundaries and the order in
-which results are combined stay fixed, so both backends produce identical
-numbers (the pool only helps because the compiled force loop releases the
-GIL while it runs).
+The serial backend runs chunks in submission order on the calling thread,
+and by default makes all rows one chunk: splitting pays only when a pool
+overlaps the chunks, and each chunk costs a call into the compiled loop. The
+threaded backend farms chunks of `chunk_size` rows out to a pool; chunk
+boundaries and the order in which results are combined stay fixed, so both
+backends produce identical numbers whatever the chunk size (the pool only
+helps because the compiled force loop releases the GIL while it runs).
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ _ENV_THREADS = "NANOPAIR_THREADS"
 
 
 class Backend:
-    chunk_size: int = 4096
+    # rows per task of a chunked kernel; None runs all rows as one task
+    chunk_size: int | None = None
 
     def run(self, tasks, fn):
         raise NotImplementedError
@@ -30,6 +33,8 @@ class SerialBackend(Backend):
 
 
 class ThreadBackend(Backend):
+    chunk_size = 4096
+
     def __init__(self, workers: int):
         self.workers = max(1, int(workers))
 

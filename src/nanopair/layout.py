@@ -148,6 +148,15 @@ class ArrayHandle:
             out[a:b].reshape(block.shape)[...] = block
         return out
 
+    def read_transposed(self, start: int, count: int) -> np.ndarray:
+        """Copy rows [start, start+count) out as a C-contiguous (size_y, count)
+        array: the transpose of `read_rows`, taken in one copy."""
+        out = np.empty((self.size_y, count), dtype=self.dtype)
+        for a, b, block in self._row_blocks(start, count):
+            # splitting the contiguous last axis of a column slice is a view
+            out[:, a:b].reshape((self.size_y, *block.shape[:-1]))[...] = np.moveaxis(block, -1, 0)
+        return out
+
     def write_rows(self, start: int, rows: np.ndarray) -> None:
         rows = np.asarray(rows)
         for a, b, block in self._row_blocks(start, rows.shape[0]):

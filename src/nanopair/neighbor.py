@@ -175,7 +175,7 @@ def build_neighbor_lists(
                 "outside the box the grid was built for"
             )
         lib = kernel.library()
-        xyz = np.ascontiguousarray(store.all_positions().T)
+        xyz = store.positions.read_transposed(0, store.n_total)
         cell_of = np.ascontiguousarray(grid.cell_id(coords))
         # the cell id is linear in the coordinates, so a stencil step is a flat offset
         soff = grid.cell_id(_STENCIL)

@@ -1,13 +1,18 @@
 /* The two compiled loops of nanopair: the Verlet-list build behind
- * nanopair.neighbor.build_neighbor_lists, and the pair-force row loop behind
+ * nanopair.neighbor.build_neighbor_lists, and the pair-force row loops behind
  * nanopair.potential.compute_forces with the serial sum of the half-list
- * reactions it collects. nanopair.kernel compiles this file once per process.
+ * reactions they collect. nanopair.kernel compiles this file once per process.
  *
- * The force loop is written once; `pair_forces` calls it with the law as a
- * compile-time constant, so the compiler emits one specialised loop per law.
- * The arithmetic follows the operation order of the laws' `force_scalar` and
- * `pair_energy` in potential.py, and the build forbids fused multiply-adds
- * (-ffp-contract=off), so the sums do not depend on the machine.
+ * `pair_forces` picks one row loop per law. The Lennard-Jones loop is staged:
+ * per block of a row's entries it gathers the in-cutoff partners, evaluates
+ * the law on them in loops the compiler vectorises (two doubles per SSE2
+ * register), and sums in row order. The spring-dashpot loop stays scalar: its
+ * rows hold a few entries and few of those are in contact. Both follow the
+ * operation order of the laws' `force_scalar` and `pair_energy` in
+ * potential.py. A vector lane performs the scalar operations in the scalar
+ * order, no sum is reordered, and the build forbids fused multiply-adds and
+ * fast-math (-ffp-contract=off, see nanopair.kernel._CC), so the results do
+ * not depend on the machine, the optimisation level or the staging.
  *
  * Arrays are C-contiguous: x and v are coordinate-major (3, n_total), mat is
  * the (n_local, width) list of which row i holds counts[i] real partners,
@@ -19,15 +24,136 @@
 
 enum { LAW_LJ = 0, LAW_SD = 1 };
 
-/* Rows [start, stop): own[i - start] = sum of s * delta over the row's
- * in-cutoff partners. With half, every in-cutoff local partner j also goes to
- * (back_j, back_f) in row order, for the caller to subtract. With energy,
+/* Entries of a list row that the Lennard-Jones loop stages at a time. */
+enum { BLOCK = 256 };
+
+/* The flat list offset of the first entry of blk[0, m) (row i, entries from
+ * b on) whose partner index is out of range or coincides with i: the scalar
+ * rescan of a block in which a fault was seen, in row order. */
+static int64_t first_fault(const double *x, int64_t n_total, const int32_t *blk, int64_t m,
+                           int64_t i, int64_t width, int64_t b)
+{
+    const double *y = x + n_total, *z = y + n_total;
+    for (int64_t k = 0; k < m; ++k) {
+        const int32_t j = blk[k];
+        if (j < 0 || j >= n_total)
+            return i * width + b + k;
+        const double dx = x[i] - x[j], dy = y[i] - y[j], dz = z[i] - z[j];
+        if (dx * dx + dy * dy + dz * dz == 0.0)
+            return i * width + b + k;
+    }
+    return -1; /* not reached: the caller saw a fault in the block */
+}
+
+/* Rows [start, stop) under the Lennard-Jones law (prm: epsilon, sigma^6):
+ * own[i - start] = sum of s * delta over the row's in-cutoff partners, in row
+ * order. With half, every in-cutoff local partner j also goes to (back_j,
+ * back_f) in row order, for the caller to subtract. With energy,
  * energy[i - start] = the row's sum of pair energies, at weight 1 for a local
  * partner of a half list and 0.5 otherwise. Returns -1, or the flat list
  * offset i * width + k of the first entry whose partner index is out of range
- * or coincides with i. */
-static inline __attribute__((always_inline)) int64_t rows(
-    const int law, const double *prm, double cutoff_rsq, int use_vel,
+ * or coincides with i.
+ *
+ * A row is taken in blocks of at most BLOCK entries, each in three passes:
+ * (1) check the block's partner indices by their min and max, then gather
+ * delta and rsq of its in-cutoff entries to the front of the stage arrays
+ * (every entry is written, only a kept one advances the end, so the loop does
+ * not branch on the cutoff); (2) evaluate s, and the pair energy, for the kept
+ * entries in loops without a carried dependence, which the compiler
+ * vectorises; (3) sum s * delta in row order. Each lane does the scalar
+ * operations in the scalar order and no sum is reordered, so the results are
+ * those of one scalar loop over the row, bit for bit. An entry at or beyond
+ * the cutoff would add s * delta = +-0 to a sum that starts at +0.0; leaving it
+ * out changes no bit. A NaN rsq is kept, so a non-finite position still
+ * reaches the caller as a non-finite force. */
+static int64_t lj_rows(
+    const double *prm, double cutoff_rsq,
+    const double *x, int64_t n_total,
+    const int32_t *mat, int64_t width, const int32_t *counts,
+    int64_t start, int64_t stop, int64_t n_local, int half,
+    double *own, int64_t *back_j, double *back_f, int64_t cap,
+    int64_t *n_back, double *energy)
+{
+    const double *y = x + n_total, *z = y + n_total;
+    const double eps = prm[0], sigma6 = prm[1];
+    double dx[BLOCK], dy[BLOCK], dz[BLOCK], rsq[BLOCK], s[BLOCK], pe[BLOCK];
+    int32_t jj[BLOCK];
+    int64_t nb = 0;
+    for (int64_t i = start; i < stop; ++i) {
+        const int32_t *row = mat + i * width;
+        const double xi = x[i], yi = y[i], zi = z[i];
+        double fx = 0.0, fy = 0.0, fz = 0.0, e_sum = 0.0;
+        const int64_t n = counts[i];
+        for (int64_t b = 0; b < n; b += BLOCK) {
+            const int32_t *blk = row + b;
+            const int m = n - b < BLOCK ? (int)(n - b) : BLOCK;
+            int32_t lo = blk[0], hi = blk[0];
+            for (int k = 1; k < m; ++k) {
+                lo = blk[k] < lo ? blk[k] : lo;
+                hi = blk[k] > hi ? blk[k] : hi;
+            }
+            if (lo < 0 || hi >= n_total)
+                return first_fault(x, n_total, blk, m, i, width, b);
+            int e = 0, coincident = 0;
+            for (int k = 0; k < m; ++k) {
+                const int32_t j = blk[k];
+                const double ddx = xi - x[j], ddy = yi - y[j], ddz = zi - z[j];
+                const double r2 = ddx * ddx + ddy * ddy + ddz * ddz;
+                dx[e] = ddx;
+                dy[e] = ddy;
+                dz[e] = ddz;
+                rsq[e] = r2;
+                jj[e] = j;
+                coincident |= r2 == 0.0;
+                e += !(r2 >= cutoff_rsq);
+            }
+            if (coincident)
+                return first_fault(x, n_total, blk, m, i, width, b);
+            for (int q = 0; q < e; ++q) {
+                const double sr2 = 1.0 / rsq[q];
+                const double sr6 = sr2 * sr2 * sr2 * sigma6;
+                s[q] = 48.0 * sr6 * (sr6 - 0.5) * sr2 * eps;
+            }
+            if (energy)
+                for (int q = 0; q < e; ++q) {
+                    const double sr6 = sigma6 / (rsq[q] * rsq[q] * rsq[q]);
+                    pe[q] = 4.0 * eps * (sr6 * sr6 - sr6);
+                }
+            for (int q = 0; q < e; ++q) {
+                const double gx = s[q] * dx[q], gy = s[q] * dy[q], gz = s[q] * dz[q];
+                fx += gx;
+                fy += gy;
+                fz += gz;
+                const int local = jj[q] < n_local;
+                if (half) {
+                    /* written for every kept entry, kept for a local partner */
+                    back_j[nb] = jj[q];
+                    back_f[nb] = gx;
+                    back_f[cap + nb] = gy;
+                    back_f[2 * cap + nb] = gz;
+                    nb += local;
+                }
+                if (energy)
+                    e_sum += (half && local) ? pe[q] : 0.5 * pe[q];
+            }
+        }
+        own[3 * (i - start)] = fx;
+        own[3 * (i - start) + 1] = fy;
+        own[3 * (i - start) + 2] = fz;
+        if (energy)
+            energy[i - start] = e_sum;
+    }
+    *n_back = nb;
+    return -1;
+}
+
+/* Rows [start, stop) under the spring-dashpot law (prm: stiffness, damping,
+ * diameter), with the outputs and the return value of `lj_rows`, in one
+ * scalar loop per row: rows hold a few entries, few of them in contact, and
+ * those are the only ones evaluated. The dashpot term reads v only with
+ * use_vel. */
+static int64_t sd_rows(
+    const double *prm, double cutoff_rsq, int use_vel,
     const double *x, const double *v, int64_t n_total,
     const int32_t *mat, int64_t width, const int32_t *counts,
     int64_t start, int64_t stop, int64_t n_local, int half,
@@ -50,55 +176,33 @@ static inline __attribute__((always_inline)) int64_t rows(
             const double rsq = dx * dx + dy * dy + dz * dz;
             if (rsq == 0.0)
                 return i * width + k;
-            const int within = rsq < cutoff_rsq;
-            double s;
-            if (law == LAW_LJ) {
-                /* prm: epsilon, sigma^6. About a third of the entries lie
-                 * beyond the cutoff, in no order a branch predictor learns, so
-                 * s is computed for all and zeroed beyond it. A row sum starts
-                 * at +0.0, so it is never -0.0, and adding +-0 leaves it
-                 * unchanged: this equals skipping the entry bit for bit. */
-                const double sr2 = 1.0 / rsq;
-                const double sr6 = sr2 * sr2 * sr2 * prm[1];
-                s = 48.0 * sr6 * (sr6 - 0.5) * sr2 * prm[0];
-                s *= (double)within;
-            } else {
-                /* prm: stiffness, damping, diameter; most entries are not in
-                 * contact, and those are skipped */
-                if (!within)
-                    continue;
-                const double dist = sqrt(rsq);
-                s = prm[0] * (prm[2] - dist) / dist;
-                if (use_vel) {
-                    const double vdot = dx * (vx[i] - vx[j]) + dy * (vy[i] - vy[j])
-                                        + dz * (vz[i] - vz[j]);
-                    s = s - prm[1] * vdot / rsq;
-                }
-                if (!(dist < prm[2]))
-                    s = 0.0;
+            if (!(rsq < cutoff_rsq))
+                continue;
+            const double dist = sqrt(rsq);
+            double s = prm[0] * (prm[2] - dist) / dist;
+            if (use_vel) {
+                const double vdot = dx * (vx[i] - vx[j]) + dy * (vy[i] - vy[j])
+                                    + dz * (vz[i] - vz[j]);
+                s = s - prm[1] * vdot / rsq;
             }
+            if (!(dist < prm[2]))
+                s = 0.0;
             const double gx = s * dx, gy = s * dy, gz = s * dz;
             fx += gx;
             fy += gy;
             fz += gz;
             const int local = j < n_local;
             if (half) {
-                /* written for every entry, kept for an in-cutoff local partner */
+                /* written for every contact, kept for a local partner */
                 back_j[nb] = j;
                 back_f[nb] = gx;
                 back_f[cap + nb] = gy;
                 back_f[2 * cap + nb] = gz;
-                nb += local & within;
+                nb += local;
             }
-            if (energy && within) {
-                double e;
-                if (law == LAW_LJ) {
-                    const double sr6 = prm[1] / (rsq * rsq * rsq);
-                    e = 4.0 * prm[0] * (sr6 * sr6 - sr6);
-                } else {
-                    const double overlap = fmax(prm[2] - sqrt(rsq), 0.0);
-                    e = 0.5 * prm[0] * overlap * overlap;
-                }
+            if (energy) {
+                const double overlap = fmax(prm[2] - sqrt(rsq), 0.0);
+                const double e = 0.5 * prm[0] * overlap * overlap;
                 e_sum += (half && local) ? e : 0.5 * e;
             }
         }
@@ -121,10 +225,10 @@ int64_t pair_forces(
     int64_t *n_back, double *energy)
 {
     if (law == LAW_LJ)
-        return rows(LAW_LJ, prm, cutoff_rsq, 0, x, v, n_total, mat, width, counts,
-                    start, stop, n_local, half, own, back_j, back_f, cap, n_back, energy);
-    return rows(LAW_SD, prm, cutoff_rsq, use_vel, x, v, n_total, mat, width, counts,
-                start, stop, n_local, half, own, back_j, back_f, cap, n_back, energy);
+        return lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
+                       start, stop, n_local, half, own, back_j, back_f, cap, n_back, energy);
+    return sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, mat, width, counts,
+                   start, stop, n_local, half, own, back_j, back_f, cap, n_back, energy);
 }
 
 /* acc[j] += the reaction of each of the n entries (back_j, back_f) in order,

@@ -6,12 +6,17 @@ the contact model with damping, of delta . (v_i - v_j)). They are therefore
 antisymmetric under exchanging the pair, which is what lets half neighbor
 lists update both partners from one entry.
 
-`compute_forces` runs the laws through one compiled C row loop
-(`pair_forces` in pair_kernel.c), which follows the operation order of
+`compute_forces` runs the laws through the compiled row loops of
+pair_kernel.c (`pair_forces`), which follow the operation order of
 `force_scalar` and `pair_energy`; those stay as the Python reference the
-kernel is tested against. `nanopair.kernel` compiles pair_kernel.c once per
-process with the system C compiler, for this loop and for the neighbor-list
-build alike, so a C compiler is a run-time requirement of this package.
+kernel is tested against, bit for bit. The Lennard-Jones loop gathers the
+in-cutoff partners of a block of row entries, evaluates the law on them two
+lanes at a time and sums in row order, so it computes the same bits as one
+scalar pass; the spring-dashpot loop, whose rows are short and mostly out of
+contact, stays scalar. `nanopair.kernel` compiles pair_kernel.c once per
+process with the system C compiler, for these loops and for the
+neighbor-list build alike, so a C compiler is a run-time requirement of this
+package.
 """
 
 from __future__ import annotations
@@ -144,22 +149,26 @@ def compute_forces(
 ):
     """Evaluate pair forces into store.forces for every local particle.
 
-    Each chunk of rows is one call of the compiled loop, which releases the
-    GIL. For local i it reads only the counts[i] real partners of row i, never
-    the -1 padding; an entry at or beyond the cutoff adds nothing, and the
-    force on i is the sum of s * delta over the rest, in row order. For half
-    lists each in-cutoff entry with a local partner j also yields (j, s *
-    delta); after all chunks, one serial loop sums these entries per partner
-    in row order (the sums np.bincount would form) and the sums are
-    subtracted, so the result does not depend on the chunk size or on which
-    backend ran the chunks, bit for bit.
+    The positions (and, for a law that needs them, the velocities) are
+    copied coordinate-major once per call. Each backend chunk of rows (one
+    chunk for the serial backend) is one call of the compiled loop, which
+    releases the GIL. For local i it reads only the counts[i] real partners of
+    row i, never the -1 padding; an entry at or beyond the cutoff adds
+    nothing, and the force on i is the sum of s * delta over the rest, in row
+    order. For half lists each in-cutoff entry with a local partner j also
+    yields (j, s * delta); after all chunks, one serial loop sums these
+    entries per partner in row order (the sums np.bincount would form) and
+    the sums are subtracted, so the result does not depend on the chunk size
+    or on which backend ran the chunks, bit for bit. Only the local rows of
+    store.forces are written: ghost rows stay as `append_ghosts` zeroed them.
 
     With accumulate_energy the total pair potential energy is returned;
     otherwise returns None. A half-list entry with a ghost partner carries
     half the pair energy, since the ghost's owner stores the same pair.
 
     Raises SingularityError on a coincident pair and on a non-finite force,
-    ProtocolError on lists that do not belong to the store as it is.
+    ProtocolError on lists that do not belong to the store as it is; a
+    faulty list entry is reported for the first one in row-major order.
     """
     half = lists.half
     if backend is None:
@@ -171,7 +180,6 @@ def compute_forces(
             f"built for {lists.n_local} locals and {lists.n_total} particles"
         )
     if n_local == 0:
-        store.forces.fill_rows(0, store.n_ghost, 0.0)
         return 0.0 if accumulate_energy else None
     mat = lists.as_matrix()
     counts = lists.counts
@@ -181,9 +189,9 @@ def compute_forces(
     lib = kernel.library()
     code, params = law.kernel_args
     params = np.array(params, dtype=np.float64)
-    xyz = np.ascontiguousarray(store.all_positions().T)
+    xyz = store.positions.read_transposed(0, n_total)
     # the loop reads velocities only for a law that needs them
-    vel = np.ascontiguousarray(store.all_velocities().T) if law.needs_velocities else xyz
+    vel = store.velocities.read_transposed(0, n_total) if law.needs_velocities else xyz
     forces = np.empty((n_local, 3))
     row_energy = np.empty(n_local) if accumulate_energy else None
 
@@ -208,7 +216,7 @@ def compute_forces(
             raise ProtocolError(f"list row {i} names particle {j} of {n_total}")
         return back_j, back_f, n_back.value
 
-    chunk = backend.chunk_size
+    chunk = backend.chunk_size or n_local
     results = backend.run([(s, min(s + chunk, n_local)) for s in range(0, n_local, chunk)], do_chunk)
     if half:
         reactions = np.zeros((n_local, 3))
@@ -221,6 +229,4 @@ def compute_forces(
         bad = int(np.argmin(np.isfinite(forces).all(axis=1)))
         raise SingularityError(f"non-finite force on local {bad}")
     store.forces.write_rows(0, forces)
-    if store.n_ghost:
-        store.forces.fill_rows(n_local, store.n_ghost, 0.0)
     return None if row_energy is None else float(row_energy.sum())

@@ -84,6 +84,18 @@ class TestBulkRows:
             np.testing.assert_array_equal(a.buf[index_2d(lay, n, 3, i, np.arange(3))], vals[i])
         np.testing.assert_array_equal(a.read_rows(5, 7), vals[5:12])
 
+    @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
+    @pytest.mark.parametrize("start,count", [(0, 29), (0, 23), (5, 17), (9, 2), (12, 0)])
+    def test_read_transposed_matches_rows(self, lay, start, count):
+        # 29 rows: partial last clusters, and ranges that start and end
+        # inside a cluster, span whole clusters or stay within one
+        rng = np.random.default_rng(6)
+        a = ArrayHandle(lay, 29, 3)
+        a.write_rows(0, rng.normal(size=(29, 3)))
+        got = a.read_transposed(start, count)
+        assert got.flags.c_contiguous and got.shape == (3, count)
+        np.testing.assert_array_equal(got, a.read_rows(start, count).T)
+
     def test_soa_and_aos_buffers_are_permutations(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=(8, 3))

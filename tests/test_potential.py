@@ -193,6 +193,30 @@ def jittered_store(seed, r):
     return with_periodic_ghosts(pos, vel, box, r), box
 
 
+# entries of a list row that the Lennard-Jones loop of pair_kernel.c stages at a time
+KERNEL_BLOCK = 256
+
+
+def clumped_store(clump_radius, r, twin=False):
+    """jittered_store's lattice in a box of edge 12, plus a clump of 300
+    particles in a ball of `clump_radius` (rows longer than KERNEL_BLOCK) and
+    one particle with no partner (a row of length zero). The clump's first
+    particle is local 125; with `twin`, the clump's last particle (local 424)
+    sits exactly on it."""
+    rng = np.random.default_rng(17)
+    sites = np.stack(np.meshgrid(*[np.arange(5)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    lattice = (sites + 0.5) * 1.1 + rng.uniform(-0.25, 0.25, size=sites.shape)
+    u = rng.normal(size=(300, 3))
+    u *= clump_radius * rng.uniform(0.0, 1.0, size=(300, 1)) ** (1 / 3) / np.linalg.norm(u, axis=1)[:, None]
+    clump = np.array([9.0, 9.0, 3.0]) + u
+    if twin:
+        clump[-1] = clump[0]
+    pos = np.vstack([lattice, clump, [[9.0, 3.0, 9.0]]])
+    vel = rng.normal(size=pos.shape)
+    box = AABB.cube(0.0, 12.0)
+    return with_periodic_ghosts(pos, vel, box, r), box
+
+
 class TestComputeForces:
     def test_isolated_pair_at_minimum(self):
         r0 = 2.0 ** (1.0 / 6.0)
@@ -307,9 +331,19 @@ class TestComputeForces:
         grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
         compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=False), LennardJones())
 
-    @pytest.mark.parametrize("edit", ["partner", "count"])
+    @pytest.mark.parametrize("edit", ["partner", "count", "late-partner"])
     def test_corrupt_lists_rejected(self, edit):
         # list data out of range must raise, not make the compiled loop read outside the arrays
+        if edit == "late-partner":
+            # past the first staged block of a long row, after valid entries
+            store, box = clumped_store(1.35, 2.8)
+            lists = build_neighbor_lists(store, build_cell_grid(store, box, 2.8), 2.8, half=False)
+            assert lists.counts[125] > 280
+            lists.indices.view[125, 280] = store.n_total
+            match = f"list row 125 names particle {store.n_total} of {store.n_total}"
+            with pytest.raises(ProtocolError, match=match):
+                compute_forces(store, lists, LennardJones())
+            return
         pos = np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]])
         store = ParticleStore(row_major_layout(), 2)
         store.append_locals(pos, np.zeros((2, 3)))
@@ -323,6 +357,38 @@ class TestComputeForces:
             match = "list counts do not fit 2 rows of width 1"
         with pytest.raises(ProtocolError, match=match):
             compute_forces(store, lists, LennardJones())
+
+    @pytest.mark.parametrize(
+        "twin_at,bad_at,error",
+        [
+            (280, None, "coincident"),
+            (200, 280, "coincident"),
+            (270, 290, "coincident"),
+            (290, 270, "partner"),
+        ],
+        ids=["coincident", "coincident-earlier-block", "coincident-first", "partner-first"],
+    )
+    @pytest.mark.parametrize("law", [LennardJones(), SpringDashpot(damping=3.0)], ids=["lj", "sd"])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_fault_past_first_block(self, twin_at, bad_at, error, law, half):
+        # local 125's row holds 299 clump partners; its twin (local 424) and a
+        # partner index out of range are placed at the given entries of it, so
+        # the first fault in row order lies in the second staged block
+        store, box = clumped_store(1.35, 2.8, twin=True)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, 2.8), 2.8, half=half)
+        row = lists.indices.view[125, : lists.counts[125]]
+        assert row.size > max(twin_at, bad_at or 0) > KERNEL_BLOCK
+        k = int(np.flatnonzero(row == 424)[0])
+        row[k], row[twin_at] = row[twin_at], row[k]
+        if bad_at is not None:
+            row[bad_at] = store.n_total
+        if error == "coincident":
+            with pytest.raises(SingularityError, match="coincident pair: local 125 and neighbor 424$"):
+                compute_forces(store, lists, law)
+        else:
+            match = f"list row 125 names particle {store.n_total} of {store.n_total}"
+            with pytest.raises(ProtocolError, match=match):
+                compute_forces(store, lists, law)
 
     @pytest.mark.parametrize("n_ghost", [0, 2])
     def test_rank_without_locals(self, n_ghost):
@@ -417,6 +483,44 @@ def pair_loop_forces(store, lists, law, half):
     return forces, energy
 
 
+def row_order_forces(store, lists, law):
+    """Oracle, in the compiled loop's order: local i's force is its row's sum
+    of s * delta over the in-cutoff partners, from +0.0 in row order (s from
+    `force_scalar`); for half lists the reactions, summed per local partner
+    in row-major order from +0.0, are then subtracted. The energy is np.sum
+    over the rows' in-order sums of `pair_energy`, at weight 1 for a local
+    partner of a half list and 0.5 otherwise. Returns (forces, energy)."""
+    n_local = store.n_local
+    pos, vel = store.all_positions(), store.all_velocities()
+    mat = lists.as_matrix()
+    own = np.zeros((n_local, 3))
+    reactions = [[0.0, 0.0, 0.0] for _ in range(n_local)]
+    row_energy = np.zeros(n_local)
+    for i in range(n_local):
+        row = mat[i, : lists.counts[i]]
+        d = pos[i] - pos[row]
+        rsq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+        keep = rsq < law.cutoff_rsq
+        row, d, rsq = row[keep], d[keep], rsq[keep]
+        vdot = None
+        if law.needs_velocities:
+            dv = vel[i] - vel[row]
+            vdot = d[:, 0] * dv[:, 0] + d[:, 1] * dv[:, 1] + d[:, 2] * dv[:, 2]
+        g = (law.force_scalar(rsq, vdot)[:, None] * d).tolist()
+        pair_e = law.pair_energy(rsq).tolist()
+        f, e_sum = [0.0, 0.0, 0.0], 0.0
+        for j, gj, e in zip(row.tolist(), g, pair_e):
+            f = [f[0] + gj[0], f[1] + gj[1], f[2] + gj[2]]
+            local = j < n_local
+            if lists.half and local:
+                r = reactions[j]
+                reactions[j] = [r[0] + gj[0], r[1] + gj[1], r[2] + gj[2]]
+            e_sum += e if (lists.half and local) else 0.5 * e
+        own[i] = f
+        row_energy[i] = e_sum
+    return own - np.array(reactions), float(row_energy.sum())
+
+
 class TestKernelOracle:
     # fixed before the first run: 1e-12 relative to the largest force component
     RTOL = 1e-12
@@ -450,3 +554,58 @@ class TestKernelOracle:
         assert scale > 0.0
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.RTOL * scale)
         assert abs(got_energy - want_energy) <= self.RTOL * abs(want_energy)
+
+    @pytest.mark.parametrize(
+        "law,clump_radius,r",
+        [
+            (LennardJones(1.0, 1.0, 2.5), 1.35, 2.8),
+            (SpringDashpot(stiffness=100.0, damping=0.0, diameter=1.0), 0.6, 1.3),
+            (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 0.6, 1.3),
+        ],
+        ids=["lj", "sd", "sd-damped"],
+    )
+    @pytest.mark.parametrize("half", [False, True])
+    def test_row_order_bitwise(self, law, clump_radius, r, half):
+        # a reordered sum passes the 1e-12 comparison above but not this one
+        store, box = clumped_store(clump_radius, r)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+        rng = np.random.default_rng(9)
+        for i, k in enumerate(lists.counts):
+            lists.indices.view[i, :k] = rng.permutation(lists.indices.view[i, :k])
+        assert lists.counts.max() > KERNEL_BLOCK and lists.counts.min() == 0
+        want, want_energy = row_order_forces(store, lists, law)
+        got_energy = compute_forces(store, lists, law, accumulate_energy=True)
+        np.testing.assert_array_equal(store.local_forces(), want)
+        assert got_energy == want_energy
+
+
+def test_optimisation_level_keeps_bits(monkeypatch):
+    """Forces and energies at -O0 equal those of the package's flags, bit for bit."""
+    cases = []
+    for law, clump_radius, r in (
+        (LennardJones(1.0, 1.0, 2.5), 1.35, 2.8),
+        (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 0.6, 1.3),
+    ):
+        store, box = clumped_store(clump_radius, r)
+        for half in (False, True):
+            cases.append((store, build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half), law))
+
+    def results():
+        out = []
+        for store, lists, law in cases:
+            energy = compute_forces(store, lists, law, accumulate_energy=True)
+            out.append((store.local_forces(), energy))
+        return out
+
+    o0 = tuple("-O0" if flag.startswith("-O") else flag for flag in kernel._CC)
+    assert "-O0" in o0 and o0 != kernel._CC
+    kernel.library.cache_clear()
+    monkeypatch.setattr(kernel, "_CC", o0)
+    try:
+        at_o0 = results()
+    finally:
+        monkeypatch.undo()
+        kernel.library.cache_clear()
+    for (f0, e0), (f, e) in zip(at_o0, results()):
+        np.testing.assert_array_equal(f, f0)
+        assert e == e0
