@@ -166,10 +166,10 @@ class RankDomain:
 
     def grid_box_for(self, store: ParticleStore) -> AABB:
         """Bounding box of the store's particles, or the slab when it is empty."""
-        pos = store.all_positions()
-        if pos.shape[0] == 0:
+        if store.n_total == 0:
             return self.ownership[0]
-        return AABB.from_arrays(pos.min(axis=0), pos.max(axis=0) + 1e-9)
+        xyz = store.positions.read_transposed(0, store.n_total)
+        return AABB.from_arrays(xyz.min(axis=1), xyz.max(axis=1) + 1e-9)
 
 
 @dataclass
@@ -386,10 +386,13 @@ def balance_slabs(world: RankWorld, store: ParticleStore):
     pattern = world.pattern
     me = world.rank
     box = world.global_box
-    pos = pbc_correct(store.local_positions(), box)
-    bins = np.floor((pos - box.lo) / box.extent() * LOAD_BINS).astype(np.int64)
-    bins = np.clip(bins, 0, LOAD_BINS - 1)
-    hist = np.stack([np.bincount(bins[:, d], minlength=LOAD_BINS) for d in range(3)]).astype(np.float64)
+    # wrapping the transposed view keeps each axis of the copy contiguous
+    pos = pbc_correct(store.positions.read_transposed(0, store.n_local).T, box)
+    lo, ext = box.lo, box.extent()
+    hist = np.empty((3, LOAD_BINS))
+    for d in range(3):
+        bins = np.floor((pos[:, d] - lo[d]) / ext[d] * LOAD_BINS).astype(np.int64)
+        hist[d] = np.bincount(np.clip(bins, 0, LOAD_BINS - 1), minlength=LOAD_BINS)
     blob = pack_particles(WIRE_LOAD, hist)
     for peer in range(world.size):
         if peer != me:

@@ -58,28 +58,43 @@ class AABB:
         return self.hi - self.lo
 
     def contains(self, points: np.ndarray) -> np.ndarray:
-        """Half-open membership test for an (n, 3) array of points."""
+        """Half-open membership test for an (n, 3) array of points (or one (3,) point)."""
         p = np.atleast_2d(points)
-        return np.all((p >= self.lo) & (p < self.hi), axis=1)
+        inside = np.ones(p.shape[0], dtype=bool)
+        # one axis at a time against scalar bounds: an (n, 3) against (3,)
+        # comparison would run numpy's inner loop three elements at a time
+        for d, (lo, hi) in enumerate(zip(self.min, self.max)):
+            inside &= p[:, d] >= lo
+            inside &= p[:, d] < hi
+        return inside
 
 
 def pbc_correct(p, global_box: AABB):
     """Wrap positions into [min, max) by integer multiples of the domain length.
 
-    In-domain points pass through untouched, which makes the function exactly
-    idempotent. Accepts a (3,) or an (n, 3) array; returns the same shape.
+    Accepts a (3,) or an (n, 3) array and returns a new array of that shape;
+    the input is never modified. Each axis is handled on its own, and only
+    the coordinates outside [min, max) are touched: they become
+    min + mod(x - min, length), moved down by one length where rounding
+    lands that on max and raised to min where it falls below. In-domain
+    coordinates pass through untouched, which makes the function exactly
+    idempotent. NaN stays NaN.
     """
-    lo, hi = global_box.lo, global_box.hi
-    length = hi - lo
-    if np.any(length <= 0):
+    length = tuple(b - a for a, b in zip(global_box.min, global_box.max))
+    if any(ln <= 0 for ln in length):
         raise ValueError("domain must have positive extent in all dimensions")
     pts = np.array(p, dtype=np.float64)
-    inside = (pts >= lo) & (pts < hi)
-    wrapped = lo + np.mod(pts - lo, length)
-    # mod can land exactly on the upper bound through rounding
-    wrapped = np.where(wrapped >= hi, wrapped - length, wrapped)
-    wrapped = np.where(wrapped < lo, lo, wrapped)
-    return np.where(inside, pts, wrapped)
+    for d, (lo, hi, ln) in enumerate(zip(global_box.min, global_box.max, length)):
+        axis = pts[..., d]
+        outside = ~((axis >= lo) & (axis < hi))
+        if not outside.any():
+            continue
+        wrapped = lo + np.mod(axis[outside] - lo, ln)
+        # mod can land exactly on the upper bound through rounding
+        wrapped = np.where(wrapped >= hi, wrapped - ln, wrapped)
+        wrapped = np.where(wrapped < lo, lo, wrapped)
+        axis[outside] = wrapped
+    return pts
 
 
 _LAYOUT_KINDS = ("aos", "soa", "aosoa")

@@ -87,26 +87,33 @@ class RankReport:
     rebuilds: int  # list rebuilds in steps 1..steps, scheduled or triggered
 
 
+def _local_blocks(store: ParticleStore, *handles):
+    """Row blocks of the given handles that cover the locals, zipped.
+
+    The handles of one store share its layout and size_x, so their
+    `row_blocks` line up and the integrators update the buffers in place.
+    """
+    n = store.n_local
+    return zip(*([block for _, _, block in h.row_blocks(0, n)] for h in handles))
+
+
 def initial_integrate(store: ParticleStore, dt: float, mass: float) -> None:
     """Half-kick then drift: v += dt/2 F/m, x += dt v (locals only)."""
-    n = store.n_local
-    if n == 0 or dt == 0.0:
+    if store.n_local == 0 or dt == 0.0:
         return
-    v = store.velocities.read_rows(0, n)
-    v += (0.5 * dt / mass) * store.forces.read_rows(0, n)
-    store.velocities.write_rows(0, v)
-    x = store.positions.read_rows(0, n)
-    store.positions.write_rows(0, x + dt * v)
+    k = 0.5 * dt / mass
+    for v, f, x in _local_blocks(store, store.velocities, store.forces, store.positions):
+        v += k * f
+        x += dt * v
 
 
 def final_integrate(store: ParticleStore, dt: float, mass: float) -> None:
     """Closing half-kick against the freshly computed forces."""
-    n = store.n_local
-    if n == 0 or dt == 0.0:
+    if store.n_local == 0 or dt == 0.0:
         return
-    v = store.velocities.read_rows(0, n)
-    v += (0.5 * dt / mass) * store.forces.read_rows(0, n)
-    store.velocities.write_rows(0, v)
+    k = 0.5 * dt / mass
+    for v, f in _local_blocks(store, store.velocities, store.forces):
+        v += k * f
 
 
 def _momentum(store: ParticleStore, mass: float) -> np.ndarray:

@@ -14,6 +14,14 @@ column-major, (clusters, size_y, c) for clustered. A row range is a slice of
 that view and a row gather indexes one axis (clustered: the cluster and lane
 axes), so no per-element index array is built, and callers observe identical
 rows under every layout.
+
+`ArrayHandle.row_blocks` hands out the views that cover a row range: one
+block for row-major and column-major, up to three for clustered (a partial
+head cluster, the whole clusters, a partial tail cluster). The blocks depend
+only on the layout, size_x and the range, so the handles of one particle
+store, which share a layout and size_x, yield blocks that line up row for
+row: elementwise arithmetic between them can run in place on the blocks,
+with no copy of the rows.
 """
 
 from __future__ import annotations
@@ -113,11 +121,13 @@ class ArrayHandle:
             c = layout.cluster_size
             self.view = self.buf.reshape(-(-self.size_x // c), self.size_y, c)
 
-    def _row_blocks(self, start: int, count: int):
-        """Cover rows [start, start+count) with views of `view`.
+    def row_blocks(self, start: int, count: int):
+        """Cover rows [start, start+count) with zero-copy views of `view`.
 
-        Yields (a, b, block): rows start+a .. start+b live in `block`, whose
-        leading axes hold those rows in order and whose last axis is y.
+        Yields (a, b, block): rows start+a .. start+b-1 live in `block`,
+        whose leading axes hold those rows in order and whose last axis is y;
+        writes to a block write the buffer. Two handles with the same layout
+        and size_x yield blocks of the same shapes for the same range.
         """
         if count == 0:
             return
@@ -144,7 +154,7 @@ class ArrayHandle:
         if count is None:
             count = self.size_x - start
         out = np.empty((count, self.size_y), dtype=self.dtype)
-        for a, b, block in self._row_blocks(start, count):
+        for a, b, block in self.row_blocks(start, count):
             out[a:b].reshape(block.shape)[...] = block
         return out
 
@@ -152,19 +162,19 @@ class ArrayHandle:
         """Copy rows [start, start+count) out as a C-contiguous (size_y, count)
         array: the transpose of `read_rows`, taken in one copy."""
         out = np.empty((self.size_y, count), dtype=self.dtype)
-        for a, b, block in self._row_blocks(start, count):
+        for a, b, block in self.row_blocks(start, count):
             # splitting the contiguous last axis of a column slice is a view
             out[:, a:b].reshape((self.size_y, *block.shape[:-1]))[...] = np.moveaxis(block, -1, 0)
         return out
 
     def write_rows(self, start: int, rows: np.ndarray) -> None:
         rows = np.asarray(rows)
-        for a, b, block in self._row_blocks(start, rows.shape[0]):
+        for a, b, block in self.row_blocks(start, rows.shape[0]):
             block[...] = rows[a:b].reshape(block.shape)
 
     def fill_rows(self, start: int, count: int, value=0.0) -> None:
         if count > 0:
-            for _, _, block in self._row_blocks(start, count):
+            for _, _, block in self.row_blocks(start, count):
                 block[...] = value
 
     def _rows_key(self, x_indices):

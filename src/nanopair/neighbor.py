@@ -50,7 +50,7 @@ class CellGrid:
     origin: np.ndarray
     cell_size: float
     dims: np.ndarray  # interior cell counts per axis (excludes the shell)
-    coords: np.ndarray  # (n_total, 3) shell-shifted integer cell coordinates
+    coords: np.ndarray  # (n_total, 3) shell-shifted integer cell coordinates, a transposed (3, n_total) array
     occupants: np.ndarray  # (n_cells, max_occupancy) particle indices, -1 padded
     counts: np.ndarray  # (n_cells,) occupancy
 
@@ -68,23 +68,30 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid
     if r <= 0:
         raise ValueError("interaction radius must be positive")
     n = store.n_total
-    pos = store.all_positions()
+    xyz = store.positions.read_transposed(0, n)
     lo = rank_aabb.lo
     ext = rank_aabb.extent()
     dims = np.maximum(1, np.ceil(ext / r - 1e-12).astype(np.int64))
-    coords = np.floor((pos - lo) / r).astype(np.int64)
-    beyond = (coords < -1) | (coords > dims)
-    if np.any(beyond):
-        i = int(np.nonzero(beyond.any(axis=1))[0][0])
+    # coordinate-major cell coordinates, so every pass below runs along
+    # contiguous rows; the grid keeps their (n, 3) transpose
+    coords = np.empty((3, n), dtype=np.int64)
+    scaled = np.empty(n)
+    for d in range(3):
+        np.subtract(xyz[d], lo[d], out=scaled)
+        scaled /= r
+        coords[d] = np.floor(scaled, out=scaled)
+    if n and any(coords[d].min() < -1 or coords[d].max() > dims[d] for d in range(3)):
+        beyond = (coords < -1) | (coords > dims[:, None])
+        i = int(np.nonzero(beyond.any(axis=0))[0][0])
         kind = "local" if i < store.n_local else "ghost"
         raise ProtocolError(
-            f"{kind} particle {i} at {pos[i]} lies more than one cell shell outside "
+            f"{kind} particle {i} at {xyz[:, i]} lies more than one cell shell outside "
             f"the rank box {lo}..{rank_aabb.hi}; an exchange was probably missed"
         )
-    shifted = coords + 1
+    coords += 1
     gd = dims + 2
     n_cells = int(np.prod(gd))
-    cid = (shifted[:, 0] * gd[1] + shifted[:, 1]) * gd[2] + shifted[:, 2]
+    cid = (coords[0] * gd[1] + coords[1]) * gd[2] + coords[2]
     counts = np.bincount(cid, minlength=n_cells)
     max_occ = int(counts.max()) if n else 1
     occupants = np.full((n_cells, max_occ), -1, dtype=np.int32)
@@ -93,7 +100,7 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid
     starts = np.concatenate([[0], np.cumsum(counts)])[:-1]
     occupants[sorted_cid, np.arange(n) - starts[sorted_cid]] = order
     return CellGrid(
-        origin=lo, cell_size=r, dims=dims, coords=shifted, occupants=occupants, counts=counts
+        origin=lo, cell_size=r, dims=dims, coords=coords.T, occupants=occupants, counts=counts
     )
 
 
@@ -112,7 +119,7 @@ class NeighborLists:
     half: bool
     indices: ArrayHandle  # row-major int32 matrix; size_x is max(n_local, 1)
     counts: np.ndarray  # (n_local,)
-    ref_positions: np.ndarray  # local positions at build time
+    ref_positions: np.ndarray  # (3, n_local) coordinate-major local positions at build time
     n_local: int
     n_total: int  # locals plus ghosts at build time
 
@@ -161,6 +168,7 @@ def build_neighbor_lists(
     n_local = store.n_local
     counts = np.zeros(n_local, dtype=np.int32)
     chunks = []
+    ref_positions = np.empty((3, 0))
     if grid.coords.shape[0] != store.n_total:
         raise ProtocolError(
             f"the cell grid bins {grid.coords.shape[0]} particles, the store holds {store.n_total}"
@@ -176,6 +184,7 @@ def build_neighbor_lists(
             )
         lib = kernel.library()
         xyz = store.positions.read_transposed(0, store.n_total)
+        ref_positions = xyz[:, :n_local].copy()
         cell_of = np.ascontiguousarray(grid.cell_id(coords))
         # the cell id is linear in the coordinates, so a stencil step is a flat offset
         soff = grid.cell_id(_STENCIL)
@@ -204,19 +213,28 @@ def build_neighbor_lists(
         half=half,
         indices=handle,
         counts=counts,
-        ref_positions=store.local_positions(),
+        ref_positions=ref_positions,
         n_local=n_local,
         n_total=store.n_total,
     )
 
 
 def max_displacement_since_rebuild(store: ParticleStore, lists: NeighborLists) -> float:
-    """Largest local-particle move since the lists were built."""
+    """Largest local-particle move since the lists were built.
+
+    Squared moves are summed x, y, z in that order, on one coordinate-major
+    copy of the local positions.
+    """
     if lists.n_local == 0:
         return 0.0
     if store.n_local != lists.n_local:
         raise ProtocolError(
             f"store has {store.n_local} locals but lists were built for {lists.n_local}"
         )
-    delta = store.local_positions() - lists.ref_positions
-    return float(np.sqrt((delta * delta).sum(axis=1).max()))
+    delta = store.positions.read_transposed(0, lists.n_local)
+    delta -= lists.ref_positions
+    delta *= delta
+    rsq = delta[0]
+    rsq += delta[1]
+    rsq += delta[2]
+    return float(np.sqrt(rsq.max()))

@@ -35,9 +35,6 @@ class ParticleStore:
         self.positions = ArrayHandle(layout, capacity, 3)
         self.velocities = ArrayHandle(layout, capacity, 3)
         self.forces = ArrayHandle(layout, capacity, 3)
-        # per-ghost bookkeeping: sending peer and ordinal within its send list
-        self.ghost_peer = np.empty(0, dtype=np.int32)
-        self.ghost_ordinal = np.empty(0, dtype=np.int32)
 
     @property
     def capacity(self) -> int:
@@ -113,11 +110,15 @@ class ParticleStore:
 
     def clear_ghosts(self) -> None:
         self.n_ghost = 0
-        self.ghost_peer = np.empty(0, dtype=np.int32)
-        self.ghost_ordinal = np.empty(0, dtype=np.int32)
 
     def append_ghosts(self, pos: np.ndarray, peer: int) -> int:
-        """Append ghost copies; returns the starting ghost slot (absolute index)."""
+        """Append ghost copies; returns the starting ghost slot (absolute index).
+
+        `peer`, the rank the copies came from, is not stored; the border plan
+        keeps what synchronization needs. The parameter stays because the
+        benchmark's tracer counts this method's rows through a hook with the
+        signature (self, pos, peer).
+        """
         pos = np.atleast_2d(pos)
         k = pos.shape[0]
         start = self.n_total
@@ -125,10 +126,6 @@ class ParticleStore:
         self.positions.write_rows(start, pos)
         self.velocities.fill_rows(start, k, 0.0)
         self.forces.fill_rows(start, k, 0.0)
-        self.ghost_peer = np.concatenate([self.ghost_peer, np.full(k, peer, dtype=np.int32)])
-        self.ghost_ordinal = np.concatenate(
-            [self.ghost_ordinal, np.arange(k, dtype=np.int32)]
-        )
         self.n_ghost += k
         return start
 

@@ -9,6 +9,7 @@ from nanopair.comm import (
     LOAD_BINS,
     WIRE_BORDER,
     WIRE_EXCHANGE,
+    WIRE_LOAD,
     WIRE_SYNC,
     MailboxTransport,
     RankDomain,
@@ -28,10 +29,10 @@ from nanopair.comm import (
     uniform_cuts,
     unpack_particles,
 )
-from nanopair.core import SimConfig
+from nanopair.core import AABB, SimConfig, pbc_correct
 from nanopair.driver import RankReport, rank_program
 from nanopair.errors import GuardViolation, ProtocolError
-from nanopair.layout import row_major_layout
+from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
 from nanopair.particles import ParticleStore, lattice_positions
 
 # half-diagonal spring-dashpot packing: its particles crowd one side of x
@@ -51,7 +52,7 @@ SD = SimConfig(
 LJ = SimConfig(unit_cells=(6, 6, 6), steps=40).validate()
 
 
-def make_worlds(cfg, ranks, pos, vel, transport_cls=MailboxTransport):
+def make_worlds(cfg, ranks, pos, vel, transport_cls=MailboxTransport, layout=None):
     box = cfg.domain()
     grid = factor_rank_grid(ranks)
     spacing = cfg.interaction_radius()
@@ -61,7 +62,7 @@ def make_worlds(cfg, ranks, pos, vel, transport_cls=MailboxTransport):
         slab = slab_bounds(box, grid, rank_grid_coords(r, grid))
         domain = RankDomain(rank=r, ownership=[slab], spacing=spacing)
         mine = domain.owns(pos)
-        store = ParticleStore(row_major_layout(), max(int(mine.sum()), 1))
+        store = ParticleStore(layout or row_major_layout(), max(int(mine.sum()), 1))
         store.append_locals(pos[mine], vel[mine])
         stores.append(store)
         pattern = six_stencil_pattern(grid, r, box, spacing)
@@ -80,9 +81,9 @@ def advance(gens):
     return tokens
 
 
-def run_lockstep(cfg, ranks, pos, vel, after_setup=None):
+def run_lockstep(cfg, ranks, pos, vel, after_setup=None, layout=None):
     """Every rank's program to the end; returns worlds, stores, transport and reports."""
-    worlds, stores, transport = make_worlds(cfg, ranks, pos, vel)
+    worlds, stores, transport = make_worlds(cfg, ranks, pos, vel, layout=layout)
     gens = [rank_program(cfg, w, s, backend=SerialBackend()) for w, s in zip(worlds, stores)]
     while True:
         tokens = advance(gens)
@@ -163,6 +164,34 @@ class TestRankCountInvariance:
         assert matched_deviation(cfg.domain().extent(), ref, gather(stores)) <= 1e-12
 
 
+@functools.cache
+def aos_run(name, ranks):
+    """Final (positions, velocities) of a row-major (AoS) run."""
+    cfg = INVARIANCE_CONFIGS[name]
+    return gather(run_lockstep(cfg, ranks, *initial_state(cfg))[1])
+
+
+class TestLayoutBitIdentity:
+    """A whole run gives the same bits under every layout: the layouts
+    differ only in where the row views point, never in the arithmetic."""
+
+    @pytest.mark.parametrize(
+        "layout",
+        [column_major_layout(), clustered_layout(4), clustered_layout(8)],
+        ids=["soa", "aosoa4", "aosoa8"],
+    )
+    @pytest.mark.parametrize("ranks", [1, 2])
+    @pytest.mark.parametrize("name", list(INVARIANCE_CONFIGS))
+    def test_matches_aos(self, name, ranks, layout):
+        cfg = INVARIANCE_CONFIGS[name]
+        _, stores, transport, _ = run_lockstep(cfg, ranks, *initial_state(cfg), layout=layout)
+        assert transport.pending() == 0
+        want_x, want_v = aos_run(name, ranks)
+        got_x, got_v = gather(stores)
+        np.testing.assert_array_equal(got_x, want_x)
+        np.testing.assert_array_equal(got_v, want_v)
+
+
 class TestCountBalancedSlabs:
     def test_half_diagonal_two_ranks(self):
         pos, vel = initial_state(SD)
@@ -217,6 +246,74 @@ class TestCountBalancedSlabs:
             np.testing.assert_array_equal(got, want)
         assert [s.n_local for s in stores] == [pos.shape[0] // 8] * 8
         assert transport.pending() == 0
+
+
+class TestPerAxisOracles:
+    """`owns` and `grid_box_for` test and bound boxes one axis at a time; they
+    must give exactly what the (n, 3) formulas gave."""
+
+    LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4), clustered_layout(8)]
+
+    def domain(self):
+        box = SD.domain()
+        slab = slab_bounds(box, (2, 1, 1), (1, 0, 0))
+        return RankDomain(rank=1, ownership=[slab], spacing=SD.interaction_radius())
+
+    def test_owns_matches_broadcast(self):
+        domain = self.domain()
+        (slab,) = domain.ownership
+        lo, hi, ext = slab.lo, slab.hi, slab.extent()
+        rng = np.random.default_rng(12)
+        pts = np.concatenate([
+            lo + rng.uniform(-3.0, 4.0, size=(500, 3)) * ext,
+            [lo, hi, np.nextafter(hi, -np.inf), np.nextafter(lo, -np.inf), [np.nan, lo[1], lo[2]]],
+            lo + np.eye(3) * ext,  # on hi along one axis, on lo along the others
+        ])
+        before = pts.copy()
+        want = np.all((pts >= lo) & (pts < hi), axis=1)
+        assert 0 < want.sum() < len(pts)
+        np.testing.assert_array_equal(domain.owns(pts), want)
+        np.testing.assert_array_equal(domain.owns(lo), [True])
+        np.testing.assert_array_equal(domain.owns(hi), [False])
+        assert pts.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=["aos", "soa", "aosoa4", "aosoa8"])
+    def test_grid_box_matches_broadcast(self, layout):
+        domain = self.domain()
+        rng = np.random.default_rng(13)
+        store = ParticleStore(layout, 64)
+        assert domain.grid_box_for(store) == domain.ownership[0]
+        store.append_locals(rng.uniform(-5.0, 20.0, size=(29, 3)), np.zeros((29, 3)))
+        store.append_ghosts(rng.uniform(-9.0, 25.0, size=(6, 3)), peer=0)
+        pos = store.all_positions()
+        got = domain.grid_box_for(store)
+        assert got == AABB.from_arrays(pos.min(axis=0), pos.max(axis=0) + 1e-9)
+        np.testing.assert_array_equal(store.all_positions(), pos)
+
+
+    def test_load_histogram_matches_broadcast(self):
+        pos, vel = initial_state(SD)
+        worlds, stores, transport = make_worlds(SD, 2, pos, vel, layout=clustered_layout(8))
+        box = SD.domain()
+        lo, ext = box.lo, box.extent()
+        # locals jittered (some out of the domain), then one on every bin
+        # edge of every axis, and some on the faces and lengths out
+        moved = stores[0].local_positions()
+        moved += np.random.default_rng(14).normal(scale=0.3, size=moved.shape)
+        edges = lo + ext * (np.arange(LOAD_BINS) / LOAD_BINS)[:, None]
+        far = [lo - 0.1 * ext, box.hi, np.nextafter(box.hi, -np.inf), box.hi + 2.0 * ext]
+        moved = np.concatenate([moved, edges, far])
+        stores[0].positions.write_rows(0, moved[: stores[0].n_local])
+        extra = moved[stores[0].n_local :]
+        stores[0].append_locals(extra, np.zeros_like(extra))
+        gen = balance_slabs(worlds[0], stores[0])
+        next(gen)
+        wrapped = pbc_correct(moved, box)
+        bins = np.clip(np.floor((wrapped - lo) / ext * LOAD_BINS).astype(np.int64), 0, LOAD_BINS - 1)
+        want = np.stack([np.bincount(bins[:, d], minlength=LOAD_BINS) for d in range(3)]).astype(np.float64)
+        kind, got = unpack_particles(transport.recv(1, 0))
+        assert kind == WIRE_LOAD
+        np.testing.assert_array_equal(got, want)
 
 
 def with_fast_particle(cfg, speed):

@@ -17,6 +17,97 @@ def wrap_by_repeated_subtraction(x, lo, hi):
     return x
 
 
+def pbc_broadcast(p, box):
+    """The (n, 3)-against-(3,) formula pbc_correct once used: the reference
+    its per-axis form must reproduce bit for bit."""
+    lo, hi = box.lo, box.hi
+    length = hi - lo
+    pts = np.array(p, dtype=np.float64)
+    inside = (pts >= lo) & (pts < hi)
+    wrapped = lo + np.mod(pts - lo, length)
+    wrapped = np.where(wrapped >= hi, wrapped - length, wrapped)
+    wrapped = np.where(wrapped < lo, lo, wrapped)
+    return np.where(inside, pts, wrapped)
+
+
+def contains_broadcast(box, points):
+    p = np.atleast_2d(points)
+    return np.all((p >= box.lo) & (p < box.hi), axis=1)
+
+
+# lengths that are not powers of two, so wrapping rounds
+ODD_BOX = AABB((-1.5, 0.1, 2.0), (6.7, 7.3, 3.1))
+
+
+def awkward_points(box, n=400, seed=11):
+    """Random points up to several box lengths out, plus the edge cases:
+    exactly on lo and on hi, a hair below lo (where mod rounds onto the
+    length), a hair below hi, several lengths out exactly, and NaN."""
+    rng = np.random.default_rng(seed)
+    lo, hi = box.lo, box.hi
+    ext = hi - lo
+    pts = [lo + rng.uniform(-4.0, 5.0, size=(n, 3)) * ext]
+    for row in (lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, -np.inf),
+                lo - 1e-17, lo - 3.0 * ext, hi + 2.0 * ext, lo + 0.5 * ext):
+        pts.append(row[None, :])
+    pts.append(np.array([[np.nan, lo[1], hi[2]]]))
+    # every edge value on every axis, mixed with interior coordinates
+    edges = np.concatenate(pts[1:-1])
+    mixed = np.repeat((lo + 0.5 * ext)[None, :], 3 * edges.shape[0], axis=0)
+    for d in range(3):
+        mixed[d * edges.shape[0] : (d + 1) * edges.shape[0], d] = edges[:, d]
+    pts.append(mixed)
+    return np.concatenate(pts)
+
+
+class TestPerAxisOracles:
+    """pbc_correct and AABB.contains run one axis at a time; they must give
+    exactly what the broadcast formulas gave, NaN included."""
+
+    @pytest.mark.parametrize("box", [BOX8, ODD_BOX], ids=["cube8", "odd"])
+    def test_pbc_correct_matches_broadcast(self, box):
+        pts = awkward_points(box)
+        before = pts.copy()
+        got = pbc_correct(pts, box)
+        want = pbc_broadcast(pts, box)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert pts.tobytes() == before.tobytes()  # the input is not modified
+        assert np.all((got >= box.lo) & (got < box.hi) | np.isnan(got))
+
+    @pytest.mark.parametrize("box", [BOX8, ODD_BOX], ids=["cube8", "odd"])
+    def test_pbc_correct_single_point(self, box):
+        for p in awkward_points(box, n=20):
+            before = p.copy()
+            got = pbc_correct(p, box)
+            assert got.shape == (3,)
+            assert got.tobytes() == pbc_broadcast(p, box).tobytes()
+            assert p.tobytes() == before.tobytes()
+
+    def test_mod_rounding_onto_hi_wraps_to_lo(self):
+        # mod(-1e-17, 8) rounds to 8.0, which must come back to 0.0
+        assert np.mod(-1e-17, 8.0) == 8.0
+        np.testing.assert_array_equal(pbc_correct(np.array([-1e-17, 0.0, 8.0]), BOX8), [0.0, 0.0, 0.0])
+
+    def test_pbc_correct_of_a_view_copies(self):
+        # a transposed (coordinate-major) block wraps the same and stays untouched
+        pts = awkward_points(ODD_BOX)
+        xyz = np.ascontiguousarray(pts.T)
+        before = xyz.copy()
+        assert pbc_correct(xyz.T, ODD_BOX).tobytes() == pbc_broadcast(pts, ODD_BOX).tobytes()
+        assert xyz.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("box", [BOX8, ODD_BOX], ids=["cube8", "odd"])
+    def test_contains_matches_broadcast(self, box):
+        pts = awkward_points(box)
+        np.testing.assert_array_equal(box.contains(pts), contains_broadcast(box, pts))
+        for p in pts[-30:]:
+            np.testing.assert_array_equal(box.contains(p), contains_broadcast(box, p))
+        assert box.contains(box.lo).tolist() == [True]
+        assert box.contains(box.hi).tolist() == [False]
+        assert box.contains(np.empty((0, 3))).shape == (0,)
+
+
 class TestPbcCorrect:
     def test_single_period_wrap(self):
         p = pbc_correct(np.array([-0.1, 1.0, 1.0]), BOX8)

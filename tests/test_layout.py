@@ -206,3 +206,38 @@ def test_layout_from_config():
     assert lay.kind.value == "clustered" and lay.cluster_size == 16
     with pytest.raises(ValueError):
         layout_from_config("blocked")
+
+
+class TestRowBlocks:
+    @given(handle_and_rows())
+    @settings(max_examples=200)
+    def test_blocks_cover_the_range_in_order(self, case):
+        a, start, count, _ = case
+        blocks = list(a.row_blocks(start, count))
+        bounds = [(lo, hi) for lo, hi, _ in blocks]
+        # back to back from 0 to count, and none when count is 0
+        assert [lo for lo, _ in bounds] == [0, *(hi for _, hi in bounds)][: len(bounds)]
+        assert sum(hi - lo for lo, hi in bounds) == count
+        # each block holds its rows, in order, with y last; writes reach the buffer
+        for lo, hi, block in blocks:
+            want = a.buf[reference_index(a, np.arange(start + lo, start + hi))]
+            np.testing.assert_array_equal(block.reshape(-1, a.size_y), want)
+            block *= -1.0
+        span = reference_index(a, np.arange(start, start + count))
+        assert np.all(a.buf[span] < 0)
+        assert np.count_nonzero(a.buf < 0) == count * a.size_y
+
+    @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
+    @pytest.mark.parametrize("start,count", [(0, 29), (0, 3), (5, 17), (9, 2), (12, 0)])
+    def test_handles_of_one_shape_line_up(self, lay, start, count):
+        # in-place arithmetic between two handles' blocks is arithmetic on their rows
+        rng = np.random.default_rng(9)
+        a, b = ArrayHandle(lay, 29, 3), ArrayHandle(lay, 29, 3)
+        a.write_rows(0, rng.normal(size=(29, 3)))
+        b.write_rows(0, rng.normal(size=(29, 3)))
+        want = a.read_rows(0, 29)
+        want[start : start + count] += 0.5 * b.read_rows(start, count)
+        for (a0, a1, x), (b0, b1, y) in zip(a.row_blocks(start, count), b.row_blocks(start, count)):
+            assert (a0, a1, x.shape) == (b0, b1, y.shape)
+            x += 0.5 * y
+        np.testing.assert_array_equal(a.read_rows(0, 29), want)

@@ -4,7 +4,7 @@ import pytest
 from nanopair import neighbor
 from nanopair.core import AABB
 from nanopair.errors import ProtocolError
-from nanopair.layout import row_major_layout
+from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
 from nanopair.neighbor import (
     _STENCIL,
     build_cell_grid,
@@ -14,9 +14,13 @@ from nanopair.neighbor import (
 from nanopair.particles import ParticleStore
 
 
-def make_store(pos, n_ghost=0):
+LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4), clustered_layout(8)]
+LAYOUT_IDS = ["aos", "soa", "aosoa4", "aosoa8"]
+
+
+def make_store(pos, n_ghost=0, layout=None):
     pos = np.asarray(pos, dtype=np.float64)
-    store = ParticleStore(row_major_layout(), max(len(pos), 1))
+    store = ParticleStore(layout or row_major_layout(), max(len(pos), 1))
     n_local = len(pos) - n_ghost
     store.append_locals(pos[:n_local], np.zeros((n_local, 3)))
     if n_ghost:
@@ -291,3 +295,96 @@ class TestDisplacement:
             step *= s / np.linalg.norm(step, axis=1)[:, None]
             store.positions.write_rows(0, store.local_positions() + step)
         assert max_displacement_since_rebuild(store, lists) <= k * s + 1e-12
+
+
+def edge_cloud(box, r, n=301, seed=5):
+    """Points of a grid box and its ghost shell, a third of them exactly on
+    cell faces (lo plus multiples of r), and points on lo, on hi and near
+    the outer face of the shell."""
+    rng = np.random.default_rng(seed)
+    lo, hi, shell = box.lo, box.hi, 0.999 * r
+    pts = rng.uniform(lo - shell, hi + shell, size=(n, 3))
+    faces = lo + r * rng.integers(0, int(box.extent().max() / r) + 1, size=(n // 3, 3))
+    pts[: n // 3] = np.minimum(faces, hi + shell)
+    pts[n // 3] = lo
+    pts[n // 3 + 1] = hi
+    pts[n // 3 + 2] = lo - shell
+    return pts
+
+
+class TestPerAxisOracles:
+    """build_cell_grid and max_displacement_since_rebuild read the positions
+    coordinate-major and work one axis at a time; they must give exactly
+    what the (n, 3) formulas gave, on every layout."""
+
+    BOX = AABB((-0.7, 0.2, 1.0), (9.3, 7.9, 11.6))
+    R = 2.8
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
+    def test_cell_coords_match_broadcast(self, layout):
+        pos = edge_cloud(self.BOX, self.R)
+        store = make_store(pos, n_ghost=37, layout=layout)
+        before = store.positions.buf.copy()
+        grid = build_cell_grid(store, self.BOX, self.R)
+        want = np.floor((pos - self.BOX.lo) / self.R).astype(np.int64) + 1
+        assert grid.coords.shape == (pos.shape[0], 3) and grid.coords.dtype == np.int64
+        np.testing.assert_array_equal(grid.coords, want)
+        np.testing.assert_array_equal(grid.counts, np.bincount(grid.cell_id(want), minlength=grid.counts.size))
+        assert store.positions.buf.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("kind, row", [("local", 4), ("ghost", 300)])
+    def test_far_particle_named(self, kind, row):
+        pos = edge_cloud(self.BOX, self.R)
+        pos[row, 1] = self.BOX.hi[1] + 2 * self.R
+        store = make_store(pos, n_ghost=37)
+        with pytest.raises(ProtocolError, match=rf"^{kind} particle {row} at \[.*\] lies more than one cell shell"):
+            build_cell_grid(store, self.BOX, self.R)
+
+    def test_nan_particle_rejected(self):
+        pos = edge_cloud(self.BOX, self.R)
+        pos[9, 2] = np.nan
+        store = make_store(pos, n_ghost=37)
+        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match=r"^local particle 9 at \[.*nan\]"):
+            build_cell_grid(store, self.BOX, self.R)
+
+    @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
+    def test_displacement_matches_broadcast(self, layout):
+        rng = np.random.default_rng(4)
+        pos = rng.uniform(1, 7, size=(45, 3))  # not a multiple of either cluster size
+        store = make_store(pos, n_ghost=6, layout=layout)
+        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
+        lists = build_neighbor_lists(store, grid, 2.8, half=True)
+        ref = store.local_positions()
+        assert lists.ref_positions.shape == (3, 39)
+        np.testing.assert_array_equal(lists.ref_positions, ref.T)
+        # moves of very different sizes per axis, so the order of the sum shows
+        moved = ref + rng.normal(size=ref.shape) * np.exp(rng.normal(size=ref.shape) * 6)
+        moved[0] = ref[0]
+        moved[38] = ref[38] + [1e-300, 0.0, -1e-300]
+        # y^2 and z^2 near 1.5e-16 each: added to x^2 = 1 one at a time they
+        # each round up a unit, added together first they round up only one
+        moved[37] = ref[37] + [1.0, 1.2247e-8, 1.2247e-8]
+        store.positions.write_rows(0, moved)
+        kept = (store.positions.buf.copy(), lists.ref_positions.copy())
+        delta = store.local_positions() - ref
+        want = float(np.sqrt((delta * delta).sum(axis=1).max()))
+        assert max_displacement_since_rebuild(store, lists) == want
+        assert store.positions.buf.tobytes() == kept[0].tobytes()
+        assert lists.ref_positions.tobytes() == kept[1].tobytes()
+        # the sum runs x, y, z in that order: (x^2 + y^2) + z^2
+        dx, dy, dz = delta[37]
+        assert np.sqrt((dx * dx + dy * dy) + dz * dz) != np.sqrt(dx * dx + (dy * dy + dz * dz))
+        for row in [37, *rng.integers(0, 39, size=10)]:
+            dx, dy, dz = delta[row]
+            store.positions.write_rows(0, ref)
+            store.positions.write_rows(int(row), moved[row][None, :])
+            assert max_displacement_since_rebuild(store, lists) == float(np.sqrt((dx * dx + dy * dy) + dz * dz))
+
+    def test_nan_displacement_is_nan(self):
+        pos = np.random.default_rng(6).uniform(1, 7, size=(20, 3))
+        store = make_store(pos)
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0, 8), 2.8), 2.8, half=False)
+        moved = pos.copy()
+        moved[3, 1] = np.nan
+        store.positions.write_rows(0, moved)
+        assert np.isnan(max_displacement_since_rebuild(store, lists))
