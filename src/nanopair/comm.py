@@ -13,6 +13,14 @@ The phases, run per communication epoch:
                   copies, and remember the plan
 * synchronization replay the plan every step to refresh ghost positions
 
+Border definition and synchronization send one record per remote peer and
+stencil round: a peer's record holds the rows of every entry that goes to
+it, in entry order, and the receiver's copies of them fill consecutive ghost
+slots. The plan freezes, per round, one gather index and one shift array
+over all of the round's rows, so a refresh reads the source rows once per
+round and delivers each peer's slice as one record (in place for this
+rank's own periodic images).
+
 Rank programs are written as generators that ``yield`` at collective barrier
 points; a runner advances all ranks one barrier at a time, so every send of a
 sub-phase is posted before any matching receive runs. This holds whether the
@@ -20,7 +28,10 @@ runner drives ranks round-robin in one thread or through a pool.
 
 Between epochs, every step, the ranks of a multi-rank world also all-gather
 their largest displacement since the last rebuild (`gather_displacements`),
-so that all of them can start an epoch early at the same step.
+so that all of them can start an epoch early at the same step. The gather is
+rooted at rank 0 and takes two barriers: every other rank sends rank 0 its
+one-row record, and rank 0 sends every other rank one record of all P
+displacements in rank order, 2 (P - 1) records in all.
 
 There is one domain decomposition: each rank owns a slab of a near-cubic
 rank grid and talks to its six face neighbours, one round per axis.
@@ -31,7 +42,8 @@ Wire records are little-endian: u8 kind (0 exchange, 1 border, 2 sync,
 that a kind byte means the same record in every version. A row is one
 particle: 6 reals (position, velocity) for exchange, 3 (position) for border
 and sync. A load record has 3 rows, one per axis, of LOAD_BINS particle
-counts; a displacement record has one row of one real.
+counts; a displacement record has one row of one real per rank it carries
+(one on the way to rank 0, P on the way back).
 """
 
 from __future__ import annotations
@@ -39,7 +51,7 @@ from __future__ import annotations
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +116,8 @@ def pack_particles(kind: int, payload: np.ndarray) -> bytes:
 
 def unpack_particles(blob: bytes) -> tuple[int, np.ndarray]:
     """(kind, count x width payload) of a record; ProtocolError on a record
-    that is cut short, too long or of an unknown kind."""
+    that is cut short, too long or of an unknown kind. The payload is a
+    read-only view of `blob`."""
     if len(blob) < _HEADER.size:
         raise ProtocolError(f"wire record of {len(blob)} bytes is shorter than its header")
     kind, count = _HEADER.unpack_from(blob)
@@ -117,8 +130,9 @@ def unpack_particles(blob: bytes) -> tuple[int, np.ndarray]:
             f"wire record of kind {kind} announces {count} particles of {width} reals, "
             f"payload has {size} bytes"
         )
+    # a read-only view of the record: receivers copy what they keep
     data = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size)
-    return kind, data.reshape(count, width).astype(np.float64)
+    return kind, data.reshape(count, width)
 
 
 class MailboxTransport:
@@ -417,31 +431,45 @@ def balance_slabs(world: RankWorld, store: ParticleStore):
 def gather_displacements(world: RankWorld, displacement: float):
     """Every rank's displacement, in rank order, on every rank.
 
-    Each rank sends every other rank a one-real displacement record, the way
-    `balance_slabs` sends its load record, and reads theirs after one
-    barrier. A world of one rank returns at once, without a message.
+    Rooted at rank 0, over two barriers: every other rank sends rank 0 a
+    one-row displacement record; rank 0 collects them in rank order and
+    sends every other rank one record of all of them. A world of one rank
+    returns at once, without a message or a barrier. ProtocolError, naming
+    the receiving and the sending rank, on a record of another kind or
+    shape.
     """
     if world.size == 1:
         return np.array([displacement])
-    me = world.rank
-    blob = pack_particles(WIRE_DISPLACEMENT, np.array([[displacement]]))
-    for peer in range(world.size):
-        if peer != me:
-            world.transport.send(me, peer, blob)
+    me, root = world.rank, 0
+    if me != root:
+        world.transport.send(me, root, pack_particles(WIRE_DISPLACEMENT, np.array([[displacement]])))
     yield
-    out = np.empty(world.size)
-    out[me] = displacement
-    for peer in range(world.size):
-        if peer == me:
-            continue
-        kind, data = unpack_particles(world.transport.recv(me, peer))
-        if kind != WIRE_DISPLACEMENT or data.shape != (1, 1):
-            raise ProtocolError(
-                f"rank {me} expected a displacement record from rank {peer}, got kind {kind} "
-                f"with {data.shape[0]} rows"
-            )
-        out[peer] = data[0, 0]
+    if me == root:
+        out = np.empty(world.size)
+        out[root] = displacement
+        for peer in range(world.size):
+            if peer != root:
+                out[peer] = _displacements(world, peer, 1)[0]
+        blob = pack_particles(WIRE_DISPLACEMENT, out[:, None])
+        for peer in range(world.size):
+            if peer != root:
+                world.transport.send(root, peer, blob)
+    yield
+    if me != root:
+        out = _displacements(world, root, world.size).copy()
     return out
+
+
+def _displacements(world: RankWorld, peer: int, rows: int) -> np.ndarray:
+    """The `rows` displacements of the record from `peer`; ProtocolError if
+    it is not a displacement record of that many rows."""
+    kind, data = unpack_particles(world.transport.recv(world.rank, peer))
+    if kind != WIRE_DISPLACEMENT or data.shape != (rows, 1):
+        raise ProtocolError(
+            f"rank {world.rank} expected a displacement record from rank {peer}, got kind {kind} "
+            f"with {data.shape[0]} rows"
+        )
+    return data[:, 0]
 
 
 def exchange(world: RankWorld, store: ParticleStore):
@@ -493,9 +521,8 @@ def exchange(world: RankWorld, store: ParticleStore):
 @dataclass
 class _PlanSend:
     peer: int
-    src_idx: np.ndarray  # absolute store indices (locals or earlier ghosts)
-    shift: np.ndarray  # (k, 3) fixed periodic shift per entry
-    ghost_start: int = -1  # set for self-entries, which deliver in place
+    rows: slice  # of the round's refreshed rows
+    ghost_start: int = -1  # set for this rank's own images, which land in place
 
 
 @dataclass
@@ -507,8 +534,18 @@ class _PlanRecv:
 
 @dataclass
 class _PlanRound:
-    sends: list[_PlanSend] = field(default_factory=list)
-    recvs: list[_PlanRecv] = field(default_factory=list)
+    """One stencil round of the ghost refresh.
+
+    Row k of the round's refresh is the position of store row src_idx[k]
+    (a local or a ghost of an earlier round) plus shift[k], the periodic
+    shift fixed at plan time. The rows are grouped by peer, in entry order
+    within a peer, and each send is one peer's slice of them.
+    """
+
+    src_idx: np.ndarray  # (k,) int64
+    shift: np.ndarray  # (k, 3)
+    sends: list[_PlanSend]
+    recvs: list[_PlanRecv]
 
 
 @dataclass
@@ -521,46 +558,66 @@ class BorderPlan:
     n_ghost: int
 
 
+def _by_peer(entries: list[PatternEntry], peer_of) -> dict[int, list[PatternEntry]]:
+    """The entries grouped by peer, peers in order of first appearance and
+    entries in their order within each group."""
+    groups: dict[int, list[PatternEntry]] = {}
+    for entry in entries:
+        groups.setdefault(peer_of(entry), []).append(entry)
+    return groups
+
+
 def define_borders(world: RankWorld, store: ParticleStore):
     """Pick border particles, materialize ghosts on the receivers, keep the plan.
 
-    Later rounds scan ghosts created by earlier rounds, which is how edge and
-    corner images propagate across dimensions under the face stencil.
+    Each round sends every remote peer one border record with the rows of
+    all of its entries, in entry order, and appends this rank's own
+    periodic images in place. Later rounds scan ghosts created by earlier
+    rounds, which is how edge and corner images propagate across dimensions
+    under the face stencil.
     """
     me = world.rank
     if store.n_ghost:
         raise ProtocolError(f"rank {me}: define_borders must start with an empty ghost region")
     plan_rounds: list[_PlanRound] = []
     for entries in world.pattern.rounds:
-        rnd = _PlanRound()
         pos = store.all_positions()
-        for entry in entries:
-            idx, emitted = entry.border_cond(pos)
-            shift = emitted - pos[idx] if len(idx) else np.empty((0, 3))
-            if entry.send_to == me:
-                start = store.append_ghosts(emitted, peer=me)
-                rnd.sends.append(_PlanSend(me, idx, shift, ghost_start=start))
+        src_idx, shift, sends = [], [], []
+        n = 0
+        for peer, group in _by_peer(entries, lambda e: e.send_to).items():
+            picked = [entry.border_cond(pos) for entry in group]
+            idx = np.concatenate([i for i, _ in picked])
+            emitted = np.concatenate([e for _, e in picked])
+            src_idx.append(idx)
+            shift.append(emitted - pos[idx])
+            rows = slice(n, n + idx.size)
+            n += idx.size
+            if peer == me:
+                sends.append(_PlanSend(me, rows, ghost_start=store.append_ghosts(emitted, peer=me)))
             else:
-                world.transport.send(me, entry.send_to, pack_particles(WIRE_BORDER, emitted))
-                rnd.sends.append(_PlanSend(entry.send_to, idx, shift))
+                world.transport.send(me, peer, pack_particles(WIRE_BORDER, emitted))
+                sends.append(_PlanSend(peer, rows))
         yield
-        for entry in entries:
-            if entry.recv_from == me:
+        recvs = []
+        for peer in _by_peer(entries, lambda e: e.recv_from):
+            if peer == me:
                 continue
-            kind, data = unpack_particles(world.transport.recv(me, entry.recv_from))
+            kind, data = unpack_particles(world.transport.recv(me, peer))
             if kind != WIRE_BORDER:
                 raise ProtocolError(f"rank {me} expected border record, got kind {kind}")
-            start = store.append_ghosts(data, peer=entry.recv_from)
-            rnd.recvs.append(_PlanRecv(entry.recv_from, start, data.shape[0]))
-        plan_rounds.append(rnd)
+            recvs.append(_PlanRecv(peer, store.append_ghosts(data, peer=peer), data.shape[0]))
+        plan_rounds.append(_PlanRound(np.concatenate(src_idx), np.concatenate(shift), sends, recvs))
     return BorderPlan(plan_rounds, n_local=store.n_local, n_ghost=store.n_ghost)
 
 
 def synchronize(world: RankWorld, store: ParticleStore, plan: BorderPlan):
     """Refresh every ghost position from its source, replaying the plan.
 
-    Each ghost ends up at source position plus the shift fixed at plan time;
-    multi-hop images stay exact because rounds replay in plan order.
+    Per round: one gather of the source rows, one in-place add of their
+    shifts, one sync record per remote peer, and one write per peer's
+    consecutive ghost slots. Each ghost ends up at source position plus the
+    shift fixed at plan time; multi-hop images stay exact because rounds
+    replay in plan order.
     """
     if store.n_local != plan.n_local or store.n_ghost != plan.n_ghost:
         raise ProtocolError(
@@ -569,12 +626,13 @@ def synchronize(world: RankWorld, store: ParticleStore, plan: BorderPlan):
         )
     me = world.rank
     for rnd in plan.rounds:
+        rows = store.positions.read_rows_at(rnd.src_idx)
+        rows += rnd.shift
         for s in rnd.sends:
-            data = store.positions.read_rows_at(s.src_idx) + s.shift
             if s.peer == me:
-                store.set_ghost_positions(s.ghost_start, data)
+                store.set_ghost_positions(s.ghost_start, rows[s.rows])
             else:
-                world.transport.send(me, s.peer, pack_particles(WIRE_SYNC, data))
+                world.transport.send(me, s.peer, pack_particles(WIRE_SYNC, rows[s.rows]))
         yield
         for r in rnd.recvs:
             kind, data = unpack_particles(world.transport.recv(me, r.peer))

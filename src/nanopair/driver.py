@@ -13,6 +13,10 @@ for trajectory dumps. Step order:
    every rank starts a full epoch at this step; otherwise the ghosts are
    refreshed and the lists stay;
 4. forces, then the closing half-kick.
+
+Each rank's `PhaseTimers` count only the time its own program runs: the
+clock of a communication phase stops at every barrier (see `_timed`), while
+the other ranks run.
 """
 
 from __future__ import annotations
@@ -48,13 +52,17 @@ class PhaseTimers:
     comm: float = 0.0
     other: float = 0.0
 
+    def add(self, phase: str, seconds: float) -> None:
+        setattr(self, phase, getattr(self, phase) + seconds)
+
     @contextmanager
     def track(self, phase: str):
+        """Time a block that does not yield (see `_timed` for one that does)."""
         t0 = time.perf_counter()
         try:
             yield
         finally:
-            setattr(self, phase, getattr(self, phase) + time.perf_counter() - t0)
+            self.add(phase, time.perf_counter() - t0)
 
     def total(self) -> float:
         return self.force + self.neigh + self.comm + self.other
@@ -122,17 +130,35 @@ def _momentum(store: ParticleStore, mass: float) -> np.ndarray:
     return mass * store.local_velocities().sum(axis=0)
 
 
+def _timed(timers: PhaseTimers, phase: str, gen):
+    """Run a phase generator to its end, passing on its barrier tokens.
+
+    The clock runs only while `gen` runs and stops at each yield, so
+    `phase` counts this rank's own slices, not the other ranks' slices
+    between them.
+    """
+    while True:
+        t0 = time.perf_counter()
+        try:
+            token = next(gen)
+        except StopIteration as stop:
+            return stop.value
+        finally:
+            timers.add(phase, time.perf_counter() - t0)
+        yield token
+
+
 def _reneighbor(state: SimState, world: RankWorld, cfg: SimConfig):
     """Full epoch: balance slabs, exchange, borders, re-bin, rebuild lists."""
-    with state.timers.track("comm"):
-        yield from balance_slabs(world, state.store)
-        yield from exchange(world, state.store)
-        state.plan = yield from define_borders(world, state.store)
-    with state.timers.track("neigh"):
+    timers, store = state.timers, state.store
+    yield from _timed(timers, "comm", balance_slabs(world, store))
+    yield from _timed(timers, "comm", exchange(world, store))
+    state.plan = yield from _timed(timers, "comm", define_borders(world, store))
+    with timers.track("neigh"):
         r = cfg.interaction_radius()
-        grid_box = world.domain.grid_box_for(state.store)
-        state.grid = build_cell_grid(state.store, grid_box, r)
-        state.lists = build_neighbor_lists(state.store, state.grid, r, cfg.half_neighbor)
+        grid_box = world.domain.grid_box_for(store)
+        state.grid = build_cell_grid(store, grid_box, r)
+        state.lists = build_neighbor_lists(store, state.grid, r, cfg.half_neighbor)
     state.steps_since_rebuild = 0
 
 
@@ -147,8 +173,7 @@ def _lists_outlived(state: SimState, world: RankWorld, cfg: SimConfig):
     with state.timers.track("other"):
         disp = max_displacement_since_rebuild(state.store, state.lists)
         state.max_displacement_seen = max(state.max_displacement_seen, disp)
-    with state.timers.track("comm"):
-        disps = yield from gather_displacements(world, disp)
+    disps = yield from _timed(state.timers, "comm", gather_displacements(world, disp))
     bound = 0.5 * cfg.verlet_buffer
     if disps.max() < bound:
         return False
@@ -193,8 +218,7 @@ def rank_program(
             yield from _reneighbor(state, world, cfg)
             state.rebuilds += 1
         else:
-            with state.timers.track("comm"):
-                yield from synchronize(world, store, state.plan)
+            yield from _timed(state.timers, "comm", synchronize(world, store, state.plan))
             state.steps_since_rebuild += 1
         with state.timers.track("force"):
             compute_forces(store, state.lists, law, backend=backend)

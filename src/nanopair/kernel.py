@@ -7,6 +7,13 @@ neighbor-list build), `pair_forces` and `add_reactions` (the force kernel).
 A C compiler is therefore a run-time requirement of this package. Both
 neighbor.py and potential.py call into it, which is why the loader lives in
 its own module.
+
+Array arguments are declared as plain addresses (`c_void_p`): a caller
+passes `address(a, dtype, shape)`, which checks the array once (an ndarray
+of that dtype, C-contiguous, of that shape where the caller knows it) and
+returns its data pointer. A converter such as `np.ctypeslib.ndpointer`
+would check the same on every call at several times the cost, and a
+compiled call is made on every rank at every step.
 """
 
 from __future__ import annotations
@@ -28,7 +35,24 @@ import numpy as np
 _CC = ("cc", "-std=c99", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
 _KERNEL_SOURCE = Path(__file__).with_name("pair_kernel.c")
 
-__all__ = ["library"]
+__all__ = ["library", "address"]
+
+
+def address(a, dtype, shape=None) -> int:
+    """Data pointer of an array argument of a compiled loop, after checking it.
+
+    TypeError unless `a` is a C-contiguous ndarray of `dtype` and, when
+    `shape` is given, of that shape: the loop would read the wrong memory.
+    """
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"compiled loop argument must be an ndarray, got {type(a).__name__}")
+    if a.dtype != dtype:
+        raise TypeError(f"compiled loop argument of dtype {a.dtype}, expected {np.dtype(dtype)}")
+    if not a.flags.c_contiguous:
+        raise TypeError(f"compiled loop argument of shape {a.shape} is not C-contiguous")
+    if shape is not None and a.shape != shape:
+        raise TypeError(f"compiled loop argument of shape {a.shape}, expected {shape}")
+    return a.ctypes.data
 
 
 @functools.cache
@@ -47,9 +71,8 @@ def library() -> ctypes.CDLL:
                 f"{done.returncode}:\n{done.stderr}"
             )
         dll = ctypes.CDLL(str(lib))
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i32 = np.ctypeslib.ndpointer(np.int32, flags="C_CONTIGUOUS")
-    idx = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    # arrays by address (see `address`): float64, int32 and int64 elements
+    f64 = i32 = idx = ctypes.c_void_p
     i64 = ctypes.c_int64
     dll.build_lists.argtypes = [
         f64, i64,  # x, n_total
@@ -67,7 +90,7 @@ def library() -> ctypes.CDLL:
         i32, i64, i32,  # mat, width, counts
         i64, i64, i64, ctypes.c_int,  # start, stop, n_local, half
         f64, idx, f64, i64,  # own, back_j, back_f, cap
-        ctypes.POINTER(i64), ctypes.c_void_p,  # n_back, row energies (NULL: not accumulated)
+        ctypes.POINTER(i64), f64,  # n_back, row energies (NULL: not accumulated)
     ]
     dll.pair_forces.restype = i64
     dll.add_reactions.argtypes = [i64, idx, f64, i64, f64]  # n, back_j, back_f, cap, acc

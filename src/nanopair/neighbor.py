@@ -189,13 +189,21 @@ def build_neighbor_lists(
         # the cell id is linear in the coordinates, so a stencil step is a flat offset
         soff = grid.cell_id(_STENCIL)
         occ = grid.occupants
+        # arrays by address, each checked once (see kernel.address)
+        i32, i64 = np.int32, np.int64
+        args = (
+            kernel.address(xyz, np.float64, (3, store.n_total)), store.n_total,
+            kernel.address(occ, i32), occ.shape[1], kernel.address(grid.counts, i64, (occ.shape[0],)),
+            kernel.address(cell_of, i64, (n_local,)), kernel.address(soff, i64, (_STENCIL.shape[0],)),
+            r * r, half,
+        )
+        counts_p = kernel.address(counts, i32, (n_local,))
         buf = np.empty(_LIST_BUFFER, dtype=np.int32)
         need = ctypes.c_int64()
         start = 0
         while start < n_local:
             stop = lib.build_lists(
-                xyz, store.n_total, occ, occ.shape[1], grid.counts,
-                cell_of, soff, r * r, half, start, n_local, buf, buf.size, counts, ctypes.byref(need),
+                *args, start, n_local, kernel.address(buf, i32), buf.size, counts_p, ctypes.byref(need)
             )
             if stop == start:
                 buf = np.empty(need.value, dtype=np.int32)
@@ -208,7 +216,10 @@ def build_neighbor_lists(
     mat = handle.view
     mat[n_local:] = -1  # the one row of an empty list
     for a, b, entries in chunks:
-        lib.spread_rows(b - a, entries, counts[a:b], mat[a:b], width)
+        lib.spread_rows(
+            b - a, kernel.address(entries, np.int32), kernel.address(counts[a:b], np.int32),
+            kernel.address(mat[a:b], np.int32, (b - a, width)), width,
+        )
     return NeighborLists(
         half=half,
         indices=handle,

@@ -63,12 +63,6 @@ class ParticleStore:
     def local_velocities(self) -> np.ndarray:
         return self.velocities.read_rows(0, self.n_local)
 
-    def all_velocities(self) -> np.ndarray:
-        return self.velocities.read_rows(0, self.n_total)
-
-    def local_forces(self) -> np.ndarray:
-        return self.forces.read_rows(0, self.n_local)
-
     # -- local-region editing ----------------------------------------------
 
     def append_locals(self, pos: np.ndarray, vel: np.ndarray) -> None:
@@ -92,19 +86,23 @@ class ParticleStore:
     def compact_locals(self, keep: np.ndarray) -> None:
         """Drop locals where `keep` is False, preserving the survivors' order.
 
-        Requires an empty ghost region (exchange clears ghosts first).
+        Rows before the first dropped one stay where they are; only the
+        survivors behind it move up, in order. Requires an empty ghost region
+        (exchange clears ghosts first).
         """
         if self.n_ghost != 0:
             raise RuntimeError("compact_locals requires an empty ghost region")
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != (self.n_local,):
             raise ValueError("keep mask must cover exactly the local region")
-        k = int(keep.sum())
-        if k == self.n_local:
+        holes = np.flatnonzero(~keep)
+        if holes.size == 0:
             return
+        first = int(holes[0])
+        tail = keep[first:]
         for h in (self.positions, self.velocities, self.forces):
-            h.write_rows(0, h.read_rows(0, self.n_local)[keep])
-        self.n_local = k
+            h.write_rows(first, h.read_rows(first, tail.size)[tail])
+        self.n_local = first + int(tail.sum())
 
     # -- ghost-region editing ------------------------------------------------
 

@@ -22,6 +22,7 @@ package.
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,14 @@ __all__ = [
     "compute_forces",
     "law_from_config",
 ]
+
+
+def _params(*values: float) -> np.ndarray:
+    """A law's parameters as the read-only float64 array the compiled loop reads;
+    built once per law instance (`kernel_args` is cached)."""
+    params = np.array(values, dtype=np.float64)
+    params.flags.writeable = False
+    return params
 
 
 @dataclass(frozen=True)
@@ -67,10 +76,10 @@ class LennardJones:
         s = self.force_scalar(np.asarray(rsq, dtype=np.float64))
         return s[..., None] * np.asarray(delta)
 
-    @property
-    def kernel_args(self) -> tuple[int, tuple[float, ...]]:
-        """Law code and parameters of the compiled loop (see pair_kernel.c)."""
-        return 0, (self.epsilon, self.sigma**6)
+    @functools.cached_property
+    def kernel_args(self) -> tuple[int, np.ndarray]:
+        """Law code and parameter array of the compiled loop (see pair_kernel.c)."""
+        return 0, _params(self.epsilon, self.sigma**6)
 
     def pair_energy(self, rsq: np.ndarray) -> np.ndarray:
         sigma6 = self.sigma**6
@@ -102,10 +111,10 @@ class SpringDashpot:
     def cutoff_rsq(self) -> float:
         return self.diameter * self.diameter
 
-    @property
-    def kernel_args(self) -> tuple[int, tuple[float, ...]]:
-        """Law code and parameters of the compiled loop (see pair_kernel.c)."""
-        return 1, (self.stiffness, self.damping, self.diameter)
+    @functools.cached_property
+    def kernel_args(self) -> tuple[int, np.ndarray]:
+        """Law code and parameter array of the compiled loop (see pair_kernel.c)."""
+        return 1, _params(self.stiffness, self.damping, self.diameter)
 
     def force_scalar(self, rsq: np.ndarray, vdot=None) -> np.ndarray:
         """s with force = s * delta, zero outside contact.
@@ -169,6 +178,7 @@ def compute_forces(
     Raises SingularityError on a coincident pair and on a non-finite force,
     ProtocolError on lists that do not belong to the store as it is; a
     faulty list entry is reported for the first one in row-major order.
+    TypeError on a list array of the wrong dtype or memory layout.
     """
     half = lists.half
     if backend is None:
@@ -188,12 +198,19 @@ def compute_forces(
         raise ProtocolError(f"list counts do not fit {n_local} rows of width {width}")
     lib = kernel.library()
     code, params = law.kernel_args
-    params = np.array(params, dtype=np.float64)
     xyz = store.positions.read_transposed(0, n_total)
     # the loop reads velocities only for a law that needs them
     vel = store.velocities.read_transposed(0, n_total) if law.needs_velocities else xyz
     forces = np.empty((n_local, 3))
     row_energy = np.empty(n_local) if accumulate_energy else None
+    # every array goes to the loop as a bare address, checked once here (see
+    # kernel.address): a wrong dtype, layout or shape raises TypeError
+    f64, i32, i64 = np.float64, np.int32, np.int64
+    params_p = kernel.address(params, f64)
+    xyz_p = kernel.address(xyz, f64, (3, n_total))
+    vel_p = kernel.address(vel, f64, (3, n_total))
+    mat_p = kernel.address(mat, i32, (n_local, width))
+    counts_p = kernel.address(counts, i32, (n_local,))
 
     def do_chunk(start: int, stop: int):
         cap = int(counts[start:stop].sum()) if half else 0
@@ -201,12 +218,13 @@ def compute_forces(
         back_f = np.empty((3, cap))
         n_back = ctypes.c_int64()
         bad = lib.pair_forces(
-            code, params, law.cutoff_rsq, law.needs_velocities,
-            xyz, vel, n_total,
-            mat, width, counts,
+            code, params_p, law.cutoff_rsq, law.needs_velocities,
+            xyz_p, vel_p, n_total,
+            mat_p, width, counts_p,
             start, stop, n_local, half,
-            forces[start:stop], back_j, back_f, cap,
-            ctypes.byref(n_back), None if row_energy is None else row_energy[start:stop].ctypes.data,
+            kernel.address(forces[start:stop], f64), kernel.address(back_j, i64),
+            kernel.address(back_f, f64), cap, ctypes.byref(n_back),
+            None if row_energy is None else kernel.address(row_energy[start:stop], f64),
         )
         if bad >= 0:
             i, k = divmod(bad, width)
@@ -220,8 +238,9 @@ def compute_forces(
     results = backend.run([(s, min(s + chunk, n_local)) for s in range(0, n_local, chunk)], do_chunk)
     if half:
         reactions = np.zeros((n_local, 3))
+        acc = kernel.address(reactions, f64)
         for back_j, back_f, n in results:
-            lib.add_reactions(n, back_j, back_f, back_f.shape[1], reactions)
+            lib.add_reactions(n, kernel.address(back_j, i64), kernel.address(back_f, f64), back_f.shape[1], acc)
         # an inf reaction meets the non-finite check below, not a warning here
         with np.errstate(invalid="ignore", over="ignore"):
             forces -= reactions

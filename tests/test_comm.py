@@ -1,5 +1,6 @@
 import functools
 import inspect
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from nanopair.backend import SerialBackend
 from nanopair.comm import (
     LOAD_BINS,
     WIRE_BORDER,
+    WIRE_DISPLACEMENT,
     WIRE_EXCHANGE,
     WIRE_LOAD,
     WIRE_SYNC,
@@ -368,32 +370,71 @@ class TestWireFaults:
     def test_displacement_gather_rejects_other_kind(self):
         pos, vel = initial_state(SD)
         worlds, _, transport = make_worlds(SD, 2, pos, vel)
-        # rank 1 sends a sync record where rank 0 expects its displacement
+        # rank 1 sends a sync record where rank 0, the root, expects its
+        # displacement; rank 0 reads it after the first barrier
         transport.send(1, 0, pack_particles(WIRE_SYNC, np.zeros((1, 3))))
         gen = gather_displacements(worlds[0], 0.01)
         assert next(gen) is None
-        with pytest.raises(ProtocolError, match="rank 0 expected a displacement record from rank 1, got kind 2"):
+        with pytest.raises(
+            ProtocolError, match="^rank 0 expected a displacement record from rank 1, got kind 2 with 1 rows$"
+        ):
+            next(gen)
+        # rank 0 sends a sync record where rank 1 expects the gathered
+        # displacements; rank 1 reads it after the second barrier
+        transport.send(0, 1, pack_particles(WIRE_SYNC, np.zeros((2, 3))))
+        gen = gather_displacements(worlds[1], 0.01)
+        assert next(gen) is None
+        assert next(gen) is None
+        with pytest.raises(
+            ProtocolError, match="^rank 1 expected a displacement record from rank 0, got kind 2 with 2 rows$"
+        ):
+            next(gen)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_displacement_gather_rejects_wrong_length(self, rows):
+        # at P = 2 rank 0 must send back a record of 2 displacements
+        pos, vel = initial_state(SD)
+        worlds, _, transport = make_worlds(SD, 2, pos, vel)
+        transport.send(0, 1, pack_particles(WIRE_DISPLACEMENT, np.zeros((rows, 1))))
+        gen = gather_displacements(worlds[1], 0.01)
+        assert next(gen) is None
+        assert next(gen) is None
+        with pytest.raises(
+            ProtocolError,
+            match=f"^rank 1 expected a displacement record from rank 0, got kind 5 with {rows} rows$",
+        ):
             next(gen)
 
     def test_displacement_gather(self):
-        pos, vel = initial_state(SD)
-        worlds, _, transport = make_worlds(SD, 2, pos, vel)
-        gens = [gather_displacements(w, d) for w, d in zip(worlds, (0.25, 0.5))]
-        assert advance(gens) == [None, None]
-        for got in advance(gens):
-            np.testing.assert_array_equal(got, [0.25, 0.5])
-        assert transport.pending() == 0
+        # P = 1 returns at once; otherwise two barriers and 2 (P - 1)
+        # records, and every rank holds every displacement in rank order
+        for ranks in (1, 2, 3, 8):
+            pos, vel = initial_state(LJ)
+            worlds, _, transport = make_worlds(LJ, ranks, pos, vel, RecordingTransport)
+            disps = 0.25 + np.arange(ranks) / 7.0
+            gens = [gather_displacements(w, d) for w, d in zip(worlds, disps)]
+            for _ in range(0 if ranks == 1 else 2):
+                assert advance(gens) == [None] * ranks
+            for got in advance(gens):
+                np.testing.assert_array_equal(got, disps)
+            up = [(r, 0, WIRE_DISPLACEMENT, 1) for r in range(1, ranks)]
+            down = [(0, r, WIRE_DISPLACEMENT, ranks) for r in range(1, ranks)]
+            assert transport.records == up + down
+            assert transport.pending() == 0
 
 
 class RecordingTransport(MailboxTransport):
-    """A mailbox that also keeps (src, dst, rows) of every exchange record sent."""
+    """A mailbox that also keeps (src, dst, kind, row count) of every record
+    sent and (src, dst, row) of every exchanged particle."""
 
     def __init__(self, size):
         super().__init__(size)
+        self.records = []
         self.exchanged = []
 
     def send(self, src, dst, blob):
         kind, data = unpack_particles(blob)
+        self.records.append((src, dst, kind, data.shape[0]))
         if kind == WIRE_EXCHANGE:
             self.exchanged.extend((src, dst, row) for row in data)
         super().send(src, dst, blob)
@@ -473,18 +514,25 @@ class TestProtocolFaults:
             next(gen)
 
     def test_sync_record_of_wrong_length_rejected(self):
-        worlds, stores, transport = make_worlds(SD, 2, *initial_state(SD))
-        plan = border_plans(worlds, stores)[0]
-        first = plan.rounds[0].recvs[0]
-        assert first.peer == 1
-        transport.send(1, 0, pack_particles(WIRE_SYNC, np.zeros((first.count + 1, 3))))
-        gen = synchronize(worlds[0], stores[0], plan)
-        assert next(gen) is None
-        with pytest.raises(
-            ProtocolError,
-            match=rf"^rank 0: sync from 1 carries {first.count + 1} particles, plan expects {first.count}$",
-        ):
-            next(gen)
+        # at P = 2 both x faces of rank 1 face rank 0, so rank 0 expects one
+        # sync record holding the rows of both of rank 1's x entries
+        pos, vel = initial_state(SD)
+        for wrong in (+1, -1):
+            worlds, stores, transport = make_worlds(SD, 2, pos, vel)
+            x_round = worlds[1].pattern.rounds[0]
+            assert [e.send_to for e in x_round] == [0, 0]
+            border = stores[1].all_positions()
+            count = sum(len(e.border_cond(border)[0]) for e in x_round)
+            plan = border_plans(worlds, stores)[0]
+            assert [(r.peer, r.count) for r in plan.rounds[0].recvs] == [(1, count)]
+            transport.send(1, 0, pack_particles(WIRE_SYNC, np.zeros((count + wrong, 3))))
+            gen = synchronize(worlds[0], stores[0], plan)
+            assert next(gen) is None
+            with pytest.raises(
+                ProtocolError,
+                match=rf"^rank 0: sync from 1 carries {count + wrong} particles, plan expects {count}$",
+            ):
+                next(gen)
 
     def test_define_borders_rejects_existing_ghosts(self):
         worlds, stores, transport = make_worlds(SD, 2, *initial_state(SD))
@@ -534,3 +582,58 @@ class TestProtocolFaults:
         ):
             for _ in range(10):
                 advance(gens)
+
+
+class TestSyncRecords:
+    """Ghost sync sends one record per remote peer and stencil round, and
+    leaves unmoved ghosts exactly where border definition put them."""
+
+    @pytest.mark.parametrize("ranks", [2, 4, 8])
+    def test_one_record_per_peer_and_round(self, ranks):
+        pos, vel = initial_state(LJ)
+        worlds, stores, transport = make_worlds(LJ, ranks, pos, vel, RecordingTransport)
+        plans = border_plans(worlds, stores)
+        ghosts = [s.positions.read_rows(s.n_local, s.n_ghost) for s in stores]
+        gens = [synchronize(w, s, p) for w, s, p in zip(worlds, stores, plans)]
+        sent = 0
+        for d in range(3):
+            transport.records.clear()
+            advance(gens)
+            want = sorted(
+                (w.rank, peer)
+                for w in worlds
+                for peer in {e.send_to for e in w.pattern.rounds[d]} - {w.rank}
+            )
+            assert sorted((src, dst) for src, dst, _, _ in transport.records) == want
+            assert {kind for _, _, kind, _ in transport.records} <= {WIRE_SYNC}
+            sent += len(want)
+        advance(gens)
+        # one peer per axis of width 2, two per wider axis: 24 records at P = 8
+        assert sent == {2: 2, 4: 8, 8: 24}[ranks]
+        assert transport.pending() == 0
+        for s, before in zip(stores, ghosts):
+            np.testing.assert_array_equal(s.positions.read_rows(s.n_local, s.n_ghost), before)
+
+
+class TestPhaseTimers:
+    """A rank's phase timers count only its own slices: their sum never
+    exceeds the time the runner spent inside that rank's program."""
+
+    @pytest.mark.parametrize("ranks", [1, 4])
+    def test_phase_sum_within_busy_time(self, ranks):
+        cfg = SD.with_overrides(steps=20)
+        worlds, stores, _ = make_worlds(cfg, ranks, *initial_state(cfg))
+        gens = [rank_program(cfg, w, s, backend=SerialBackend()) for w, s in zip(worlds, stores)]
+        busy = np.zeros(ranks)
+        reports = [None] * ranks
+        while reports[0] is None:
+            for r, gen in enumerate(gens):
+                t0 = time.perf_counter()
+                try:
+                    next(gen)
+                except StopIteration as stop:
+                    reports[r] = stop.value
+                busy[r] += time.perf_counter() - t0
+        for rep, spent in zip(reports, busy):
+            assert rep.timers.comm > 0
+            assert rep.timers.total() <= spent

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nanopair.core import SimConfig
-from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
+from nanopair.layout import ArrayHandle, clustered_layout, column_major_layout, row_major_layout
 from nanopair.particles import ParticleStore, create_lattice, lattice_positions
 
 LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(8)]
@@ -39,7 +39,7 @@ class TestCreateLattice:
     def test_forces_zeroed(self):
         cfg = SimConfig(unit_cells=(2, 2, 2), verlet_buffer=0.0, cutoff=1.0)
         store = create_lattice(cfg, cfg.domain())
-        assert np.all(store.local_forces() == 0.0)
+        assert np.all(store.forces.read_rows(0, store.n_local) == 0.0)
 
     def test_half_diagonal_fill(self):
         cfg = SimConfig(unit_cells=(8, 8, 8), fill="half-diagonal").validate()
@@ -122,6 +122,37 @@ class TestRegionEditing:
         store.append_locals(pos, np.zeros((6, 3)))
         store.compact_locals(np.array([True, False, True, True, False, True]))
         np.testing.assert_array_equal(store.local_positions(), pos[[0, 2, 3, 5]])
+
+
+@pytest.mark.parametrize("lay", LAYOUTS + [clustered_layout(4)], ids=["aos", "soa", "aosoa8", "aosoa4"])
+@pytest.mark.parametrize("holes", ["start", "middle", "end", "none", "scattered", "all"])
+def test_compact_locals_matches_full_copy(lay, holes):
+    """Moving only the survivors behind the first hole leaves every buffer
+    byte as the full copy of all survivors would."""
+    rng = np.random.default_rng(31)
+    n = 29
+    keep = np.ones(n, dtype=bool)
+    keep[{"start": [0, 1], "middle": [13], "end": [27, 28], "none": [], "scattered": [3, 9, 10, 22],
+          "all": slice(None)}[holes]] = False
+
+    def filled():
+        store = ParticleStore(lay, n + 3)
+        store.append_locals(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
+        store.forces.write_rows(0, rng.normal(size=(n, 3)))
+        return store
+
+    store = filled()
+    want = [h.buf.copy() for h in (store.positions, store.velocities, store.forces)]
+    for h, buf in zip((store.positions, store.velocities, store.forces), want):
+        # the full-copy formula, on a handle over a copy of the buffer
+        ref = ArrayHandle(h.layout, h.size_x, h.size_y)
+        ref.buf[:] = buf
+        ref.write_rows(0, ref.read_rows(0, n)[keep])
+        buf[:] = ref.buf
+    store.compact_locals(keep)
+    assert store.n_local == keep.sum()
+    for h, buf in zip((store.positions, store.velocities, store.forces), want):
+        assert h.buf.tobytes() == buf.tobytes()
 
 
 class TestLayoutInvariance:

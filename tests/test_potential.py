@@ -9,7 +9,7 @@ from nanopair import kernel
 from nanopair.backend import SerialBackend, ThreadBackend
 from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError, SingularityError
-from nanopair.layout import row_major_layout
+from nanopair.layout import ArrayHandle, column_major_layout, row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists
 from nanopair.particles import ParticleStore, create_lattice
 from nanopair.potential import (
@@ -18,6 +18,10 @@ from nanopair.potential import (
     compute_forces,
     law_from_config,
 )
+
+
+def local_forces(store):
+    return store.forces.read_rows(0, store.n_local)
 
 
 def lj_reference(delta, rsq, epsilon, sigma):
@@ -32,7 +36,7 @@ def forces_of_pair(law, pos, half):
     store.append_locals(pos, np.zeros((2, 3)))
     grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
     compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=half), law)
-    return store.local_forces()
+    return local_forces(store)
 
 
 class TestLennardJones:
@@ -228,7 +232,7 @@ class TestComputeForces:
         grid = build_cell_grid(store, box, 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         compute_forces(store, lists, LennardJones(1.0, 1.0, 2.5))
-        assert np.all(np.abs(store.local_forces()) < 1e-12)
+        assert np.all(np.abs(local_forces(store)) < 1e-12)
 
     def test_half_equals_full(self):
         cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
@@ -239,7 +243,7 @@ class TestComputeForces:
             grid = build_cell_grid(store, box, r)
             lists = build_neighbor_lists(store, grid, r, half=half)
             compute_forces(store, lists, law)
-            results[half] = store.local_forces()
+            results[half] = local_forces(store)
         assert np.max(np.abs(results[True] - results[False])) < 1e-10
 
     def test_forces_sum_to_zero_periodic(self):
@@ -248,7 +252,7 @@ class TestComputeForces:
         grid = build_cell_grid(store, box, r)
         lists = build_neighbor_lists(store, grid, r, half=True)
         compute_forces(store, lists, law_from_config(cfg))
-        total = store.local_forces().sum(axis=0)
+        total = local_forces(store).sum(axis=0)
         assert np.all(np.abs(total) < 1e-9)
 
     def test_translation_invariance_exact(self):
@@ -267,7 +271,7 @@ class TestComputeForces:
             grid = build_cell_grid(store, box, 2.8)
             lists = build_neighbor_lists(store, grid, 2.8, half=False)
             compute_forces(store, lists, law)
-            outs.append(store.local_forces())
+            outs.append(local_forces(store))
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_energy_flag(self):
@@ -427,9 +431,60 @@ class TestComputeForces:
         out = []
         for backend in (SerialBackend(), small, ThreadBackend(2), threaded):
             compute_forces(store, lists, law, backend=backend)
-            out.append(store.local_forces())
+            out.append(local_forces(store))
         for got in out[1:]:
             np.testing.assert_array_equal(got, out[0])
+
+
+class TestKernelArguments:
+    """The compiled loops take bare addresses; each array is checked once
+    before a call, so a wrong one raises instead of being read as raw memory."""
+
+    def lists_of_row(self):
+        """Three particles in a row: full lists of width 2."""
+        store = ParticleStore(row_major_layout(), 3)
+        store.append_locals(np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0], [6.0, 4.0, 4.0]]), np.zeros((3, 3)))
+        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        return store, build_neighbor_lists(store, grid, 2.8, half=False)
+
+    def test_int64_counts_rejected(self):
+        store, lists = self.lists_of_row()
+        lists.counts = lists.counts.astype(np.int64)
+        with pytest.raises(TypeError, match="^compiled loop argument of dtype int64, expected int32$"):
+            compute_forces(store, lists, LennardJones())
+
+    def test_non_contiguous_matrix_rejected(self):
+        store, lists = self.lists_of_row()
+        mat = lists.as_matrix()
+        soa = ArrayHandle(column_major_layout(), *mat.shape, dtype=np.int32)
+        soa.view[...] = mat
+        lists.indices = soa
+        with pytest.raises(TypeError, match=r"^compiled loop argument of shape \(3, 2\) is not C-contiguous$"):
+            compute_forces(store, lists, LennardJones())
+
+    def test_counts_of_wrong_shape_rejected(self):
+        store, lists = self.lists_of_row()
+        lists.counts = np.append(lists.counts, 0).astype(np.int32)
+        with pytest.raises(ProtocolError, match="list counts do not fit 3 rows of width 2"):
+            compute_forces(store, lists, LennardJones())
+
+    def test_address_checks(self):
+        xyz = np.zeros((3, 5))
+        assert kernel.address(xyz, np.float64, (3, 5)) == xyz.ctypes.data
+        for bad, match in [
+            (np.zeros((3, 4)), r"of shape \(3, 4\), expected \(3, 5\)"),
+            (np.zeros((5, 3)).T, "is not C-contiguous"),
+            (np.zeros((3, 5), dtype=np.float32), "of dtype float32, expected float64"),
+            (np.zeros((3, 5)).tolist(), "must be an ndarray, got list"),
+        ]:
+            with pytest.raises(TypeError, match=match):
+                kernel.address(bad, np.float64, (3, 5))
+
+    def test_parameters_built_once_per_law(self):
+        for law in (LennardJones(), SpringDashpot(damping=2.0)):
+            code, params = law.kernel_args
+            assert law.kernel_args[1] is params
+            assert not params.flags.writeable and params.dtype == np.float64
 
 
 @pytest.mark.parametrize(
@@ -462,7 +517,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
 def pair_loop_forces(store, lists, law, half):
     """Oracle: forces and energy from one `pair_force` call per list entry."""
     n_local = store.n_local
-    pos, vel = store.all_positions(), store.all_velocities()
+    pos, vel = store.all_positions(), store.velocities.read_rows(0, store.n_total)
     mat = lists.as_matrix()
     forces = np.zeros((n_local, 3))
     energy = 0.0
@@ -491,7 +546,7 @@ def row_order_forces(store, lists, law):
     over the rows' in-order sums of `pair_energy`, at weight 1 for a local
     partner of a half list and 0.5 otherwise. Returns (forces, energy)."""
     n_local = store.n_local
-    pos, vel = store.all_positions(), store.all_velocities()
+    pos, vel = store.all_positions(), store.velocities.read_rows(0, store.n_total)
     mat = lists.as_matrix()
     own = np.zeros((n_local, 3))
     reactions = [[0.0, 0.0, 0.0] for _ in range(n_local)]
@@ -549,7 +604,7 @@ class TestKernelOracle:
         assert np.any(mat >= store.n_local)
         want, want_energy = pair_loop_forces(store, lists, law, half)
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
-        got = store.local_forces()
+        got = local_forces(store)
         scale = np.abs(want).max()
         assert scale > 0.0
         np.testing.assert_allclose(got, want, rtol=0.0, atol=self.RTOL * scale)
@@ -575,7 +630,7 @@ class TestKernelOracle:
         assert lists.counts.max() > KERNEL_BLOCK and lists.counts.min() == 0
         want, want_energy = row_order_forces(store, lists, law)
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
-        np.testing.assert_array_equal(store.local_forces(), want)
+        np.testing.assert_array_equal(local_forces(store), want)
         assert got_energy == want_energy
 
 
@@ -594,7 +649,7 @@ def test_optimisation_level_keeps_bits(monkeypatch):
         out = []
         for store, lists, law in cases:
             energy = compute_forces(store, lists, law, accumulate_energy=True)
-            out.append((store.local_forces(), energy))
+            out.append((local_forces(store), energy))
         return out
 
     o0 = tuple("-O0" if flag.startswith("-O") else flag for flag in kernel._CC)
