@@ -74,7 +74,6 @@ class SimState:
 
     step: int
     store: ParticleStore
-    grid: object = None
     lists: object = None
     plan: object = None
     timers: PhaseTimers = field(default_factory=PhaseTimers)
@@ -157,8 +156,8 @@ def _reneighbor(state: SimState, world: RankWorld, cfg: SimConfig):
     with timers.track("neigh"):
         r = cfg.interaction_radius()
         grid_box = world.domain.grid_box_for(store)
-        state.grid = build_cell_grid(store, grid_box, r)
-        state.lists = build_neighbor_lists(store, state.grid, r, cfg.half_neighbor)
+        grid = build_cell_grid(store, grid_box, r)
+        state.lists = build_neighbor_lists(store, grid, r, cfg.half_neighbor)
     state.steps_since_rebuild = 0
 
 

@@ -2,8 +2,9 @@
 
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
 on first use in a process and returns the loaded library with the argument
-types of its functions declared: `build_lists` and `spread_rows` (the
-neighbor-list build), `pair_forces` and `add_reactions` (the force kernel).
+types of its functions declared: `bin_cells` (the cell binning),
+`build_lists` and `spread_rows` (the neighbor-list build), `pair_forces` and
+`add_reactions` (the force kernel).
 A C compiler is therefore a run-time requirement of this package. Both
 neighbor.py and potential.py call into it, which is why the loader lives in
 its own module.
@@ -74,11 +75,16 @@ def library() -> ctypes.CDLL:
     # arrays by address (see `address`): float64, int32 and int64 elements
     f64 = i32 = idx = ctypes.c_void_p
     i64 = ctypes.c_int64
+    dll.bin_cells.argtypes = [
+        f64, i64, f64, ctypes.c_double, idx,  # x, n, lo, r, dims
+        idx, idx, idx, i32,  # coords, cell_of, start, members
+    ]
+    dll.bin_cells.restype = i64
     dll.build_lists.argtypes = [
         f64, i64,  # x, n_total
-        i32, i64, idx,  # occ, max_occ, cell_counts
+        i32, idx,  # members, start
         idx, idx, ctypes.c_double, ctypes.c_int,  # cell_of, soff, rsq_max, half
-        i64, i64, i32, i64,  # start, n_local, buf, cap
+        i64, i64, i32, i64,  # row0, n_local, buf, cap
         i32, ctypes.POINTER(i64),  # counts, need
     ]
     dll.build_lists.restype = i64

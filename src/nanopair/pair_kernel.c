@@ -1,18 +1,22 @@
-/* The two compiled loops of nanopair: the Verlet-list build behind
- * nanopair.neighbor.build_neighbor_lists, and the pair-force row loops behind
- * nanopair.potential.compute_forces with the serial sum of the half-list
- * reactions they collect. nanopair.kernel compiles this file once per process.
+/* The compiled loops of nanopair: the cell binning behind
+ * nanopair.neighbor.build_cell_grid (a counting sort into a CSR cell list),
+ * the Verlet-list build behind nanopair.neighbor.build_neighbor_lists, which
+ * reads each local's 27 stencil cells as 9 contiguous runs of that list, and
+ * the pair-force row loops behind nanopair.potential.compute_forces with the
+ * serial sum of the half-list reactions they collect. nanopair.kernel
+ * compiles this file once per process.
  *
  * `pair_forces` picks one row loop per law. The Lennard-Jones loop is staged:
  * per block of a row's entries it gathers the in-cutoff partners, evaluates
  * the law on them in loops the compiler vectorises (two doubles per SSE2
  * register), and sums in row order. The spring-dashpot loop stays scalar: its
  * rows hold a few entries and few of those are in contact. Both follow the
- * operation order of the laws' `force_scalar` and `pair_energy` in
- * potential.py. A vector lane performs the scalar operations in the scalar
- * order, no sum is reordered, and the build forbids fused multiply-adds and
- * fast-math (-ffp-contract=off, see nanopair.kernel._CC), so the results do
- * not depend on the machine, the optimisation level or the staging.
+ * operation order of the Python reference laws in tests/test_potential.py
+ * (`force_scalar`, `pair_energy`). A vector lane performs the scalar
+ * operations in the scalar order, no sum is reordered, and the build forbids
+ * fused multiply-adds and fast-math (-ffp-contract=off, see
+ * nanopair.kernel._CC), so the results do not depend on the machine, the
+ * optimisation level or the staging.
  *
  * Arrays are C-contiguous: x and v are coordinate-major (3, n_total), mat is
  * the (n_local, width) list of which row i holds counts[i] real partners,
@@ -244,46 +248,88 @@ void add_reactions(int64_t n, const int64_t *back_j, const double *back_f, int64
     }
 }
 
-/* List rows of locals [start, n_local), in local order, into buf (cap
- * entries). Local i lies in cell cell_of[i]; its candidates are the
- * occupants of the 27 cells cell_of[i] + soff[s], taken in stencil order and,
- * within a cell, in occupant order (occ is the (n_cells, max_occ) occupant
- * table, cell_counts the occupancy). A candidate j is kept when the index rule
- * holds (half: j > i, full: j != i) and its squared distance, summed x, y, z
- * in that order from dx = x[j] - x[i], is below rsq_max. Every candidate is
- * written and only a kept one advances the end, so the loop does not branch
- * on the test. counts[i] receives the row length.
+/* Bins particles [0, n) of x into the cells of edge r whose interior starts
+ * at lo: dims[d] interior cells per axis plus one shell cell on each side.
+ * Per axis, f = floor((x - lo) / r), the arithmetic of the numpy formula; f is
+ * tested as a double, so a NaN fails the test, and a particle with f outside
+ * [-1, dims[d]] lies more than one shell cell out. Writes the shell-shifted
+ * coordinates f + 1 to coords (3, n), the cell id (c0 * g1 + c1) * g2 + c2
+ * (g = dims + 2) to cell_of (n,), and the CSR cell list: cell c holds
+ * members[start[c] .. start[c + 1]), in index order (a counting sort, so
+ * stable). Returns -1, or the first particle more than one shell cell out;
+ * the outputs are then incomplete. */
+int64_t bin_cells(const double *x, int64_t n, const double *lo, double r, const int64_t *dims,
+                  int64_t *coords, int64_t *cell_of, int64_t *start, int32_t *members)
+{
+    const int64_t g[3] = {dims[0] + 2, dims[1] + 2, dims[2] + 2};
+    const int64_t n_cells = g[0] * g[1] * g[2];
+    for (int64_t c = 0; c <= n_cells; ++c)
+        start[c] = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        int64_t cell = 0;
+        for (int d = 0; d < 3; ++d) {
+            const double f = floor((x[d * n + i] - lo[d]) / r);
+            if (!(f >= -1.0 && f <= (double)dims[d]))
+                return i;
+            const int64_t c = (int64_t)f + 1;
+            coords[d * n + i] = c;
+            cell = cell * g[d] + c;
+        }
+        cell_of[i] = cell;
+        start[cell + 1] += 1;
+    }
+    for (int64_t c = 0; c < n_cells; ++c)
+        start[c + 1] += start[c];
+    /* start[c] walks to the end of cell c, which is start[c + 1] before the walk */
+    for (int64_t i = 0; i < n; ++i)
+        members[start[cell_of[i]]++] = (int32_t)i;
+    for (int64_t c = n_cells; c > 0; --c)
+        start[c] = start[c - 1];
+    start[0] = 0;
+    return -1;
+}
+
+/* List rows of locals [row0, n_local), in local order, into buf (cap
+ * entries). Local i lies in cell cell_of[i]; its candidates are the members
+ * of the 27 stencil cells, read as 9 runs: for each (dx, dy) of the stencil,
+ * the z-neighbours b - 1, b, b + 1 of the middle cell b are consecutive cell
+ * ids, so their members are the one run members[start[b - 1] .. start[b + 2]).
+ * soff[s] is the offset of run s's first cell from cell_of[i]. The runs are
+ * taken in stencil order (x slowest, z fastest) and each cell's members in
+ * index order. A candidate j is kept when the index rule holds (half: j > i,
+ * full: j != i) and its squared distance, summed x, y, z in that order from
+ * dx = x[j] - x[i], is below rsq_max. Every candidate is written and only a
+ * kept one advances the end, so the loop does not branch on the test.
+ * counts[i] receives the row length.
  *
  * A row starts only if all its candidates fit behind the entries written so
  * far. Returns the first row not built (n_local when all are); *need is then
- * that row's candidate count, and buf holds the sum of counts[start..return)
+ * that row's candidate count, and buf holds the sum of counts[row0..return)
  * entries. */
 static inline __attribute__((always_inline)) int64_t list_rows(
     const double *x, int64_t n_total,
-    const int32_t *occ, int64_t max_occ, const int64_t *cell_counts,
+    const int32_t *members, const int64_t *start,
     const int64_t *cell_of, const int64_t *soff, double rsq_max, const int half,
-    int64_t start, int64_t n_local, int32_t *buf, int64_t cap,
+    int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
     int32_t *counts, int64_t *need)
 {
     const double *y = x + n_total, *z = y + n_total;
     int64_t e = 0;
-    for (int64_t i = start; i < n_local; ++i) {
+    for (int64_t i = row0; i < n_local; ++i) {
         const int64_t c = cell_of[i];
         int64_t total = 0;
-        for (int s = 0; s < 27; ++s)
-            total += cell_counts[c + soff[s]];
+        for (int s = 0; s < 9; ++s)
+            total += start[c + soff[s] + 3] - start[c + soff[s]];
         if (total > cap - e) {
             *need = total;
             return i;
         }
         const double xi = x[i], yi = y[i], zi = z[i];
         const int64_t row = e;
-        for (int s = 0; s < 27; ++s) {
-            const int64_t cs = c + soff[s];
-            const int32_t *o = occ + cs * max_occ;
-            const int64_t n = cell_counts[cs];
-            for (int64_t k = 0; k < n; ++k) {
-                const int32_t j = o[k];
+        for (int s = 0; s < 9; ++s) {
+            const int64_t end = start[c + soff[s] + 3];
+            for (int64_t k = start[c + soff[s]]; k < end; ++k) {
+                const int32_t j = members[k];
                 const double dx = x[j] - xi, dy = y[j] - yi, dz = z[j] - zi;
                 const double rsq = dx * dx + dy * dy + dz * dz;
                 const int keep = (rsq < rsq_max) & (half ? j > i : j != i);
@@ -301,16 +347,16 @@ static inline __attribute__((always_inline)) int64_t list_rows(
  * candidate instead of a select between two (3-8 % faster on a 6912-atom LJ
  * rank). */
 int64_t build_lists(const double *x, int64_t n_total,
-                    const int32_t *occ, int64_t max_occ, const int64_t *cell_counts,
+                    const int32_t *members, const int64_t *start,
                     const int64_t *cell_of, const int64_t *soff, double rsq_max, int half,
-                    int64_t start, int64_t n_local, int32_t *buf, int64_t cap,
+                    int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
                     int32_t *counts, int64_t *need)
 {
     if (half)
-        return list_rows(x, n_total, occ, max_occ, cell_counts, cell_of, soff, rsq_max, 1,
-                         start, n_local, buf, cap, counts, need);
-    return list_rows(x, n_total, occ, max_occ, cell_counts, cell_of, soff, rsq_max, 0,
-                     start, n_local, buf, cap, counts, need);
+        return list_rows(x, n_total, members, start, cell_of, soff, rsq_max, 1,
+                         row0, n_local, buf, cap, counts, need);
+    return list_rows(x, n_total, members, start, cell_of, soff, rsq_max, 0,
+                     row0, n_local, buf, cap, counts, need);
 }
 
 /* Rows [0, n) of the (n, width) list mat: row i receives the next counts[i]

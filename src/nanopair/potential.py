@@ -1,22 +1,20 @@
 """Pair force laws and the particle-neighbor force kernel.
 
 Both laws are central forces: the force on i is s * delta, where the scalar
-s comes from `force_scalar` as a function of the squared separation (and, for
-the contact model with damping, of delta . (v_i - v_j)). They are therefore
-antisymmetric under exchanging the pair, which is what lets half neighbor
-lists update both partners from one entry.
-
-`compute_forces` runs the laws through the compiled row loops of
-pair_kernel.c (`pair_forces`), which follow the operation order of
-`force_scalar` and `pair_energy`; those stay as the Python reference the
-kernel is tested against, bit for bit. The Lennard-Jones loop gathers the
-in-cutoff partners of a block of row entries, evaluates the law on them two
-lanes at a time and sums in row order, so it computes the same bits as one
-scalar pass; the spring-dashpot loop, whose rows are short and mostly out of
-contact, stays scalar. `nanopair.kernel` compiles pair_kernel.c once per
-process with the system C compiler, for these loops and for the
-neighbor-list build alike, so a C compiler is a run-time requirement of this
-package.
+s is a function of the squared separation (and, for the contact model with
+damping, of delta . (v_i - v_j)). They are therefore antisymmetric under
+exchanging the pair, which is what lets half neighbor lists update both
+partners from one entry. A law here holds only its parameters: its formula
+lives in the compiled row loops of pair_kernel.c (`pair_forces`), which
+`compute_forces` runs, and tests/test_potential.py holds the Python
+reference in the same operation order, which the loops match bit for bit.
+The Lennard-Jones loop gathers the in-cutoff partners of a block of row
+entries, evaluates the law on them two lanes at a time and sums in row
+order, so it computes the same bits as one scalar pass; the spring-dashpot
+loop, whose rows are short and mostly out of contact, stays scalar.
+`nanopair.kernel` compiles pair_kernel.c once per process with the system C
+compiler, for these loops and for the neighbor build alike, so a C compiler
+is a run-time requirement of this package.
 """
 
 from __future__ import annotations
@@ -65,26 +63,10 @@ class LennardJones:
     def cutoff_rsq(self) -> float:
         return self.cutoff * self.cutoff
 
-    def force_scalar(self, rsq: np.ndarray, vdot=None) -> np.ndarray:
-        """s with force = s * delta for any rsq (the caller applies the cutoff);
-        `vdot` is unused."""
-        sr2 = 1.0 / rsq
-        sr6 = sr2 * sr2 * sr2 * self.sigma**6
-        return 48.0 * sr6 * (sr6 - 0.5) * sr2 * self.epsilon
-
-    def pair_force(self, delta: np.ndarray, rsq: np.ndarray, v_i=None, v_j=None) -> np.ndarray:
-        s = self.force_scalar(np.asarray(rsq, dtype=np.float64))
-        return s[..., None] * np.asarray(delta)
-
     @functools.cached_property
     def kernel_args(self) -> tuple[int, np.ndarray]:
         """Law code and parameter array of the compiled loop (see pair_kernel.c)."""
         return 0, _params(self.epsilon, self.sigma**6)
-
-    def pair_energy(self, rsq: np.ndarray) -> np.ndarray:
-        sigma6 = self.sigma**6
-        sr6 = sigma6 / (rsq * rsq * rsq)
-        return 4.0 * self.epsilon * (sr6 * sr6 - sr6)
 
 
 @dataclass(frozen=True)
@@ -92,7 +74,9 @@ class SpringDashpot:
     """Linear contact model for spheres of equal diameter.
 
     The normal spring pushes overlapping spheres apart; the dashpot damps the
-    relative normal velocity. Both terms vanish for non-overlapping spheres.
+    relative normal velocity: s = k (d - r) / r - gamma (delta . v_rel) / r^2
+    inside contact (r < d), 0 outside, so both terms vanish for
+    non-overlapping spheres.
     Ghost copies carry zero velocity, so the dashpot term is only meaningful
     for local pairs; `SimConfig.validate()` therefore rejects damping > 0
     (and a cutoff below the diameter) for simulation runs. Velocities are
@@ -115,30 +99,6 @@ class SpringDashpot:
     def kernel_args(self) -> tuple[int, np.ndarray]:
         """Law code and parameter array of the compiled loop (see pair_kernel.c)."""
         return 1, _params(self.stiffness, self.damping, self.diameter)
-
-    def force_scalar(self, rsq: np.ndarray, vdot=None) -> np.ndarray:
-        """s with force = s * delta, zero outside contact.
-
-        s = k (d - r) / r - gamma (delta . v_rel) / r^2, with `vdot` the
-        projection delta . (v_i - v_j); without it the dashpot term is left out.
-        """
-        dist = np.sqrt(rsq)
-        s = self.stiffness * (self.diameter - dist) / dist
-        if vdot is not None:
-            s = s - self.damping * vdot / rsq
-        return np.where(dist < self.diameter, s, 0.0)
-
-    def pair_force(self, delta: np.ndarray, rsq: np.ndarray, v_i=None, v_j=None) -> np.ndarray:
-        delta = np.asarray(delta)
-        vdot = None
-        if v_i is not None and v_j is not None:
-            vdot = np.einsum("...k,...k->...", delta, np.asarray(v_i) - np.asarray(v_j))
-        s = self.force_scalar(np.asarray(rsq, dtype=np.float64), vdot)
-        return s[..., None] * delta
-
-    def pair_energy(self, rsq: np.ndarray) -> np.ndarray:
-        overlap = np.maximum(self.diameter - np.sqrt(rsq), 0.0)
-        return 0.5 * self.stiffness * overlap * overlap
 
 
 def law_from_config(cfg):

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import inspect
 import time
 
@@ -34,8 +35,10 @@ from nanopair.comm import (
 from nanopair.core import AABB, SimConfig, pbc_correct
 from nanopair.driver import RankReport, rank_program
 from nanopair.errors import GuardViolation, ProtocolError
-from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
+from nanopair.layout import clustered_layout, column_major_layout, layout_from_config, row_major_layout
+from nanopair.neighbor import build_cell_grid, build_neighbor_lists
 from nanopair.particles import ParticleStore, lattice_positions
+from nanopair.potential import compute_forces, law_from_config
 
 # half-diagonal spring-dashpot packing: its particles crowd one side of x
 SD = SimConfig(
@@ -637,3 +640,76 @@ class TestPhaseTimers:
         for rep, spent in zip(reports, busy):
             assert rep.timers.comm > 0
             assert rep.timers.total() <= spent
+
+
+# NVE drift of the total energy per particle over 200 steps of 6^3 LJ:
+# 1.378e-4 measured at every rank count and list kind before the CSR cell
+# list landed (seed 3), bound set 45 % above that
+ENERGY_DRIFT_PER_PARTICLE = 2e-4
+
+
+def total_energy(cfg, pos, vel):
+    """Kinetic plus pair potential energy of a state, from one rank's full lists."""
+    worlds, stores, _ = make_worlds(cfg, 1, pos, vel)
+    world, store = worlds[0], stores[0]
+    run_phase([exchange(world, store)])
+    run_phase([define_borders(world, store)])
+    r = cfg.interaction_radius()
+    grid = build_cell_grid(store, world.domain.grid_box_for(store), r)
+    lists = build_neighbor_lists(store, grid, r, half=False)
+    pe = compute_forces(store, lists, law_from_config(cfg), accumulate_energy=True)
+    return pe + 0.5 * cfg.mass * float((vel * vel).sum())
+
+
+class TestDrift:
+    """Velocity Verlet on 864 LJ atoms for 200 steps, lists rebuilt every 20:
+    total momentum stays put to rounding, and the total energy stays
+    within the recorded NVE bound, at every rank count and list kind."""
+
+    @pytest.mark.parametrize("half", [False, True], ids=["full", "half"])
+    @pytest.mark.parametrize("ranks", [1, 2, 8])
+    def test_momentum_and_energy(self, ranks, half):
+        cfg = LJ.with_overrides(steps=200, half_neighbor=half)
+        pos, vel = initial_state(cfg)
+        n = pos.shape[0]
+        _, stores, transport, reports = run_lockstep(cfg, ranks, pos, vel)
+        assert transport.pending() == 0
+        p0 = sum(rep.momentum_initial for rep in reports)
+        p1 = sum(rep.momentum_final for rep in reports)
+        assert np.abs(p1 - p0).max() / n <= 1e-12
+        drift = abs(total_energy(cfg, *gather(stores)) - total_energy(cfg, pos, vel)) / n
+        assert drift < ENERGY_DRIFT_PER_PARTICLE
+
+
+# 6^3 versions of the three benchmark workloads: law, list kind, layout, ranks
+GOLDEN_WORKLOADS = {
+    "lj-p1-full": (LJ.with_overrides(half_neighbor=False, layout_kind="aos"), 1),
+    "lj-p8-half": (LJ.with_overrides(half_neighbor=True, layout_kind="soa"), 8),
+    "sd-halfdiag-p2": (SD.with_overrides(layout_kind="aosoa", aosoa_cluster=8), 2),
+}
+GOLDEN_HASHES = {
+    "lj-p1-full": "952383627850ac14",
+    "lj-p8-half": "5a24afcbf158d170",
+    "sd-halfdiag-p2": "c78cc663dc655ed6",
+}
+
+
+def final_state_hash(name, seed=411):
+    """First 16 hex digits of sha256 over the gathered final positions and velocities."""
+    cfg, ranks = GOLDEN_WORKLOADS[name]
+    layout = layout_from_config(cfg.layout_kind, cfg.aosoa_cluster)
+    _, stores, transport, _ = run_lockstep(cfg, ranks, *initial_state(cfg, seed), layout=layout)
+    assert transport.pending() == 0
+    x, v = gather(stores)
+    return hashlib.sha256(x.tobytes() + v.tobytes()).hexdigest()[:16]
+
+
+class TestGoldenBits:
+    """A 40-step run of each benchmark workload, shrunk to 6^3, ends in the
+    recorded bits. Performance changes keep these hashes; a change that alters
+    the arithmetic on purpose (summation order, a new law) updates them and
+    says so, with the reason, in CHANGES.md."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_WORKLOADS))
+    def test_final_state_hash(self, name):
+        assert final_state_hash(name) == GOLDEN_HASHES[name]

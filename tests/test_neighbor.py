@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,11 @@ def brute_force_pairs(pos, r):
     return pairs
 
 
+def floor_cells(pos, lo, r):
+    """(n, 3) shell-shifted cell coordinates, floor((x - lo) / r) + 1."""
+    return np.floor((np.asarray(pos) - lo) / r).astype(np.int64) + 1
+
+
 class TestCellGrid:
     def test_floor_binning_example(self):
         box = AABB.cube(0.0, 8.4)
@@ -60,9 +67,25 @@ class TestCellGrid:
         pos = rng.uniform(0, 10, size=(400, 3))
         store = make_store(pos, n_ghost=50)
         grid = build_cell_grid(store, box, 2.5)
-        assert int(grid.counts.sum()) == 400
-        binned = grid.occupants[grid.occupants >= 0]
-        assert sorted(binned.tolist()) == list(range(400))
+        assert sorted(grid.members.tolist()) == list(range(400))
+        want = grid.cell_id(floor_cells(pos, box.lo, 2.5))
+        np.testing.assert_array_equal(grid.cell_of, want)
+        counts = np.bincount(want, minlength=grid.start.size - 1)
+        np.testing.assert_array_equal(grid.start, np.concatenate([[0], np.cumsum(counts)]))
+        for c in range(counts.size):
+            cell = grid.members[grid.start[c] : grid.start[c + 1]]
+            assert np.all(np.diff(cell) > 0), "a cell's members must ascend"
+            assert np.all(want[cell] == c)
+
+    def test_nan_position_named(self):
+        for row, kind in [(3, "local"), (370, "ghost")]:
+            pos = np.random.default_rng(9).uniform(0, 10, size=(400, 3))
+            pos[row, 1] = np.nan
+            store = make_store(pos, n_ghost=50)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ProtocolError, match=rf"^{kind} particle {row} at \[.*nan"):
+                    build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
 
     def test_ghost_shell_accepted_beyond_rejected(self):
         box = AABB.cube(0.0, 10.0)
@@ -181,17 +204,21 @@ class TestNeighborLists:
 
 
 def reference_lists(store, grid, r, half):
-    """Per-local reference: for each local, the stencil cells in order and
-    each cell's occupants in order, the index rule, then the r^2 filter.
-    Returns the -1 padded (n_local, width) matrix and the counts."""
+    """Per-local reference, from the positions alone: bin every particle by
+    the floor formula, then for each local walk the stencil cells in order
+    and each cell's particles in index order, apply the index rule, then the
+    r^2 filter. Returns the -1 padded (n_local, width) matrix and the counts."""
     pos = store.all_positions()
+    cells = {}
+    for j, c in enumerate(floor_cells(pos, grid.origin, grid.cell_size)):
+        cells.setdefault(tuple(c), []).append(j)
     rows = []
     for i in range(store.n_local):
         row = []
+        here = floor_cells(pos[i], grid.origin, grid.cell_size)
         for step in _STENCIL:
-            for j in grid.occupants[grid.cell_id(grid.coords[i] + step)]:
-                j = int(j)
-                if j < 0 or (j <= i if half else j == i):
+            for j in cells.get(tuple(here + step), []):
+                if j <= i if half else j == i:
                     continue
                 d = pos[i] - pos[j]
                 if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < r * r:

@@ -20,6 +20,44 @@ from nanopair.potential import (
 )
 
 
+def force_scalar(law, rsq, vdot=None):
+    """Reference law: s with force = s * delta, in the compiled loop's order.
+
+    Lennard-Jones: 48 eps sr6 (sr6 - 0.5) sr2, with sr2 = 1/rsq and sr6 =
+    sr2^3 sigma^6, for any rsq (the caller applies the cutoff). Spring-dashpot:
+    k (d - r) / r - gamma vdot / r^2 inside contact, zero outside, with vdot
+    the projection delta . (v_i - v_j); without it the dashpot term is left out.
+    """
+    if isinstance(law, LennardJones):
+        sr2 = 1.0 / rsq
+        sr6 = sr2 * sr2 * sr2 * law.sigma**6
+        return 48.0 * sr6 * (sr6 - 0.5) * sr2 * law.epsilon
+    dist = np.sqrt(rsq)
+    s = law.stiffness * (law.diameter - dist) / dist
+    if vdot is not None:
+        s = s - law.damping * vdot / rsq
+    return np.where(dist < law.diameter, s, 0.0)
+
+
+def pair_force(law, delta, rsq, v_i=None, v_j=None):
+    """Reference force on i from j, s * delta; velocities feed only the dashpot."""
+    delta = np.asarray(delta)
+    vdot = None
+    if isinstance(law, SpringDashpot) and v_i is not None and v_j is not None:
+        vdot = np.einsum("...k,...k->...", delta, np.asarray(v_i) - np.asarray(v_j))
+    s = force_scalar(law, np.asarray(rsq, dtype=np.float64), vdot)
+    return s[..., None] * delta
+
+
+def pair_energy(law, rsq):
+    """Reference pair potential energy at squared separation rsq."""
+    if isinstance(law, LennardJones):
+        sr6 = law.sigma**6 / (rsq * rsq * rsq)
+        return 4.0 * law.epsilon * (sr6 * sr6 - sr6)
+    overlap = np.maximum(law.diameter - np.sqrt(rsq), 0.0)
+    return 0.5 * law.stiffness * overlap * overlap
+
+
 def local_forces(store):
     return store.forces.read_rows(0, store.n_local)
 
@@ -41,7 +79,7 @@ def forces_of_pair(law, pos, half):
 
 class TestLennardJones:
     def test_unit_separation(self):
-        f = LennardJones(1.0, 1.0).pair_force(np.array([1.0, 0.0, 0.0]), 1.0)
+        f = pair_force(LennardJones(1.0, 1.0), np.array([1.0, 0.0, 0.0]), 1.0)
         assert tuple(f) == (24.0, 0.0, 0.0)
 
     def test_zero_at_potential_minimum(self):
@@ -52,12 +90,12 @@ class TestLennardJones:
         law = LennardJones(1.0, 1.0)
         rsq = np.float64(2.0 ** (1.0 / 3.0))
         r = np.sqrt(rsq)
-        f_at = law.pair_force(np.array([r, 0.0, 0.0]), rsq)[0]
+        f_at = pair_force(law, np.array([r, 0.0, 0.0]), rsq)[0]
         assert abs(f_at) <= 1e-14
         below = np.nextafter(rsq, 0.0)
         above = np.nextafter(rsq, 3.0)
-        f_below = law.pair_force(np.array([np.sqrt(below), 0.0, 0.0]), below)[0]
-        f_above = law.pair_force(np.array([np.sqrt(above), 0.0, 0.0]), above)[0]
+        f_below = pair_force(law, np.array([np.sqrt(below), 0.0, 0.0]), below)[0]
+        f_above = pair_force(law, np.array([np.sqrt(above), 0.0, 0.0]), above)[0]
         assert f_below > 0.0 > f_above or f_below == 0.0 or f_above == 0.0 or f_at == 0.0
 
     def test_matches_reference_within_4_ulp(self):
@@ -72,7 +110,7 @@ class TestLennardJones:
         delta = direction * r[:, None]
         rsq = (delta * delta).sum(axis=1)
         law = LennardJones(1.0, 1.0)
-        got = law.pair_force(delta, rsq)
+        got = pair_force(law, delta, rsq)
         want = lj_reference(delta, rsq[:, None], 1.0, 1.0)
         sr2 = 1.0 / rsq
         sr6 = sr2**3
@@ -92,33 +130,33 @@ class TestLennardJones:
         d *= r / np.linalg.norm(d)
         rsq = float((d * d).sum())
         law = LennardJones(1.3, 0.9)
-        np.testing.assert_array_equal(law.pair_force(-d, rsq), -law.pair_force(d, rsq))
+        np.testing.assert_array_equal(pair_force(law, -d, rsq), -pair_force(law, d, rsq))
 
 
 class TestSpringDashpot:
     def test_worked_overlap(self):
         law = SpringDashpot(stiffness=100.0, damping=0.0, diameter=1.0)
-        f = law.pair_force(np.array([0.8, 0.0, 0.0]), 0.64, np.zeros(3), np.zeros(3))
+        f = pair_force(law, np.array([0.8, 0.0, 0.0]), 0.64, np.zeros(3), np.zeros(3))
         assert f[0] == pytest.approx(20.0, abs=1e-12)
         assert (f[1], f[2]) == (0.0, 0.0)
 
     def test_no_contact_no_force(self):
         law = SpringDashpot(stiffness=100.0, damping=5.0, diameter=1.0)
-        f = law.pair_force(np.array([1.2, 0.0, 0.0]), 1.44, np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))
+        f = pair_force(law, np.array([1.2, 0.0, 0.0]), 1.44, np.array([1.0, 0, 0]), np.array([-1.0, 0, 0]))
         assert tuple(f) == (0.0, 0.0, 0.0)
 
     def test_zero_constants_zero_force(self):
         law = SpringDashpot(stiffness=0.0, damping=0.0, diameter=1.0)
-        f = law.pair_force(np.array([0.3, 0.1, 0.0]), 0.1, np.array([1.0, 2, 3]), np.array([-1.0, 0, 1]))
+        f = pair_force(law, np.array([0.3, 0.1, 0.0]), 0.1, np.array([1.0, 2, 3]), np.array([-1.0, 0, 1]))
         assert tuple(f) == (0.0, 0.0, 0.0)
 
     def test_dashpot_term(self):
         # head-on approach at speed 2: damping force opposes the spring push
         law = SpringDashpot(stiffness=0.0, damping=3.0, diameter=1.0)
         left, right = np.array([-1.0, 0, 0]), np.array([1.0, 0, 0])
-        f = law.pair_force(np.array([0.8, 0.0, 0.0]), 0.64, left, right)
+        f = pair_force(law, np.array([0.8, 0.0, 0.0]), 0.64, left, right)
         assert f[0] == pytest.approx(6.0, abs=1e-12)
-        g = law.pair_force(np.array([-0.8, 0.0, 0.0]), 0.64, right, left)
+        g = pair_force(law, np.array([-0.8, 0.0, 0.0]), 0.64, right, left)
         assert g[0] == pytest.approx(-6.0, abs=1e-12)
 
     def test_velocities_read_only_with_damping(self):
@@ -130,7 +168,7 @@ class TestSpringDashpot:
         law = SpringDashpot(stiffness=250.0, damping=0.0, diameter=1.0)
         for eps in (1e-3, 1e-6, 1e-9, 1e-12):
             d = np.array([1.0 - eps, 0.0, 0.0])
-            f = law.pair_force(d, float((d * d).sum()))
+            f = pair_force(law, d, float((d * d).sum()))
             assert abs(f[0]) <= 250.0 * eps + 1e-12
 
     def test_antisymmetry_random(self):
@@ -142,8 +180,8 @@ class TestSpringDashpot:
         vi = rng.normal(size=(n, 3))
         vj = rng.normal(size=(n, 3))
         law = SpringDashpot(stiffness=80.0, damping=2.5, diameter=1.0)
-        fwd = law.pair_force(d, rsq, vi, vj)
-        rev = law.pair_force(-d, rsq, vj, vi)
+        fwd = pair_force(law, d, rsq, vi, vj)
+        rev = pair_force(law, -d, rsq, vj, vi)
         np.testing.assert_array_equal(fwd, -rev)
 
     def test_singularity(self):
@@ -527,9 +565,9 @@ def pair_loop_forces(store, lists, law, half):
             rsq = float(delta @ delta)
             if rsq >= law.cutoff_rsq:
                 continue
-            f = law.pair_force(delta, rsq, vel[i], vel[j])
+            f = pair_force(law, delta, rsq, vel[i], vel[j])
             forces[i] += f
-            e = float(law.pair_energy(rsq))
+            e = float(pair_energy(law, rsq))
             if half and j < n_local:
                 forces[j] -= f
                 energy += e
@@ -561,8 +599,8 @@ def row_order_forces(store, lists, law):
         if law.needs_velocities:
             dv = vel[i] - vel[row]
             vdot = d[:, 0] * dv[:, 0] + d[:, 1] * dv[:, 1] + d[:, 2] * dv[:, 2]
-        g = (law.force_scalar(rsq, vdot)[:, None] * d).tolist()
-        pair_e = law.pair_energy(rsq).tolist()
+        g = (force_scalar(law, rsq, vdot)[:, None] * d).tolist()
+        pair_e = pair_energy(law, rsq).tolist()
         f, e_sum = [0.0, 0.0, 0.0], 0.0
         for j, gj, e in zip(row.tolist(), g, pair_e):
             f = [f[0] + gj[0], f[1] + gj[1], f[2] + gj[2]]
