@@ -164,6 +164,12 @@ class SimConfig:
             raise ConfigError(f"steps must be non-negative, got {self.steps}")
         if self.reneigh_interval <= 0:
             raise ConfigError(f"reneigh_interval must be positive, got {self.reneigh_interval}")
+        if self.verlet_buffer == 0 and self.reneigh_interval > 1:
+            raise ConfigError(
+                f"verlet_buffer must be positive when reneigh_interval > 1 (got "
+                f"{self.reneigh_interval}): lists built without a buffer are outlived by the "
+                "first move, so the step after a rebuild would always fail"
+            )
         if self.potential_kind not in _POTENTIALS:
             raise ConfigError(f"potential_kind must be one of {_POTENTIALS}, got {self.potential_kind!r}")
         if self.layout_kind not in _LAYOUT_KINDS:

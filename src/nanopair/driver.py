@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .backend import Backend, default_backend
 from .comm import (
     RankWorld,
     balance_slabs,
@@ -190,23 +189,25 @@ def rank_program(
     cfg: SimConfig,
     world: RankWorld,
     store: ParticleStore,
-    backend: Backend | None = None,
+    backend=None,
 ):
     """One rank's full simulation; yields barrier tokens, returns a RankReport.
 
     The harness must advance all ranks' programs in lockstep: plain `None`
     yields are communication barriers, ("step", k) marks the end of step k
     (k = 0 right after setup) where trajectory dumps are safe.
+
+    `backend` is ignored. It stays only because the benchmark harness still
+    passes `nanopair.backend.SerialBackend()`; it goes once the harness drops
+    it (see nanopair.backend).
     """
-    if backend is None:
-        backend = default_backend()
     law = law_from_config(cfg)
     state = SimState(step=0, store=store)
     p0 = _momentum(store, cfg.mass)
 
     yield from _reneighbor(state, world, cfg)
     with state.timers.track("force"):
-        compute_forces(store, state.lists, law, backend=backend)
+        compute_forces(store, state.lists, law)
     yield ("step", 0)
 
     for step in range(1, cfg.steps + 1):
@@ -220,7 +221,7 @@ def rank_program(
             yield from _timed(state.timers, "comm", synchronize(world, store, state.plan))
             state.steps_since_rebuild += 1
         with state.timers.track("force"):
-            compute_forces(store, state.lists, law, backend=backend)
+            compute_forces(store, state.lists, law)
         with state.timers.track("other"):
             final_integrate(store, cfg.dt, cfg.mass)
         yield ("step", step)

@@ -3,8 +3,8 @@
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
 on first use in a process and returns the loaded library with the argument
 types of its functions declared: `bin_cells` (the cell binning),
-`build_lists` and `spread_rows` (the neighbor-list build), `pair_forces` and
-`add_reactions` (the force kernel).
+`build_lists` and `spread_rows` (the neighbor-list build) and `pair_forces`
+(the force kernel, half-list reactions included).
 A C compiler is therefore a run-time requirement of this package. Both
 neighbor.py and potential.py call into it, which is why the loader lives in
 its own module.
@@ -94,11 +94,8 @@ def library() -> ctypes.CDLL:
         ctypes.c_int, f64, ctypes.c_double, ctypes.c_int,  # law, params, cutoff_rsq, use_vel
         f64, f64, i64,  # x, v, n_total
         i32, i64, i32,  # mat, width, counts
-        i64, i64, i64, ctypes.c_int,  # start, stop, n_local, half
-        f64, idx, f64, i64,  # own, back_j, back_f, cap
-        ctypes.POINTER(i64), f64,  # n_back, row energies (NULL: not accumulated)
+        i64, ctypes.c_int,  # n_local, half
+        f64, f64, f64,  # own, reactions (NULL: full lists), row energies (NULL: not accumulated)
     ]
     dll.pair_forces.restype = i64
-    dll.add_reactions.argtypes = [i64, idx, f64, i64, f64]  # n, back_j, back_f, cap, acc
-    dll.add_reactions.restype = None
     return dll

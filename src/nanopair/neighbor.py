@@ -262,14 +262,15 @@ def max_displacement_since_rebuild(store: ParticleStore, lists: NeighborLists) -
     """Largest local-particle move since the lists were built.
 
     Squared moves are summed x, y, z in that order, on one coordinate-major
-    copy of the local positions.
+    copy of the local positions. ProtocolError when the store's local count
+    differs from the lists', also for lists built without locals.
     """
-    if lists.n_local == 0:
-        return 0.0
     if store.n_local != lists.n_local:
         raise ProtocolError(
             f"store has {store.n_local} locals but lists were built for {lists.n_local}"
         )
+    if lists.n_local == 0:
+        return 0.0
     delta = store.positions.read_transposed(0, lists.n_local)
     delta -= lists.ref_positions
     delta *= delta

@@ -2,9 +2,9 @@
  * nanopair.neighbor.build_cell_grid (a counting sort into a CSR cell list),
  * the Verlet-list build behind nanopair.neighbor.build_neighbor_lists, which
  * reads each local's 27 stencil cells as 9 contiguous runs of that list, and
- * the pair-force row loops behind nanopair.potential.compute_forces with the
- * serial sum of the half-list reactions they collect. nanopair.kernel
- * compiles this file once per process.
+ * the pair-force row loops behind nanopair.potential.compute_forces, which
+ * also sum the half-list reactions. nanopair.kernel compiles this file once
+ * per process.
  *
  * `pair_forces` picks one row loop per law. The Lennard-Jones loop is staged:
  * per block of a row's entries it gathers the in-cutoff partners, evaluates
@@ -19,9 +19,8 @@
  * optimisation level or the staging.
  *
  * Arrays are C-contiguous: x and v are coordinate-major (3, n_total), mat is
- * the (n_local, width) list of which row i holds counts[i] real partners,
- * own is (stop - start, 3), back_j is (cap,) and back_f (3, cap), where cap is
- * at least the number of list entries in rows [start, stop).
+ * the (n_local, width) list of which row i holds counts[i] real partners, and
+ * own, and react for half lists, are (n_local, 3).
  */
 #include <math.h>
 #include <stdint.h>
@@ -49,14 +48,14 @@ static int64_t first_fault(const double *x, int64_t n_total, const int32_t *blk,
     return -1; /* not reached: the caller saw a fault in the block */
 }
 
-/* Rows [start, stop) under the Lennard-Jones law (prm: epsilon, sigma^6):
- * own[i - start] = sum of s * delta over the row's in-cutoff partners, in row
- * order. With half, every in-cutoff local partner j also goes to (back_j,
- * back_f) in row order, for the caller to subtract. With energy,
- * energy[i - start] = the row's sum of pair energies, at weight 1 for a local
- * partner of a half list and 0.5 otherwise. Returns -1, or the flat list
- * offset i * width + k of the first entry whose partner index is out of range
- * or coincides with i.
+/* All local rows under the Lennard-Jones law (prm: epsilon, sigma^6):
+ * own[i] = sum of s * delta over the row's in-cutoff partners, in row order.
+ * With half, s * delta of every in-cutoff local partner j is also added to
+ * react[j], in row-major entry order, for the caller to subtract. With energy,
+ * energy[i] = the row's sum of pair energies, at weight 1 for a local partner
+ * of a half list and 0.5 otherwise. Returns -1, or the flat list offset
+ * i * width + k of the first entry whose partner index is out of range or
+ * coincides with i.
  *
  * A row is taken in blocks of at most BLOCK entries, each in three passes:
  * (1) check the block's partner indices by their min and max, then gather
@@ -64,26 +63,25 @@ static int64_t first_fault(const double *x, int64_t n_total, const int32_t *blk,
  * (every entry is written, only a kept one advances the end, so the loop does
  * not branch on the cutoff); (2) evaluate s, and the pair energy, for the kept
  * entries in loops without a carried dependence, which the compiler
- * vectorises; (3) sum s * delta in row order. Each lane does the scalar
- * operations in the scalar order and no sum is reordered, so the results are
- * those of one scalar loop over the row, bit for bit. An entry at or beyond
- * the cutoff would add s * delta = +-0 to a sum that starts at +0.0; leaving it
- * out changes no bit. A NaN rsq is kept, so a non-finite position still
+ * vectorises; (3) sum s * delta in row order and, for half lists, add it to
+ * react[j] of a local partner j. Each lane does the scalar operations in the
+ * scalar order and no sum is reordered, so the results are those of one
+ * scalar loop over the row, bit for bit. An entry at or beyond the cutoff
+ * would add s * delta = +-0 to a sum that starts at +0.0; leaving it out
+ * changes no bit. A NaN rsq is kept, so a non-finite position still
  * reaches the caller as a non-finite force. */
-static int64_t lj_rows(
+static inline __attribute__((always_inline)) int64_t lj_rows(
     const double *prm, double cutoff_rsq,
     const double *x, int64_t n_total,
     const int32_t *mat, int64_t width, const int32_t *counts,
-    int64_t start, int64_t stop, int64_t n_local, int half,
-    double *own, int64_t *back_j, double *back_f, int64_t cap,
-    int64_t *n_back, double *energy)
+    int64_t n_local, const int half,
+    double *own, double *react, double *energy)
 {
     const double *y = x + n_total, *z = y + n_total;
     const double eps = prm[0], sigma6 = prm[1];
     double dx[BLOCK], dy[BLOCK], dz[BLOCK], rsq[BLOCK], s[BLOCK], pe[BLOCK];
     int32_t jj[BLOCK];
-    int64_t nb = 0;
-    for (int64_t i = start; i < stop; ++i) {
+    for (int64_t i = 0; i < n_local; ++i) {
         const int32_t *row = mat + i * width;
         const double xi = x[i], yi = y[i], zi = z[i];
         double fx = 0.0, fy = 0.0, fz = 0.0, e_sum = 0.0;
@@ -129,29 +127,26 @@ static int64_t lj_rows(
                 fy += gy;
                 fz += gz;
                 const int local = jj[q] < n_local;
-                if (half) {
-                    /* written for every kept entry, kept for a local partner */
-                    back_j[nb] = jj[q];
-                    back_f[nb] = gx;
-                    back_f[cap + nb] = gy;
-                    back_f[2 * cap + nb] = gz;
-                    nb += local;
+                if (half && local) {
+                    double *r = react + 3 * jj[q];
+                    r[0] += gx;
+                    r[1] += gy;
+                    r[2] += gz;
                 }
                 if (energy)
                     e_sum += (half && local) ? pe[q] : 0.5 * pe[q];
             }
         }
-        own[3 * (i - start)] = fx;
-        own[3 * (i - start) + 1] = fy;
-        own[3 * (i - start) + 2] = fz;
+        own[3 * i] = fx;
+        own[3 * i + 1] = fy;
+        own[3 * i + 2] = fz;
         if (energy)
-            energy[i - start] = e_sum;
+            energy[i] = e_sum;
     }
-    *n_back = nb;
     return -1;
 }
 
-/* Rows [start, stop) under the spring-dashpot law (prm: stiffness, damping,
+/* All local rows under the spring-dashpot law (prm: stiffness, damping,
  * diameter), with the outputs and the return value of `lj_rows`, in one
  * scalar loop per row: rows hold a few entries, few of them in contact, and
  * those are the only ones evaluated. The dashpot term reads v only with
@@ -160,14 +155,12 @@ static int64_t sd_rows(
     const double *prm, double cutoff_rsq, int use_vel,
     const double *x, const double *v, int64_t n_total,
     const int32_t *mat, int64_t width, const int32_t *counts,
-    int64_t start, int64_t stop, int64_t n_local, int half,
-    double *own, int64_t *back_j, double *back_f, int64_t cap,
-    int64_t *n_back, double *energy)
+    int64_t n_local, int half,
+    double *own, double *react, double *energy)
 {
     const double *y = x + n_total, *z = y + n_total;
     const double *vx = v, *vy = v + n_total, *vz = vy + n_total;
-    int64_t nb = 0;
-    for (int64_t i = start; i < stop; ++i) {
+    for (int64_t i = 0; i < n_local; ++i) {
         const int32_t *row = mat + i * width;
         const double xi = x[i], yi = y[i], zi = z[i];
         double fx = 0.0, fy = 0.0, fz = 0.0, e_sum = 0.0;
@@ -196,13 +189,11 @@ static int64_t sd_rows(
             fy += gy;
             fz += gz;
             const int local = j < n_local;
-            if (half) {
-                /* written for every contact, kept for a local partner */
-                back_j[nb] = j;
-                back_f[nb] = gx;
-                back_f[cap + nb] = gy;
-                back_f[2 * cap + nb] = gz;
-                nb += local;
+            if (half && local) {
+                double *r = react + 3 * j;
+                r[0] += gx;
+                r[1] += gy;
+                r[2] += gz;
             }
             if (energy) {
                 const double overlap = fmax(prm[2] - sqrt(rsq), 0.0);
@@ -210,42 +201,46 @@ static int64_t sd_rows(
                 e_sum += (half && local) ? e : 0.5 * e;
             }
         }
-        own[3 * (i - start)] = fx;
-        own[3 * (i - start) + 1] = fy;
-        own[3 * (i - start) + 2] = fz;
+        own[3 * i] = fx;
+        own[3 * i + 1] = fy;
+        own[3 * i + 2] = fz;
         if (energy)
-            energy[i - start] = e_sum;
+            energy[i] = e_sum;
     }
-    *n_back = nb;
     return -1;
 }
 
+/* The forces of all n_local rows into own, by the row loop of the law. For
+ * half lists, react (NULL for full lists) is zeroed, collects the reactions
+ * of the local partners in row-major entry order, and is then subtracted:
+ * own[k] -= react[k]. Returns -1, or the flat list offset of the first faulty
+ * entry (see `lj_rows`); own is then incomplete. The Lennard-Jones loop is
+ * specialised on half at compile time: a reaction scatter in its summing pass
+ * would keep the compiler from vectorising that pass for full lists too. */
 int64_t pair_forces(
     int law, const double *prm, double cutoff_rsq, int use_vel,
     const double *x, const double *v, int64_t n_total,
     const int32_t *mat, int64_t width, const int32_t *counts,
-    int64_t start, int64_t stop, int64_t n_local, int half,
-    double *own, int64_t *back_j, double *back_f, int64_t cap,
-    int64_t *n_back, double *energy)
+    int64_t n_local, int half,
+    double *own, double *react, double *energy)
 {
-    if (law == LAW_LJ)
-        return lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
-                       start, stop, n_local, half, own, back_j, back_f, cap, n_back, energy);
-    return sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, mat, width, counts,
-                   start, stop, n_local, half, own, back_j, back_f, cap, n_back, energy);
-}
-
-/* acc[j] += the reaction of each of the n entries (back_j, back_f) in order,
- * the sums np.bincount would form; acc is (n_local, 3). */
-void add_reactions(int64_t n, const int64_t *back_j, const double *back_f, int64_t cap,
-                   double *acc)
-{
-    for (int64_t k = 0; k < n; ++k) {
-        double *a = acc + 3 * back_j[k];
-        a[0] += back_f[k];
-        a[1] += back_f[cap + k];
-        a[2] += back_f[2 * cap + k];
-    }
+    if (half)
+        for (int64_t k = 0; k < 3 * n_local; ++k)
+            react[k] = 0.0;
+    int64_t bad;
+    if (law != LAW_LJ)
+        bad = sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, mat, width, counts,
+                      n_local, half, own, react, energy);
+    else if (half)
+        bad = lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
+                      n_local, 1, own, react, energy);
+    else
+        bad = lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
+                      n_local, 0, own, react, energy);
+    if (bad < 0 && half)
+        for (int64_t k = 0; k < 3 * n_local; ++k)
+            own[k] -= react[k];
+    return bad;
 }
 
 /* Bins particles [0, n) of x into the cells of edge r whose interior starts

@@ -10,9 +10,9 @@ from __future__ import annotations
 import numpy as np
 
 from .core import AABB, ConfigError, SimConfig
-from .layout import ArrayHandle, LayoutDescriptor, row_major_layout
+from .layout import ArrayHandle, LayoutDescriptor
 
-__all__ = ["ParticleStore", "create_lattice", "lattice_positions"]
+__all__ = ["ParticleStore", "lattice_positions"]
 
 # Basis offsets (in unit-cell fractions) for the supported particles-per-cell
 # counts: simple cubic, body-centered, face-centered.
@@ -155,21 +155,3 @@ def lattice_positions(cfg: SimConfig, domain: AABB) -> np.ndarray:
         pos = pos[frac[:, 0] + frac[:, 1] < 1.0]
     return pos
 
-
-def create_lattice(cfg: SimConfig, domain: AABB, layout: LayoutDescriptor | None = None) -> ParticleStore:
-    """Build a store holding the full lattice with seeded initial velocities.
-
-    Velocities are uniform in [-0.5, 0.5) scaled by cfg.velocity_scale, then
-    shifted so the net momentum is zero. Forces start zeroed.
-    """
-    if layout is None:
-        layout = row_major_layout()
-    pos = lattice_positions(cfg, domain)
-    n = pos.shape[0]
-    rng = np.random.default_rng(cfg.rng_seed)
-    vel = (rng.random((n, 3)) - 0.5) * cfg.velocity_scale
-    if n > 0 and cfg.velocity_scale > 0:
-        vel -= vel.mean(axis=0)
-    store = ParticleStore(layout, capacity=max(n, 1))
-    store.append_locals(pos, vel)
-    return store

@@ -19,14 +19,12 @@ is a run-time requirement of this package.
 
 from __future__ import annotations
 
-import ctypes
 import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .backend import Backend, SerialBackend
 from .errors import ProtocolError, SingularityError
 from .neighbor import NeighborLists
 from .particles import ParticleStore
@@ -113,27 +111,29 @@ def compute_forces(
     store: ParticleStore,
     lists: NeighborLists,
     law,
-    backend: Backend | None = None,
+    backend=None,
     accumulate_energy: bool = False,
 ):
     """Evaluate pair forces into store.forces for every local particle.
 
     The positions (and, for a law that needs them, the velocities) are
-    copied coordinate-major once per call. Each backend chunk of rows (one
-    chunk for the serial backend) is one call of the compiled loop, which
-    releases the GIL. For local i it reads only the counts[i] real partners of
-    row i, never the -1 padding; an entry at or beyond the cutoff adds
-    nothing, and the force on i is the sum of s * delta over the rest, in row
-    order. For half lists each in-cutoff entry with a local partner j also
-    yields (j, s * delta); after all chunks, one serial loop sums these
-    entries per partner in row order (the sums np.bincount would form) and
-    the sums are subtracted, so the result does not depend on the chunk size
-    or on which backend ran the chunks, bit for bit. Only the local rows of
-    store.forces are written: ghost rows stay as `append_ghosts` zeroed them.
+    copied coordinate-major once per call, and all local rows go to one call
+    of the compiled loop, which releases the GIL. For local i it reads only
+    the counts[i] real partners of row i, never the -1 padding; an entry at or
+    beyond the cutoff adds nothing, and the force on i is the sum of
+    s * delta over the rest, in row order. For half lists the loop also sums
+    the reaction s * delta of each in-cutoff entry per local partner j, in
+    row-major entry order, and subtracts these sums after the last row. Only
+    the local rows of store.forces are written: ghost rows stay as
+    `append_ghosts` zeroed them.
 
     With accumulate_energy the total pair potential energy is returned;
     otherwise returns None. A half-list entry with a ghost partner carries
     half the pair energy, since the ghost's owner stores the same pair.
+
+    `backend` is ignored. It stays only because the benchmark harness still
+    passes `nanopair.backend.SerialBackend()`; it goes once the harness drops
+    it (see nanopair.backend).
 
     Raises SingularityError on a coincident pair and on a non-finite force,
     ProtocolError on lists that do not belong to the store as it is; a
@@ -141,8 +141,6 @@ def compute_forces(
     TypeError on a list array of the wrong dtype or memory layout.
     """
     half = lists.half
-    if backend is None:
-        backend = SerialBackend()
     n_local, n_total = store.n_local, store.n_total
     if (n_local, n_total) != (lists.n_local, lists.n_total):
         raise ProtocolError(
@@ -156,54 +154,32 @@ def compute_forces(
     width = mat.shape[1]
     if counts.shape != (n_local,) or counts.max() > width:
         raise ProtocolError(f"list counts do not fit {n_local} rows of width {width}")
-    lib = kernel.library()
     code, params = law.kernel_args
     xyz = store.positions.read_transposed(0, n_total)
     # the loop reads velocities only for a law that needs them
     vel = store.velocities.read_transposed(0, n_total) if law.needs_velocities else xyz
     forces = np.empty((n_local, 3))
+    # the loop zeroes the reaction sums before it adds to them
+    reactions = np.empty((n_local, 3)) if half else None
     row_energy = np.empty(n_local) if accumulate_energy else None
     # every array goes to the loop as a bare address, checked once here (see
     # kernel.address): a wrong dtype, layout or shape raises TypeError
-    f64, i32, i64 = np.float64, np.int32, np.int64
-    params_p = kernel.address(params, f64)
-    xyz_p = kernel.address(xyz, f64, (3, n_total))
-    vel_p = kernel.address(vel, f64, (3, n_total))
-    mat_p = kernel.address(mat, i32, (n_local, width))
-    counts_p = kernel.address(counts, i32, (n_local,))
-
-    def do_chunk(start: int, stop: int):
-        cap = int(counts[start:stop].sum()) if half else 0
-        back_j = np.empty(cap, dtype=np.int64)
-        back_f = np.empty((3, cap))
-        n_back = ctypes.c_int64()
-        bad = lib.pair_forces(
-            code, params_p, law.cutoff_rsq, law.needs_velocities,
-            xyz_p, vel_p, n_total,
-            mat_p, width, counts_p,
-            start, stop, n_local, half,
-            kernel.address(forces[start:stop], f64), kernel.address(back_j, i64),
-            kernel.address(back_f, f64), cap, ctypes.byref(n_back),
-            None if row_energy is None else kernel.address(row_energy[start:stop], f64),
-        )
-        if bad >= 0:
-            i, k = divmod(bad, width)
-            j = int(mat[i, k])
-            if 0 <= j < n_total:
-                raise SingularityError(f"coincident pair: local {i} and neighbor {j}")
-            raise ProtocolError(f"list row {i} names particle {j} of {n_total}")
-        return back_j, back_f, n_back.value
-
-    chunk = backend.chunk_size or n_local
-    results = backend.run([(s, min(s + chunk, n_local)) for s in range(0, n_local, chunk)], do_chunk)
-    if half:
-        reactions = np.zeros((n_local, 3))
-        acc = kernel.address(reactions, f64)
-        for back_j, back_f, n in results:
-            lib.add_reactions(n, kernel.address(back_j, i64), kernel.address(back_f, f64), back_f.shape[1], acc)
-        # an inf reaction meets the non-finite check below, not a warning here
-        with np.errstate(invalid="ignore", over="ignore"):
-            forces -= reactions
+    f64, i32 = np.float64, np.int32
+    bad = kernel.library().pair_forces(
+        code, kernel.address(params, f64), law.cutoff_rsq, law.needs_velocities,
+        kernel.address(xyz, f64, (3, n_total)), kernel.address(vel, f64, (3, n_total)), n_total,
+        kernel.address(mat, i32, (n_local, width)), width, kernel.address(counts, i32, (n_local,)),
+        n_local, half,
+        kernel.address(forces, f64),
+        None if reactions is None else kernel.address(reactions, f64),
+        None if row_energy is None else kernel.address(row_energy, f64),
+    )
+    if bad >= 0:
+        i, k = divmod(bad, width)
+        j = int(mat[i, k])
+        if 0 <= j < n_total:
+            raise SingularityError(f"coincident pair: local {i} and neighbor {j}")
+        raise ProtocolError(f"list row {i} names particle {j} of {n_total}")
     if not np.isfinite(forces).all():
         bad = int(np.argmin(np.isfinite(forces).all(axis=1)))
         raise SingularityError(f"non-finite force on local {bad}")

@@ -6,7 +6,6 @@ import time
 import numpy as np
 import pytest
 
-from nanopair.backend import SerialBackend
 from nanopair.comm import (
     LOAD_BINS,
     WIRE_BORDER,
@@ -89,7 +88,7 @@ def advance(gens):
 def run_lockstep(cfg, ranks, pos, vel, after_setup=None, layout=None):
     """Every rank's program to the end; returns worlds, stores, transport and reports."""
     worlds, stores, transport = make_worlds(cfg, ranks, pos, vel, layout=layout)
-    gens = [rank_program(cfg, w, s, backend=SerialBackend()) for w, s in zip(worlds, stores)]
+    gens = [rank_program(cfg, w, s) for w, s in zip(worlds, stores)]
     while True:
         tokens = advance(gens)
         if isinstance(tokens[0], RankReport):
@@ -361,6 +360,12 @@ class TestEarlyEpoch:
         with pytest.raises(GuardViolation, match=r"rank \d+, step 1: a particle of rank \d+ moved 0\.2"):
             run_lockstep(cfg, ranks, pos, vel)
 
+    def test_zero_buffer_runs_with_a_rebuild_every_step(self):
+        # the configuration SimConfig.validate() accepts without a buffer
+        cfg = LJ.with_overrides(verlet_buffer=0.0, reneigh_interval=1, steps=5).validate()
+        reports = run_lockstep(cfg, 1, *initial_state(cfg))[3]
+        assert reports[0].rebuilds == cfg.steps
+
 
 class TestWireFaults:
     def test_truncated_record_rejected(self):
@@ -626,7 +631,7 @@ class TestPhaseTimers:
     def test_phase_sum_within_busy_time(self, ranks):
         cfg = SD.with_overrides(steps=20)
         worlds, stores, _ = make_worlds(cfg, ranks, *initial_state(cfg))
-        gens = [rank_program(cfg, w, s, backend=SerialBackend()) for w, s in zip(worlds, stores)]
+        gens = [rank_program(cfg, w, s) for w, s in zip(worlds, stores)]
         busy = np.zeros(ranks)
         reports = [None] * ranks
         while reports[0] is None:

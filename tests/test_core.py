@@ -206,3 +206,13 @@ class TestSimConfig:
 
     def test_spring_dashpot_contact_cutoff_accepted(self):
         SimConfig(potential_kind="sd", cutoff=1.0, diameter=1.0, damping=0.0).validate()
+
+    def test_zero_buffer_with_reneigh_interval_rejected(self):
+        # lists without a buffer are stale after one move, and the driver
+        # would raise GuardViolation at the first step after each rebuild
+        with pytest.raises(ConfigError, match="^verlet_buffer must be positive when reneigh_interval > 1"):
+            SimConfig(unit_cells=(6, 6, 6), verlet_buffer=0.0, reneigh_interval=2).validate()
+
+    def test_zero_buffer_rebuilt_every_step_accepted(self):
+        # lists rebuilt at every step are never checked against the buffer
+        SimConfig(unit_cells=(6, 6, 6), verlet_buffer=0.0, reneigh_interval=1).validate()

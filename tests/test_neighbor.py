@@ -323,6 +323,16 @@ class TestDisplacement:
             store.positions.write_rows(0, store.local_positions() + step)
         assert max_displacement_since_rebuild(store, lists) <= k * s + 1e-12
 
+    @pytest.mark.parametrize("n_before", [0, 5])
+    def test_stale_lists_rejected(self, n_before):
+        # lists built on an empty rank are stale too once the rank gains locals
+        store = make_store(np.random.default_rng(3).uniform(1, 7, size=(n_before, 3)))
+        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
+        lists = build_neighbor_lists(store, grid, 2.8, half=False)
+        store.append_locals([[4.0, 4.0, 4.0]], [[0.0, 0.0, 0.0]])
+        with pytest.raises(ProtocolError, match=f"^store has {n_before + 1} locals but lists were built for {n_before}$"):
+            max_displacement_since_rebuild(store, lists)
+
 
 def edge_cloud(box, r, n=301, seed=5):
     """Points of a grid box and its ghost shell, a third of them exactly on

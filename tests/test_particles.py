@@ -3,9 +3,20 @@ import pytest
 
 from nanopair.core import SimConfig
 from nanopair.layout import ArrayHandle, clustered_layout, column_major_layout, row_major_layout
-from nanopair.particles import ParticleStore, create_lattice, lattice_positions
+from nanopair.particles import ParticleStore, lattice_positions
 
 LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(8)]
+
+
+def lattice_store(cfg):
+    """A store holding the full lattice of cfg, with velocities uniform in
+    [-0.5, 0.5) times cfg.velocity_scale drawn from cfg.rng_seed, then shifted
+    to zero net momentum."""
+    pos = lattice_positions(cfg, cfg.domain())
+    vel = (np.random.default_rng(cfg.rng_seed).random(pos.shape) - 0.5) * cfg.velocity_scale
+    store = ParticleStore(row_major_layout(), len(pos))
+    store.append_locals(pos, vel - vel.mean(axis=0))
+    return store
 
 
 def local_state(store):
@@ -27,18 +38,18 @@ class TestCreateLattice:
     def test_single_cell(self):
         cfg = SimConfig(unit_cells=(2, 2, 2)).validate()
         cfg1 = SimConfig(unit_cells=(1, 1, 1))  # skips extent validation on purpose
-        store = create_lattice(cfg1, cfg1.domain())
+        store = lattice_store(cfg1)
         assert store.n_local == 4
         assert np.all(cfg1.domain().contains(store.local_positions()))
 
     def test_zero_net_momentum(self):
         cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
-        store = create_lattice(cfg, cfg.domain())
+        store = lattice_store(cfg)
         np.testing.assert_allclose(store.local_velocities().sum(axis=0), 0.0, atol=1e-10)
 
     def test_forces_zeroed(self):
         cfg = SimConfig(unit_cells=(2, 2, 2), verlet_buffer=0.0, cutoff=1.0)
-        store = create_lattice(cfg, cfg.domain())
+        store = lattice_store(cfg)
         assert np.all(store.forces.read_rows(0, store.n_local) == 0.0)
 
     def test_half_diagonal_fill(self):
@@ -51,8 +62,8 @@ class TestCreateLattice:
 
     def test_seed_reproducible(self):
         cfg = SimConfig(unit_cells=(3, 3, 3), rng_seed=9)
-        a = create_lattice(cfg, cfg.domain())
-        b = create_lattice(cfg, cfg.domain())
+        a = lattice_store(cfg)
+        b = lattice_store(cfg)
         np.testing.assert_array_equal(a.local_velocities(), b.local_velocities())
 
 

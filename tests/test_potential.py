@@ -1,4 +1,5 @@
 import subprocess
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,12 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nanopair import kernel
-from nanopair.backend import SerialBackend, ThreadBackend
 from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError, SingularityError
 from nanopair.layout import ArrayHandle, column_major_layout, row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists
-from nanopair.particles import ParticleStore, create_lattice
+from nanopair.particles import ParticleStore
 from nanopair.potential import (
     LennardJones,
     SpringDashpot,
@@ -446,33 +446,6 @@ class TestComputeForces:
             assert energy == 0.0
             assert np.all(store.forces.read_rows(0, store.n_total) == 0.0)
 
-    @pytest.mark.parametrize(
-        "half,kind",
-        [(False, "lj"), (True, "lj"), (False, "sd"), (True, "sd")],
-        ids=["False", "True", "sd-False", "sd-True"],
-    )
-    def test_chunking_and_threads_bitwise_equal(self, half, kind):
-        if kind == "lj":
-            cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
-            law = law_from_config(cfg)
-            store, box, r = periodic_store(cfg)
-        else:
-            law = SpringDashpot(stiffness=100.0, damping=2.0, diameter=1.0)
-            r = 1.3
-            store, box = jittered_store(3, r)
-        grid = build_cell_grid(store, box, r)
-        lists = build_neighbor_lists(store, grid, r, half=half)
-        small = SerialBackend()
-        small.chunk_size = 37
-        threaded = ThreadBackend(2)
-        threaded.chunk_size = 50
-        out = []
-        for backend in (SerialBackend(), small, ThreadBackend(2), threaded):
-            compute_forces(store, lists, law, backend=backend)
-            out.append(local_forces(store))
-        for got in out[1:]:
-            np.testing.assert_array_equal(got, out[0])
-
 
 class TestKernelArguments:
     """The compiled loops take bare addresses; each array is checked once
@@ -666,6 +639,49 @@ class TestKernelOracle:
         for i, k in enumerate(lists.counts):
             lists.indices.view[i, :k] = rng.permutation(lists.indices.view[i, :k])
         assert lists.counts.max() > KERNEL_BLOCK and lists.counts.min() == 0
+        want, want_energy = row_order_forces(store, lists, law)
+        got_energy = compute_forces(store, lists, law, accumulate_energy=True)
+        np.testing.assert_array_equal(local_forces(store), want)
+        assert got_energy == want_energy
+
+    @pytest.mark.parametrize(
+        "law,clump_radius,r",
+        [
+            (LennardJones(1.0, 1.0, 2.5), 1.35, 2.8),
+            (SpringDashpot(stiffness=100.0, damping=0.0, diameter=1.0), 0.6, 1.3),
+            (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 0.6, 1.3),
+        ],
+        ids=["lj", "sd", "sd-damped"],
+    )
+    @pytest.mark.parametrize("fill", ["clumped", "jittered"])
+    def test_row_order_bitwise_with_lower_local_partners(self, law, clump_radius, r, fill):
+        # the build puts a local pair in the row of its lower index; moving
+        # most of them to the other row makes rows name local partners j < i,
+        # whose reactions land on rows already summed: the kernel must sum
+        # the reactions over all rows first and subtract them after the last.
+        # Moving 90 % keeps both kinds of local partner in most rows and
+        # leaves the clump's last rows longer than KERNEL_BLOCK; the jittered
+        # store adds ghost partners, which the clumped one lacks
+        store, box = clumped_store(clump_radius, r) if fill == "clumped" else jittered_store(21, r)
+        built = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=True)
+        n_local = store.n_local
+        rng = np.random.default_rng(13)
+        pairs = built.pairs()
+        flip = (pairs[:, 1] < n_local) & (rng.random(len(pairs)) < 0.9)
+        pairs[flip] = pairs[flip][:, ::-1]
+        rows = [rng.permutation(pairs[pairs[:, 0] == i, 1]) for i in range(n_local)]
+        counts = np.array([len(row) for row in rows], dtype=np.int32)
+        indices = ArrayHandle(row_major_layout(), n_local, counts.max(), dtype=np.int32)
+        indices.view[...] = -1
+        for i, row in enumerate(rows):
+            indices.view[i, : len(row)] = row
+        lists = replace(built, indices=indices, counts=counts)
+        lower = [(row < i).any() for i, row in enumerate(rows)]
+        assert lists.half and sum(lower) > n_local // 4
+        if fill == "clumped":
+            assert counts.max() > KERNEL_BLOCK
+        else:
+            assert np.any(indices.view >= n_local)
         want, want_energy = row_order_forces(store, lists, law)
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
         np.testing.assert_array_equal(local_forces(store), want)
