@@ -51,10 +51,11 @@ from __future__ import annotations
 import struct
 import threading
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .core import AABB, pbc_correct
 from .errors import ProtocolError
 from .particles import ParticleStore
@@ -539,13 +540,25 @@ class _PlanRound:
     Row k of the round's refresh is the position of store row src_idx[k]
     (a local or a ghost of an earlier round) plus shift[k], the periodic
     shift fixed at plan time. The rows are grouped by peer, in entry order
-    within a peer, and each send is one peer's slice of them.
+    within a peer, and each send is one peer's slice of them. `rows` holds
+    the refresh of the latest step; the compiled gather takes src_idx,
+    shift and rows by the addresses in `args`, taken once here.
     """
 
     src_idx: np.ndarray  # (k,) int64
     shift: np.ndarray  # (k, 3)
     sends: list[_PlanSend]
     recvs: list[_PlanRecv]
+    rows: np.ndarray = field(init=False, repr=False)  # (k, 3)
+    args: tuple = field(init=False, repr=False)  # gather_rows' (idx, shift, k, out)
+
+    def __post_init__(self) -> None:
+        k = self.src_idx.shape[0]
+        self.rows = np.empty((k, 3))
+        self.args = (
+            kernel.address(self.src_idx, np.int64, (k,)), kernel.address(self.shift, np.float64, (k, 3)),
+            k, kernel.address(self.rows, np.float64),
+        )
 
 
 @dataclass
@@ -574,7 +587,9 @@ def define_borders(world: RankWorld, store: ParticleStore):
     all of its entries, in entry order, and appends this rank's own
     periodic images in place. Later rounds scan ghosts created by earlier
     rounds, which is how edge and corner images propagate across dimensions
-    under the face stencil.
+    under the face stencil. Every source row of a round must be a row of the
+    store when the round starts, or ProtocolError; `synchronize` replays the
+    plan only on a store of the same counts, so its gathers stay in range.
     """
     me = world.rank
     if store.n_ghost:
@@ -587,6 +602,10 @@ def define_borders(world: RankWorld, store: ParticleStore):
         for peer, group in _by_peer(entries, lambda e: e.send_to).items():
             picked = [entry.border_cond(pos) for entry in group]
             idx = np.concatenate([i for i, _ in picked])
+            if idx.size and (idx.min() < 0 or idx.max() >= pos.shape[0]):
+                raise ProtocolError(
+                    f"rank {me}: a border condition picked a row outside the {pos.shape[0]} particles"
+                )
             emitted = np.concatenate([e for _, e in picked])
             src_idx.append(idx)
             shift.append(emitted - pos[idx])
@@ -613,11 +632,12 @@ def define_borders(world: RankWorld, store: ParticleStore):
 def synchronize(world: RankWorld, store: ParticleStore, plan: BorderPlan):
     """Refresh every ghost position from its source, replaying the plan.
 
-    Per round: one gather of the source rows, one in-place add of their
-    shifts, one sync record per remote peer, and one write per peer's
-    consecutive ghost slots. Each ghost ends up at source position plus the
-    shift fixed at plan time; multi-hop images stay exact because rounds
-    replay in plan order.
+    Per round: one compiled gather of the source rows plus their shifts
+    (`gather_rows`, through the layout's index map, into the plan's `rows`),
+    one sync record per remote peer, and one write per peer's consecutive
+    ghost slots (`set_ghost_positions`). Each ghost ends up at source
+    position plus the shift fixed at plan time; multi-hop images stay exact
+    because rounds replay in plan order.
     """
     if store.n_local != plan.n_local or store.n_ghost != plan.n_ghost:
         raise ProtocolError(
@@ -625,9 +645,10 @@ def synchronize(world: RankWorld, store: ParticleStore, plan: BorderPlan):
             f"does not match the border plan ({plan.n_local}, {plan.n_ghost})"
         )
     me = world.rank
+    gather, h = kernel.library().gather_rows, store.positions
     for rnd in plan.rounds:
-        rows = store.positions.read_rows_at(rnd.src_idx)
-        rows += rnd.shift
+        gather(h.map_address, h.address, *rnd.args)
+        rows = rnd.rows
         for s in rnd.sends:
             if s.peer == me:
                 store.set_ghost_positions(s.ghost_start, rows[s.rows])

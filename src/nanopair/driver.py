@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .comm import (
     RankWorld,
     balance_slabs,
@@ -93,33 +94,27 @@ class RankReport:
     rebuilds: int  # list rebuilds in steps 1..steps, scheduled or triggered
 
 
-def _local_blocks(store: ParticleStore, *handles):
-    """Row blocks of the given handles that cover the locals, zipped.
-
-    The handles of one store share its layout and size_x, so their
-    `row_blocks` line up and the integrators update the buffers in place.
-    """
-    n = store.n_local
-    return zip(*([block for _, _, block in h.row_blocks(0, n)] for h in handles))
-
-
 def initial_integrate(store: ParticleStore, dt: float, mass: float) -> None:
-    """Half-kick then drift: v += dt/2 F/m, x += dt v (locals only)."""
+    """Half-kick then drift: v += dt/2 F/m, x += dt v (locals only).
+
+    One compiled loop (`kick_drift`) updates the layout buffers in place,
+    element by element, with numpy's operations: v += k * f, then x += dt * v.
+    """
     if store.n_local == 0 or dt == 0.0:
         return
-    k = 0.5 * dt / mass
-    for v, f, x in _local_blocks(store, store.velocities, store.forces, store.positions):
-        v += k * f
-        x += dt * v
+    v = store.velocities
+    kernel.library().kick_drift(
+        v.map_address, store.n_local, 0.5 * dt / mass, dt,
+        v.address, store.forces.address, store.positions.address,
+    )
 
 
 def final_integrate(store: ParticleStore, dt: float, mass: float) -> None:
-    """Closing half-kick against the freshly computed forces."""
+    """Closing half-kick against the freshly computed forces, by one compiled loop (`kick`)."""
     if store.n_local == 0 or dt == 0.0:
         return
-    k = 0.5 * dt / mass
-    for v, f in _local_blocks(store, store.velocities, store.forces):
-        v += k * f
+    v = store.velocities
+    kernel.library().kick(v.map_address, store.n_local, 0.5 * dt / mass, v.address, store.forces.address)
 
 
 def _momentum(store: ParticleStore, mass: float) -> np.ndarray:

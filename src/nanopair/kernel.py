@@ -3,18 +3,30 @@
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
 on first use in a process and returns the loaded library with the argument
 types of its functions declared: `bin_cells` (the cell binning),
-`build_lists` and `spread_rows` (the neighbor-list build) and `pair_forces`
-(the force kernel, half-list reactions included).
-A C compiler is therefore a run-time requirement of this package. Both
-neighbor.py and potential.py call into it, which is why the loader lives in
-its own module.
+`build_lists` and `spread_rows` (the neighbor-list build), `pair_forces`
+(the force kernel, half-list reactions included), and the per-step particle
+loops `kick_drift` and `kick` (the integrators), `max_displacement` (the
+displacement check), `gather_rows` and `put_rows` (the ghost refresh).
+A C compiler is therefore a run-time requirement of this package. The
+driver, comm.py, neighbor.py, particles.py and potential.py all call into
+it, which is why the loader lives in its own module.
+
+The particle loops, and `pair_forces` for the positions, velocities and
+forces, work in place on the buffers of the store's `ArrayHandle`s, through
+the layout's index map (see nanopair.layout): no row is copied out of the
+layout and back.
 
 Array arguments are declared as plain addresses (`c_void_p`): a caller
 passes `address(a, dtype, shape)`, which checks the array once (an ndarray
-of that dtype, C-contiguous, of that shape where the caller knows it) and
-returns its data pointer. A converter such as `np.ctypeslib.ndpointer`
-would check the same on every call at several times the cost, and a
-compiled call is made on every rank at every step.
+of that dtype, C-contiguous and aligned, of that shape where the caller
+knows it) and returns its data pointer. A converter such as
+`np.ctypeslib.ndpointer` would check the same on every call at several
+times the cost, and taking the pointer itself costs about 2 us. So the
+addresses of what lives across steps are taken once: an `ArrayHandle`'s
+buffer and index map when the handle is built, a law's parameters when the
+law first runs, a neighbor list's matrix, counts and reference positions
+when the lists first run, and a border plan's gather index, shifts and
+refresh rows when the plan is made.
 """
 
 from __future__ import annotations
@@ -32,8 +44,12 @@ import numpy as np
 # host-specific instruction set. -O3 lets gcc vectorise the Lennard-Jones law
 # loop (at -O2 its cost model leaves it scalar); vectorising changes no bit,
 # because every lane rounds the same operations in the same order as the
-# scalar code and, without fast-math, no floating-point sum is reassociated
-_CC = ("cc", "-std=c99", "-O3", "-ffp-contract=off", "-shared", "-fPIC")
+# scalar code and, without fast-math, no floating-point sum is reassociated.
+# -fno-math-errno only drops the errno path of the math functions, so the
+# spring-dashpot sqrt compiles to the inline instruction instead of a
+# library call guarded by a NaN test; sqrt is correctly rounded either way,
+# so no bit changes
+_CC = ("cc", "-std=c99", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _KERNEL_SOURCE = Path(__file__).with_name("pair_kernel.c")
 
 __all__ = ["library", "address"]
@@ -42,8 +58,10 @@ __all__ = ["library", "address"]
 def address(a, dtype, shape=None) -> int:
     """Data pointer of an array argument of a compiled loop, after checking it.
 
-    TypeError unless `a` is a C-contiguous ndarray of `dtype` and, when
-    `shape` is given, of that shape: the loop would read the wrong memory.
+    TypeError unless `a` is a C-contiguous, aligned ndarray of `dtype` and,
+    when `shape` is given, of that shape: the loop would read the wrong
+    memory, or read it misaligned, which C leaves undefined (a view 5 bytes
+    into a wire record is such an array).
     """
     if not isinstance(a, np.ndarray):
         raise TypeError(f"compiled loop argument must be an ndarray, got {type(a).__name__}")
@@ -51,6 +69,8 @@ def address(a, dtype, shape=None) -> int:
         raise TypeError(f"compiled loop argument of dtype {a.dtype}, expected {np.dtype(dtype)}")
     if not a.flags.c_contiguous:
         raise TypeError(f"compiled loop argument of shape {a.shape} is not C-contiguous")
+    if not a.flags.aligned:
+        raise TypeError(f"compiled loop argument of shape {a.shape} is not aligned to its dtype")
     if shape is not None and a.shape != shape:
         raise TypeError(f"compiled loop argument of shape {a.shape}, expected {shape}")
     return a.ctypes.data
@@ -90,12 +110,22 @@ def library() -> ctypes.CDLL:
     dll.build_lists.restype = i64
     dll.spread_rows.argtypes = [i64, i32, i32, i32, i64]  # n, flat, counts, mat, width
     dll.spread_rows.restype = None
+    # a particle array goes as its buffer and its index map (ArrayHandle.address, .map_address)
     dll.pair_forces.argtypes = [
         ctypes.c_int, f64, ctypes.c_double, ctypes.c_int,  # law, params, cutoff_rsq, use_vel
-        f64, f64, i64,  # x, v, n_total
+        idx, f64, f64, f64, i64,  # map, positions, velocities, forces, n_total
         i32, i64, i32,  # mat, width, counts
-        i64, ctypes.c_int,  # n_local, half
-        f64, f64, f64,  # own, reactions (NULL: full lists), row energies (NULL: not accumulated)
+        i64, ctypes.c_int, f64,  # n_local, half, row energies (NULL: not accumulated)
     ]
     dll.pair_forces.restype = i64
+    dll.kick_drift.argtypes = [idx, i64, ctypes.c_double, ctypes.c_double, f64, f64, f64]  # map, n, k, dt, v, f, x
+    dll.kick_drift.restype = None
+    dll.kick.argtypes = [idx, i64, ctypes.c_double, f64, f64]  # map, n, k, v, f
+    dll.kick.restype = None
+    dll.max_displacement.argtypes = [idx, f64, f64, i64]  # map, x, ref, n
+    dll.max_displacement.restype = ctypes.c_double
+    dll.gather_rows.argtypes = [idx, f64, idx, f64, i64, f64]  # map, x, idx, shift, k, out
+    dll.gather_rows.restype = None
+    dll.put_rows.argtypes = [idx, f64, i64, i64, f64]  # map, x, start, k, rows
+    dll.put_rows.restype = None
     return dll

@@ -1,27 +1,38 @@
 """2D array storage with a selectable layout, read and written by rows.
 
 Three layouts are supported for logical (size_x, size_y) arrays over one flat
-buffer:
+buffer, all by one index formula with a (shift, A, B, mask) tuple per layout:
 
-* row-major      offset = x * size_y + y          (AoS when size_y == 3)
-* column-major   offset = y * size_x + x          (SoA)
-* clustered      offset = c * (i * size_y + y) + j with i = x >> shift,
-                 j = x & (c - 1)                  (AoSoA, cluster size c)
+    offset(x, y) = (x >> shift) * A + y * B + (x & mask)
 
-The layout is fixed at handle creation. Every access goes through one
-zero-copy strided view of the buffer: (size_x, size_y) for row-major and
-column-major, (clusters, size_y, c) for clustered. A row range is a slice of
-that view and a row gather indexes one axis (clustered: the cluster and lane
-axes), so no per-element index array is built, and callers observe identical
-rows under every layout.
+* row-major      (0, size_y, 1, 0)                 offset = x * size_y + y
+                 (AoS when size_y == 3)
+* column-major   (62, 0, size_x, 2**62 - 1)        offset = y * size_x + x
+                 (SoA: no x below 2**62 reaches a second cluster)
+* clustered      (log2 c, size_y * c, c, c - 1)    offset = c * (i * size_y + y) + j
+                 with i = x >> shift, j = x & (c - 1)   (AoSoA, cluster size c)
+
+so for particle arrays (size_y == 3) the tuples are (0, 3, 1, 0),
+(62, 0, size_x, 2**62 - 1) and (log2 c, 3c, c, c - 1).
+
+The layout is fixed at handle creation, and so are `ArrayHandle.index_map`
+(the tuple) and the addresses of the buffer and of the tuple as an int64
+array, which the compiled loops of pair_kernel.c take to work in place on
+the buffer (see nanopair.kernel).
+
+In Python, every access goes through one zero-copy strided view of the
+buffer: (size_x, size_y) for row-major and column-major, (clusters, size_y,
+c) for clustered. A row range is a slice of that view and a row gather
+indexes one axis (clustered: the cluster and lane axes), so no per-element
+index array is built, and callers observe identical rows under every
+layout.
 
 `ArrayHandle.row_blocks` hands out the views that cover a row range: one
 block for row-major and column-major, up to three for clustered (a partial
 head cluster, the whole clusters, a partial tail cluster). The blocks depend
 only on the layout, size_x and the range, so the handles of one particle
 store, which share a layout and size_x, yield blocks that line up row for
-row: elementwise arithmetic between them can run in place on the blocks,
-with no copy of the rows.
+row.
 """
 
 from __future__ import annotations
@@ -30,6 +41,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from . import kernel
 
 __all__ = [
     "LayoutKind",
@@ -40,6 +53,10 @@ __all__ = [
     "clustered_layout",
     "layout_from_config",
 ]
+
+
+# the column-major shift: every row index lies in cluster 0
+_NO_CLUSTER = 62
 
 
 class LayoutKind(Enum):
@@ -65,6 +82,15 @@ class LayoutDescriptor:
     @property
     def mask(self) -> int:
         return self.cluster_size - 1
+
+    def index_map(self, size_x: int, size_y: int) -> tuple[int, int, int, int]:
+        """(shift, A, B, mask) of offset(x, y) = (x >> shift) * A + y * B + (x & mask)."""
+        if self.kind is LayoutKind.ROW_MAJOR:
+            return 0, size_y, 1, 0
+        if self.kind is LayoutKind.COLUMN_MAJOR:
+            return _NO_CLUSTER, 0, size_x, (1 << _NO_CLUSTER) - 1
+        c = self.cluster_size
+        return self.shift, size_y * c, c, self.mask
 
     def required_capacity(self, size_x: int, size_y: int) -> int:
         """Buffer length needed for all valid (x, y); clusters pad size_x up."""
@@ -105,6 +131,9 @@ class ArrayHandle:
     are zero-initialized and belong to no row. `view` is the zero-copy strided
     view of the buffer; every row method reads or writes through it, and so
     may a caller that indexes it directly (writes through it write the buffer).
+    `index_map` is the layout's (shift, A, B, mask) tuple for this size;
+    `address` and `map_address` are the data pointers of the buffer and of
+    the tuple as an int64 array, taken once here for the compiled loops.
     """
 
     def __init__(self, layout: LayoutDescriptor, size_x: int, size_y: int, dtype=np.float64):
@@ -120,6 +149,10 @@ class ArrayHandle:
         else:
             c = layout.cluster_size
             self.view = self.buf.reshape(-(-self.size_x // c), self.size_y, c)
+        self.index_map = layout.index_map(self.size_x, self.size_y)
+        self._map = np.array(self.index_map, dtype=np.int64)
+        self.address = kernel.address(self.buf, self.dtype)
+        self.map_address = kernel.address(self._map, np.int64, (4,))
 
     def row_blocks(self, start: int, count: int):
         """Cover rows [start, start+count) with zero-copy views of `view`.

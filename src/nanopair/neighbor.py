@@ -16,7 +16,7 @@ contiguous runs of that list. pair_kernel.c holds both next to the force loop.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -136,6 +136,10 @@ class NeighborLists:
     cutoff, inside the Verlet buffer. The lists belong to a store with
     n_local locals and n_total particles; any other count means the store
     changed since the build.
+
+    The compiled loops take the matrix, the counts and the reference
+    positions by address (`kernel_args`, `ref_address`), checked and taken
+    on first use and again only when another array is bound to the field.
     """
 
     half: bool
@@ -144,6 +148,42 @@ class NeighborLists:
     ref_positions: np.ndarray  # (3, n_local) coordinate-major local positions at build time
     n_local: int
     n_total: int  # locals plus ghosts at build time
+    _addresses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _address(self, name: str, take):
+        """take() for the array now bound to field `name`, cached until
+        another array is bound to it."""
+        a = getattr(self, name)
+        cached = self._addresses.get(name)
+        if cached is None or cached[0] is not a:
+            cached = self._addresses[name] = (a, take())
+        return cached[1]
+
+    def _matrix_address(self) -> tuple[int, int]:
+        mat = self.as_matrix()
+        return kernel.address(mat, np.int32, (self.n_local, mat.shape[1])), mat.shape[1]
+
+    def _counts_address(self) -> int:
+        if self.counts.shape != (self.n_local,):
+            raise ProtocolError(f"list counts do not fit {self.n_local} rows of width {self.indices.size_y}")
+        return kernel.address(self.counts, np.int32)
+
+    def kernel_args(self) -> tuple[int, int, int]:
+        """(matrix address, width, counts address) for `pair_forces`.
+
+        ProtocolError when the counts do not cover the n_local rows;
+        TypeError (`kernel.address`) on a matrix or counts of the wrong
+        dtype or memory layout. Whether every count fits the width is the
+        compiled loop's check, since counts may be edited in place.
+        """
+        mat, width = self._address("indices", self._matrix_address)
+        return mat, width, self._address("counts", self._counts_address)
+
+    def ref_address(self) -> int:
+        """Address of `ref_positions`, for `max_displacement`."""
+        return self._address(
+            "ref_positions", lambda: kernel.address(self.ref_positions, np.float64, (3, self.n_local))
+        )
 
     def as_matrix(self) -> np.ndarray:
         """The (n_local, width) list as a read-only zero-copy view."""
@@ -261,9 +301,11 @@ def build_neighbor_lists(
 def max_displacement_since_rebuild(store: ParticleStore, lists: NeighborLists) -> float:
     """Largest local-particle move since the lists were built.
 
-    Squared moves are summed x, y, z in that order, on one coordinate-major
-    copy of the local positions. ProtocolError when the store's local count
-    differs from the lists', also for lists built without locals.
+    One compiled loop (`max_displacement`) reads the local positions in
+    place through the layout's index map and sums the squared moves x, y, z
+    in that order; NaN when a move is NaN. ProtocolError when the store's
+    local count differs from the lists', also for lists built without
+    locals.
     """
     if store.n_local != lists.n_local:
         raise ProtocolError(
@@ -271,10 +313,5 @@ def max_displacement_since_rebuild(store: ParticleStore, lists: NeighborLists) -
         )
     if lists.n_local == 0:
         return 0.0
-    delta = store.positions.read_transposed(0, lists.n_local)
-    delta -= lists.ref_positions
-    delta *= delta
-    rsq = delta[0]
-    rsq += delta[1]
-    rsq += delta[2]
-    return float(np.sqrt(rsq.max()))
+    h = store.positions
+    return kernel.library().max_displacement(h.map_address, h.address, lists.ref_address(), lists.n_local)

@@ -1,10 +1,20 @@
 /* The compiled loops of nanopair: the cell binning behind
  * nanopair.neighbor.build_cell_grid (a counting sort into a CSR cell list),
  * the Verlet-list build behind nanopair.neighbor.build_neighbor_lists, which
- * reads each local's 27 stencil cells as 9 contiguous runs of that list, and
- * the pair-force row loops behind nanopair.potential.compute_forces, which
- * also sum the half-list reactions. nanopair.kernel compiles this file once
- * per process.
+ * reads each local's 27 stencil cells as 9 contiguous runs of that list, the
+ * pair-force row loops behind nanopair.potential.compute_forces, which also
+ * sum the half-list reactions, and the per-step particle loops: the two
+ * integrator kicks and the drift (nanopair.driver), the displacement check
+ * (nanopair.neighbor.max_displacement_since_rebuild) and the ghost refresh's
+ * gather and write (nanopair.comm.synchronize,
+ * nanopair.particles.ParticleStore.set_ghost_positions). nanopair.kernel
+ * compiles this file once per process.
+ *
+ * Particle arrays are read and written in place, in the layout's buffer,
+ * through its index map (see nanopair.layout): element (x, y) of an array of
+ * 3 columns lives at buf[(x >> map[0]) * map[1] + y * map[2] + (x & map[3])].
+ * Every particle loop does numpy's operations in numpy's order on each
+ * element, so it gives the bits of the numpy formula it replaces.
  *
  * `pair_forces` picks one row loop per law. The Lennard-Jones loop is staged:
  * per block of a row's entries it gathers the in-cutoff partners, evaluates
@@ -18,12 +28,21 @@
  * nanopair.kernel._CC), so the results do not depend on the machine, the
  * optimisation level or the staging.
  *
- * Arrays are C-contiguous: x and v are coordinate-major (3, n_total), mat is
- * the (n_local, width) list of which row i holds counts[i] real partners, and
- * own, and react for half lists, are (n_local, 3).
+ * The row loops read x and v coordinate-major, (3, n_total), from copies
+ * that `pair_forces` takes; mat is the C-contiguous (n_local, width) list of
+ * which row i holds counts[i] real partners, and react, for half lists, is
+ * (n_local, 3).
  */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+
+/* Offset of row x's first element in a particle array under the index map;
+ * its element y lies map[2] * y further on. */
+static inline int64_t row_at(const int64_t *map, int64_t x)
+{
+    return (x >> map[0]) * map[1] + (x & map[3]);
+}
 
 enum { LAW_LJ = 0, LAW_SD = 1 };
 
@@ -49,8 +68,8 @@ static int64_t first_fault(const double *x, int64_t n_total, const int32_t *blk,
 }
 
 /* All local rows under the Lennard-Jones law (prm: epsilon, sigma^6):
- * own[i] = sum of s * delta over the row's in-cutoff partners, in row order.
- * With half, s * delta of every in-cutoff local partner j is also added to
+ * force row i (through the index map) = the sum of s * delta over the row's
+ * in-cutoff partners, in row order. With half, s * delta of every in-cutoff local partner j is also added to
  * react[j], in row-major entry order, for the caller to subtract. With energy,
  * energy[i] = the row's sum of pair energies, at weight 1 for a local partner
  * of a half list and 0.5 otherwise. Returns -1, or the flat list offset
@@ -75,7 +94,7 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
     const double *x, int64_t n_total,
     const int32_t *mat, int64_t width, const int32_t *counts,
     int64_t n_local, const int half,
-    double *own, double *react, double *energy)
+    const int64_t *map, double *force, double *react, double *energy)
 {
     const double *y = x + n_total, *z = y + n_total;
     const double eps = prm[0], sigma6 = prm[1];
@@ -137,9 +156,10 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
                     e_sum += (half && local) ? pe[q] : 0.5 * pe[q];
             }
         }
-        own[3 * i] = fx;
-        own[3 * i + 1] = fy;
-        own[3 * i + 2] = fz;
+        double *own = force + row_at(map, i);
+        own[0] = fx;
+        own[map[2]] = fy;
+        own[2 * map[2]] = fz;
         if (energy)
             energy[i] = e_sum;
     }
@@ -156,7 +176,7 @@ static int64_t sd_rows(
     const double *x, const double *v, int64_t n_total,
     const int32_t *mat, int64_t width, const int32_t *counts,
     int64_t n_local, int half,
-    double *own, double *react, double *energy)
+    const int64_t *map, double *force, double *react, double *energy)
 {
     const double *y = x + n_total, *z = y + n_total;
     const double *vx = v, *vy = v + n_total, *vz = vy + n_total;
@@ -201,46 +221,182 @@ static int64_t sd_rows(
                 e_sum += (half && local) ? e : 0.5 * e;
             }
         }
-        own[3 * i] = fx;
-        own[3 * i + 1] = fy;
-        own[3 * i + 2] = fz;
+        double *own = force + row_at(map, i);
+        own[0] = fx;
+        own[map[2]] = fy;
+        own[2 * map[2]] = fz;
         if (energy)
             energy[i] = e_sum;
     }
     return -1;
 }
 
-/* The forces of all n_local rows into own, by the row loop of the law. For
- * half lists, react (NULL for full lists) is zeroed, collects the reactions
- * of the local partners in row-major entry order, and is then subtracted:
- * own[k] -= react[k]. Returns -1, or the flat list offset of the first faulty
- * entry (see `lj_rows`); own is then incomplete. The Lennard-Jones loop is
- * specialised on half at compile time: a reaction scatter in its summing pass
- * would keep the compiler from vectorising that pass for full lists too. */
+/* Rows [0, n) of a particle array, coordinate-major: out[y * n + x] is
+ * element (x, y). */
+static void transpose_rows(const int64_t *map, const double *buf, int64_t n, double *out)
+{
+    for (int64_t x = 0; x < n; ++x) {
+        const double *row = buf + row_at(map, x);
+        out[x] = row[0];
+        out[n + x] = row[map[2]];
+        out[2 * n + x] = row[2 * map[2]];
+    }
+}
+
+/* The status codes of `pair_forces` below -1 (nanopair.potential decodes
+ * them): a count outside [0, width], no memory for the copies, and
+ * FAULT_NON_FINITE - i for a non-finite force on local i. */
+enum { FAULT_COUNTS = -2, FAULT_MEMORY = -3, FAULT_NON_FINITE = -4 };
+
+/* The forces of all n_local rows, by the row loop of the law, written into
+ * the force rows of the particle arrays (pos, vel, force share the index
+ * map). The loops read coordinate-major copies of rows [0, n_total) of pos,
+ * and of vel with use_vel. For half lists, react is zeroed, collects the
+ * reactions of the local partners in row-major entry order, and is then
+ * subtracted: force (k, y) -= react[3 k + y]. Every count is checked against
+ * [0, width] before any row is taken, and every local's force for
+ * finiteness after the last, in row order. Returns -1, or the flat list
+ * offset of the first faulty entry (see `lj_rows`), or a FAULT code; the
+ * local force rows are then incomplete. The Lennard-Jones loop is specialised
+ * on half at compile time: a reaction scatter in its summing pass would keep
+ * the compiler from vectorising that pass for full lists too. */
 int64_t pair_forces(
     int law, const double *prm, double cutoff_rsq, int use_vel,
-    const double *x, const double *v, int64_t n_total,
+    const int64_t *map, const double *pos, const double *vel, double *force, int64_t n_total,
     const int32_t *mat, int64_t width, const int32_t *counts,
-    int64_t n_local, int half,
-    double *own, double *react, double *energy)
+    int64_t n_local, int half, double *energy)
 {
-    if (half)
-        for (int64_t k = 0; k < 3 * n_local; ++k)
-            react[k] = 0.0;
-    int64_t bad;
+    for (int64_t i = 0; i < n_local; ++i)
+        if (counts[i] < 0 || counts[i] > width)
+            return FAULT_COUNTS;
+    double *x = malloc(3 * n_total * sizeof(double));
+    double *v = use_vel ? malloc(3 * n_total * sizeof(double)) : NULL;
+    /* calloc: the reaction sums start at +0.0 */
+    double *react = half ? calloc(3 * n_local, sizeof(double)) : NULL;
+    int64_t bad = FAULT_MEMORY;
+    if (!x || (use_vel && !v) || (half && !react))
+        goto done;
+    transpose_rows(map, pos, n_total, x);
+    if (use_vel)
+        transpose_rows(map, vel, n_total, v);
     if (law != LAW_LJ)
         bad = sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, mat, width, counts,
-                      n_local, half, own, react, energy);
+                      n_local, half, map, force, react, energy);
     else if (half)
         bad = lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
-                      n_local, 1, own, react, energy);
+                      n_local, 1, map, force, react, energy);
     else
         bad = lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
-                      n_local, 0, own, react, energy);
-    if (bad < 0 && half)
-        for (int64_t k = 0; k < 3 * n_local; ++k)
-            own[k] -= react[k];
+                      n_local, 0, map, force, react, energy);
+    if (bad != -1)
+        goto done;
+    for (int64_t i = 0; i < n_local; ++i) {
+        double *own = force + row_at(map, i);
+        for (int y = 0; y < 3; ++y) {
+            if (half)
+                own[y * map[2]] -= react[3 * i + y];
+            if (!isfinite(own[y * map[2]]) && bad == -1)
+                bad = FAULT_NON_FINITE - i;
+        }
+    }
+done:
+    free(x);
+    free(v);
+    free(react);
     return bad;
+}
+
+/* The elements of rows [0, n) of particle arrays under one index map lie in
+ * four contiguous spans: the whole clusters below n fill buf[0, whole) with
+ * their rows' elements and nothing else (a row-major cluster is one row; a
+ * column-major map has no whole cluster below 2^62), and the first n & map[3]
+ * lanes of the next cluster hold the rest, one span per column at
+ * whole + y * map[2]. `whole` is the end of the first span. */
+static inline int64_t whole_clusters(const int64_t *map, int64_t n)
+{
+    return (n >> map[0]) * map[1];
+}
+
+static inline void kick_drift_span(double *restrict v, const double *restrict f,
+                                   double *restrict x, int64_t len, double k, double dt)
+{
+    for (int64_t t = 0; t < len; ++t) {
+        v[t] += k * f[t];
+        x[t] += dt * v[t];
+    }
+}
+
+static inline void kick_span(double *restrict v, const double *restrict f, int64_t len, double k)
+{
+    for (int64_t t = 0; t < len; ++t)
+        v[t] += k * f[t];
+}
+
+/* The opening half-kick and the drift of rows [0, n): v += k * f, then
+ * x += dt * v, element by element (nanopair.driver.initial_integrate). */
+void kick_drift(const int64_t *map, int64_t n, double k, double dt,
+                double *v, const double *f, double *x)
+{
+    const int64_t whole = whole_clusters(map, n);
+    kick_drift_span(v, f, x, whole, k, dt);
+    for (int64_t y = 0; y < 3; ++y) {
+        const int64_t o = whole + y * map[2];
+        kick_drift_span(v + o, f + o, x + o, n & map[3], k, dt);
+    }
+}
+
+/* The closing half-kick of rows [0, n): v += k * f
+ * (nanopair.driver.final_integrate). */
+void kick(const int64_t *map, int64_t n, double k, double *v, const double *f)
+{
+    const int64_t whole = whole_clusters(map, n);
+    kick_span(v, f, whole, k);
+    for (int64_t y = 0; y < 3; ++y) {
+        const int64_t o = whole + y * map[2];
+        kick_span(v + o, f + o, n & map[3], k);
+    }
+}
+
+/* The largest move of rows [0, n) of x from ref, the coordinate-major
+ * (3, n) positions they had: sqrt of the largest (dx * dx + dy * dy) +
+ * dz * dz, with d = x - ref. NaN when any squared move is NaN, as numpy's
+ * max returns it. */
+double max_displacement(const int64_t *map, const double *x, const double *ref, int64_t n)
+{
+    double best = 0.0;
+    int nan = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const double *row = x + row_at(map, i);
+        const double dx = row[0] - ref[i];
+        const double dy = row[map[2]] - ref[n + i];
+        const double dz = row[2 * map[2]] - ref[2 * n + i];
+        const double rsq = dx * dx + dy * dy + dz * dz;
+        best = rsq > best ? rsq : best;
+        nan |= rsq != rsq;
+    }
+    return nan ? NAN : sqrt(best);
+}
+
+/* The ghost refresh's gather: out[r] = row idx[r] of x + shift[r], for
+ * r < k; out and shift are row-major (k, 3). */
+void gather_rows(const int64_t *map, const double *x, const int64_t *idx,
+                 const double *shift, int64_t k, double *out)
+{
+    for (int64_t r = 0; r < k; ++r) {
+        const double *row = x + row_at(map, idx[r]);
+        for (int y = 0; y < 3; ++y)
+            out[3 * r + y] = row[y * map[2]] + shift[3 * r + y];
+    }
+}
+
+/* Rows [start, start + k) of x := the row-major (k, 3) rows. */
+void put_rows(const int64_t *map, double *x, int64_t start, int64_t k, const double *rows)
+{
+    for (int64_t r = 0; r < k; ++r) {
+        double *row = x + row_at(map, start + r);
+        for (int y = 0; y < 3; ++y)
+            row[y * map[2]] = rows[3 * r + y];
+    }
 }
 
 /* Bins particles [0, n) of x into the cells of edge r whose interior starts

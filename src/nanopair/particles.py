@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import kernel
 from .core import AABB, ConfigError, SimConfig
 from .layout import ArrayHandle, LayoutDescriptor
 
@@ -128,7 +129,24 @@ class ParticleStore:
         return start
 
     def set_ghost_positions(self, start: int, pos: np.ndarray) -> None:
-        self.positions.write_rows(start, pos)
+        """Write the (k, 3) rows `pos` over the ghost rows [start, start + k),
+        in place through the layout's index map (one compiled loop).
+
+        IndexError if the rows reach outside the ghost region. Rows that
+        are not C-contiguous and aligned are copied first: a wire payload
+        starts 5 bytes into its record, and the compiled loop must not load
+        misaligned doubles.
+        """
+        pos = np.asarray(pos, dtype=np.float64)
+        k = pos.shape[0]
+        if start < self.n_local or start + k > self.n_total:
+            raise IndexError(
+                f"rows [{start}, {start + k}) outside the ghost region [{self.n_local}, {self.n_total})"
+            )
+        if not (pos.flags.aligned and pos.flags.c_contiguous):
+            pos = pos.copy()
+        h = self.positions
+        kernel.library().put_rows(h.map_address, h.address, start, k, kernel.address(pos, np.float64, (k, 3)))
 
 
 def lattice_positions(cfg: SimConfig, domain: AABB) -> np.ndarray:

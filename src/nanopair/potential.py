@@ -45,8 +45,17 @@ def _params(*values: float) -> np.ndarray:
     return params
 
 
+class _Law:
+    """What the force loop takes from a law besides its formula."""
+
+    @functools.cached_property
+    def params_address(self) -> int:
+        """Address of the `kernel_args` parameter array, taken once per law instance."""
+        return kernel.address(self.kernel_args[1], np.float64)
+
+
 @dataclass(frozen=True)
-class LennardJones:
+class LennardJones(_Law):
     """Truncated 12-6 potential; force kernel uses the factored form
     48 * eps * sr6 * (sr6 - 0.5) * sr2 with sr2 = 1/rsq, sr6 = sigma^6 / rsq^3.
     """
@@ -68,7 +77,7 @@ class LennardJones:
 
 
 @dataclass(frozen=True)
-class SpringDashpot:
+class SpringDashpot(_Law):
     """Linear contact model for spheres of equal diameter.
 
     The normal spring pushes overlapping spheres apart; the dashpot damps the
@@ -107,6 +116,10 @@ def law_from_config(cfg):
     raise ValueError(f"unknown potential {cfg.potential_kind!r}")
 
 
+# `pair_forces` status codes below -1 (see pair_kernel.c)
+_FAULT_COUNTS, _FAULT_MEMORY, _FAULT_NON_FINITE = -2, -3, -4
+
+
 def compute_forces(
     store: ParticleStore,
     lists: NeighborLists,
@@ -116,16 +129,19 @@ def compute_forces(
 ):
     """Evaluate pair forces into store.forces for every local particle.
 
-    The positions (and, for a law that needs them, the velocities) are
-    copied coordinate-major once per call, and all local rows go to one call
-    of the compiled loop, which releases the GIL. For local i it reads only
-    the counts[i] real partners of row i, never the -1 padding; an entry at or
-    beyond the cutoff adds nothing, and the force on i is the sum of
-    s * delta over the rest, in row order. For half lists the loop also sums
-    the reaction s * delta of each in-cutoff entry per local partner j, in
-    row-major entry order, and subtracts these sums after the last row. Only
-    the local rows of store.forces are written: ghost rows stay as
-    `append_ghosts` zeroed them.
+    All local rows go to one call of the compiled loop, which releases the
+    GIL. It copies the positions (and, for a law that needs them, the
+    velocities) coordinate-major out of the layout buffers, and writes each
+    local's force into the force buffer in place, through the layout's index
+    map. For local i it reads only the counts[i] real partners of row i,
+    never the -1 padding; an entry at or beyond the cutoff adds nothing, and
+    the force on i is the sum of s * delta over the rest, in row order. For
+    half lists the loop also sums the reaction s * delta of each in-cutoff
+    entry per local partner j, in row-major entry order, and subtracts these
+    sums after the last row. Only the local rows of store.forces are
+    written: ghost rows stay as `append_ghosts` zeroed them. The addresses of
+    the law's parameters and of the lists are taken once, not per call (see
+    nanopair.kernel).
 
     With accumulate_energy the total pair potential energy is returned;
     otherwise returns None. A half-list entry with a ghost partner carries
@@ -138,9 +154,9 @@ def compute_forces(
     Raises SingularityError on a coincident pair and on a non-finite force,
     ProtocolError on lists that do not belong to the store as it is; a
     faulty list entry is reported for the first one in row-major order.
-    TypeError on a list array of the wrong dtype or memory layout.
+    TypeError on a list array of the wrong dtype or memory layout. After an
+    error the local force rows are incomplete.
     """
-    half = lists.half
     n_local, n_total = store.n_local, store.n_total
     if (n_local, n_total) != (lists.n_local, lists.n_total):
         raise ProtocolError(
@@ -149,39 +165,30 @@ def compute_forces(
         )
     if n_local == 0:
         return 0.0 if accumulate_energy else None
-    mat = lists.as_matrix()
-    counts = lists.counts
-    width = mat.shape[1]
-    if counts.shape != (n_local,) or counts.max() > width:
-        raise ProtocolError(f"list counts do not fit {n_local} rows of width {width}")
-    code, params = law.kernel_args
-    xyz = store.positions.read_transposed(0, n_total)
-    # the loop reads velocities only for a law that needs them
-    vel = store.velocities.read_transposed(0, n_total) if law.needs_velocities else xyz
-    forces = np.empty((n_local, 3))
-    # the loop zeroes the reaction sums before it adds to them
-    reactions = np.empty((n_local, 3)) if half else None
+    mat, width, counts = lists.kernel_args()
     row_energy = np.empty(n_local) if accumulate_energy else None
-    # every array goes to the loop as a bare address, checked once here (see
-    # kernel.address): a wrong dtype, layout or shape raises TypeError
-    f64, i32 = np.float64, np.int32
-    bad = kernel.library().pair_forces(
-        code, kernel.address(params, f64), law.cutoff_rsq, law.needs_velocities,
-        kernel.address(xyz, f64, (3, n_total)), kernel.address(vel, f64, (3, n_total)), n_total,
-        kernel.address(mat, i32, (n_local, width)), width, kernel.address(counts, i32, (n_local,)),
-        n_local, half,
-        kernel.address(forces, f64),
-        None if reactions is None else kernel.address(reactions, f64),
-        None if row_energy is None else kernel.address(row_energy, f64),
+    pos = store.positions
+    status = kernel.library().pair_forces(
+        law.kernel_args[0], law.params_address, law.cutoff_rsq, law.needs_velocities,
+        pos.map_address, pos.address, store.velocities.address, store.forces.address, n_total,
+        mat, width, counts, n_local, lists.half,
+        None if row_energy is None else kernel.address(row_energy, np.float64),
     )
-    if bad >= 0:
-        i, k = divmod(bad, width)
-        j = int(mat[i, k])
+    if status != -1:
+        _raise_fault(status, lists, n_local, n_total, width)
+    return None if row_energy is None else float(row_energy.sum())
+
+
+def _raise_fault(status: int, lists: NeighborLists, n_local: int, n_total: int, width: int):
+    """The error of a `pair_forces` status other than -1."""
+    if status >= 0:
+        i, k = divmod(status, width)
+        j = int(lists.as_matrix()[i, k])
         if 0 <= j < n_total:
             raise SingularityError(f"coincident pair: local {i} and neighbor {j}")
         raise ProtocolError(f"list row {i} names particle {j} of {n_total}")
-    if not np.isfinite(forces).all():
-        bad = int(np.argmin(np.isfinite(forces).all(axis=1)))
-        raise SingularityError(f"non-finite force on local {bad}")
-    store.forces.write_rows(0, forces)
-    return None if row_energy is None else float(row_energy.sum())
+    if status == _FAULT_COUNTS:
+        raise ProtocolError(f"list counts do not fit {n_local} rows of width {width}")
+    if status == _FAULT_MEMORY:
+        raise MemoryError(f"no memory for the force loop's copies of {n_total} particles")
+    raise SingularityError(f"non-finite force on local {_FAULT_NON_FINITE - status}")

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from nanopair import kernel
 from nanopair.comm import (
     LOAD_BINS,
     WIRE_BORDER,
@@ -549,6 +550,19 @@ class TestProtocolFaults:
         with pytest.raises(ProtocolError, match="^rank 1: define_borders must start with an empty ghost region$"):
             next(define_borders(worlds[1], stores[1]))
 
+    @pytest.mark.parametrize("bad_row", [-1, "n_total"])
+    def test_define_borders_rejects_source_row_out_of_range(self, bad_row):
+        # the range check of the ghost refresh's gather runs once, at plan time
+        worlds, stores, transport = make_worlds(SD, 1, *initial_state(SD))
+        n = stores[0].n_total
+        row = n if bad_row == "n_total" else bad_row
+        entry = worlds[0].pattern.rounds[0][0]
+        entry.border_cond = lambda pos: (np.array([0, row]), pos[[0, 0]])
+        with pytest.raises(
+            ProtocolError, match=f"^rank 0: a border condition picked a row outside the {n} particles$"
+        ):
+            border_plans(worlds, stores)
+
     def test_recv_without_message_rejected(self):
         transport = MailboxTransport(2)
         message = "^rank 1 expected a message from 0 but none arrived$"
@@ -718,3 +732,24 @@ class TestGoldenBits:
     @pytest.mark.parametrize("name", list(GOLDEN_WORKLOADS))
     def test_final_state_hash(self, name):
         assert final_state_hash(name) == GOLDEN_HASHES[name]
+
+
+def test_undefined_behaviour_sanitizer_keeps_bits(monkeypatch, capfd):
+    """The compiled loops, built at -O1 under UBSan with every report fatal,
+    run the three 6^3 golden workloads to the final states of the normal
+    build, bit for bit. UBSan ends the test process with exit status 1 at a
+    misaligned load (such as a double read 5 bytes into a wire record), a
+    signed overflow or an out-of-range shift in any loop; output capture is
+    off while the sanitized loops run, so its report reaches the terminal."""
+    want = {name: final_state_hash(name) for name in GOLDEN_WORKLOADS}
+    flags = [flag for flag in kernel._CC if not flag.startswith("-O")]
+    sanitized = (*flags, "-O1", "-fsanitize=undefined", "-fno-sanitize-recover=all")
+    kernel.library.cache_clear()
+    monkeypatch.setattr(kernel, "_CC", sanitized)
+    try:
+        with capfd.disabled():
+            got = {name: final_state_hash(name) for name in GOLDEN_WORKLOADS}
+    finally:
+        monkeypatch.undo()
+        kernel.library.cache_clear()
+    assert got == want

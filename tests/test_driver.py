@@ -5,8 +5,8 @@ from nanopair.driver import final_integrate, initial_integrate
 from nanopair.layout import ArrayHandle, clustered_layout, column_major_layout, row_major_layout
 from nanopair.particles import ParticleStore
 
-LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4), clustered_layout(8)]
-LAYOUT_IDS = ["aos", "soa", "aosoa4", "aosoa8"]
+LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4), clustered_layout(8), clustered_layout(1)]
+LAYOUT_IDS = ["aos", "soa", "aosoa4", "aosoa8", "aosoa1"]
 DT, MASS = 0.005, 1.7
 
 
@@ -49,8 +49,10 @@ def buffers(store):
 @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
 @pytest.mark.parametrize("n_local", [3, 13, 29])
 class TestIntegratorsMatchRowCopies:
-    """The integrators update the layout's row blocks in place; they must give
-    the bits of the row-copy formula and leave every other byte alone."""
+    """The integrators update the layout buffers in place through the index
+    map; they must give the bits of the row-copy formula and leave every
+    other byte alone: ghost rows (13 and 29 locals leave ghosts in the last
+    local's cluster of AoSoA), unused rows and padding."""
 
     def test_initial_integrate(self, layout, n_local):
         store = random_store(layout, n_local)

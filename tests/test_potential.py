@@ -491,6 +491,15 @@ class TestKernelArguments:
             with pytest.raises(TypeError, match=match):
                 kernel.address(bad, np.float64, (3, 5))
 
+    def test_misaligned_array_rejected(self):
+        # the payload of a wire record starts after its 5-byte header
+        blob = bytes(5 + 8 * 15)
+        payload = np.frombuffer(blob, dtype=np.float64, offset=5).reshape(3, 5)
+        assert payload.flags.c_contiguous and not payload.flags.aligned
+        with pytest.raises(TypeError, match=r"^compiled loop argument of shape \(3, 5\) is not aligned to its dtype$"):
+            kernel.address(payload, np.float64, (3, 5))
+        assert kernel.address(payload.copy(), np.float64, (3, 5)) > 0
+
     def test_parameters_built_once_per_law(self):
         for law in (LennardJones(), SpringDashpot(damping=2.0)):
             code, params = law.kernel_args
@@ -645,6 +654,30 @@ class TestKernelOracle:
         assert got_energy == want_energy
 
     @pytest.mark.parametrize(
+        "law,r",
+        [
+            (LennardJones(1.0, 1.0, 2.5), 2.8),
+            (SpringDashpot(stiffness=100.0, damping=0.0, diameter=1.0), 1.3),
+            (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 1.3),
+        ],
+        ids=["lj", "sd", "sd-damped"],
+    )
+    @pytest.mark.parametrize("half", [False, True])
+    def test_row_order_bitwise_with_ghost_partners(self, law, r, half):
+        # the clumped store's rows never reach a ghost; the jittered one's do,
+        # across every face, and its force rows are written back through the map
+        store, box = jittered_store(21, r)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+        rng = np.random.default_rng(9)
+        for i, k in enumerate(lists.counts):
+            lists.indices.view[i, :k] = rng.permutation(lists.indices.view[i, :k])
+        assert np.any(lists.as_matrix() >= store.n_local)
+        want, want_energy = row_order_forces(store, lists, law)
+        got_energy = compute_forces(store, lists, law, accumulate_energy=True)
+        np.testing.assert_array_equal(local_forces(store), want)
+        assert got_energy == want_energy
+
+    @pytest.mark.parametrize(
         "law,clump_radius,r",
         [
             (LennardJones(1.0, 1.0, 2.5), 1.35, 2.8),
@@ -689,15 +722,18 @@ class TestKernelOracle:
 
 
 def test_optimisation_level_keeps_bits(monkeypatch):
-    """Forces and energies at -O0 equal those of the package's flags, bit for bit."""
+    """Forces and energies at -O0 equal those of the package's flags, bit for
+    bit, on the clumped store (rows longer than a block) and on the jittered
+    one (ghost partners)."""
     cases = []
     for law, clump_radius, r in (
         (LennardJones(1.0, 1.0, 2.5), 1.35, 2.8),
         (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 0.6, 1.3),
     ):
-        store, box = clumped_store(clump_radius, r)
-        for half in (False, True):
-            cases.append((store, build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half), law))
+        for store, box in (clumped_store(clump_radius, r), jittered_store(21, r)):
+            for half in (False, True):
+                lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+                cases.append((store, lists, law))
 
     def results():
         out = []
