@@ -4,8 +4,8 @@ The phases, run per communication epoch:
 
 * load balance    (worlds with more than one rank) every rank sends
                   every other rank a histogram of its particles along each
-                  axis; all ranks move the slab cuts to the same
-                  count-balanced positions and rebuild their pattern
+                  axis (one compiled pass); all ranks move the slab cuts to
+                  the same count-balanced positions and rebuild their pattern
 * exchange        migrate ownership of particles that left their rank's
                   region (positions wrapped across periodic boundaries,
                   velocities travel along)
@@ -13,13 +13,20 @@ The phases, run per communication epoch:
                   copies, and remember the plan
 * synchronization replay the plan every step to refresh ghost positions
 
-Border definition and synchronization send one record per remote peer and
-stencil round: a peer's record holds the rows of every entry that goes to
-it, in entry order, and the receiver's copies of them fill consecutive ghost
-slots. The plan freezes, per round, one gather index and one shift array
-over all of the round's rows, so a refresh reads the source rows once per
-round and delivers each peer's slice as one record (in place for this
-rank's own periodic images).
+A pattern entry is data, not code: the face of this rank's slab it stands
+for (axis, side and coordinate) and the periodic shift of what crosses it.
+Exchange and border definition test every row against all of a round's
+faces in one compiled pass over the layout buffer (`select_rows` in
+pair_kernel.c, through the layout's index map), as the positions were when
+the round started, and compiled loops emit the picked rows plus their shift.
+
+Exchange, border definition and synchronization send one record per remote
+peer and stencil round: a peer's record holds the rows of every entry that
+goes to it, in entry order, and the receiver appends them in that order
+(as locals, or as ghosts in consecutive slots). The plan freezes, per
+round, one gather index and one shift array over all of the round's rows,
+so a refresh reads the source rows once per round and delivers each peer's
+slice as one record (in place for this rank's own periodic images).
 
 Rank programs are written as generators that ``yield`` at collective barrier
 points; a runner advances all ranks one barrier at a time, so every send of a
@@ -56,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernel
-from .core import AABB, pbc_correct
+from .core import AABB
 from .errors import ProtocolError
 from .particles import ParticleStore
 
@@ -180,24 +187,40 @@ class RankDomain:
         return mask
 
     def grid_box_for(self, store: ParticleStore) -> AABB:
-        """Bounding box of the store's particles, or the slab when it is empty."""
+        """Bounding box of the store's particles, or the slab when it is empty.
+
+        One compiled pass over the rows (`bounding_box`); an axis that holds
+        a NaN bounds as NaN, so the box is rejected as inverted.
+        """
         if store.n_total == 0:
             return self.ownership[0]
-        xyz = store.positions.read_transposed(0, store.n_total)
-        return AABB.from_arrays(xyz.min(axis=1), xyz.max(axis=1) + 1e-9)
+        lo, hi = np.empty(3), np.empty(3)
+        h = store.positions
+        kernel.library().bounding_box(
+            h.map_address, h.address, store.n_total, kernel.address(lo, np.float64), kernel.address(hi, np.float64)
+        )
+        return AABB.from_arrays(lo, hi + 1e-9)
 
 
 @dataclass
 class PatternEntry:
-    """One peer relation: whom to send to, whom to receive from, and the two
-    position predicates. Conditions map an (n, 3) position block to
-    (indices, emitted positions); emitted positions carry any periodic shift.
+    """One peer relation: whom to send to, whom to receive from, and the
+    slab face between them, as data.
+
+    The face is the plane x[dim] = face on the `side` (+1 upper, -1 lower)
+    of the slab. A local departs through it in exchange when strictly
+    outside the slab there (x[dim] >= face, or x[dim] < face); a row is a
+    border row when within the pattern's spacing of it (x[dim] > face -
+    spacing, or x[dim] < face + spacing). Either is emitted as x + shift,
+    the periodic shift (all zero unless the face is the domain boundary).
     """
 
     send_to: int
     recv_from: int
-    border_cond: object
-    exchange_cond: object
+    dim: int
+    side: int
+    face: float
+    shift: np.ndarray  # (3,) float64
 
 
 @dataclass
@@ -206,14 +229,16 @@ class CommPattern:
 
     One round per axis lets a particle or a ghost cross an edge or a corner
     by hopping over successive faces. Within a round the two entries' exchange
-    conditions are disjoint, so each particle leaves through at most one face.
+    tests are disjoint, so each particle leaves through at most one face.
     `rank_grid` and `cuts` (per-axis slab boundaries) are what the pattern was
-    built on; `balance_slabs` moves the cuts and builds the next pattern.
+    built on, and `spacing` is the border width; `balance_slabs` moves the
+    cuts and builds the next pattern.
     """
 
     rounds: list[list[PatternEntry]]
     rank_grid: tuple[int, int, int]
     cuts: tuple[np.ndarray, np.ndarray, np.ndarray]
+    spacing: float
 
 
 @dataclass
@@ -286,9 +311,10 @@ def six_stencil_pattern(
 
     Slabs lie between `cuts` (per-axis boundaries, uniform by default).
 
-    The exchange condition is "strictly outside my slab through this face";
-    the border condition is "within spacing of this face". Both emit positions
-    shifted by the domain length when the face is the periodic boundary.
+    Each entry carries its face of this rank's slab (see PatternEntry): a
+    local departs through it when strictly outside the slab there, and a row
+    is a border row when within `spacing` of it. Both are emitted shifted by
+    the domain length when the face is the periodic boundary.
     """
     gx, gy, gz = rank_grid
     if cuts is None:
@@ -310,27 +336,6 @@ def six_stencil_pattern(
             if at_edge:
                 shift[dim] = -ext[dim] if direction > 0 else ext[dim]
             face = slab.hi[dim] if direction > 0 else slab.lo[dim]
-
-            def make_conds(dim=dim, direction=direction, face=face, shift=shift.copy()):
-                def exchange_cond(pos):
-                    if direction > 0:
-                        mask = pos[:, dim] >= face
-                    else:
-                        mask = pos[:, dim] < face
-                    idx = np.nonzero(mask)[0]
-                    return idx, pos[idx] + shift
-
-                def border_cond(pos):
-                    if direction > 0:
-                        mask = pos[:, dim] > face - spacing
-                    else:
-                        mask = pos[:, dim] < face + spacing
-                    idx = np.nonzero(mask)[0]
-                    return idx, pos[idx] + shift
-
-                return border_cond, exchange_cond
-
-            border_cond, exchange_cond = make_conds()
             # the peer in the opposite direction feeds my receives for
             # this direction's traffic
             recv_coords = list(coords)
@@ -339,12 +344,14 @@ def six_stencil_pattern(
                 PatternEntry(
                     send_to=peer,
                     recv_from=rank_grid_index(recv_coords, rank_grid),
-                    border_cond=border_cond,
-                    exchange_cond=exchange_cond,
+                    dim=dim,
+                    side=direction,
+                    face=float(face),
+                    shift=shift,
                 )
             )
         rounds.append(entries)
-    return CommPattern(rounds, rank_grid=tuple(rank_grid), cuts=cuts)
+    return CommPattern(rounds, rank_grid=tuple(rank_grid), cuts=cuts, spacing=spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +393,23 @@ def _balanced_cuts(old: np.ndarray, hist: np.ndarray, spacing: float) -> np.ndar
     return new
 
 
+def _load_histogram(store: ParticleStore, box: AABB) -> np.ndarray:
+    """Per axis, a LOAD_BINS histogram of the store's locals wrapped into the
+    periodic `box`, as a (3, LOAD_BINS) float64 array of counts.
+
+    One compiled pass (`load_histogram`): each coordinate is wrapped into
+    [lo, hi) by whole box lengths and falls into bin floor((w - lo) / (hi -
+    lo) * LOAD_BINS), clamped to the bins; NaN counts in bin 0.
+    """
+    hist = np.empty((3, LOAD_BINS))
+    h = store.positions
+    kernel.library().load_histogram(
+        h.map_address, h.address, store.n_local,
+        kernel.address(np.array(box.min + box.max), np.float64, (6,)), LOAD_BINS, kernel.address(hist, np.float64),
+    )
+    return hist
+
+
 def balance_slabs(world: RankWorld, store: ParticleStore):
     """Move the slab cuts so each slab holds about the same particle count.
 
@@ -401,13 +425,7 @@ def balance_slabs(world: RankWorld, store: ParticleStore):
     pattern = world.pattern
     me = world.rank
     box = world.global_box
-    # wrapping the transposed view keeps each axis of the copy contiguous
-    pos = pbc_correct(store.positions.read_transposed(0, store.n_local).T, box)
-    lo, ext = box.lo, box.extent()
-    hist = np.empty((3, LOAD_BINS))
-    for d in range(3):
-        bins = np.floor((pos[:, d] - lo[d]) / ext[d] * LOAD_BINS).astype(np.int64)
-        hist[d] = np.bincount(np.clip(bins, 0, LOAD_BINS - 1), minlength=LOAD_BINS)
+    hist = _load_histogram(store, box)
     blob = pack_particles(WIRE_LOAD, hist)
     for peer in range(world.size):
         if peer != me:
@@ -473,49 +491,114 @@ def _displacements(world: RankWorld, peer: int, rows: int) -> np.ndarray:
     return data[:, 0]
 
 
+def _picks(store: ParticleStore, n: int, entries: list[PatternEntry], bounds, ge: bool) -> list[np.ndarray]:
+    """Per entry, in entry order, the rows of [0, n) that its face test picks,
+    in increasing row order, from one compiled pass over the rows
+    (`select_rows`): x[dim] against the entry's bound, from above on a +1
+    side (>= with `ge`, else >) and from below (<) on a -1 side. A NaN
+    coordinate passes no test."""
+    k = len(entries)
+    axes = np.array([(e.dim, e.side) for e in entries], dtype=np.int64)
+    bounds = np.array(bounds, dtype=np.float64)
+    idx = np.empty((k, n), dtype=np.int64)
+    counts = np.empty(k, dtype=np.int64)
+    h = store.positions
+    kernel.library().select_rows(
+        h.map_address, h.address, n, k, kernel.address(axes, np.int64), kernel.address(bounds, np.float64),
+        ge, kernel.address(idx, np.int64), kernel.address(counts, np.int64),
+    )
+    return [idx[e, :c] for e, c in enumerate(counts.tolist())]
+
+
+def _emit(store: ParticleStore, group: list[tuple[PatternEntry, np.ndarray]], velocities: bool):
+    """The rows one peer gets from `group`'s (entry, picked rows) pairs: entry
+    by entry, in entry order, each picked row's position plus the entry's
+    shift, followed by its velocity when `velocities` (an exchange record).
+    Returns the (k, 6 or 3) rows and, for border rows, the (k, 3) shift
+    each row got, emitted - position (`emit_rows`)."""
+    k = sum(idx.size for _, idx in group)
+    width = 6 if velocities else 3
+    out = np.empty((k, width))
+    diff = None if velocities else np.empty((k, 3))
+    x, v = store.positions, store.velocities
+    lib, a = kernel.library(), 0
+    for entry, idx in group:
+        b = a + idx.size
+        lib.emit_rows(
+            x.map_address, x.address, v.address if velocities else None, kernel.address(idx, np.int64),
+            idx.size, kernel.address(entry.shift, np.float64, (3,)), width, kernel.address(out[a:b], np.float64),
+            None if velocities else kernel.address(diff[a:b], np.float64),
+        )
+        a = b
+    return out, diff
+
+
+def _by_peer(items: list, peer_of) -> dict[int, list]:
+    """The items grouped by peer, peers in order of first appearance and
+    items in their order within each group."""
+    groups: dict[int, list] = {}
+    for item in items:
+        groups.setdefault(peer_of(item), []).append(item)
+    return groups
+
+
 def exchange(world: RankWorld, store: ParticleStore):
     """Move particles that left this rank's region to their new owners.
 
     Runs on every rank at an epoch boundary, one stencil round per axis: a
     local strictly outside the slab through a face goes to that face's
     neighbour, so a particle past an edge or a corner reaches the diagonal
-    owner over two or three rounds. Positions are wrapped across the periodic
-    boundary in transit (in place when the neighbour is this rank itself);
-    velocities travel with them. After the final round every local must lie
-    in the slab, or ProtocolError: a particle more than one slab away is lost.
+    owner over two or three rounds. A round tests every local against all of
+    its entries' faces in one compiled pass (`_picks`), as the positions
+    were when the round started; then it wraps this rank's own periodic
+    images in place, sends every remote peer one exchange record with the
+    departures of all of its entries (position plus shift, then velocity;
+    entry by entry, in entry order, in row order), and compacts the
+    survivors in order. After the final round every local must lie in the
+    slab, or ProtocolError: a particle more than one slab away is lost, and
+    a NaN coordinate never departs.
     """
     store.clear_ghosts()
     me = world.rank
+    lib = kernel.library()
     for entries in world.pattern.rounds:
-        pos = store.local_positions()
-        departing = np.zeros(store.n_local, dtype=bool)
-        for entry in entries:
-            idx, emitted = entry.exchange_cond(pos)
+        n = store.n_local
+        picks = _picks(store, n, entries, [e.face for e in entries], ge=True)
+        keep = np.ones(n, dtype=bool)
+        remote = []
+        for entry, idx in zip(entries, picks):
             if entry.send_to == me:
                 # periodic self-image: wrap in place, nothing travels
-                store.positions.write_rows_at(idx, emitted)
-                continue
-            vel = store.velocities.read_rows_at(idx)
-            world.transport.send(
-                me, entry.send_to, pack_particles(WIRE_EXCHANGE, np.hstack([emitted, vel]))
-            )
-            departing[idx] = True
-        store.compact_locals(~departing)
+                h = store.positions
+                lib.shift_rows(
+                    h.map_address, h.address, kernel.address(idx, np.int64), idx.size,
+                    kernel.address(entry.shift, np.float64, (3,)),
+                )
+            else:
+                keep[idx] = False
+                remote.append((entry, idx))
+        for peer, group in _by_peer(remote, lambda pick: pick[0].send_to).items():
+            rows, _ = _emit(store, group, velocities=True)
+            world.transport.send(me, peer, pack_particles(WIRE_EXCHANGE, rows))
+        store.compact_locals(keep)
         yield
-        for entry in entries:
-            if entry.recv_from == me:
+        for peer in _by_peer(entries, lambda e: e.recv_from):
+            if peer == me:
                 continue
-            kind, data = unpack_particles(world.transport.recv(me, entry.recv_from))
+            kind, data = unpack_particles(world.transport.recv(me, peer))
             if kind != WIRE_EXCHANGE:
                 raise ProtocolError(f"rank {me} expected exchange record, got kind {kind}")
             if data.shape[0]:
                 store.append_locals(data[:, :3], data[:, 3:])
-    bad = ~world.domain.owns(store.local_positions())
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
+    boxes = np.array([box.min + box.max for box in world.domain.ownership])
+    h = store.positions
+    i = lib.first_outside(
+        h.map_address, h.address, store.n_local, len(boxes), kernel.address(boxes, np.float64, (len(boxes), 6))
+    )
+    if i >= 0:
         raise ProtocolError(
             f"rank {me}: after exchange, local particle at "
-            f"{store.local_positions()[i]} is outside the ownership region"
+            f"{h.read_rows(i, 1)[0]} is outside the ownership region"
         )
 
 
@@ -571,46 +654,36 @@ class BorderPlan:
     n_ghost: int
 
 
-def _by_peer(entries: list[PatternEntry], peer_of) -> dict[int, list[PatternEntry]]:
-    """The entries grouped by peer, peers in order of first appearance and
-    entries in their order within each group."""
-    groups: dict[int, list[PatternEntry]] = {}
-    for entry in entries:
-        groups.setdefault(peer_of(entry), []).append(entry)
-    return groups
-
-
 def define_borders(world: RankWorld, store: ParticleStore):
     """Pick border particles, materialize ghosts on the receivers, keep the plan.
 
-    Each round sends every remote peer one border record with the rows of
-    all of its entries, in entry order, and appends this rank's own
+    A round picks the rows [0, n) of the store as it starts, n its row
+    count then, within the pattern's spacing of each entry's face, in one
+    compiled pass (`_picks`). It sends every remote peer one border record
+    with the rows of all of its entries (position plus shift, entry by
+    entry, in entry order, in row order), and appends this rank's own
     periodic images in place. Later rounds scan ghosts created by earlier
     rounds, which is how edge and corner images propagate across dimensions
-    under the face stencil. Every source row of a round must be a row of the
-    store when the round starts, or ProtocolError; `synchronize` replays the
-    plan only on a store of the same counts, so its gathers stay in range.
+    under the face stencil. A NaN coordinate is never a border row.
+    `synchronize` replays the plan only on a store of the same counts, so
+    its gathers stay in range.
     """
     me = world.rank
     if store.n_ghost:
         raise ProtocolError(f"rank {me}: define_borders must start with an empty ghost region")
+    spacing = world.pattern.spacing
     plan_rounds: list[_PlanRound] = []
     for entries in world.pattern.rounds:
-        pos = store.all_positions()
+        bounds = [e.face - spacing if e.side > 0 else e.face + spacing for e in entries]
+        picks = _picks(store, store.n_total, entries, bounds, ge=False)
         src_idx, shift, sends = [], [], []
         n = 0
-        for peer, group in _by_peer(entries, lambda e: e.send_to).items():
-            picked = [entry.border_cond(pos) for entry in group]
-            idx = np.concatenate([i for i, _ in picked])
-            if idx.size and (idx.min() < 0 or idx.max() >= pos.shape[0]):
-                raise ProtocolError(
-                    f"rank {me}: a border condition picked a row outside the {pos.shape[0]} particles"
-                )
-            emitted = np.concatenate([e for _, e in picked])
-            src_idx.append(idx)
-            shift.append(emitted - pos[idx])
-            rows = slice(n, n + idx.size)
-            n += idx.size
+        for peer, group in _by_peer(list(zip(entries, picks)), lambda pick: pick[0].send_to).items():
+            emitted, diff = _emit(store, group, velocities=False)
+            src_idx.extend(idx for _, idx in group)
+            shift.append(diff)
+            rows = slice(n, n + emitted.shape[0])
+            n += emitted.shape[0]
             if peer == me:
                 sends.append(_PlanSend(me, rows, ghost_start=store.append_ghosts(emitted, peer=me)))
             else:

@@ -1,4 +1,4 @@
-"""Geometric primitives, periodic-boundary arithmetic, and simulation configuration.
+"""Geometric primitives and simulation configuration.
 
 Everything works in dimensionless reduced units (epsilon = sigma = mass = 1
 for the default Lennard-Jones setup). All reals are double precision.
@@ -15,7 +15,6 @@ __all__ = [
     "AABB",
     "SimConfig",
     "ConfigError",
-    "pbc_correct",
 ]
 
 
@@ -67,34 +66,6 @@ class AABB:
             inside &= p[:, d] >= lo
             inside &= p[:, d] < hi
         return inside
-
-
-def pbc_correct(p, global_box: AABB):
-    """Wrap positions into [min, max) by integer multiples of the domain length.
-
-    Accepts a (3,) or an (n, 3) array and returns a new array of that shape;
-    the input is never modified. Each axis is handled on its own, and only
-    the coordinates outside [min, max) are touched: they become
-    min + mod(x - min, length), moved down by one length where rounding
-    lands that on max and raised to min where it falls below. In-domain
-    coordinates pass through untouched, which makes the function exactly
-    idempotent. NaN stays NaN.
-    """
-    length = tuple(b - a for a, b in zip(global_box.min, global_box.max))
-    if any(ln <= 0 for ln in length):
-        raise ValueError("domain must have positive extent in all dimensions")
-    pts = np.array(p, dtype=np.float64)
-    for d, (lo, hi, ln) in enumerate(zip(global_box.min, global_box.max, length)):
-        axis = pts[..., d]
-        outside = ~((axis >= lo) & (axis < hi))
-        if not outside.any():
-            continue
-        wrapped = lo + np.mod(axis[outside] - lo, ln)
-        # mod can land exactly on the upper bound through rounding
-        wrapped = np.where(wrapped >= hi, wrapped - ln, wrapped)
-        wrapped = np.where(wrapped < lo, lo, wrapped)
-        axis[outside] = wrapped
-    return pts
 
 
 _LAYOUT_KINDS = ("aos", "soa", "aosoa")

@@ -4,12 +4,18 @@
 on first use in a process and returns the loaded library with the argument
 types of its functions declared: `bin_cells` (the cell binning),
 `build_lists` and `spread_rows` (the neighbor-list build), `pair_forces`
-(the force kernel, half-list reactions included), and the per-step particle
+(the force kernel, half-list reactions included), the per-step particle
 loops `kick_drift` and `kick` (the integrators), `max_displacement` (the
-displacement check), `gather_rows` and `put_rows` (the ghost refresh).
-A C compiler is therefore a run-time requirement of this package. The
-driver, comm.py, neighbor.py, particles.py and potential.py all call into
-it, which is why the loader lives in its own module.
+displacement check), `gather_rows` and `put_rows` (the ghost refresh), and
+the epoch's particle loops `select_rows` (the exchange and border tests of a
+round's pattern faces), `emit_rows` (the rows of a record or a border plan,
+shifted), `shift_rows` (a rank's own periodic images wrapped in place),
+`first_outside` (the ownership check after exchange), `load_histogram`
+(the load balance), `bounding_box` (the cell grid's box) and `compact_rows`
+(the compaction of the locals). A C compiler is therefore a run-time
+requirement of this package. The driver, comm.py, neighbor.py,
+particles.py and potential.py all call into it, which is why the loader
+lives in its own module.
 
 The particle loops, and `pair_forces` for the positions, velocities and
 forces, work in place on the buffers of the store's `ArrayHandle`s, through
@@ -128,4 +134,18 @@ def library() -> ctypes.CDLL:
     dll.gather_rows.restype = None
     dll.put_rows.argtypes = [idx, f64, i64, i64, f64]  # map, x, start, k, rows
     dll.put_rows.restype = None
+    dll.select_rows.argtypes = [idx, f64, i64, i64, idx, f64, ctypes.c_int, idx, idx]  # map, x, n, entries, axes, bounds, ge, idx, counts
+    dll.select_rows.restype = None
+    dll.emit_rows.argtypes = [idx, f64, f64, idx, i64, f64, i64, f64, f64]  # map, x, v, idx, k, shift, width, out, diff
+    dll.emit_rows.restype = None
+    dll.shift_rows.argtypes = [idx, f64, idx, i64, f64]  # map, x, idx, k, shift
+    dll.shift_rows.restype = None
+    dll.first_outside.argtypes = [idx, f64, i64, i64, f64]  # map, x, n, n_boxes, boxes
+    dll.first_outside.restype = i64
+    dll.bounding_box.argtypes = [idx, f64, i64, f64, f64]  # map, x, n, lo, hi
+    dll.bounding_box.restype = None
+    dll.load_histogram.argtypes = [idx, f64, i64, f64, i64, f64]  # map, x, n, box, bins, hist
+    dll.load_histogram.restype = None
+    dll.compact_rows.argtypes = [idx, f64, f64, f64, i64, ctypes.c_void_p]  # map, x, v, f, n, keep (bool)
+    dll.compact_rows.restype = i64
     return dll

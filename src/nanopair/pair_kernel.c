@@ -7,7 +7,13 @@
  * integrator kicks and the drift (nanopair.driver), the displacement check
  * (nanopair.neighbor.max_displacement_since_rebuild) and the ghost refresh's
  * gather and write (nanopair.comm.synchronize,
- * nanopair.particles.ParticleStore.set_ghost_positions). nanopair.kernel
+ * nanopair.particles.ParticleStore.set_ghost_positions), and the epoch's
+ * particle loops: the pattern entries' row selection, the emitted rows of a
+ * record or a border plan, the in-place wrap of a rank's own periodic images
+ * and the ownership check (nanopair.comm.exchange, nanopair.comm.define_borders),
+ * the load histogram (nanopair.comm.balance_slabs), the bounding box
+ * (nanopair.comm.RankDomain.grid_box_for) and the compaction of the locals
+ * (nanopair.particles.ParticleStore.compact_locals). nanopair.kernel
  * compiles this file once per process.
  *
  * Particle arrays are read and written in place, in the layout's buffer,
@@ -522,4 +528,213 @@ void spread_rows(int64_t n, const int32_t *flat, const int32_t *counts, int32_t 
         for (; k < width; ++k)
             row[k] = -1;
     }
+}
+
+/* Whether coordinate c passes a face test against bound b: from above on
+ * side +1 (c >= b with ge, c > b without), from below on side -1 (c < b).
+ * A NaN passes none. */
+static inline int face_test(double c, double b, int64_t side, int ge)
+{
+    return side > 0 ? (ge ? c >= b : c > b) : c < b;
+}
+
+/* One pass over rows [0, n) for pattern entries e0 and, with two, e1 (see
+ * `select_rows`): every row index is written and only a picked one advances
+ * its entry's count, so the loop does not branch on the tests. */
+static inline __attribute__((always_inline)) void select_pass(
+    const int64_t *map, const double *x, int64_t n, const int64_t *axes, const double *bounds,
+    int ge, int64_t e0, const int two, int64_t *restrict idx, int64_t *restrict counts)
+{
+    const int64_t e1 = two ? e0 + 1 : e0;
+    const int64_t d0 = axes[2 * e0] * map[2], s0 = axes[2 * e0 + 1];
+    const int64_t d1 = axes[2 * e1] * map[2], s1 = axes[2 * e1 + 1];
+    const double b0 = bounds[e0], b1 = bounds[e1];
+    int64_t *restrict out0 = idx + e0 * n, *restrict out1 = idx + e1 * n;
+    int64_t k0 = 0, k1 = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const double *row = x + row_at(map, i);
+        out0[k0] = i;
+        k0 += face_test(row[d0], b0, s0, ge);
+        if (two) {
+            out1[k1] = i;
+            k1 += face_test(row[d1], b1, s1, ge);
+        }
+    }
+    counts[e0] = k0;
+    if (two)
+        counts[e1] = k1;
+}
+
+/* The rows of [0, n) that each of a round's n_entries pattern entries picks:
+ * entry e tests coordinate axes[2 e] of a row against bounds[e] from the
+ * side axes[2 e + 1] (see `face_test`). Entry e's rows go to idx[e * n ...],
+ * in increasing row order, and their number to counts[e]. The entries are
+ * taken two to a pass over the rows, so a round of the face stencil (one
+ * entry per face of its axis) reads every row once. */
+void select_rows(const int64_t *map, const double *x, int64_t n,
+                 int64_t n_entries, const int64_t *axes, const double *bounds, int ge,
+                 int64_t *idx, int64_t *counts)
+{
+    int64_t e = 0;
+    for (; e + 1 < n_entries; e += 2)
+        select_pass(map, x, n, axes, bounds, ge, e, 1, idx, counts);
+    if (e < n_entries)
+        select_pass(map, x, n, axes, bounds, ge, e, 0, idx, counts);
+}
+
+/* The rows of a record or of a border plan, for r < k: out[r * width + y] =
+ * element (idx[r], y) of x + shift[y] (y < 3), then, with v, out[r * width +
+ * 3 + y] = element (idx[r], y) of v; with diff, diff[3 r + y] = that out
+ * value - element (idx[r], y) of x, the shift a ghost refresh replays. */
+void emit_rows(const int64_t *map, const double *x, const double *v, const int64_t *idx,
+               int64_t k, const double *shift, int64_t width, double *out, double *diff)
+{
+    for (int64_t r = 0; r < k; ++r) {
+        const int64_t o = row_at(map, idx[r]);
+        for (int y = 0; y < 3; ++y) {
+            const double c = x[o + y * map[2]];
+            const double emitted = c + shift[y];
+            out[r * width + y] = emitted;
+            if (v)
+                out[r * width + 3 + y] = v[o + y * map[2]];
+            if (diff)
+                diff[3 * r + y] = emitted - c;
+        }
+    }
+}
+
+/* Rows idx[0 .. k) of x := themselves + shift: a rank's own periodic
+ * images, wrapped in place. */
+void shift_rows(const int64_t *map, double *x, const int64_t *idx, int64_t k, const double *shift)
+{
+    for (int64_t r = 0; r < k; ++r) {
+        double *row = x + row_at(map, idx[r]);
+        for (int y = 0; y < 3; ++y)
+            row[y * map[2]] = row[y * map[2]] + shift[y];
+    }
+}
+
+/* The first of rows [0, n) that lies in none of the n_boxes half-open boxes
+ * (6 doubles each: lo x, y, z, then hi x, y, z), or -1. A NaN coordinate
+ * lies in no box. */
+int64_t first_outside(const int64_t *map, const double *x, int64_t n,
+                      int64_t n_boxes, const double *boxes)
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const double *row = x + row_at(map, i);
+        int inside = 0;
+        for (int64_t b = 0; b < n_boxes && !inside; ++b) {
+            const double *lo = boxes + 6 * b, *hi = lo + 3;
+            inside = 1;
+            for (int y = 0; y < 3; ++y) {
+                const double c = row[y * map[2]];
+                inside &= c >= lo[y] && c < hi[y];
+            }
+        }
+        if (!inside)
+            return i;
+    }
+    return -1;
+}
+
+/* lo[y] and hi[y]: the smallest and the largest element (x, y) over rows
+ * [0, n), n > 0, or NaN for an axis that holds a NaN, as numpy's min and
+ * max give. */
+void bounding_box(const int64_t *map, const double *x, int64_t n, double *lo, double *hi)
+{
+    const double *first = x + row_at(map, 0);
+    double l0 = first[0], l1 = first[map[2]], l2 = first[2 * map[2]];
+    double h0 = l0, h1 = l1, h2 = l2;
+    int nan = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const double *row = x + row_at(map, i);
+        const double c0 = row[0], c1 = row[map[2]], c2 = row[2 * map[2]];
+        l0 = c0 < l0 ? c0 : l0;
+        l1 = c1 < l1 ? c1 : l1;
+        l2 = c2 < l2 ? c2 : l2;
+        h0 = c0 > h0 ? c0 : h0;
+        h1 = c1 > h1 ? c1 : h1;
+        h2 = c2 > h2 ? c2 : h2;
+        nan |= (c0 != c0) | (c1 != c1) << 1 | (c2 != c2) << 2;
+    }
+    lo[0] = nan & 1 ? NAN : l0;
+    lo[1] = nan & 2 ? NAN : l1;
+    lo[2] = nan & 4 ? NAN : l2;
+    hi[0] = nan & 1 ? NAN : h0;
+    hi[1] = nan & 2 ? NAN : h1;
+    hi[2] = nan & 4 ? NAN : h2;
+}
+
+/* c wrapped into [lo, hi) by whole multiples of len = hi - lo, with the
+ * operations of numpy's formula: a coordinate inside passes untouched;
+ * any other becomes lo + mod(c - lo, len), where numpy's mod is fmod plus
+ * len when the two signs differ (and +0.0 for a zero), then comes down by
+ * len where rounding lands it on hi and up to lo where it falls below. NaN
+ * stays NaN. */
+static inline double wrap_into(double c, double lo, double hi, double len)
+{
+    if (c >= lo && c < hi)
+        return c;
+    double m = fmod(c - lo, len);
+    if (m != 0.0) {
+        if ((m < 0.0) != (len < 0.0))
+            m += len;
+    } else {
+        m = copysign(0.0, len);
+    }
+    double w = lo + m;
+    if (w >= hi)
+        w = w - len;
+    if (w < lo)
+        w = lo;
+    return w;
+}
+
+/* The load histogram of rows [0, n): per axis y, hist[y * bins + b] (zeroed
+ * here) counts the rows whose coordinate, wrapped into the box
+ * [box[y], box[3 + y]) by `wrap_into`, falls into bin b = floor((w - lo) /
+ * (hi - lo) * bins). The bin is clamped to [0, bins - 1] while it is a
+ * double, so NaN goes to bin 0 and no out-of-range value is cast. */
+void load_histogram(const int64_t *map, const double *x, int64_t n, const double *box,
+                    int64_t bins, double *hist)
+{
+    const double lo[3] = {box[0], box[1], box[2]}, hi[3] = {box[3], box[4], box[5]};
+    const double len[3] = {hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]};
+    const double top = (double)(bins - 1);
+    for (int64_t b = 0; b < 3 * bins; ++b)
+        hist[b] = 0.0;
+    for (int64_t i = 0; i < n; ++i) {
+        const double *row = x + row_at(map, i);
+        for (int y = 0; y < 3; ++y) {
+            const double w = wrap_into(row[y * map[2]], lo[y], hi[y], len[y]);
+            const double f = (w - lo[y]) / len[y] * (double)bins;
+            /* the clamped f is not negative, so truncation is floor */
+            hist[y * bins + (int64_t)(f >= 0.0 ? (f <= top ? f : top) : 0.0)] += 1.0;
+        }
+    }
+}
+
+/* Drops the rows [0, n) of three particle arrays under one index map whose
+ * keep byte is 0 (numpy's bool: one byte, 0 or 1): each kept row moves up
+ * behind the kept rows before it, in order, in all three arrays, and rows
+ * before the first dropped one are not written. Returns the number kept. */
+int64_t compact_rows(const int64_t *map, double *x, double *v, double *f, int64_t n,
+                     const uint8_t *keep)
+{
+    int64_t w = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        if (!keep[i])
+            continue;
+        if (w != i) {
+            const int64_t to = row_at(map, w), from = row_at(map, i);
+            for (int y = 0; y < 3; ++y) {
+                const int64_t o = y * map[2];
+                x[to + o] = x[from + o];
+                v[to + o] = v[from + o];
+                f[to + o] = f[from + o];
+            }
+        }
+        ++w;
+    }
+    return w;
 }

@@ -87,23 +87,21 @@ class ParticleStore:
     def compact_locals(self, keep: np.ndarray) -> None:
         """Drop locals where `keep` is False, preserving the survivors' order.
 
-        Rows before the first dropped one stay where they are; only the
+        One compiled pass over the three arrays (`compact_rows`): rows
+        before the first dropped one stay where they are; only the
         survivors behind it move up, in order. Requires an empty ghost region
         (exchange clears ghosts first).
         """
         if self.n_ghost != 0:
             raise RuntimeError("compact_locals requires an empty ghost region")
-        keep = np.asarray(keep, dtype=bool)
+        keep = np.ascontiguousarray(keep, dtype=bool)
         if keep.shape != (self.n_local,):
             raise ValueError("keep mask must cover exactly the local region")
-        holes = np.flatnonzero(~keep)
-        if holes.size == 0:
-            return
-        first = int(holes[0])
-        tail = keep[first:]
-        for h in (self.positions, self.velocities, self.forces):
-            h.write_rows(first, h.read_rows(first, tail.size)[tail])
-        self.n_local = first + int(tail.sum())
+        x = self.positions
+        self.n_local = kernel.library().compact_rows(
+            x.map_address, x.address, self.velocities.address, self.forces.address, self.n_local,
+            kernel.address(keep, np.bool_),
+        )
 
     # -- ghost-region editing ------------------------------------------------
 

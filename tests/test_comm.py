@@ -32,13 +32,14 @@ from nanopair.comm import (
     uniform_cuts,
     unpack_particles,
 )
-from nanopair.core import AABB, SimConfig, pbc_correct
+from nanopair.core import AABB, SimConfig
 from nanopair.driver import RankReport, rank_program
 from nanopair.errors import GuardViolation, ProtocolError
 from nanopair.layout import clustered_layout, column_major_layout, layout_from_config, row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists
 from nanopair.particles import ParticleStore, lattice_positions
 from nanopair.potential import compute_forces, law_from_config
+from test_core import pbc_correct
 
 # half-diagonal spring-dashpot packing: its particles crowd one side of x
 SD = SimConfig(
@@ -368,6 +369,13 @@ class TestEarlyEpoch:
         assert reports[0].rebuilds == cfg.steps
 
 
+def border_mask(entry, pos, spacing):
+    """Numpy reference of an entry's border test: the rows of the (n, 3)
+    positions within `spacing` of its face."""
+    c = pos[:, entry.dim]
+    return c > entry.face - spacing if entry.side > 0 else c < entry.face + spacing
+
+
 class TestWireFaults:
     def test_truncated_record_rejected(self):
         blob = pack_particles(WIRE_SYNC, np.ones((4, 3)))
@@ -375,6 +383,13 @@ class TestWireFaults:
         for cut in (blob[:-8], blob[:-3], blob[:3]):
             with pytest.raises(ProtocolError):
                 unpack_particles(cut)
+
+    def test_unknown_kind_rejected(self):
+        # kind 3 is retired, and no kind above 5 exists
+        for kind in (3, 6, 255):
+            blob = bytes([kind]) + pack_particles(WIRE_SYNC, np.ones((1, 3)))[1:]
+            with pytest.raises(ProtocolError, match=f"^wire record of unknown kind {kind}$"):
+                unpack_particles(blob)
 
     def test_displacement_gather_rejects_other_kind(self):
         pos, vel = initial_state(SD)
@@ -531,7 +546,7 @@ class TestProtocolFaults:
             x_round = worlds[1].pattern.rounds[0]
             assert [e.send_to for e in x_round] == [0, 0]
             border = stores[1].all_positions()
-            count = sum(len(e.border_cond(border)[0]) for e in x_round)
+            count = sum(int(border_mask(e, border, worlds[1].pattern.spacing).sum()) for e in x_round)
             plan = border_plans(worlds, stores)[0]
             assert [(r.peer, r.count) for r in plan.rounds[0].recvs] == [(1, count)]
             transport.send(1, 0, pack_particles(WIRE_SYNC, np.zeros((count + wrong, 3))))
@@ -549,19 +564,6 @@ class TestProtocolFaults:
         assert stores[1].n_ghost > 0
         with pytest.raises(ProtocolError, match="^rank 1: define_borders must start with an empty ghost region$"):
             next(define_borders(worlds[1], stores[1]))
-
-    @pytest.mark.parametrize("bad_row", [-1, "n_total"])
-    def test_define_borders_rejects_source_row_out_of_range(self, bad_row):
-        # the range check of the ghost refresh's gather runs once, at plan time
-        worlds, stores, transport = make_worlds(SD, 1, *initial_state(SD))
-        n = stores[0].n_total
-        row = n if bad_row == "n_total" else bad_row
-        entry = worlds[0].pattern.rounds[0][0]
-        entry.border_cond = lambda pos: (np.array([0, row]), pos[[0, 0]])
-        with pytest.raises(
-            ProtocolError, match=f"^rank 0: a border condition picked a row outside the {n} particles$"
-        ):
-            border_plans(worlds, stores)
 
     def test_recv_without_message_rejected(self):
         transport = MailboxTransport(2)
@@ -604,6 +606,42 @@ class TestProtocolFaults:
         ):
             for _ in range(10):
                 advance(gens)
+
+
+class TestExchangeRecords:
+    """Exchange sends one record per remote peer and stencil round, holding
+    the departures of all of that peer's entries."""
+
+    @pytest.mark.parametrize("ranks", [2, 4, 8])
+    def test_one_record_per_peer_and_round(self, ranks):
+        pos, vel = initial_state(LJ)
+        worlds, stores, transport = make_worlds(LJ, ranks, pos, vel, RecordingTransport)
+        # a move of up to a third of the spacing takes locals across faces
+        rng = np.random.default_rng(5)
+        for s in stores:
+            moved = s.local_positions() + rng.uniform(-1.0, 1.0, (s.n_local, 3)) * LJ.interaction_radius() / 3
+            s.positions.write_rows(0, moved)
+        gens = [exchange(w, s) for w, s in zip(worlds, stores)]
+        sent = 0
+        for d in range(3):
+            transport.records.clear()
+            advance(gens)
+            want = sorted(
+                (w.rank, peer)
+                for w in worlds
+                for peer in {e.send_to for e in w.pattern.rounds[d]} - {w.rank}
+            )
+            assert sorted((src, dst) for src, dst, _, _ in transport.records) == want
+            assert {kind for _, _, kind, _ in transport.records} <= {WIRE_EXCHANGE}
+            sent += len(want)
+        advance(gens)
+        # one peer per axis of width 2, two per wider axis: 24 records at P = 8
+        assert sent == {2: 2, 4: 8, 8: 24}[ranks]
+        assert transport.pending() == 0
+        assert len(transport.exchanged) > 0
+        assert sum(s.n_local for s in stores) == pos.shape[0]
+        for w, s in zip(worlds, stores):
+            assert w.domain.owns(s.local_positions()).all()
 
 
 class TestSyncRecords:

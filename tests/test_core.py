@@ -3,9 +3,60 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nanopair.core import AABB, ConfigError, SimConfig, pbc_correct
+from nanopair.comm import LOAD_BINS, _load_histogram
+from nanopair.core import AABB, ConfigError, SimConfig
+from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
+from nanopair.particles import ParticleStore
 
 BOX8 = AABB.cube(0.0, 8.0)
+
+
+def pbc_correct(p, global_box: AABB):
+    """Oracle of the periodic wrap of the compiled load histogram: positions
+    wrapped into [min, max) by integer multiples of the domain length.
+
+    Accepts a (3,) or an (n, 3) array and returns a new array of that shape;
+    the input is never modified. Each axis is handled on its own, and only
+    the coordinates outside [min, max) are touched: they become
+    min + mod(x - min, length), moved down by one length where rounding
+    lands that on max and raised to min where it falls below. In-domain
+    coordinates pass through untouched, which makes the function exactly
+    idempotent. NaN stays NaN.
+    """
+    length = tuple(b - a for a, b in zip(global_box.min, global_box.max))
+    if any(ln <= 0 for ln in length):
+        raise ValueError("domain must have positive extent in all dimensions")
+    pts = np.array(p, dtype=np.float64)
+    for d, (lo, hi, ln) in enumerate(zip(global_box.min, global_box.max, length)):
+        axis = pts[..., d]
+        outside = ~((axis >= lo) & (axis < hi))
+        if not outside.any():
+            continue
+        wrapped = lo + np.mod(axis[outside] - lo, ln)
+        # mod can land exactly on the upper bound through rounding
+        wrapped = np.where(wrapped >= hi, wrapped - ln, wrapped)
+        wrapped = np.where(wrapped < lo, lo, wrapped)
+        axis[outside] = wrapped
+    return pts
+
+
+def histogram_oracle(pts, box):
+    """The (3, LOAD_BINS) load histogram of (n, 3) points by numpy: wrapped
+    by `pbc_correct`, then floor((w - lo) / ext * LOAD_BINS) clamped to the
+    bins. NaN goes to bin 0, where numpy's cast of NaN to int64 (INT64_MIN on
+    x86) followed by the clip put it."""
+    lo, ext = box.lo, box.extent()
+    f = np.floor((pbc_correct(pts, box) - lo) / ext * LOAD_BINS)
+    bins = np.clip(np.where(np.isnan(f), 0.0, f), 0, LOAD_BINS - 1).astype(np.int64)
+    return np.stack([np.bincount(bins[:, d], minlength=LOAD_BINS) for d in range(3)]).astype(np.float64)
+
+
+def compiled_histogram(pts, box, layout=None):
+    """The load histogram of (n, 3) points held as the locals of a store."""
+    pts = np.atleast_2d(pts)
+    store = ParticleStore(layout or row_major_layout(), max(pts.shape[0], 1))
+    store.append_locals(pts, np.zeros_like(pts))
+    return _load_histogram(store, box)
 
 
 def wrap_by_repeated_subtraction(x, lo, hi):
@@ -85,9 +136,32 @@ class TestPerAxisOracles:
             assert p.tobytes() == before.tobytes()
 
     def test_mod_rounding_onto_hi_wraps_to_lo(self):
-        # mod(-1e-17, 8) rounds to 8.0, which must come back to 0.0
+        # mod(-1e-17, 8) rounds to 8.0, which must come back to 0.0, in the
+        # oracle and in the compiled histogram's wrap: bin 0, not bin 255
         assert np.mod(-1e-17, 8.0) == 8.0
-        np.testing.assert_array_equal(pbc_correct(np.array([-1e-17, 0.0, 8.0]), BOX8), [0.0, 0.0, 0.0])
+        p = np.array([-1e-17, 0.0, 8.0])
+        np.testing.assert_array_equal(pbc_correct(p, BOX8), [0.0, 0.0, 0.0])
+        hist = compiled_histogram(p, BOX8)
+        assert hist[:, 0].tolist() == [1.0, 1.0, 1.0] and hist.sum() == 3.0
+        assert hist.tobytes() == histogram_oracle(p[None, :], BOX8).tobytes()
+
+    @pytest.mark.parametrize("box", [BOX8, ODD_BOX], ids=["cube8", "odd"])
+    @pytest.mark.parametrize(
+        "layout", [row_major_layout(), column_major_layout(), clustered_layout(1), clustered_layout(8)],
+        ids=["aos", "soa", "aosoa1", "aosoa8"],
+    )
+    def test_load_histogram_matches_oracle(self, box, layout):
+        # every edge case of the wrap (on lo and hi, a hair below each,
+        # -1e-17, lengths out, NaN), one point on every bin edge and one a
+        # hair below it: the compiled histogram bins them as the oracle does
+        lo, ext = box.lo, box.extent()
+        edges = lo + ext * (np.arange(LOAD_BINS) / LOAD_BINS)[:, None]
+        pts = np.concatenate([awkward_points(box), edges, np.nextafter(edges, -np.inf)])
+        before = pts.copy()
+        got = compiled_histogram(pts, box, layout)
+        assert got.tobytes() == histogram_oracle(pts, box).tobytes()
+        assert got.sum() == 3 * pts.shape[0]
+        assert pts.tobytes() == before.tobytes()
 
     def test_pbc_correct_of_a_view_copies(self):
         # a transposed (coordinate-major) block wraps the same and stays untouched
@@ -132,6 +206,11 @@ class TestPbcCorrect:
         once = pbc_correct(np.array([x, y, z]), BOX8)
         twice = pbc_correct(once, BOX8)
         np.testing.assert_array_equal(twice, once)
+        # the compiled histogram wraps the same: a point and its wrapped
+        # image fall into the same bins, the oracle's
+        hist = compiled_histogram(np.array([x, y, z]), BOX8)
+        assert hist.tobytes() == compiled_histogram(once, BOX8).tobytes()
+        assert hist.tobytes() == histogram_oracle(once[None, :], BOX8).tobytes()
 
     def test_result_in_half_open_domain(self):
         rng = np.random.default_rng(3)

@@ -1,9 +1,13 @@
 """The layout's index map and the compiled particle loops that address the
 layout buffers through it: the displacement check, the ghost gather and the
-ghost write, and the force write-back of `compute_forces`. Each must give the
-bits of the numpy formula on `read_rows` copies and leave every other byte
-of the buffers (ghost rows, unused rows, the padding lanes of the last
-cluster) as it was. The integrators are covered in tests/test_driver.py."""
+ghost write, the force write-back of `compute_forces`, and the epoch's loops
+(the exchange and border selections with their emitted rows, the ownership
+check, the bounding box). Each must give the bits of the numpy formula on
+`read_rows` copies and leave every other byte of the buffers (ghost rows,
+unused rows, the padding lanes of the last cluster) as it was. The
+integrators are covered in tests/test_driver.py, the compaction of the
+locals in tests/test_particles.py and the load histogram in
+tests/test_core.py."""
 
 import ctypes
 
@@ -11,8 +15,24 @@ import numpy as np
 import pytest
 
 from nanopair import kernel
-from nanopair.comm import WIRE_SYNC, pack_particles, unpack_particles
+from nanopair.comm import (
+    WIRE_BORDER,
+    WIRE_EXCHANGE,
+    WIRE_SYNC,
+    MailboxTransport,
+    RankDomain,
+    RankWorld,
+    define_borders,
+    exchange,
+    factor_rank_grid,
+    pack_particles,
+    rank_grid_coords,
+    six_stencil_pattern,
+    slab_bounds,
+    unpack_particles,
+)
 from nanopair.core import AABB
+from nanopair.errors import ProtocolError
 from nanopair.driver import final_integrate, initial_integrate
 from nanopair.layout import ArrayHandle, clustered_layout, column_major_layout, row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
@@ -199,3 +219,303 @@ def test_no_address_taken_per_step(monkeypatch):
     max_displacement_since_rebuild(store, lists)
     compute_forces(store, lists, law)
     final_integrate(store, 0.001, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# the epoch's loops against numpy references of the formulas they replaced
+# ---------------------------------------------------------------------------
+
+EPOCH_BOX = AABB.cube(0.0, 12.0)
+SPACING = 2.8
+
+
+def face_rows(slab, spacing):
+    """Rows at the slab's centre but on one axis, where they lie exactly on a
+    face, on face - spacing or on face + spacing, or one ulp to either side
+    of each of those."""
+    mid = (slab.lo + slab.hi) / 2
+    rows = []
+    for d in range(3):
+        for face in (slab.lo[d], slab.hi[d]):
+            for v in (face, face - spacing, face + spacing):
+                for u in (np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)):
+                    row = mid.copy()
+                    row[d] = u
+                    rows.append(row)
+    return np.array(rows)
+
+
+class BlobTransport(MailboxTransport):
+    """A mailbox that also keeps (src, dst, record bytes) of every send."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.sent = []
+
+    def send(self, src, dst, blob):
+        self.sent.append((src, dst, bytes(blob)))
+        super().send(src, dst, blob)
+
+
+def epoch_worlds(layout, ranks, nan_at=None, faces=True):
+    """Slab worlds over EPOCH_BOX whose stores hold 25 random locals in the
+    slab and then, with `faces`, every face row (79 in all, a multiple of no
+    cluster size), with random velocities and forces, and stale rows of 5
+    cleared ghosts behind them, in the last local's cluster. `nan_at` =
+    (row, axis) of every store is set to NaN."""
+    grid = factor_rank_grid(ranks)
+    transport = BlobTransport(ranks)
+    rng = np.random.default_rng(41)
+    worlds, stores = [], []
+    for r in range(ranks):
+        slab = slab_bounds(EPOCH_BOX, grid, rank_grid_coords(r, grid))
+        pos = slab.lo + rng.random((25, 3)) * slab.extent()
+        if faces:
+            pos = np.concatenate([pos, face_rows(slab, SPACING)])
+        if nan_at is not None:
+            pos[nan_at] = np.nan
+        store = ParticleStore(layout, pos.shape[0] + N_GHOST + 3)
+        store.append_locals(pos, rng.normal(size=pos.shape))
+        store.forces.write_rows(0, rng.normal(size=pos.shape))
+        store.append_ghosts(rng.uniform(0.0, 12.0, (N_GHOST, 3)), peer=r)
+        store.clear_ghosts()
+        stores.append(store)
+        pattern = six_stencil_pattern(grid, r, EPOCH_BOX, SPACING)
+        worlds.append(RankWorld(ranks, r, transport, EPOCH_BOX, RankDomain(r, [slab], SPACING), pattern))
+    return worlds, stores, transport
+
+
+def lockstep(gens):
+    """Every phase generator to its end, one barrier at a time; their results."""
+    results = [None] * len(gens)
+    live = set(range(len(gens)))
+    while live:
+        for r in sorted(live):
+            try:
+                next(gens[r])
+            except StopIteration as stop:
+                results[r] = stop.value
+                live.discard(r)
+    return results
+
+
+def outcome(gens):
+    """The message of the ProtocolError that running the phases raised, or None."""
+    try:
+        lockstep(gens)
+    except ProtocolError as err:
+        return str(err)
+    return None
+
+
+def numpy_compact(store, keep):
+    """The survivors of `keep` moved up behind the first hole by a
+    boolean-mask copy of each array's tail."""
+    holes = np.flatnonzero(~keep)
+    if holes.size:
+        first = int(holes[0])
+        tail = keep[first:]
+        for h in (store.positions, store.velocities, store.forces):
+            h.write_rows(first, h.read_rows(first, tail.size)[tail])
+        store.n_local = first + int(tail.sum())
+
+
+def exchange_reference(world, store):
+    """Numpy reference of `exchange`: per round, every entry's test on a copy
+    of the locals as the round starts (x[dim] >= face upward, < face
+    downward), this rank's own images wrapped by a row scatter, one record
+    per remote peer with its entries' departures in entry order, then a
+    boolean-mask compaction; finally the ownership check by `owns`."""
+    store.clear_ghosts()
+    me = world.rank
+    for entries in world.pattern.rounds:
+        pos, vel = store.local_positions(), store.local_velocities()
+        departing = np.zeros(store.n_local, dtype=bool)
+        records = {}
+        for e in entries:
+            c = pos[:, e.dim]
+            idx = np.nonzero(c >= e.face if e.side > 0 else c < e.face)[0]
+            emitted = pos[idx] + e.shift
+            if e.send_to == me:
+                store.positions.write_rows_at(idx, emitted)
+                continue
+            records.setdefault(e.send_to, []).append(np.hstack([emitted, vel[idx]]))
+            departing[idx] = True
+        for peer, rows in records.items():
+            world.transport.send(me, peer, pack_particles(WIRE_EXCHANGE, np.concatenate(rows)))
+        numpy_compact(store, ~departing)
+        yield
+        for peer in dict.fromkeys(e.recv_from for e in entries):
+            if peer != me:
+                kind, data = unpack_particles(world.transport.recv(me, peer))
+                assert kind == WIRE_EXCHANGE
+                if data.shape[0]:
+                    store.append_locals(data[:, :3], data[:, 3:])
+    bad = ~world.domain.owns(store.local_positions())
+    if np.any(bad):
+        i = int(np.nonzero(bad)[0][0])
+        raise ProtocolError(
+            f"rank {me}: after exchange, local particle at "
+            f"{store.local_positions()[i]} is outside the ownership region"
+        )
+
+
+def borders_reference(world, store):
+    """Numpy reference of `define_borders`: per round, every entry's test on
+    a copy of all rows as the round starts (x[dim] > face - spacing upward,
+    < face + spacing downward), one record per remote peer and this rank's
+    own images appended, entries in entry order. Returns per round the
+    gather index, the shifts (emitted - position), the sends and the
+    receives of the plan."""
+    me, spacing = world.rank, world.pattern.spacing
+    plan = []
+    for entries in world.pattern.rounds:
+        pos = store.all_positions()
+        groups = {}
+        for e in entries:
+            c = pos[:, e.dim]
+            idx = np.nonzero(c > e.face - spacing if e.side > 0 else c < e.face + spacing)[0]
+            groups.setdefault(e.send_to, []).append((idx, pos[idx] + e.shift))
+        src, shift, sends, n = [], [], [], 0
+        for peer, picked in groups.items():
+            idx = np.concatenate([i for i, _ in picked])
+            emitted = np.concatenate([x for _, x in picked])
+            src.append(idx)
+            shift.append(emitted - pos[idx])
+            rows = slice(n, n + idx.size)
+            n += idx.size
+            if peer == me:
+                sends.append((me, rows, store.append_ghosts(emitted, peer=me)))
+            else:
+                world.transport.send(me, peer, pack_particles(WIRE_BORDER, emitted))
+                sends.append((peer, rows, -1))
+        yield
+        recvs = []
+        for peer in dict.fromkeys(e.recv_from for e in entries):
+            if peer != me:
+                kind, data = unpack_particles(world.transport.recv(me, peer))
+                assert kind == WIRE_BORDER
+                recvs.append((peer, store.append_ghosts(data, peer=peer), data.shape[0]))
+        plan.append((np.concatenate(src), np.concatenate(shift), sends, recvs))
+    return plan
+
+
+def same_stores(got, want):
+    for g, w in zip(got, want):
+        assert (g.n_local, g.n_ghost) == (w.n_local, w.n_ghost)
+        assert buffers(g) == buffers(w)
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
+@pytest.mark.parametrize("ranks", [1, 2, 4])
+class TestEpochLoopsMatchNumpy:
+    def test_exchange(self, layout, ranks):
+        # the records (selection, emitted rows, velocities, order), the
+        # wrapped self-images, the compaction, every other buffer byte and
+        # the ownership check: a row one ulp below the lower periodic face
+        # emerges at x + L = the upper face, by rounding, under both
+        got_w, got_s, got_t = epoch_worlds(layout, ranks)
+        want_w, want_s, want_t = epoch_worlds(layout, ranks)
+        before = sum(s.n_local for s in got_s)
+        failed = outcome([exchange(w, s) for w, s in zip(got_w, got_s)])
+        assert failed == outcome([exchange_reference(w, s) for w, s in zip(want_w, want_s)])
+        assert failed is not None and "12." in failed
+        assert got_t.sent == want_t.sent
+        same_stores(got_s, want_s)
+        assert sum(s.n_local for s in got_s) == before
+        if ranks > 1:
+            assert sum(unpack_particles(b)[1].shape[0] for _, _, b in got_t.sent) > 0
+
+    def test_define_borders(self, layout, ranks):
+        # the records, the appended ghosts, and the plan's gather index,
+        # shifts, sends and receives
+        got_w, got_s, got_t = epoch_worlds(layout, ranks)
+        want_w, want_s, want_t = epoch_worlds(layout, ranks)
+        plans = lockstep([define_borders(w, s) for w, s in zip(got_w, got_s)])
+        wants = lockstep([borders_reference(w, s) for w, s in zip(want_w, want_s)])
+        assert got_t.sent == want_t.sent
+        same_stores(got_s, want_s)
+        for plan, want in zip(plans, wants):
+            assert len(plan.rounds) == len(want)
+            for rnd, (src, shift, sends, recvs) in zip(plan.rounds, want):
+                assert rnd.src_idx.dtype == np.int64 and rnd.src_idx.tobytes() == src.tobytes()
+                assert rnd.shift.shape == shift.shape and rnd.shift.tobytes() == shift.tobytes()
+                assert [(s.peer, s.rows, s.ghost_start) for s in rnd.sends] == sends
+                assert [(r.peer, r.ghost_start, r.count) for r in rnd.recvs] == recvs
+
+    @pytest.mark.parametrize("axis", [0, 2])
+    def test_nan_never_departs_nor_borders(self, layout, ranks, axis):
+        # a NaN coordinate passes no face test: it stays, fails the
+        # ownership check with the reference's message, and is never a
+        # border row
+        got_w, got_s, _ = epoch_worlds(layout, ranks, nan_at=(11, axis), faces=False)
+        want_w, want_s, _ = epoch_worlds(layout, ranks, nan_at=(11, axis), faces=False)
+        with pytest.raises(ProtocolError) as got:
+            lockstep([exchange(w, s) for w, s in zip(got_w, got_s)])
+        with pytest.raises(ProtocolError) as want:
+            lockstep([exchange_reference(w, s) for w, s in zip(want_w, want_s)])
+        assert str(got.value) == str(want.value)
+        assert "nan" in str(got.value) and "outside the ownership region" in str(got.value)
+        row = (30, axis)  # a face row, on the lower x face
+        got_w, got_s, got_t = epoch_worlds(layout, ranks, nan_at=row)
+        want_w, want_s, want_t = epoch_worlds(layout, ranks, nan_at=row)
+        plans = lockstep([define_borders(w, s) for w, s in zip(got_w, got_s)])
+        wants = lockstep([borders_reference(w, s) for w, s in zip(want_w, want_s)])
+        assert got_t.sent == want_t.sent
+        same_stores(got_s, want_s)
+        for plan, want, store in zip(plans, wants, got_s):
+            for rnd, (src, shift, _, _) in zip(plan.rounds, want):
+                assert rnd.src_idx.tobytes() == src.tobytes() and rnd.shift.tobytes() == shift.tobytes()
+            # the round of the NaN's axis picks no row with a NaN there
+            pos = store.all_positions()
+            assert np.isnan(pos[row]) and not np.isnan(pos[plan.rounds[axis].src_idx, axis]).any()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
+@pytest.mark.parametrize("n_local", N_LOCAL)
+class TestEpochBoxesMatchNumpy:
+    def test_grid_box(self, layout, n_local):
+        # locals and ghosts, the ghosts in the last local's cluster: min and
+        # max per axis, as numpy's over a read_rows copy
+        store = random_store(layout, n_local)
+        domain = RankDomain(0, [EPOCH_BOX], SPACING)
+        pos = store.all_positions()
+        before = buffers(store)
+        got = domain.grid_box_for(store)
+        assert got == AABB.from_arrays(pos.min(axis=0), pos.max(axis=0) + 1e-9)
+        assert buffers(store) == before
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_grid_box_of_nan_rejected(self, layout, n_local, axis):
+        # numpy's min and max of an axis with a NaN are NaN, so the box is inverted
+        store = random_store(layout, n_local)
+        moved = store.all_positions()
+        moved[n_local, axis] = np.nan  # the first ghost, in the last local's cluster
+        store.positions.write_rows(0, moved)
+        with pytest.raises(ValueError, match="inverted AABB") as got:
+            RankDomain(0, [EPOCH_BOX], SPACING).grid_box_for(store)
+        with pytest.raises(ValueError, match="inverted AABB") as want:
+            AABB.from_arrays(moved.min(axis=0), moved.max(axis=0) + 1e-9)
+        assert str(got.value) == str(want.value)
+
+    def test_ownership_check(self, layout, n_local):
+        # the first local outside the slab, as `owns` finds it; a ghost
+        # outside does not count
+        slab = slab_bounds(EPOCH_BOX, (2, 1, 1), (1, 0, 0))
+        world = RankWorld(2, 1, MailboxTransport(2), EPOCH_BOX, RankDomain(1, [slab], SPACING),
+                          six_stencil_pattern((2, 1, 1), 1, EPOCH_BOX, SPACING))
+        rows = np.concatenate([face_rows(slab, SPACING), [[np.nan, 6.0, 6.0]]])
+        # each candidate alone after n_local - 1 rows inside the slab
+        inside = slab.lo + np.random.default_rng(8).random((n_local - 1, 3)) * slab.extent()
+        for row in rows:
+            store = ParticleStore(layout, n_local + N_GHOST)
+            store.append_locals(np.concatenate([inside, [row]]), np.zeros((n_local, 3)))
+            store.append_ghosts(np.full((N_GHOST, 3), -50.0), peer=0)
+            owned = bool(world.domain.owns(row)[0])
+            gen = exchange(world, store)
+            world.pattern.rounds = []  # the ownership check alone: no round runs
+            if owned:
+                assert list(gen) == []
+            else:
+                with pytest.raises(ProtocolError, match="outside the ownership region"):
+                    next(gen)

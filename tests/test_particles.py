@@ -135,11 +135,14 @@ class TestRegionEditing:
         np.testing.assert_array_equal(store.local_positions(), pos[[0, 2, 3, 5]])
 
 
-@pytest.mark.parametrize("lay", LAYOUTS + [clustered_layout(4)], ids=["aos", "soa", "aosoa8", "aosoa4"])
+@pytest.mark.parametrize(
+    "lay", LAYOUTS + [clustered_layout(4), clustered_layout(1)], ids=["aos", "soa", "aosoa8", "aosoa4", "aosoa1"]
+)
 @pytest.mark.parametrize("holes", ["start", "middle", "end", "none", "scattered", "all"])
 def test_compact_locals_matches_full_copy(lay, holes):
     """Moving only the survivors behind the first hole leaves every buffer
-    byte as the full copy of all survivors would."""
+    byte as the full copy of all survivors would: the stale rows of cleared
+    ghosts in the last local's cluster, and the padding lanes, included."""
     rng = np.random.default_rng(31)
     n = 29
     keep = np.ones(n, dtype=bool)
@@ -150,6 +153,8 @@ def test_compact_locals_matches_full_copy(lay, holes):
         store = ParticleStore(lay, n + 3)
         store.append_locals(rng.normal(size=(n, 3)), rng.normal(size=(n, 3)))
         store.forces.write_rows(0, rng.normal(size=(n, 3)))
+        store.append_ghosts(rng.normal(size=(2, 3)), peer=1)
+        store.clear_ghosts()
         return store
 
     store = filled()

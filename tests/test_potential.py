@@ -528,7 +528,7 @@ def test_kernel_build_failure_reported(monkeypatch, cc, message):
 
 
 def test_kernel_compiles_without_warnings(tmp_path):
-    """Both C loops build warning-free under -Wall -Wextra, with the package's own flags."""
+    """pair_kernel.c builds warning-free under -Wall -Wextra -Werror, with the package's own flags."""
     cmd = [*kernel._CC, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"), str(kernel._KERNEL_SOURCE), "-lm"]
     done = subprocess.run(cmd, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
