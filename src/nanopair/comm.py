@@ -18,7 +18,8 @@ for (axis, side and coordinate) and the periodic shift of what crosses it.
 Exchange and border definition test every row against all of a round's
 faces in one compiled pass over the layout buffer (`select_rows` in
 pair_kernel.c, through the layout's index map), as the positions were when
-the round started, and compiled loops emit the picked rows plus their shift.
+the round started, and compiled loops emit the picked rows plus their shift
+(exchange first moves its departures by the shift in place).
 
 Exchange, border definition and synchronization send one record per remote
 peer and stencil round: a peer's record holds the rows of every entry that
@@ -30,8 +31,7 @@ slice as one record (in place for this rank's own periodic images).
 
 Rank programs are written as generators that ``yield`` at collective barrier
 points; a runner advances all ranks one barrier at a time, so every send of a
-sub-phase is posted before any matching receive runs. This holds whether the
-runner drives ranks round-robin in one thread or through a pool.
+sub-phase is posted before any matching receive runs.
 
 Between epochs, every step, the ranks of a multi-rank world also all-gather
 their largest displacement since the last rebuild (`gather_displacements`),
@@ -510,24 +510,25 @@ def _picks(store: ParticleStore, n: int, entries: list[PatternEntry], bounds, ge
     return [idx[e, :c] for e, c in enumerate(counts.tolist())]
 
 
-def _emit(store: ParticleStore, group: list[tuple[PatternEntry, np.ndarray]], velocities: bool):
+def _emit(store: ParticleStore, group: list[tuple[PatternEntry, np.ndarray]], exchange: bool):
     """The rows one peer gets from `group`'s (entry, picked rows) pairs: entry
-    by entry, in entry order, each picked row's position plus the entry's
-    shift, followed by its velocity when `velocities` (an exchange record).
-    Returns the (k, 6 or 3) rows and, for border rows, the (k, 3) shift
-    each row got, emitted - position (`emit_rows`)."""
+    by entry, in entry order, each picked row's position, followed by its
+    velocity in an exchange record, whose rows `exchange` has already moved
+    through their face; a border row gets the entry's shift. Returns the
+    (k, 6 or 3) rows and, for border rows, the (k, 3) shift each row got,
+    emitted - position (`emit_rows`)."""
     k = sum(idx.size for _, idx in group)
-    width = 6 if velocities else 3
+    width = 6 if exchange else 3
     out = np.empty((k, width))
-    diff = None if velocities else np.empty((k, 3))
+    diff = None if exchange else np.empty((k, 3))
     x, v = store.positions, store.velocities
     lib, a = kernel.library(), 0
     for entry, idx in group:
         b = a + idx.size
         lib.emit_rows(
-            x.map_address, x.address, v.address if velocities else None, kernel.address(idx, np.int64),
-            idx.size, kernel.address(entry.shift, np.float64, (3,)), width, kernel.address(out[a:b], np.float64),
-            None if velocities else kernel.address(diff[a:b], np.float64),
+            x.map_address, x.address, v.address if exchange else None, kernel.address(idx, np.int64),
+            idx.size, None if exchange else kernel.address(entry.shift, np.float64, (3,)), width,
+            kernel.address(out[a:b], np.float64), None if exchange else kernel.address(diff[a:b], np.float64),
         )
         a = b
     return out, diff
@@ -550,35 +551,40 @@ def exchange(world: RankWorld, store: ParticleStore):
     neighbour, so a particle past an edge or a corner reaches the diagonal
     owner over two or three rounds. A round tests every local against all of
     its entries' faces in one compiled pass (`_picks`), as the positions
-    were when the round started; then it wraps this rank's own periodic
-    images in place, sends every remote peer one exchange record with the
-    departures of all of its entries (position plus shift, then velocity;
-    entry by entry, in entry order, in row order), and compacts the
-    survivors in order. After the final round every local must lie in the
-    slab, or ProtocolError: a particle more than one slab away is lost, and
-    a NaN coordinate never departs.
+    were when the round started; then it moves every departure through its
+    face in place (position plus the entry's shift, `shift_rows`), which
+    leaves this rank's own periodic images wrapped, sends every remote peer
+    one exchange record with the departures of all of its entries (position,
+    then velocity; entry by entry, in entry order, in row order), and
+    compacts the survivors in order. Rounding can put a row moved across the
+    periodic boundary on a face that no rank owns, and the move corrects
+    both cases: a local so little below the global lower face that x + L
+    rounds onto the upper face wraps to the lower face and stays, since its
+    owner is this rank; a local that leaves through the upper face and
+    lands below the lower face comes up to it. After the final round every
+    local must lie in the slab, or ProtocolError: a particle more than one
+    slab away is lost, and a NaN coordinate never departs.
     """
     store.clear_ghosts()
     me = world.rank
     lib = kernel.library()
+    box = np.array(world.global_box.min + world.global_box.max)
+    box_p = kernel.address(box, np.float64, (6,))
     for entries in world.pattern.rounds:
-        n = store.n_local
+        n, h = store.n_local, store.positions
         picks = _picks(store, n, entries, [e.face for e in entries], ge=True)
         keep = np.ones(n, dtype=bool)
         remote = []
         for entry, idx in zip(entries, picks):
-            if entry.send_to == me:
-                # periodic self-image: wrap in place, nothing travels
-                h = store.positions
-                lib.shift_rows(
-                    h.map_address, h.address, kernel.address(idx, np.int64), idx.size,
-                    kernel.address(entry.shift, np.float64, (3,)),
-                )
-            else:
-                keep[idx] = False
-                remote.append((entry, idx))
+            moved = lib.shift_rows(
+                h.map_address, h.address, kernel.address(idx, np.int64), idx.size,
+                kernel.address(entry.shift, np.float64, (3,)), box_p,
+            )
+            if entry.send_to != me:
+                keep[idx[:moved]] = False
+                remote.append((entry, idx[:moved]))
         for peer, group in _by_peer(remote, lambda pick: pick[0].send_to).items():
-            rows, _ = _emit(store, group, velocities=True)
+            rows, _ = _emit(store, group, exchange=True)
             world.transport.send(me, peer, pack_particles(WIRE_EXCHANGE, rows))
         store.compact_locals(keep)
         yield
@@ -679,7 +685,7 @@ def define_borders(world: RankWorld, store: ParticleStore):
         src_idx, shift, sends = [], [], []
         n = 0
         for peer, group in _by_peer(list(zip(entries, picks)), lambda pick: pick[0].send_to).items():
-            emitted, diff = _emit(store, group, velocities=False)
+            emitted, diff = _emit(store, group, exchange=False)
             src_idx.extend(idx for _, idx in group)
             shift.append(diff)
             rows = slice(n, n + emitted.shape[0])

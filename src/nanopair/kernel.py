@@ -3,14 +3,14 @@
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
 on first use in a process and returns the loaded library with the argument
 types of its functions declared: `bin_cells` (the cell binning),
-`build_lists` and `spread_rows` (the neighbor-list build), `pair_forces`
-(the force kernel, half-list reactions included), the per-step particle
+`build_lists` (the CSR neighbor-list build), `pair_forces` (the force kernel
+over the list's rows, half-list reactions included), the per-step particle
 loops `kick_drift` and `kick` (the integrators), `max_displacement` (the
 displacement check), `gather_rows` and `put_rows` (the ghost refresh), and
 the epoch's particle loops `select_rows` (the exchange and border tests of a
 round's pattern faces), `emit_rows` (the rows of a record or a border plan,
-shifted), `shift_rows` (a rank's own periodic images wrapped in place),
-`first_outside` (the ownership check after exchange), `load_histogram`
+shifted), `shift_rows` (exchange's departures moved through their face in
+place), `first_outside` (the ownership check after exchange), `load_histogram`
 (the load balance), `bounding_box` (the cell grid's box) and `compact_rows`
 (the compaction of the locals). A C compiler is therefore a run-time
 requirement of this package. The driver, comm.py, neighbor.py,
@@ -30,9 +30,9 @@ knows it) and returns its data pointer. A converter such as
 times the cost, and taking the pointer itself costs about 2 us. So the
 addresses of what lives across steps are taken once: an `ArrayHandle`'s
 buffer and index map when the handle is built, a law's parameters when the
-law first runs, a neighbor list's matrix, counts and reference positions
-when the lists first run, and a border plan's gather index, shifts and
-refresh rows when the plan is made.
+law first runs, a neighbor list's partners, row starts and reference
+positions when the lists are made, and a border plan's gather index, shifts
+and refresh rows when the plan is made.
 """
 
 from __future__ import annotations
@@ -111,16 +111,14 @@ def library() -> ctypes.CDLL:
         i32, idx,  # members, start
         idx, idx, ctypes.c_double, ctypes.c_int,  # cell_of, soff, rsq_max, half
         i64, i64, i32, i64,  # row0, n_local, buf, cap
-        i32, ctypes.POINTER(i64),  # counts, need
+        idx, ctypes.POINTER(i64),  # row_start, need
     ]
     dll.build_lists.restype = i64
-    dll.spread_rows.argtypes = [i64, i32, i32, i32, i64]  # n, flat, counts, mat, width
-    dll.spread_rows.restype = None
     # a particle array goes as its buffer and its index map (ArrayHandle.address, .map_address)
     dll.pair_forces.argtypes = [
         ctypes.c_int, f64, ctypes.c_double, ctypes.c_int,  # law, params, cutoff_rsq, use_vel
         idx, f64, f64, f64, i64,  # map, positions, velocities, forces, n_total
-        i32, i64, i32,  # mat, width, counts
+        i32, i64, idx,  # partners, n_entries, start
         i64, ctypes.c_int, f64,  # n_local, half, row energies (NULL: not accumulated)
     ]
     dll.pair_forces.restype = i64
@@ -138,8 +136,8 @@ def library() -> ctypes.CDLL:
     dll.select_rows.restype = None
     dll.emit_rows.argtypes = [idx, f64, f64, idx, i64, f64, i64, f64, f64]  # map, x, v, idx, k, shift, width, out, diff
     dll.emit_rows.restype = None
-    dll.shift_rows.argtypes = [idx, f64, idx, i64, f64]  # map, x, idx, k, shift
-    dll.shift_rows.restype = None
+    dll.shift_rows.argtypes = [idx, f64, idx, i64, f64, f64]  # map, x, idx, k, shift, box
+    dll.shift_rows.restype = i64
     dll.first_outside.argtypes = [idx, f64, i64, i64, f64]  # map, x, n, n_boxes, boxes
     dll.first_outside.restype = i64
     dll.bounding_box.argtypes = [idx, f64, i64, f64, f64]  # map, x, n, lo, hi

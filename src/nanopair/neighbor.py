@@ -8,9 +8,11 @@ exchange and raise ProtocolError.
 
 The grid is a CSR cell list (compressed rows: one flat member array plus each
 cell's start offset), binned by one compiled counting sort (`bin_cells`).
-The Verlet lists are built by one compiled pass over the locals (see
+The Verlet lists are CSR in the same convention (one flat partner array plus
+each local's start offset), built by one compiled pass over the locals (see
 `build_neighbor_lists`), which reads each local's 27 stencil cells as 9
-contiguous runs of that list. pair_kernel.c holds both next to the force loop.
+contiguous runs of the cell list. pair_kernel.c holds both next to the force
+loop, which reads the lists' rows as they were built.
 """
 
 from __future__ import annotations
@@ -126,78 +128,66 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class NeighborLists:
     """Per-local-particle candidate lists valid until positions drift too far.
 
-    Row i of the row-major (n_local, width) matrix holds the counts[i]
-    partners of local i, in build order, then -1 padding to the width, which
-    is the largest count (at least 1). Entries may lie beyond the force
-    cutoff, inside the Verlet buffer. The lists belong to a store with
-    n_local locals and n_total particles; any other count means the store
-    changed since the build.
+    A CSR list, like the cell list: row i, the partners of local i in build
+    order, is partners[start[i]:start[i + 1]], and the rows lie back to back.
+    Entries may lie beyond the force cutoff, inside the Verlet buffer. The
+    lists belong to a store with n_local locals and n_total particles; any
+    other count means the store changed since the build.
 
-    The compiled loops take the matrix, the counts and the reference
-    positions by address (`kernel_args`, `ref_address`), checked and taken
-    on first use and again only when another array is bound to the field.
+    The compiled loops take partners, start and the reference positions by
+    address: each is checked and its address taken once, when the lists are
+    made (also by `dataclasses.replace`). TypeError (`kernel.address`) on an
+    array of the wrong dtype, shape or memory layout, ProtocolError on
+    starts of another shape than (n_local + 1,). Whether the starts split
+    the partners into the rows is the compiled loop's check, since they may
+    be edited in place.
     """
 
     half: bool
-    indices: ArrayHandle  # row-major int32 matrix; size_x is max(n_local, 1)
-    counts: np.ndarray  # (n_local,)
+    partners: np.ndarray  # (n_entries,) int32 partner indices, row by row
+    start: np.ndarray  # (n_local + 1,) int64 offsets of each row's partners
     ref_positions: np.ndarray  # (3, n_local) coordinate-major local positions at build time
     n_local: int
     n_total: int  # locals plus ghosts at build time
-    _addresses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    args: tuple = field(init=False, repr=False, compare=False)  # pair_forces' (partners, n_entries, start)
+    ref_positions_address: int = field(init=False, repr=False, compare=False)
 
-    def _address(self, name: str, take):
-        """take() for the array now bound to field `name`, cached until
-        another array is bound to it."""
-        a = getattr(self, name)
-        cached = self._addresses.get(name)
-        if cached is None or cached[0] is not a:
-            cached = self._addresses[name] = (a, take())
-        return cached[1]
+    def __post_init__(self) -> None:
+        if np.shape(self.start) != (self.n_local + 1,):
+            raise ProtocolError(f"list starts of shape {np.shape(self.start)} do not fit {self.n_local} rows")
+        n = np.size(self.partners)
+        args = (kernel.address(self.partners, np.int32, (n,)), n, kernel.address(self.start, np.int64))
+        object.__setattr__(self, "args", args)
+        ref = kernel.address(self.ref_positions, np.float64, (3, self.n_local))
+        object.__setattr__(self, "ref_positions_address", ref)
 
-    def _matrix_address(self) -> tuple[int, int]:
-        mat = self.as_matrix()
-        return kernel.address(mat, np.int32, (self.n_local, mat.shape[1])), mat.shape[1]
+    @property
+    def counts(self) -> np.ndarray:
+        """(n_local,) row lengths."""
+        return np.diff(self.start)
 
-    def _counts_address(self) -> int:
-        if self.counts.shape != (self.n_local,):
-            raise ProtocolError(f"list counts do not fit {self.n_local} rows of width {self.indices.size_y}")
-        return kernel.address(self.counts, np.int32)
+    @property
+    def indices(self) -> ArrayHandle:
+        """The rows as a (max(n_local, 1), width) int32 matrix, -1 padded to the
+        width, the largest count (at least 1), built from the CSR on each access.
 
-    def kernel_args(self) -> tuple[int, int, int]:
-        """(matrix address, width, counts address) for `pair_forces`.
-
-        ProtocolError when the counts do not cover the n_local rows;
-        TypeError (`kernel.address`) on a matrix or counts of the wrong
-        dtype or memory layout. Whether every count fits the width is the
-        compiled loop's check, since counts may be edited in place.
+        Only the benchmark's tracer reads it (perfbench/tracing.py, for the
+        width); nothing in the package does.
         """
-        mat, width = self._address("indices", self._matrix_address)
-        return mat, width, self._address("counts", self._counts_address)
-
-    def ref_address(self) -> int:
-        """Address of `ref_positions`, for `max_displacement`."""
-        return self._address(
-            "ref_positions", lambda: kernel.address(self.ref_positions, np.float64, (3, self.n_local))
-        )
-
-    def as_matrix(self) -> np.ndarray:
-        """The (n_local, width) list as a read-only zero-copy view."""
-        mat = self.indices.view[: self.n_local]
-        mat.flags.writeable = False
-        return mat
+        counts = self.counts
+        handle = ArrayHandle(row_major_layout(), max(self.n_local, 1), max(int(counts.max(initial=0)), 1), np.int32)
+        handle.view[...] = -1
+        row = np.repeat(np.arange(self.n_local), counts)
+        handle.view[row, np.arange(row.size) - self.start[row]] = self.partners
+        return handle
 
     def pairs(self) -> np.ndarray:
         """(k, 2) array of (i, j) entries, in storage order."""
-        mat = self.as_matrix()
-        cap = mat.shape[1]
-        valid = np.arange(cap)[None, :] < self.counts[:, None]
-        ii, slot = np.nonzero(valid)
-        return np.column_stack([ii, mat[ii, slot]])
+        return np.column_stack([np.repeat(np.arange(self.n_local), self.counts), self.partners])
 
 
 def build_neighbor_lists(
@@ -221,9 +211,9 @@ def build_neighbor_lists(
     writes the rows back to back into a buffer of _LIST_BUFFER entries and
     stops before a row whose candidates (the 9 run lengths summed) might not
     fit, so the next call resumes at that row; a row with more candidates than
-    the buffer holds gets a buffer of its own size. Each chunk of rows is
-    copied out of the buffer, and once all are built, `spread_rows` fills them
-    into the exact-width matrix (the largest count), -1 padded.
+    the buffer holds gets a buffer of its own size. Each call writes its rows'
+    ends into `start`, and its chunk of entries is copied out of the buffer;
+    the chunks, concatenated, are `partners`.
 
     Positions and cells come from the grid, as it binned them, so the lists
     match the grid by construction. The grid must bin as many particles as
@@ -232,8 +222,8 @@ def build_neighbor_lists(
     otherwise.
     """
     n_local = store.n_local
-    counts = np.zeros(n_local, dtype=np.int32)
-    chunks = []
+    start = np.zeros(n_local + 1, dtype=np.int64)
+    chunks = [np.empty(0, dtype=np.int32)]  # gives a list without entries its dtype
     ref_positions = np.empty((3, 0))
     if grid.cell_of.shape[0] != store.n_total:
         raise ProtocolError(
@@ -265,33 +255,23 @@ def build_neighbor_lists(
             kernel.address(grid.cell_of, i64), kernel.address(soff, i64, (_STENCIL.shape[0] // 3,)),
             r * r, half,
         )
-        counts_p = kernel.address(counts, i32, (n_local,))
+        start_p = kernel.address(start, i64)
         buf = np.empty(_LIST_BUFFER, dtype=np.int32)
         need = ctypes.c_int64()
         row0 = 0
         while row0 < n_local:
             stop = lib.build_lists(
-                *args, row0, n_local, kernel.address(buf, i32), buf.size, counts_p, ctypes.byref(need)
+                *args, row0, n_local, kernel.address(buf, i32), buf.size, start_p, ctypes.byref(need)
             )
             if stop == row0:
                 buf = np.empty(need.value, dtype=np.int32)
                 continue
-            chunks.append((row0, stop, buf[: int(counts[row0:stop].sum())].copy()))
+            chunks.append(buf[: start[stop] - start[row0]].copy())
             row0 = stop
-    # at least one column, so an empty list is still a valid handle
-    width = max(int(counts.max(initial=0)), 1)
-    handle = ArrayHandle(row_major_layout(), max(n_local, 1), width, dtype=np.int32)
-    mat = handle.view
-    mat[n_local:] = -1  # the one row of an empty list
-    for a, b, entries in chunks:
-        lib.spread_rows(
-            b - a, kernel.address(entries, np.int32), kernel.address(counts[a:b], np.int32),
-            kernel.address(mat[a:b], np.int32, (b - a, width)), width,
-        )
     return NeighborLists(
         half=half,
-        indices=handle,
-        counts=counts,
+        partners=np.concatenate(chunks),
+        start=start,
         ref_positions=ref_positions,
         n_local=n_local,
         n_total=store.n_total,
@@ -314,4 +294,4 @@ def max_displacement_since_rebuild(store: ParticleStore, lists: NeighborLists) -
     if lists.n_local == 0:
         return 0.0
     h = store.positions
-    return kernel.library().max_displacement(h.map_address, h.address, lists.ref_address(), lists.n_local)
+    return kernel.library().max_displacement(h.map_address, h.address, lists.ref_positions_address, lists.n_local)

@@ -9,7 +9,7 @@
  * gather and write (nanopair.comm.synchronize,
  * nanopair.particles.ParticleStore.set_ghost_positions), and the epoch's
  * particle loops: the pattern entries' row selection, the emitted rows of a
- * record or a border plan, the in-place wrap of a rank's own periodic images
+ * record or a border plan, the in-place move of exchange's departures
  * and the ownership check (nanopair.comm.exchange, nanopair.comm.define_borders),
  * the load histogram (nanopair.comm.balance_slabs), the bounding box
  * (nanopair.comm.RankDomain.grid_box_for) and the compaction of the locals
@@ -35,9 +35,9 @@
  * optimisation level or the staging.
  *
  * The row loops read x and v coordinate-major, (3, n_total), from copies
- * that `pair_forces` takes; mat is the C-contiguous (n_local, width) list of
- * which row i holds counts[i] real partners, and react, for half lists, is
- * (n_local, 3).
+ * that `pair_forces` takes. The pair list is CSR, like the cell list: row i
+ * is partners[start[i] .. start[i + 1]), the rows back to back. react, for
+ * half lists, is (n_local, 3).
  */
 #include <math.h>
 #include <stdint.h>
@@ -55,20 +55,20 @@ enum { LAW_LJ = 0, LAW_SD = 1 };
 /* Entries of a list row that the Lennard-Jones loop stages at a time. */
 enum { BLOCK = 256 };
 
-/* The flat list offset of the first entry of blk[0, m) (row i, entries from
- * b on) whose partner index is out of range or coincides with i: the scalar
+/* The list offset of the first entry of partners[from, to) (entries of row
+ * i) whose partner index is out of range or coincides with i: the scalar
  * rescan of a block in which a fault was seen, in row order. */
-static int64_t first_fault(const double *x, int64_t n_total, const int32_t *blk, int64_t m,
-                           int64_t i, int64_t width, int64_t b)
+static int64_t first_fault(const double *x, int64_t n_total, const int32_t *partners,
+                           int64_t i, int64_t from, int64_t to)
 {
     const double *y = x + n_total, *z = y + n_total;
-    for (int64_t k = 0; k < m; ++k) {
-        const int32_t j = blk[k];
+    for (int64_t k = from; k < to; ++k) {
+        const int32_t j = partners[k];
         if (j < 0 || j >= n_total)
-            return i * width + b + k;
+            return k;
         const double dx = x[i] - x[j], dy = y[i] - y[j], dz = z[i] - z[j];
         if (dx * dx + dy * dy + dz * dz == 0.0)
-            return i * width + b + k;
+            return k;
     }
     return -1; /* not reached: the caller saw a fault in the block */
 }
@@ -78,9 +78,9 @@ static int64_t first_fault(const double *x, int64_t n_total, const int32_t *blk,
  * in-cutoff partners, in row order. With half, s * delta of every in-cutoff local partner j is also added to
  * react[j], in row-major entry order, for the caller to subtract. With energy,
  * energy[i] = the row's sum of pair energies, at weight 1 for a local partner
- * of a half list and 0.5 otherwise. Returns -1, or the flat list offset
- * i * width + k of the first entry whose partner index is out of range or
- * coincides with i.
+ * of a half list and 0.5 otherwise. Returns -1, or the list offset k (an
+ * index into partners) of the first entry whose partner index is out of
+ * range or coincides with its row's local.
  *
  * A row is taken in blocks of at most BLOCK entries, each in three passes:
  * (1) check the block's partner indices by their min and max, then gather
@@ -98,7 +98,7 @@ static int64_t first_fault(const double *x, int64_t n_total, const int32_t *blk,
 static inline __attribute__((always_inline)) int64_t lj_rows(
     const double *prm, double cutoff_rsq,
     const double *x, int64_t n_total,
-    const int32_t *mat, int64_t width, const int32_t *counts,
+    const int32_t *partners, const int64_t *start,
     int64_t n_local, const int half,
     const int64_t *map, double *force, double *react, double *energy)
 {
@@ -107,20 +107,19 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
     double dx[BLOCK], dy[BLOCK], dz[BLOCK], rsq[BLOCK], s[BLOCK], pe[BLOCK];
     int32_t jj[BLOCK];
     for (int64_t i = 0; i < n_local; ++i) {
-        const int32_t *row = mat + i * width;
         const double xi = x[i], yi = y[i], zi = z[i];
         double fx = 0.0, fy = 0.0, fz = 0.0, e_sum = 0.0;
-        const int64_t n = counts[i];
-        for (int64_t b = 0; b < n; b += BLOCK) {
-            const int32_t *blk = row + b;
-            const int m = n - b < BLOCK ? (int)(n - b) : BLOCK;
+        const int64_t end = start[i + 1];
+        for (int64_t b = start[i]; b < end; b += BLOCK) {
+            const int32_t *blk = partners + b;
+            const int m = end - b < BLOCK ? (int)(end - b) : BLOCK;
             int32_t lo = blk[0], hi = blk[0];
             for (int k = 1; k < m; ++k) {
                 lo = blk[k] < lo ? blk[k] : lo;
                 hi = blk[k] > hi ? blk[k] : hi;
             }
             if (lo < 0 || hi >= n_total)
-                return first_fault(x, n_total, blk, m, i, width, b);
+                return first_fault(x, n_total, partners, i, b, b + m);
             int e = 0, coincident = 0;
             for (int k = 0; k < m; ++k) {
                 const int32_t j = blk[k];
@@ -135,7 +134,7 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
                 e += !(r2 >= cutoff_rsq);
             }
             if (coincident)
-                return first_fault(x, n_total, blk, m, i, width, b);
+                return first_fault(x, n_total, partners, i, b, b + m);
             for (int q = 0; q < e; ++q) {
                 const double sr2 = 1.0 / rsq[q];
                 const double sr6 = sr2 * sr2 * sr2 * sigma6;
@@ -180,25 +179,24 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
 static int64_t sd_rows(
     const double *prm, double cutoff_rsq, int use_vel,
     const double *x, const double *v, int64_t n_total,
-    const int32_t *mat, int64_t width, const int32_t *counts,
+    const int32_t *partners, const int64_t *start,
     int64_t n_local, int half,
     const int64_t *map, double *force, double *react, double *energy)
 {
     const double *y = x + n_total, *z = y + n_total;
     const double *vx = v, *vy = v + n_total, *vz = vy + n_total;
     for (int64_t i = 0; i < n_local; ++i) {
-        const int32_t *row = mat + i * width;
         const double xi = x[i], yi = y[i], zi = z[i];
         double fx = 0.0, fy = 0.0, fz = 0.0, e_sum = 0.0;
-        const int64_t n = counts[i];
-        for (int64_t k = 0; k < n; ++k) {
-            const int32_t j = row[k];
+        const int64_t end = start[i + 1];
+        for (int64_t k = start[i]; k < end; ++k) {
+            const int32_t j = partners[k];
             if (j < 0 || j >= n_total)
-                return i * width + k;
+                return k;
             const double dx = xi - x[j], dy = yi - y[j], dz = zi - z[j];
             const double rsq = dx * dx + dy * dy + dz * dz;
             if (rsq == 0.0)
-                return i * width + k;
+                return k;
             if (!(rsq < cutoff_rsq))
                 continue;
             const double dist = sqrt(rsq);
@@ -250,31 +248,36 @@ static void transpose_rows(const int64_t *map, const double *buf, int64_t n, dou
 }
 
 /* The status codes of `pair_forces` below -1 (nanopair.potential decodes
- * them): a count outside [0, width], no memory for the copies, and
- * FAULT_NON_FINITE - i for a non-finite force on local i. */
-enum { FAULT_COUNTS = -2, FAULT_MEMORY = -3, FAULT_NON_FINITE = -4 };
+ * them): row starts that do not split [0, n_entries) into n_local rows, no
+ * memory for the copies, and FAULT_NON_FINITE - i for a non-finite force on
+ * local i. */
+enum { FAULT_STARTS = -2, FAULT_MEMORY = -3, FAULT_NON_FINITE = -4 };
 
 /* The forces of all n_local rows, by the row loop of the law, written into
  * the force rows of the particle arrays (pos, vel, force share the index
  * map). The loops read coordinate-major copies of rows [0, n_total) of pos,
  * and of vel with use_vel. For half lists, react is zeroed, collects the
  * reactions of the local partners in row-major entry order, and is then
- * subtracted: force (k, y) -= react[3 k + y]. Every count is checked against
- * [0, width] before any row is taken, and every local's force for
- * finiteness after the last, in row order. Returns -1, or the flat list
- * offset of the first faulty entry (see `lj_rows`), or a FAULT code; the
+ * subtracted: force (k, y) -= react[3 k + y]. Before any row is taken the
+ * starts are checked to split partners[0, n_entries) into the n_local rows
+ * (start[0] == 0, never decreasing, start[n_local] == n_entries), so no row
+ * reads outside partners; every local's force is checked for finiteness
+ * after the last row, in row order. Returns -1, or the list offset of the
+ * first faulty entry (see `lj_rows`), or a FAULT code; the
  * local force rows are then incomplete. The Lennard-Jones loop is specialised
  * on half at compile time: a reaction scatter in its summing pass would keep
  * the compiler from vectorising that pass for full lists too. */
 int64_t pair_forces(
     int law, const double *prm, double cutoff_rsq, int use_vel,
     const int64_t *map, const double *pos, const double *vel, double *force, int64_t n_total,
-    const int32_t *mat, int64_t width, const int32_t *counts,
+    const int32_t *partners, int64_t n_entries, const int64_t *start,
     int64_t n_local, int half, double *energy)
 {
+    if (start[0] != 0 || start[n_local] != n_entries)
+        return FAULT_STARTS;
     for (int64_t i = 0; i < n_local; ++i)
-        if (counts[i] < 0 || counts[i] > width)
-            return FAULT_COUNTS;
+        if (start[i + 1] < start[i])
+            return FAULT_STARTS;
     double *x = malloc(3 * n_total * sizeof(double));
     double *v = use_vel ? malloc(3 * n_total * sizeof(double)) : NULL;
     /* calloc: the reaction sums start at +0.0 */
@@ -286,13 +289,13 @@ int64_t pair_forces(
     if (use_vel)
         transpose_rows(map, vel, n_total, v);
     if (law != LAW_LJ)
-        bad = sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, mat, width, counts,
+        bad = sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, partners, start,
                       n_local, half, map, force, react, energy);
     else if (half)
-        bad = lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
+        bad = lj_rows(prm, cutoff_rsq, x, n_total, partners, start,
                       n_local, 1, map, force, react, energy);
     else
-        bad = lj_rows(prm, cutoff_rsq, x, n_total, mat, width, counts,
+        bad = lj_rows(prm, cutoff_rsq, x, n_total, partners, start,
                       n_local, 0, map, force, react, energy);
     if (bad != -1)
         goto done;
@@ -457,20 +460,23 @@ int64_t bin_cells(const double *x, int64_t n, const double *lo, double r, const 
  * full: j != i) and its squared distance, summed x, y, z in that order from
  * dx = x[j] - x[i], is below rsq_max. Every candidate is written and only a
  * kept one advances the end, so the loop does not branch on the test.
- * counts[i] receives the row length.
+ * row_start[i + 1] receives the row's end, row_start[row0] plus its end in
+ * buf, so the rows of successive calls, put back to back, are the CSR list
+ * whose row i is entries [row_start[i], row_start[i + 1]).
  *
  * A row starts only if all its candidates fit behind the entries written so
  * far. Returns the first row not built (n_local when all are); *need is then
- * that row's candidate count, and buf holds the sum of counts[row0..return)
- * entries. */
+ * that row's candidate count, and buf holds the row_start[return] -
+ * row_start[row0] entries of rows [row0, return). */
 static inline __attribute__((always_inline)) int64_t list_rows(
     const double *x, int64_t n_total,
     const int32_t *members, const int64_t *start,
     const int64_t *cell_of, const int64_t *soff, double rsq_max, const int half,
     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
-    int32_t *counts, int64_t *need)
+    int64_t *row_start, int64_t *need)
 {
     const double *y = x + n_total, *z = y + n_total;
+    const int64_t base = row_start[row0];
     int64_t e = 0;
     for (int64_t i = row0; i < n_local; ++i) {
         const int64_t c = cell_of[i];
@@ -482,7 +488,6 @@ static inline __attribute__((always_inline)) int64_t list_rows(
             return i;
         }
         const double xi = x[i], yi = y[i], zi = z[i];
-        const int64_t row = e;
         for (int s = 0; s < 9; ++s) {
             const int64_t end = start[c + soff[s] + 3];
             for (int64_t k = start[c + soff[s]]; k < end; ++k) {
@@ -494,7 +499,7 @@ static inline __attribute__((always_inline)) int64_t list_rows(
                 e += keep;
             }
         }
-        counts[i] = (int32_t)(e - row);
+        row_start[i + 1] = base + e;
     }
     *need = 0;
     return n_local;
@@ -507,27 +512,13 @@ int64_t build_lists(const double *x, int64_t n_total,
                     const int32_t *members, const int64_t *start,
                     const int64_t *cell_of, const int64_t *soff, double rsq_max, int half,
                     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
-                    int32_t *counts, int64_t *need)
+                    int64_t *row_start, int64_t *need)
 {
     if (half)
         return list_rows(x, n_total, members, start, cell_of, soff, rsq_max, 1,
-                         row0, n_local, buf, cap, counts, need);
+                         row0, n_local, buf, cap, row_start, need);
     return list_rows(x, n_total, members, start, cell_of, soff, rsq_max, 0,
-                     row0, n_local, buf, cap, counts, need);
-}
-
-/* Rows [0, n) of the (n, width) list mat: row i receives the next counts[i]
- * entries of flat, in order, then -1 padding to the width. */
-void spread_rows(int64_t n, const int32_t *flat, const int32_t *counts, int32_t *mat, int64_t width)
-{
-    for (int64_t i = 0; i < n; ++i) {
-        int32_t *row = mat + i * width;
-        int64_t k = 0;
-        for (; k < counts[i]; ++k)
-            row[k] = *flat++;
-        for (; k < width; ++k)
-            row[k] = -1;
-    }
+                     row0, n_local, buf, cap, row_start, need);
 }
 
 /* Whether coordinate c passes a face test against bound b: from above on
@@ -583,9 +574,10 @@ void select_rows(const int64_t *map, const double *x, int64_t n,
 }
 
 /* The rows of a record or of a border plan, for r < k: out[r * width + y] =
- * element (idx[r], y) of x + shift[y] (y < 3), then, with v, out[r * width +
- * 3 + y] = element (idx[r], y) of v; with diff, diff[3 r + y] = that out
- * value - element (idx[r], y) of x, the shift a ghost refresh replays. */
+ * element (idx[r], y) of x, plus shift[y] (y < 3) with shift, then, with v,
+ * out[r * width + 3 + y] = element (idx[r], y) of v; with diff, diff[3 r + y]
+ * = that out value - element (idx[r], y) of x, the shift a ghost refresh
+ * replays. */
 void emit_rows(const int64_t *map, const double *x, const double *v, const int64_t *idx,
                int64_t k, const double *shift, int64_t width, double *out, double *diff)
 {
@@ -593,7 +585,7 @@ void emit_rows(const int64_t *map, const double *x, const double *v, const int64
         const int64_t o = row_at(map, idx[r]);
         for (int y = 0; y < 3; ++y) {
             const double c = x[o + y * map[2]];
-            const double emitted = c + shift[y];
+            const double emitted = shift ? c + shift[y] : c;
             out[r * width + y] = emitted;
             if (v)
                 out[r * width + 3 + y] = v[o + y * map[2]];
@@ -603,15 +595,31 @@ void emit_rows(const int64_t *map, const double *x, const double *v, const int64
     }
 }
 
-/* Rows idx[0 .. k) of x := themselves + shift: a rank's own periodic
- * images, wrapped in place. */
-void shift_rows(const int64_t *map, double *x, const int64_t *idx, int64_t k, const double *shift)
+/* Exchange's move of rows idx[0 .. k) through a face, in place: element
+ * (idx[r], y) of x += shift[y], which is 0, or +-(hi[y] - lo[y]) across a
+ * periodic face of the box (lo x, y, z, then hi x, y, z). Rounding can put
+ * the sum on a face that no rank owns. A row that left through the lower
+ * face (shift[y] > 0) and whose sum reaches hi lay so little below lo that
+ * its image is lo: it moves to lo and stays with this rank, which owns lo. A
+ * row that left through the upper face and whose sum falls below lo comes up
+ * to lo. The rows that do not stay keep their order in idx[0 .. return). */
+int64_t shift_rows(const int64_t *map, double *x, int64_t *idx, int64_t k, const double *shift,
+                   const double *box)
 {
+    int64_t moved = 0;
     for (int64_t r = 0; r < k; ++r) {
         double *row = x + row_at(map, idx[r]);
-        for (int y = 0; y < 3; ++y)
-            row[y * map[2]] = row[y * map[2]] + shift[y];
+        int stays = 0;
+        for (int y = 0; y < 3; ++y) {
+            const double lo = box[y], s = shift[y], w = row[y * map[2]] + s;
+            const int home = s > 0.0 && w >= box[3 + y];
+            row[y * map[2]] = home || (s < 0.0 && w < lo) ? lo : w;
+            stays |= home;
+        }
+        if (!stays)
+            idx[moved++] = idx[r];
     }
+    return moved;
 }
 
 /* The first of rows [0, n) that lies in none of the n_boxes half-open boxes

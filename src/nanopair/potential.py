@@ -117,7 +117,7 @@ def law_from_config(cfg):
 
 
 # `pair_forces` status codes below -1 (see pair_kernel.c)
-_FAULT_COUNTS, _FAULT_MEMORY, _FAULT_NON_FINITE = -2, -3, -4
+_FAULT_STARTS, _FAULT_MEMORY, _FAULT_NON_FINITE = -2, -3, -4
 
 
 def compute_forces(
@@ -133,15 +133,16 @@ def compute_forces(
     GIL. It copies the positions (and, for a law that needs them, the
     velocities) coordinate-major out of the layout buffers, and writes each
     local's force into the force buffer in place, through the layout's index
-    map. For local i it reads only the counts[i] real partners of row i,
-    never the -1 padding; an entry at or beyond the cutoff adds nothing, and
-    the force on i is the sum of s * delta over the rest, in row order. For
-    half lists the loop also sums the reaction s * delta of each in-cutoff
-    entry per local partner j, in row-major entry order, and subtracts these
-    sums after the last row. Only the local rows of store.forces are
-    written: ghost rows stay as `append_ghosts` zeroed them. The addresses of
-    the law's parameters and of the lists are taken once, not per call (see
-    nanopair.kernel).
+    map. For local i it reads row i of the CSR list,
+    partners[start[i]:start[i + 1]]; an entry at or beyond the cutoff adds
+    nothing, and the force on i is the sum of s * delta over the rest, in
+    row order. For half lists the loop also sums the reaction s * delta of
+    each in-cutoff entry per local partner j, in row-major entry order, and
+    subtracts these sums after the last row. Only the local rows of
+    store.forces are written: ghost rows stay as `append_ghosts` zeroed
+    them. The addresses of the law's parameters and of the lists are taken
+    once, not per call: the law's when it first runs, the lists' when they
+    are made (see nanopair.kernel).
 
     With accumulate_energy the total pair potential energy is returned;
     otherwise returns None. A half-list entry with a ghost partner carries
@@ -152,10 +153,11 @@ def compute_forces(
     it (see nanopair.backend).
 
     Raises SingularityError on a coincident pair and on a non-finite force,
-    ProtocolError on lists that do not belong to the store as it is; a
-    faulty list entry is reported for the first one in row-major order.
-    TypeError on a list array of the wrong dtype or memory layout. After an
-    error the local force rows are incomplete.
+    ProtocolError on lists that do not belong to the store as it is, and on
+    row starts that do not split the partners into the n_local rows (checked
+    before any row is read); a faulty list entry is reported for the first
+    one in row-major order. After an error the local force rows are
+    incomplete.
     """
     n_local, n_total = store.n_local, store.n_total
     if (n_local, n_total) != (lists.n_local, lists.n_total):
@@ -165,30 +167,30 @@ def compute_forces(
         )
     if n_local == 0:
         return 0.0 if accumulate_energy else None
-    mat, width, counts = lists.kernel_args()
     row_energy = np.empty(n_local) if accumulate_energy else None
     pos = store.positions
     status = kernel.library().pair_forces(
         law.kernel_args[0], law.params_address, law.cutoff_rsq, law.needs_velocities,
         pos.map_address, pos.address, store.velocities.address, store.forces.address, n_total,
-        mat, width, counts, n_local, lists.half,
+        *lists.args, n_local, lists.half,
         None if row_energy is None else kernel.address(row_energy, np.float64),
     )
     if status != -1:
-        _raise_fault(status, lists, n_local, n_total, width)
+        _raise_fault(status, lists, n_local, n_total)
     return None if row_energy is None else float(row_energy.sum())
 
 
-def _raise_fault(status: int, lists: NeighborLists, n_local: int, n_total: int, width: int):
+def _raise_fault(status: int, lists: NeighborLists, n_local: int, n_total: int):
     """The error of a `pair_forces` status other than -1."""
     if status >= 0:
-        i, k = divmod(status, width)
-        j = int(lists.as_matrix()[i, k])
+        # the entry's row: the last one starting at or before it, past any empty rows
+        i = int(np.searchsorted(lists.start, status, "right")) - 1
+        j = int(lists.partners[status])
         if 0 <= j < n_total:
             raise SingularityError(f"coincident pair: local {i} and neighbor {j}")
         raise ProtocolError(f"list row {i} names particle {j} of {n_total}")
-    if status == _FAULT_COUNTS:
-        raise ProtocolError(f"list counts do not fit {n_local} rows of width {width}")
+    if status == _FAULT_STARTS:
+        raise ProtocolError(f"list starts do not split {lists.partners.size} entries into {n_local} rows")
     if status == _FAULT_MEMORY:
         raise MemoryError(f"no memory for the force loop's copies of {n_total} particles")
     raise SingularityError(f"non-finite force on local {_FAULT_NON_FINITE - status}")

@@ -188,7 +188,7 @@ class TestCompiledLoopsMatchNumpy:
         energies, forces = [], []
         for s in (aos, store):
             lists = build_neighbor_lists(s, build_cell_grid(s, box, r), r, half=half)
-            assert np.any(lists.as_matrix() >= n_local)
+            assert np.any(lists.partners >= n_local)
             before = s.forces.buf.copy()
             energies.append(compute_forces(s, lists, law, accumulate_energy=True))
             forces.append(s.forces.read_rows(0, n_local))
@@ -257,8 +257,8 @@ class BlobTransport(MailboxTransport):
         super().send(src, dst, blob)
 
 
-def epoch_worlds(layout, ranks, nan_at=None, faces=True):
-    """Slab worlds over EPOCH_BOX whose stores hold 25 random locals in the
+def epoch_worlds(layout, ranks, nan_at=None, faces=True, box=EPOCH_BOX):
+    """Slab worlds over `box` whose stores hold 25 random locals in the
     slab and then, with `faces`, every face row (79 in all, a multiple of no
     cluster size), with random velocities and forces, and stale rows of 5
     cleared ghosts behind them, in the last local's cluster. `nan_at` =
@@ -268,7 +268,7 @@ def epoch_worlds(layout, ranks, nan_at=None, faces=True):
     rng = np.random.default_rng(41)
     worlds, stores = [], []
     for r in range(ranks):
-        slab = slab_bounds(EPOCH_BOX, grid, rank_grid_coords(r, grid))
+        slab = slab_bounds(box, grid, rank_grid_coords(r, grid))
         pos = slab.lo + rng.random((25, 3)) * slab.extent()
         if faces:
             pos = np.concatenate([pos, face_rows(slab, SPACING)])
@@ -280,8 +280,8 @@ def epoch_worlds(layout, ranks, nan_at=None, faces=True):
         store.append_ghosts(rng.uniform(0.0, 12.0, (N_GHOST, 3)), peer=r)
         store.clear_ghosts()
         stores.append(store)
-        pattern = six_stencil_pattern(grid, r, EPOCH_BOX, SPACING)
-        worlds.append(RankWorld(ranks, r, transport, EPOCH_BOX, RankDomain(r, [slab], SPACING), pattern))
+        pattern = six_stencil_pattern(grid, r, box, SPACING)
+        worlds.append(RankWorld(ranks, r, transport, box, RankDomain(r, [slab], SPACING), pattern))
     return worlds, stores, transport
 
 
@@ -299,15 +299,6 @@ def lockstep(gens):
     return results
 
 
-def outcome(gens):
-    """The message of the ProtocolError that running the phases raised, or None."""
-    try:
-        lockstep(gens)
-    except ProtocolError as err:
-        return str(err)
-    return None
-
-
 def numpy_compact(store, keep):
     """The survivors of `keep` moved up behind the first hole by a
     boolean-mask copy of each array's tail."""
@@ -323,8 +314,12 @@ def numpy_compact(store, keep):
 def exchange_reference(world, store):
     """Numpy reference of `exchange`: per round, every entry's test on a copy
     of the locals as the round starts (x[dim] >= face upward, < face
-    downward), this rank's own images wrapped by a row scatter, one record
-    per remote peer with its entries' departures in entry order, then a
+    downward), emitted as x + shift, except across the periodic boundary
+    where that leaves the global box [lo, hi): a row out through the lower
+    face whose x[dim] + L reaches hi is set to lo by a row scatter and stays,
+    and one out through the upper face whose x[dim] - L falls below lo comes
+    up to lo. Then this rank's own images wrapped by a row scatter, one
+    record per remote peer with its entries' departures in entry order, a
     boolean-mask compaction; finally the ownership check by `owns`."""
     store.clear_ghosts()
     me = world.rank
@@ -336,6 +331,16 @@ def exchange_reference(world, store):
             c = pos[:, e.dim]
             idx = np.nonzero(c >= e.face if e.side > 0 else c < e.face)[0]
             emitted = pos[idx] + e.shift
+            lo, hi = world.global_box.min[e.dim], world.global_box.max[e.dim]
+            w = emitted[:, e.dim]
+            if e.shift[e.dim] > 0:
+                stays = w >= hi
+                home = pos[idx[stays]]
+                home[:, e.dim] = lo
+                store.positions.write_rows_at(idx[stays], home)
+                idx, emitted = idx[~stays], emitted[~stays]
+            elif e.shift[e.dim] < 0:
+                emitted[:, e.dim] = np.where(w < lo, lo, w)
             if e.send_to == me:
                 store.positions.write_rows_at(idx, emitted)
                 continue
@@ -406,25 +411,51 @@ def same_stores(got, want):
         assert buffers(g) == buffers(w)
 
 
+def exchange_matches_reference(layout, ranks, box):
+    """Exchange and its reference over `box` leave the same records and
+    stores, lose no row, and on each rank holding a lower face of `box`, own
+    three rows at the centre of that face: the row that was there, the row
+    one ulp below it and the row from the upper face."""
+    got_w, got_s, got_t = epoch_worlds(layout, ranks, box=box)
+    want_w, want_s, want_t = epoch_worlds(layout, ranks, box=box)
+    before = sum(s.n_local for s in got_s)
+    lockstep([exchange(w, s) for w, s in zip(got_w, got_s)])
+    lockstep([exchange_reference(w, s) for w, s in zip(want_w, want_s)])
+    assert got_t.sent == want_t.sent
+    same_stores(got_s, want_s)
+    assert sum(s.n_local for s in got_s) == before
+    if ranks > 1:
+        assert sum(unpack_particles(b)[1].shape[0] for _, _, b in got_t.sent) > 0
+    for world, store in zip(got_w, got_s):
+        slab = world.domain.ownership[0]
+        pos = store.local_positions()
+        for d in range(3):
+            if slab.min[d] == box.min[d]:
+                at_face = (slab.lo + slab.hi) / 2
+                at_face[d] = box.min[d]
+                assert np.count_nonzero(np.all(pos == at_face, axis=1)) == 3
+
+
 @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
 @pytest.mark.parametrize("ranks", [1, 2, 4])
 class TestEpochLoopsMatchNumpy:
     def test_exchange(self, layout, ranks):
         # the records (selection, emitted rows, velocities, order), the
         # wrapped self-images, the compaction, every other buffer byte and
-        # the ownership check: a row one ulp below the lower periodic face
-        # emerges at x + L = the upper face, by rounding, under both
-        got_w, got_s, got_t = epoch_worlds(layout, ranks)
-        want_w, want_s, want_t = epoch_worlds(layout, ranks)
-        before = sum(s.n_local for s in got_s)
-        failed = outcome([exchange(w, s) for w, s in zip(got_w, got_s)])
-        assert failed == outcome([exchange_reference(w, s) for w, s in zip(want_w, want_s)])
-        assert failed is not None and "12." in failed
-        assert got_t.sent == want_t.sent
-        same_stores(got_s, want_s)
-        assert sum(s.n_local for s in got_s) == before
-        if ranks > 1:
-            assert sum(unpack_particles(b)[1].shape[0] for _, _, b in got_t.sent) > 0
+        # the ownership check. A row one ulp below a lower periodic face
+        # would emerge at x + L = the upper face by rounding: it wraps to
+        # the lower face and stays with its sender, which owns it there
+        below = np.nextafter(EPOCH_BOX.min[0], -np.inf)
+        assert below + EPOCH_BOX.extent()[0] == EPOCH_BOX.max[0]
+        exchange_matches_reference(layout, ranks, EPOCH_BOX)
+
+    def test_exchange_off_origin(self, layout, ranks):
+        # off the origin, the row on an upper periodic face would also
+        # emerge at x - L below the lower face: it comes up to the lower face
+        box = AABB.cube(0.1, 12.1)
+        assert box.max[0] - box.extent()[0] < box.min[0]
+        assert np.nextafter(box.min[0], -np.inf) + box.extent()[0] == box.max[0]
+        exchange_matches_reference(layout, ranks, box)
 
     def test_define_borders(self, layout, ranks):
         # the records, the appended ghosts, and the plan's gather index,

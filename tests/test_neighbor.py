@@ -178,7 +178,7 @@ class TestNeighborLists:
         grid = build_cell_grid(store, box, r)
         half = build_neighbor_lists(store, grid, r, half=True)
         assert half.counts.tolist() == [1]
-        assert half.as_matrix()[0, 0] == 1
+        assert half.partners[half.start[0] : half.start[1]].tolist() == [1]
 
     def test_deterministic_rebuild(self):
         rng = np.random.default_rng(3)
@@ -188,11 +188,13 @@ class TestNeighborLists:
         grid = build_cell_grid(store, box, 2.8)
         a = build_neighbor_lists(store, grid, 2.8, half=True)
         b = build_neighbor_lists(store, grid, 2.8, half=True)
-        np.testing.assert_array_equal(a.as_matrix(), b.as_matrix())
-        np.testing.assert_array_equal(a.counts, b.counts)
+        np.testing.assert_array_equal(a.partners, b.partners)
+        np.testing.assert_array_equal(a.start, b.start)
 
-    def test_capacity_regrow(self):
-        # a dense clump sizes the list to its largest count in one pass
+    def test_capacity_regrow(self, monkeypatch):
+        # a dense clump: every row lists every other local, and with a build
+        # buffer smaller than one row each row gets a buffer of its own size
+        monkeypatch.setattr(neighbor, "_LIST_BUFFER", 16)
         rng = np.random.default_rng(5)
         pos = 5.0 + rng.uniform(-0.1, 0.1, size=(60, 3))
         box = AABB.cube(0.0, 10.0)
@@ -200,14 +202,15 @@ class TestNeighborLists:
         grid = build_cell_grid(store, box, 2.5)
         lists = build_neighbor_lists(store, grid, 2.5, half=False)
         assert lists.counts.tolist() == [59] * 60
-        assert lists.indices.size_y == 59
+        np.testing.assert_array_equal(lists.start, 59 * np.arange(61))
+        assert lists.partners.dtype == np.int32 and lists.start.dtype == np.int64
 
 
 def reference_lists(store, grid, r, half):
     """Per-local reference, from the positions alone: bin every particle by
     the floor formula, then for each local walk the stencil cells in order
     and each cell's particles in index order, apply the index rule, then the
-    r^2 filter. Returns the -1 padded (n_local, width) matrix and the counts."""
+    r^2 filter. Returns the rows, as lists of partner indices."""
     pos = store.all_positions()
     cells = {}
     for j, c in enumerate(floor_cells(pos, grid.origin, grid.cell_size)):
@@ -224,11 +227,7 @@ def reference_lists(store, grid, r, half):
                 if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < r * r:
                     row.append(j)
         rows.append(row)
-    width = max([len(row) for row in rows] + [1])
-    mat = np.full((len(rows), width), -1, dtype=np.int32)
-    for i, row in enumerate(rows):
-        mat[i, : len(row)] = row
-    return mat, np.array([len(row) for row in rows], dtype=np.int32)
+    return rows
 
 
 def ghost_shell(rng, n, box_len, r):
@@ -284,10 +283,12 @@ class TestExactLists:
             # gets a buffer of its own size
             monkeypatch.setattr(neighbor, "_LIST_BUFFER", buffer)
         lists = build_neighbor_lists(store, grid, r, half=half)
-        want_mat, want_counts = reference_lists(store, grid, r, half)
-        np.testing.assert_array_equal(lists.as_matrix(), want_mat)
-        np.testing.assert_array_equal(lists.counts, want_counts)
-        assert lists.indices.size_y == want_mat.shape[1]
+        want = reference_lists(store, grid, r, half)
+        assert lists.partners.dtype == np.int32 and lists.start.dtype == np.int64
+        assert lists.start[0] == 0 and lists.start[-1] == lists.partners.size
+        assert lists.counts.tolist() == [len(row) for row in want]
+        for i, row in enumerate(want):
+            assert lists.partners[lists.start[i] : lists.start[i + 1]].tolist() == row
         if name == "clump":
             occupied = grid.counts[grid.counts > 0]
             assert grid.counts.max() > 4 * occupied.mean()

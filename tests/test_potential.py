@@ -1,5 +1,5 @@
 import subprocess
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from nanopair import kernel
 from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError, SingularityError
-from nanopair.layout import ArrayHandle, column_major_layout, row_major_layout
+from nanopair.layout import row_major_layout
 from nanopair.neighbor import build_cell_grid, build_neighbor_lists
 from nanopair.particles import ParticleStore
 from nanopair.potential import (
@@ -66,6 +66,17 @@ def lj_reference(delta, rsq, epsilon, sigma):
     """Independent form: 24 eps (s/r)^6 [2 (s/r)^6 - 1] * delta / r^2."""
     s6 = (sigma * sigma / rsq) ** 3
     return 24.0 * epsilon * s6 * (2.0 * s6 - 1.0) / rsq * delta
+
+
+def row(lists, i):
+    """Row i of the CSR lists, a writable view of its partners."""
+    return lists.partners[lists.start[i] : lists.start[i + 1]]
+
+
+def csr(rows):
+    """(partners, start) of the CSR list whose rows are `rows`."""
+    partners = np.array([j for r in rows for j in r], dtype=np.int32)
+    return partners, np.concatenate([[0], np.cumsum([len(r) for r in rows])]).astype(np.int64)
 
 
 def forces_of_pair(law, pos, half):
@@ -373,7 +384,7 @@ class TestComputeForces:
         grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
         compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=False), LennardJones())
 
-    @pytest.mark.parametrize("edit", ["partner", "count", "late-partner"])
+    @pytest.mark.parametrize("edit", ["partner", "late-partner"])
     def test_corrupt_lists_rejected(self, edit):
         # list data out of range must raise, not make the compiled loop read outside the arrays
         if edit == "late-partner":
@@ -381,7 +392,7 @@ class TestComputeForces:
             store, box = clumped_store(1.35, 2.8)
             lists = build_neighbor_lists(store, build_cell_grid(store, box, 2.8), 2.8, half=False)
             assert lists.counts[125] > 280
-            lists.indices.view[125, 280] = store.n_total
+            row(lists, 125)[280] = store.n_total
             match = f"list row 125 names particle {store.n_total} of {store.n_total}"
             with pytest.raises(ProtocolError, match=match):
                 compute_forces(store, lists, LennardJones())
@@ -391,14 +402,53 @@ class TestComputeForces:
         store.append_locals(pos, np.zeros((2, 3)))
         grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
-        if edit == "partner":
-            lists.indices.view[1, 0] = 2
-            match = "list row 1 names particle 2 of 2"
-        else:
-            lists.counts[0] = lists.indices.size_y + 1
-            match = "list counts do not fit 2 rows of width 1"
-        with pytest.raises(ProtocolError, match=match):
+        row(lists, 1)[0] = 2
+        with pytest.raises(ProtocolError, match="list row 1 names particle 2 of 2"):
             compute_forces(store, lists, LennardJones())
+
+    @pytest.mark.parametrize(
+        "edit,value",
+        [(0, 1), (1, 5), (-1, 7), (-1, 5)],
+        ids=["first-not-zero", "decreasing", "last-past-entries", "last-short-of-entries"],
+    )
+    @pytest.mark.parametrize("law", [LennardJones(), SpringDashpot(damping=3.0)], ids=["lj", "sd"])
+    def test_corrupt_starts_rejected(self, edit, value, law):
+        # row starts that do not split the partners into the rows must raise
+        # before any row is read, so a row never reads outside the partners:
+        # row 0 also names a particle out of range, and no force row is written
+        store = ParticleStore(row_major_layout(), 3)
+        store.append_locals(np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0], [6.0, 4.0, 4.0]]), np.zeros((3, 3)))
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8), 2.8, half=False)
+        assert lists.start.tolist() == [0, 2, 4, 6]
+        lists.partners[0] = 3
+        lists.start[edit] = value
+        store.forces.write_rows(0, np.full((3, 3), 7.0))
+        with pytest.raises(ProtocolError, match="^list starts do not split 6 entries into 3 rows$"):
+            compute_forces(store, lists, law)
+        assert np.all(local_forces(store) == 7.0)
+
+    @pytest.mark.parametrize("where", ["last-row", "after-empty-rows"])
+    @pytest.mark.parametrize("law", [LennardJones(), SpringDashpot(damping=3.0)], ids=["lj", "sd"])
+    @pytest.mark.parametrize("half", [False, True])
+    def test_partner_fault_names_its_row(self, where, law, half):
+        # the loop reports the faulty entry's offset into the partners; its
+        # row is the last one starting at or before it, past the empty rows
+        # that start at the same offset
+        store = ParticleStore(row_major_layout(), 6)
+        store.append_locals(4.0 + np.outer(np.arange(6.0), [1.0, 0.0, 0.0]) / 2, np.zeros((6, 3)))
+        built = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8), 2.8, half=half)
+        rows = [row(built, i).tolist() for i in range(6)]
+        bad = 5
+        if where == "after-empty-rows":
+            rows[2] = rows[3] = []
+            bad = 4
+        rows[bad] = [1, 0, 6] + rows[bad]
+        partners, start = csr(rows)
+        lists = replace(built, partners=partners, start=start)
+        if where == "after-empty-rows":
+            assert start[2] == start[3] == start[4]
+        with pytest.raises(ProtocolError, match="^list row %d names particle 6 of 6$" % bad):
+            compute_forces(store, lists, law)
 
     @pytest.mark.parametrize(
         "twin_at,bad_at,error",
@@ -418,12 +468,12 @@ class TestComputeForces:
         # the first fault in row order lies in the second staged block
         store, box = clumped_store(1.35, 2.8, twin=True)
         lists = build_neighbor_lists(store, build_cell_grid(store, box, 2.8), 2.8, half=half)
-        row = lists.indices.view[125, : lists.counts[125]]
-        assert row.size > max(twin_at, bad_at or 0) > KERNEL_BLOCK
-        k = int(np.flatnonzero(row == 424)[0])
-        row[k], row[twin_at] = row[twin_at], row[k]
+        partners = row(lists, 125)
+        assert partners.size > max(twin_at, bad_at or 0) > KERNEL_BLOCK
+        k = int(np.flatnonzero(partners == 424)[0])
+        partners[k], partners[twin_at] = partners[twin_at], partners[k]
         if bad_at is not None:
-            row[bad_at] = store.n_total
+            partners[bad_at] = store.n_total
         if error == "coincident":
             with pytest.raises(SingularityError, match="coincident pair: local 125 and neighbor 424$"):
                 compute_forces(store, lists, law)
@@ -452,32 +502,45 @@ class TestKernelArguments:
     before a call, so a wrong one raises instead of being read as raw memory."""
 
     def lists_of_row(self):
-        """Three particles in a row: full lists of width 2."""
+        """Three particles in a row: full lists of 6 entries."""
         store = ParticleStore(row_major_layout(), 3)
         store.append_locals(np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0], [6.0, 4.0, 4.0]]), np.zeros((3, 3)))
         grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
         return store, build_neighbor_lists(store, grid, 2.8, half=False)
 
-    def test_int64_counts_rejected(self):
+    def test_addresses_taken_when_made(self):
+        # the lists are frozen: the arrays whose addresses were taken stay bound
         store, lists = self.lists_of_row()
-        lists.counts = lists.counts.astype(np.int64)
-        with pytest.raises(TypeError, match="^compiled loop argument of dtype int64, expected int32$"):
-            compute_forces(store, lists, LennardJones())
+        partners, n_entries, start = lists.args
+        assert (partners, n_entries, start) == (lists.partners.ctypes.data, 6, lists.start.ctypes.data)
+        assert lists.ref_positions_address == lists.ref_positions.ctypes.data
+        with pytest.raises(FrozenInstanceError):
+            lists.start = lists.start.copy()
+        moved = replace(lists, partners=lists.partners.copy())
+        assert moved.args[0] == moved.partners.ctypes.data != partners
+        compute_forces(store, moved, LennardJones())
 
-    def test_non_contiguous_matrix_rejected(self):
-        store, lists = self.lists_of_row()
-        mat = lists.as_matrix()
-        soa = ArrayHandle(column_major_layout(), *mat.shape, dtype=np.int32)
-        soa.view[...] = mat
-        lists.indices = soa
-        with pytest.raises(TypeError, match=r"^compiled loop argument of shape \(3, 2\) is not C-contiguous$"):
-            compute_forces(store, lists, LennardJones())
+    def test_int32_start_rejected(self):
+        _, lists = self.lists_of_row()
+        with pytest.raises(TypeError, match="^compiled loop argument of dtype int32, expected int64$"):
+            replace(lists, start=lists.start.astype(np.int32))
 
-    def test_counts_of_wrong_shape_rejected(self):
-        store, lists = self.lists_of_row()
-        lists.counts = np.append(lists.counts, 0).astype(np.int32)
-        with pytest.raises(ProtocolError, match="list counts do not fit 3 rows of width 2"):
-            compute_forces(store, lists, LennardJones())
+    def test_non_contiguous_partners_rejected(self):
+        _, lists = self.lists_of_row()
+        strided = np.repeat(lists.partners, 2)[::2]
+        np.testing.assert_array_equal(strided, lists.partners)
+        with pytest.raises(TypeError, match=r"^compiled loop argument of shape \(6,\) is not C-contiguous$"):
+            replace(lists, partners=strided)
+
+    def test_start_of_wrong_shape_rejected(self):
+        _, lists = self.lists_of_row()
+        with pytest.raises(ProtocolError, match=r"^list starts of shape \(5,\) do not fit 3 rows$"):
+            replace(lists, start=np.append(lists.start, 4))
+
+    def test_reference_positions_of_wrong_shape_rejected(self):
+        _, lists = self.lists_of_row()
+        with pytest.raises(TypeError, match=r"^compiled loop argument of shape \(3, 2\), expected \(3, 3\)$"):
+            replace(lists, ref_positions=np.zeros((3, 2)))
 
     def test_address_checks(self):
         xyz = np.zeros((3, 5))
@@ -538,11 +601,10 @@ def pair_loop_forces(store, lists, law, half):
     """Oracle: forces and energy from one `pair_force` call per list entry."""
     n_local = store.n_local
     pos, vel = store.all_positions(), store.velocities.read_rows(0, store.n_total)
-    mat = lists.as_matrix()
     forces = np.zeros((n_local, 3))
     energy = 0.0
     for i in range(n_local):
-        for j in mat[i, : lists.counts[i]]:
+        for j in row(lists, i):
             delta = pos[i] - pos[j]
             rsq = float(delta @ delta)
             if rsq >= law.cutoff_rsq:
@@ -567,24 +629,23 @@ def row_order_forces(store, lists, law):
     partner of a half list and 0.5 otherwise. Returns (forces, energy)."""
     n_local = store.n_local
     pos, vel = store.all_positions(), store.velocities.read_rows(0, store.n_total)
-    mat = lists.as_matrix()
     own = np.zeros((n_local, 3))
     reactions = [[0.0, 0.0, 0.0] for _ in range(n_local)]
     row_energy = np.zeros(n_local)
     for i in range(n_local):
-        row = mat[i, : lists.counts[i]]
-        d = pos[i] - pos[row]
+        partners = row(lists, i)
+        d = pos[i] - pos[partners]
         rsq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
         keep = rsq < law.cutoff_rsq
-        row, d, rsq = row[keep], d[keep], rsq[keep]
+        partners, d, rsq = partners[keep], d[keep], rsq[keep]
         vdot = None
         if law.needs_velocities:
-            dv = vel[i] - vel[row]
+            dv = vel[i] - vel[partners]
             vdot = d[:, 0] * dv[:, 0] + d[:, 1] * dv[:, 1] + d[:, 2] * dv[:, 2]
         g = (force_scalar(law, rsq, vdot)[:, None] * d).tolist()
         pair_e = pair_energy(law, rsq).tolist()
         f, e_sum = [0.0, 0.0, 0.0], 0.0
-        for j, gj, e in zip(row.tolist(), g, pair_e):
+        for j, gj, e in zip(partners.tolist(), g, pair_e):
             f = [f[0] + gj[0], f[1] + gj[1], f[2] + gj[2]]
             local = j < n_local
             if lists.half and local:
@@ -616,12 +677,11 @@ class TestKernelOracle:
         # the build puts the farthest cells last in each row; shuffling the
         # partners puts in-cutoff entries in every column, the last included
         rng = np.random.default_rng(5)
-        for i, k in enumerate(lists.counts):
-            lists.indices.view[i, :k] = rng.permutation(lists.indices.view[i, :k])
-        mat = lists.as_matrix()
-        # rows of unequal length (padding) and ghost partners both occur
-        assert lists.counts.min() < lists.counts.max() == mat.shape[1]
-        assert np.any(mat >= store.n_local)
+        for i in range(store.n_local):
+            row(lists, i)[...] = rng.permutation(row(lists, i))
+        # rows of unequal length and ghost partners both occur
+        assert lists.counts.min() < lists.counts.max()
+        assert np.any(lists.partners >= store.n_local)
         want, want_energy = pair_loop_forces(store, lists, law, half)
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
         got = local_forces(store)
@@ -645,8 +705,8 @@ class TestKernelOracle:
         store, box = clumped_store(clump_radius, r)
         lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
         rng = np.random.default_rng(9)
-        for i, k in enumerate(lists.counts):
-            lists.indices.view[i, :k] = rng.permutation(lists.indices.view[i, :k])
+        for i in range(store.n_local):
+            row(lists, i)[...] = rng.permutation(row(lists, i))
         assert lists.counts.max() > KERNEL_BLOCK and lists.counts.min() == 0
         want, want_energy = row_order_forces(store, lists, law)
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
@@ -669,9 +729,9 @@ class TestKernelOracle:
         store, box = jittered_store(21, r)
         lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
         rng = np.random.default_rng(9)
-        for i, k in enumerate(lists.counts):
-            lists.indices.view[i, :k] = rng.permutation(lists.indices.view[i, :k])
-        assert np.any(lists.as_matrix() >= store.n_local)
+        for i in range(store.n_local):
+            row(lists, i)[...] = rng.permutation(row(lists, i))
+        assert np.any(lists.partners >= store.n_local)
         want, want_energy = row_order_forces(store, lists, law)
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
         np.testing.assert_array_equal(local_forces(store), want)
@@ -703,18 +763,14 @@ class TestKernelOracle:
         flip = (pairs[:, 1] < n_local) & (rng.random(len(pairs)) < 0.9)
         pairs[flip] = pairs[flip][:, ::-1]
         rows = [rng.permutation(pairs[pairs[:, 0] == i, 1]) for i in range(n_local)]
-        counts = np.array([len(row) for row in rows], dtype=np.int32)
-        indices = ArrayHandle(row_major_layout(), n_local, counts.max(), dtype=np.int32)
-        indices.view[...] = -1
-        for i, row in enumerate(rows):
-            indices.view[i, : len(row)] = row
-        lists = replace(built, indices=indices, counts=counts)
-        lower = [(row < i).any() for i, row in enumerate(rows)]
+        partners, start = csr(rows)
+        lists = replace(built, partners=partners, start=start)
+        lower = [(r < i).any() for i, r in enumerate(rows)]
         assert lists.half and sum(lower) > n_local // 4
         if fill == "clumped":
-            assert counts.max() > KERNEL_BLOCK
+            assert lists.counts.max() > KERNEL_BLOCK
         else:
-            assert np.any(indices.view >= n_local)
+            assert np.any(partners >= n_local)
         want, want_energy = row_order_forces(store, lists, law)
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
         np.testing.assert_array_equal(local_forces(store), want)
