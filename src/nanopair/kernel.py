@@ -2,20 +2,21 @@
 
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
 on first use in a process and returns the loaded library with the argument
-types of its functions declared: `bin_cells` (the cell binning),
-`build_lists` (the CSR neighbor-list build), `pair_forces` (the force kernel
-over the list's rows, half-list reactions included), the per-step particle
-loops `kick_drift` and `kick` (the integrators), `max_displacement` (the
-displacement check), `gather_rows` and `put_rows` (the ghost refresh), and
-the epoch's particle loops `select_rows` (the exchange and border tests of a
-round's pattern faces), `emit_rows` (the rows of a record or a border plan,
-shifted), `shift_rows` (exchange's departures moved through their face in
-place), `first_outside` (the ownership check after exchange), `load_histogram`
-(the load balance), `bounding_box` (the cell grid's box) and `compact_rows`
-(the compaction of the locals). A C compiler is therefore a run-time
-requirement of this package. The driver, comm.py, neighbor.py,
-particles.py and potential.py all call into it, which is why the loader
-lives in its own module.
+types of its functions declared: `bin_cells` (the cell binning, which also
+writes the cell-ordered copy of the positions), `build_lists` (the CSR
+neighbor-list build over the stencil's z-runs of cells), `pair_forces` (the
+force kernel over the list's rows, half-list reactions included), the
+per-step particle loops `kick_drift` and `kick` (the integrators),
+`max_displacement` (the displacement check), `gather_rows` and `put_rows`
+(the ghost refresh), and the epoch's particle loops `select_rows` (the
+exchange and border tests of a round's pattern faces), `emit_rows` (the rows
+of a record or a border plan, shifted), `shift_rows` (exchange's departures
+moved through their face in place), `first_outside` (the ownership check
+after exchange), `load_histogram` (the load balance), `bounding_box` (the
+cell grid's box) and `compact_rows` (the compaction of the locals). A C
+compiler is therefore a run-time requirement of this package. The driver,
+comm.py, neighbor.py, particles.py and potential.py all call into it, which
+is why the loader lives in its own module.
 
 The particle loops, and `pair_forces` for the positions, velocities and
 forces, work in place on the buffers of the store's `ArrayHandle`s, through
@@ -102,14 +103,14 @@ def library() -> ctypes.CDLL:
     f64 = i32 = idx = ctypes.c_void_p
     i64 = ctypes.c_int64
     dll.bin_cells.argtypes = [
-        f64, i64, f64, ctypes.c_double, idx,  # x, n, lo, r, dims
-        idx, idx, idx, i32,  # coords, cell_of, start, members
+        f64, i64, f64, ctypes.c_double, i64, idx,  # x, n, lo, h, k, dims
+        idx, idx, idx, i32, f64,  # coords, cell_of, start, members, xs
     ]
     dll.bin_cells.restype = i64
     dll.build_lists.argtypes = [
-        f64, i64,  # x, n_total
+        f64, f64, i64,  # x, xs, n_total
         i32, idx,  # members, start
-        idx, idx, ctypes.c_double, ctypes.c_int,  # cell_of, soff, rsq_max, half
+        idx, idx, i64, ctypes.c_double, ctypes.c_int,  # cell_of, runs, n_runs, rsq_max, half
         i64, i64, i32, i64,  # row0, n_local, buf, cap
         idx, ctypes.POINTER(i64),  # row_start, need
     ]

@@ -1,9 +1,11 @@
 /* The compiled loops of nanopair: the cell binning behind
- * nanopair.neighbor.build_cell_grid (a counting sort into a CSR cell list),
- * the Verlet-list build behind nanopair.neighbor.build_neighbor_lists, which
- * reads each local's 27 stencil cells as 9 contiguous runs of that list, the
- * pair-force row loops behind nanopair.potential.compute_forces, which also
- * sum the half-list reactions, and the per-step particle loops: the two
+ * nanopair.neighbor.build_cell_grid (a counting sort into a CSR cell list
+ * of cells of edge r or r/2, with a cell-ordered copy of the positions), the
+ * Verlet-list build behind nanopair.neighbor.build_neighbor_lists, which
+ * reads each local's stencil (27 cells of edge r, or 125 of edge r/2) as 9
+ * or 25 contiguous z-runs of that list and of the copy, the pair-force row
+ * loops behind nanopair.potential.compute_forces, which also sum the
+ * half-list reactions, and the per-step particle loops: the two
  * integrator kicks and the drift (nanopair.driver), the displacement check
  * (nanopair.neighbor.max_displacement_since_rebuild) and the ghost refresh's
  * gather and write (nanopair.comm.synchronize,
@@ -408,30 +410,34 @@ void put_rows(const int64_t *map, double *x, int64_t start, int64_t k, const dou
     }
 }
 
-/* Bins particles [0, n) of x into the cells of edge r whose interior starts
- * at lo: dims[d] interior cells per axis plus one shell cell on each side.
- * Per axis, f = floor((x - lo) / r), the arithmetic of the numpy formula; f is
- * tested as a double, so a NaN fails the test, and a particle with f outside
- * [-1, dims[d]] lies more than one shell cell out. Writes the shell-shifted
- * coordinates f + 1 to coords (3, n), the cell id (c0 * g1 + c1) * g2 + c2
- * (g = dims + 2) to cell_of (n,), and the CSR cell list: cell c holds
- * members[start[c] .. start[c + 1]), in index order (a counting sort, so
- * stable). Returns -1, or the first particle more than one shell cell out;
- * the outputs are then incomplete. */
-int64_t bin_cells(const double *x, int64_t n, const double *lo, double r, const int64_t *dims,
-                  int64_t *coords, int64_t *cell_of, int64_t *start, int32_t *members)
+/* Bins particles [0, n) of x into the cells of edge h whose interior starts
+ * at lo: dims[d] interior cells per axis plus a shell of k cells on each
+ * side. Per axis, f = floor((x - lo) / h), the arithmetic of the numpy
+ * formula; f is tested as a double, so a NaN fails the test, and a particle
+ * with f outside [-k, dims[d] + k - 1] lies beyond the shell. Writes the
+ * shell-shifted coordinates f + k to coords (3, n), the cell id
+ * (c0 * g1 + c1) * g2 + c2 (g = dims + 2k) to cell_of (n,), and the CSR cell
+ * list: cell c holds members[start[c] .. start[c + 1]), in index order (a
+ * counting sort, so stable). The scatter that fills members also copies
+ * each particle's coordinates to its slot of xs (3, n): xs[d][p] =
+ * x[d][members[p]], so a loop over a run of members reads the coordinates
+ * in order instead of gathering them. Returns -1, or the first particle
+ * beyond the shell; the outputs are then incomplete. */
+int64_t bin_cells(const double *x, int64_t n, const double *lo, double h, int64_t k,
+                  const int64_t *dims, int64_t *coords, int64_t *cell_of, int64_t *start,
+                  int32_t *members, double *xs)
 {
-    const int64_t g[3] = {dims[0] + 2, dims[1] + 2, dims[2] + 2};
+    const int64_t g[3] = {dims[0] + 2 * k, dims[1] + 2 * k, dims[2] + 2 * k};
     const int64_t n_cells = g[0] * g[1] * g[2];
     for (int64_t c = 0; c <= n_cells; ++c)
         start[c] = 0;
     for (int64_t i = 0; i < n; ++i) {
         int64_t cell = 0;
         for (int d = 0; d < 3; ++d) {
-            const double f = floor((x[d * n + i] - lo[d]) / r);
-            if (!(f >= -1.0 && f <= (double)dims[d]))
+            const double f = floor((x[d * n + i] - lo[d]) / h);
+            if (!(f >= (double)-k && f <= (double)(dims[d] + k - 1)))
                 return i;
-            const int64_t c = (int64_t)f + 1;
+            const int64_t c = (int64_t)f + k;
             coords[d * n + i] = c;
             cell = cell * g[d] + c;
         }
@@ -441,8 +447,13 @@ int64_t bin_cells(const double *x, int64_t n, const double *lo, double r, const 
     for (int64_t c = 0; c < n_cells; ++c)
         start[c + 1] += start[c];
     /* start[c] walks to the end of cell c, which is start[c + 1] before the walk */
-    for (int64_t i = 0; i < n; ++i)
-        members[start[cell_of[i]]++] = (int32_t)i;
+    for (int64_t i = 0; i < n; ++i) {
+        const int64_t p = start[cell_of[i]]++;
+        members[p] = (int32_t)i;
+        xs[p] = x[i];
+        xs[n + p] = x[n + i];
+        xs[2 * n + p] = x[2 * n + i];
+    }
     for (int64_t c = n_cells; c > 0; --c)
         start[c] = start[c - 1];
     start[0] = 0;
@@ -451,48 +462,56 @@ int64_t bin_cells(const double *x, int64_t n, const double *lo, double r, const 
 
 /* List rows of locals [row0, n_local), in local order, into buf (cap
  * entries). Local i lies in cell cell_of[i]; its candidates are the members
- * of the 27 stencil cells, read as 9 runs: for each (dx, dy) of the stencil,
- * the z-neighbours b - 1, b, b + 1 of the middle cell b are consecutive cell
- * ids, so their members are the one run members[start[b - 1] .. start[b + 2]).
- * soff[s] is the offset of run s's first cell from cell_of[i]. The runs are
- * taken in stencil order (x slowest, z fastest) and each cell's members in
- * index order. A candidate j is kept when the index rule holds (half: j > i,
- * full: j != i) and its squared distance, summed x, y, z in that order from
- * dx = x[j] - x[i], is below rsq_max. Every candidate is written and only a
- * kept one advances the end, so the loop does not branch on the test.
- * row_start[i + 1] receives the row's end, row_start[row0] plus its end in
- * buf, so the rows of successive calls, put back to back, are the CSR list
- * whose row i is entries [row_start[i], row_start[i + 1]).
+ * of the stencil cells, read as the n_runs runs of the table runs (n_runs,
+ * 2): run s is the runs[s][1] cells from cell_of[i] + runs[s][0] on, which
+ * are consecutive ids (z-neighbours), so their members are the one slice
+ * members[start[b] .. start[b + runs[s][1]]) with b = cell_of[i] + runs[s][0],
+ * and their coordinates the same slice of xs, the cell-ordered copy of the
+ * positions x (both (3, n_total)). The runs are taken in table order and
+ * each cell's members in index order. A candidate j is kept when the index
+ * rule holds (half: j > i, full: j != i) and its squared distance, summed x,
+ * y, z in that order from dx = x[j] - x[i], is below rsq_max. Every
+ * candidate is written and only a kept one advances the end, so the loop
+ * does not branch on the test. row_start[i + 1] receives the row's end,
+ * row_start[row0] plus its end in buf, so the rows of successive calls, put
+ * back to back, are the CSR list whose row i is entries [row_start[i],
+ * row_start[i + 1]).
  *
  * A row starts only if all its candidates fit behind the entries written so
- * far. Returns the first row not built (n_local when all are); *need is then
- * that row's candidate count, and buf holds the row_start[return] -
- * row_start[row0] entries of rows [row0, return). */
+ * far. A row has at most n_total candidates, so the run lengths are summed
+ * only when fewer than n_total slots remain. Returns the first row not built
+ * (n_local when all are); *need is then that row's candidate count, and buf
+ * holds the row_start[return] - row_start[row0] entries of rows [row0,
+ * return). */
 static inline __attribute__((always_inline)) int64_t list_rows(
-    const double *x, int64_t n_total,
+    const double *x, const double *xs, int64_t n_total,
     const int32_t *members, const int64_t *start,
-    const int64_t *cell_of, const int64_t *soff, double rsq_max, const int half,
+    const int64_t *cell_of, const int64_t *runs, int64_t n_runs, double rsq_max, const int half,
     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
     int64_t *row_start, int64_t *need)
 {
     const double *y = x + n_total, *z = y + n_total;
+    const double *ys = xs + n_total, *zs = ys + n_total;
     const int64_t base = row_start[row0];
     int64_t e = 0;
     for (int64_t i = row0; i < n_local; ++i) {
         const int64_t c = cell_of[i];
-        int64_t total = 0;
-        for (int s = 0; s < 9; ++s)
-            total += start[c + soff[s] + 3] - start[c + soff[s]];
-        if (total > cap - e) {
-            *need = total;
-            return i;
+        if (cap - e < n_total) {
+            int64_t total = 0;
+            for (int64_t s = 0; s < n_runs; ++s)
+                total += start[c + runs[2 * s] + runs[2 * s + 1]] - start[c + runs[2 * s]];
+            if (total > cap - e) {
+                *need = total;
+                return i;
+            }
         }
         const double xi = x[i], yi = y[i], zi = z[i];
-        for (int s = 0; s < 9; ++s) {
-            const int64_t end = start[c + soff[s] + 3];
-            for (int64_t k = start[c + soff[s]]; k < end; ++k) {
+        for (int64_t s = 0; s < n_runs; ++s) {
+            const int64_t b = c + runs[2 * s];
+            const int64_t end = start[b + runs[2 * s + 1]];
+            for (int64_t k = start[b]; k < end; ++k) {
                 const int32_t j = members[k];
-                const double dx = x[j] - xi, dy = y[j] - yi, dz = z[j] - zi;
+                const double dx = xs[k] - xi, dy = ys[k] - yi, dz = zs[k] - zi;
                 const double rsq = dx * dx + dy * dy + dz * dz;
                 const int keep = (rsq < rsq_max) & (half ? j > i : j != i);
                 buf[e] = j;
@@ -508,16 +527,16 @@ static inline __attribute__((always_inline)) int64_t list_rows(
 /* `list_rows` with the index rule fixed at compile time: one compare per
  * candidate instead of a select between two (3-8 % faster on a 6912-atom LJ
  * rank). */
-int64_t build_lists(const double *x, int64_t n_total,
+int64_t build_lists(const double *x, const double *xs, int64_t n_total,
                     const int32_t *members, const int64_t *start,
-                    const int64_t *cell_of, const int64_t *soff, double rsq_max, int half,
+                    const int64_t *cell_of, const int64_t *runs, int64_t n_runs, double rsq_max, int half,
                     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
                     int64_t *row_start, int64_t *need)
 {
     if (half)
-        return list_rows(x, n_total, members, start, cell_of, soff, rsq_max, 1,
+        return list_rows(x, xs, n_total, members, start, cell_of, runs, n_runs, rsq_max, 1,
                          row0, n_local, buf, cap, row_start, need);
-    return list_rows(x, n_total, members, start, cell_of, soff, rsq_max, 0,
+    return list_rows(x, xs, n_total, members, start, cell_of, runs, n_runs, rsq_max, 0,
                      row0, n_local, buf, cap, row_start, need);
 }
 

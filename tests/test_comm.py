@@ -745,8 +745,8 @@ GOLDEN_WORKLOADS = {
     "sd-halfdiag-p2": (SD.with_overrides(layout_kind="aosoa", aosoa_cluster=8), 2),
 }
 GOLDEN_HASHES = {
-    "lj-p1-full": "952383627850ac14",
-    "lj-p8-half": "5a24afcbf158d170",
+    "lj-p1-full": "4de234d79d1400de",
+    "lj-p8-half": "934011247a23a65b",
     "sd-halfdiag-p2": "c78cc663dc655ed6",
 }
 

@@ -1,23 +1,33 @@
+import itertools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nanopair import neighbor
-from nanopair.core import AABB
+from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError
 from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
 from nanopair.neighbor import (
-    _STENCIL,
     build_cell_grid,
     build_neighbor_lists,
     max_displacement_since_rebuild,
 )
-from nanopair.particles import ParticleStore
+from nanopair.particles import ParticleStore, lattice_positions
 
 
 LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4), clustered_layout(8)]
 LAYOUT_IDS = ["aos", "soa", "aosoa4", "aosoa8"]
+
+# cells per interaction radius: 1 (edge r) and 2 (edge r/2)
+SHELLS = [1, 2]
+
+
+def force_shell(monkeypatch, shell):
+    """Make build_cell_grid pick `shell` cells per r whatever the density."""
+    monkeypatch.setattr(neighbor, "_DENSE", 0.0 if shell == 2 else np.inf)
 
 
 def make_store(pos, n_ghost=0, layout=None):
@@ -43,39 +53,50 @@ def brute_force_pairs(pos, r):
     return pairs
 
 
-def floor_cells(pos, lo, r):
-    """(n, 3) shell-shifted cell coordinates, floor((x - lo) / r) + 1."""
-    return np.floor((np.asarray(pos) - lo) / r).astype(np.int64) + 1
+def floor_cells(pos, lo, edge, shell=1):
+    """(n, 3) shell-shifted cell coordinates, floor((x - lo) / edge) + shell."""
+    return np.floor((np.asarray(pos) - lo) / edge).astype(np.int64) + shell
 
 
 class TestCellGrid:
-    def test_floor_binning_example(self):
+    """Binning at both cell edges: r (one shell cell per r) and r/2 (two)."""
+
+    def test_floor_binning_example(self, monkeypatch):
         box = AABB.cube(0.0, 8.4)
         store = make_store([[5.7, 0.1, 0.2]])
-        grid = build_cell_grid(store, box, 2.8)
-        np.testing.assert_array_equal(grid.coords[0] - 1, [2, 0, 0])
+        for shell, want in [(1, [2, 0, 0]), (2, [4, 0, 0])]:
+            force_shell(monkeypatch, shell)
+            grid = build_cell_grid(store, box, 2.8)
+            assert grid.shell == shell and grid.cell_size == 2.8 / shell
+            np.testing.assert_array_equal(grid.coords[0] - shell, want)
 
-    def test_boundary_goes_to_higher_cell(self):
+    def test_boundary_goes_to_higher_cell(self, monkeypatch):
         box = AABB.cube(0.0, 8.4)
-        store = make_store([[2.8, 0.0, 0.0]])
-        grid = build_cell_grid(store, box, 2.8)
-        assert grid.coords[0][0] - 1 == 1
+        store = make_store([[2.8, 1.4, 0.0]])
+        for shell, want in [(1, [1, 0, 0]), (2, [2, 1, 0])]:
+            force_shell(monkeypatch, shell)
+            grid = build_cell_grid(store, box, 2.8)
+            np.testing.assert_array_equal(grid.coords[0] - shell, want)
 
-    def test_every_particle_binned_once(self):
+    def test_every_particle_binned_once(self, monkeypatch):
         rng = np.random.default_rng(8)
         box = AABB.cube(0.0, 10.0)
         pos = rng.uniform(0, 10, size=(400, 3))
         store = make_store(pos, n_ghost=50)
-        grid = build_cell_grid(store, box, 2.5)
-        assert sorted(grid.members.tolist()) == list(range(400))
-        want = grid.cell_id(floor_cells(pos, box.lo, 2.5))
-        np.testing.assert_array_equal(grid.cell_of, want)
-        counts = np.bincount(want, minlength=grid.start.size - 1)
-        np.testing.assert_array_equal(grid.start, np.concatenate([[0], np.cumsum(counts)]))
-        for c in range(counts.size):
-            cell = grid.members[grid.start[c] : grid.start[c + 1]]
-            assert np.all(np.diff(cell) > 0), "a cell's members must ascend"
-            assert np.all(want[cell] == c)
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            grid = build_cell_grid(store, box, 2.5)
+            assert sorted(grid.members.tolist()) == list(range(400))
+            want = grid.cell_id(floor_cells(pos, box.lo, 2.5 / shell, shell))
+            np.testing.assert_array_equal(grid.cell_of, want)
+            counts = np.bincount(want, minlength=grid.start.size - 1)
+            np.testing.assert_array_equal(grid.start, np.concatenate([[0], np.cumsum(counts)]))
+            for c in range(counts.size):
+                cell = grid.members[grid.start[c] : grid.start[c + 1]]
+                assert np.all(np.diff(cell) > 0), "a cell's members must ascend"
+                assert np.all(want[cell] == c)
+            # the cell-ordered copy is the positions gathered in member order, bit for bit
+            assert grid.sorted_positions.tobytes() == pos[grid.members].T.copy().tobytes()
 
     def test_nan_position_named(self):
         for row, kind in [(3, "local"), (370, "ghost")]:
@@ -87,22 +108,49 @@ class TestCellGrid:
                 with pytest.raises(ProtocolError, match=rf"^{kind} particle {row} at \[.*nan"):
                     build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
 
-    def test_ghost_shell_accepted_beyond_rejected(self):
+    def test_ghost_shell_accepted_beyond_rejected(self, monkeypatch):
+        # the shell is r wide at either edge: a ghost just inside r of the
+        # box is binned, one just beyond r is not, on both sides of each axis
         box = AABB.cube(0.0, 10.0)
-        store = make_store([[5.0, 5.0, 5.0], [-2.4, 5.0, 5.0]], n_ghost=1)
-        build_cell_grid(store, box, 2.5)  # ghost within one shell: fine
-        bad = make_store([[5.0, 5.0, 5.0], [-2.6, 5.0, 5.0]], n_ghost=1)
-        with pytest.raises(ProtocolError):
-            build_cell_grid(bad, box, 2.5)
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            for axis, side in itertools.product(range(3), (-1, 1)):
+                face = 0.0 if side < 0 else 10.0
+                for offset, ok in [(2.4, True), (2.6, False)]:
+                    ghost = [5.0, 5.0, 5.0]
+                    ghost[axis] = face + side * offset
+                    store = make_store([[5.0, 5.0, 5.0], ghost], n_ghost=1)
+                    if ok:
+                        grid = build_cell_grid(store, box, 2.5)
+                        assert grid.coords[1][axis] in (0, grid.shell_dims[axis] - 1)
+                    else:
+                        with pytest.raises(ProtocolError, match=r"^ghost particle 1 at .* beyond the ghost shell \(r = 2.5 wide\)"):
+                            build_cell_grid(store, box, 2.5)
+
+    def test_edge_follows_density(self):
+        # miniMD's FCC lattice at rho = 0.8442 and r = 2.8 holds about 18
+        # particles per r^3: cells of edge r/2. The half-diagonal SD fill
+        # (rho = 1.5 on half the box, r = 1.3) holds about 2: cells of edge r
+        lj = SimConfig(unit_cells=(6, 6, 6)).validate()
+        sd = SimConfig(
+            unit_cells=(6, 6, 6), lattice_density=1.5, potential_kind="sd", cutoff=1.0, fill="half-diagonal"
+        ).validate()
+        for cfg, shell in [(lj, 2), (sd, 1)]:
+            pos = lattice_positions(cfg, cfg.domain())
+            r = cfg.interaction_radius()
+            grid = build_cell_grid(make_store(pos), AABB.from_arrays(pos.min(axis=0), pos.max(axis=0) + 1e-9), r)
+            assert grid.shell == shell and grid.cell_size == r / shell
 
 
 class TestNeighborLists:
-    def test_local_in_ghost_shell_rejected(self):
-        # the 27 cells around a local outside the grid's box are not all in the grid
-        store = make_store([[5.0, 5.0, 5.0], [-2.4, 5.0, 5.0]])
-        grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
-        with pytest.raises(ProtocolError, match="local particle 1 lies in the ghost shell"):
-            build_neighbor_lists(store, grid, 2.5, half=False)
+    def test_local_in_ghost_shell_rejected(self, monkeypatch):
+        # the stencil's cells around a local outside the grid's box are not all in the grid
+        for shell, x in itertools.product(SHELLS, (-2.4, -0.1, 10.0, 12.4)):
+            force_shell(monkeypatch, shell)
+            store = make_store([[5.0, 5.0, 5.0], [x, 5.0, 5.0]])
+            grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+            with pytest.raises(ProtocolError, match="local particle 1 lies in the ghost shell"):
+                build_neighbor_lists(store, grid, 2.5, half=False)
 
     def test_grid_of_other_store_rejected(self):
         store = make_store([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0]])
@@ -206,20 +254,26 @@ class TestNeighborLists:
         assert lists.partners.dtype == np.int32 and lists.start.dtype == np.int64
 
 
+def stencil(shell):
+    """The (2k + 1)^3 cell steps within r of a cell, k = shell, x slowest, z fastest."""
+    return list(itertools.product(range(-shell, shell + 1), repeat=3))
+
+
 def reference_lists(store, grid, r, half):
     """Per-local reference, from the positions alone: bin every particle by
-    the floor formula, then for each local walk the stencil cells in order
-    and each cell's particles in index order, apply the index rule, then the
-    r^2 filter. Returns the rows, as lists of partner indices."""
+    the floor formula at the grid's edge, then for each local walk the
+    stencil cells in order and each cell's particles in index order, apply
+    the index rule, then the r^2 filter. Returns the rows, as lists of
+    partner indices."""
     pos = store.all_positions()
     cells = {}
-    for j, c in enumerate(floor_cells(pos, grid.origin, grid.cell_size)):
+    for j, c in enumerate(floor_cells(pos, grid.origin, grid.cell_size, grid.shell)):
         cells.setdefault(tuple(c), []).append(j)
     rows = []
     for i in range(store.n_local):
         row = []
-        here = floor_cells(pos[i], grid.origin, grid.cell_size)
-        for step in _STENCIL:
+        here = floor_cells(pos[i], grid.origin, grid.cell_size, grid.shell)
+        for step in stencil(grid.shell):
             for j in cells.get(tuple(here + step), []):
                 if j <= i if half else j == i:
                     continue
@@ -231,7 +285,7 @@ def reference_lists(store, grid, r, half):
 
 
 def ghost_shell(rng, n, box_len, r):
-    """n points within one cell shell of the cube [0, box_len)^3, outside it."""
+    """n points within r of the cube [0, box_len)^3, outside it: in the ghost shell at either cell edge."""
     pts = []
     while len(pts) < n:
         p = rng.uniform(-0.95 * r, box_len + 0.95 * r, size=3)
@@ -265,7 +319,7 @@ def oracle_case(name):
 
 class TestExactLists:
     """The build must give exactly the per-local reference list, partner
-    order included: forces sum the row in that order."""
+    order included, at both cell edges: forces sum the row in that order."""
 
     @pytest.mark.parametrize("buffer", [None, 64, "largest-row"], ids=["default-blocks", "tiny-blocks", "one-row"])
     @pytest.mark.parametrize("half", [False, True])
@@ -273,25 +327,93 @@ class TestExactLists:
     def test_equals_reference(self, name, half, buffer, monkeypatch):
         pos, n_ghost, box_len, r = oracle_case(name)
         store = make_store(pos, n_ghost=n_ghost)
-        grid = build_cell_grid(store, AABB.cube(0.0, box_len), r)
-        if buffer == "largest-row":
-            # the row with the most candidates fills the buffer exactly
-            cells = grid.cell_id(grid.coords[: store.n_local, None, :] + _STENCIL)
-            buffer = int(grid.counts[cells].sum(axis=1).max(initial=0))
-        if buffer is not None:
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            grid = build_cell_grid(store, AABB.cube(0.0, box_len), r)
+            steps = np.array(stencil(shell))
+            # the run table walks the stencil in the reference's order
+            np.testing.assert_array_equal(
+                [off + t for off, length in grid.runs() for t in range(length)], grid.cell_id(steps)
+            )
+            size = buffer
+            if buffer == "largest-row":
+                # the row with the most candidates fills the buffer exactly
+                cells = grid.cell_id(grid.coords[: store.n_local, None, :] + steps)
+                size = int(grid.counts[cells].sum(axis=1).max(initial=0))
             # 64 holds one or two rows per call; a row with more candidates
             # gets a buffer of its own size
-            monkeypatch.setattr(neighbor, "_LIST_BUFFER", buffer)
-        lists = build_neighbor_lists(store, grid, r, half=half)
-        want = reference_lists(store, grid, r, half)
-        assert lists.partners.dtype == np.int32 and lists.start.dtype == np.int64
-        assert lists.start[0] == 0 and lists.start[-1] == lists.partners.size
-        assert lists.counts.tolist() == [len(row) for row in want]
-        for i, row in enumerate(want):
-            assert lists.partners[lists.start[i] : lists.start[i + 1]].tolist() == row
-        if name == "clump":
-            occupied = grid.counts[grid.counts > 0]
-            assert grid.counts.max() > 4 * occupied.mean()
+            monkeypatch.setattr(neighbor, "_LIST_BUFFER", size or 1 << 18)
+            lists = build_neighbor_lists(store, grid, r, half=half)
+            want = reference_lists(store, grid, r, half)
+            assert lists.partners.dtype == np.int32 and lists.start.dtype == np.int64
+            assert lists.start[0] == 0 and lists.start[-1] == lists.partners.size
+            assert lists.counts.tolist() == [len(row) for row in want]
+            for i, row in enumerate(want):
+                assert lists.partners[lists.start[i] : lists.start[i + 1]].tolist() == row
+            if name == "clump":
+                occupied = grid.counts[grid.counts > 0]
+                assert grid.counts.max() > 4 * occupied.mean()
+
+
+@st.composite
+def face_clouds(draw):
+    """(locals and ghosts stacked, n_ghost, box length, r): locals in the cube
+    [0, L)^3 with L a whole number of r, ghosts within r outside it. Each
+    coordinate is a free float, a multiple of r/2 (a face of the half-width
+    cells, and every other one a face of the cells of edge r), or one ulp
+    below such a face."""
+    r = draw(st.sampled_from([2.0, 2.5, 2.8]))
+    box_len = draw(st.integers(2, 3)) * r
+    half_cells = int(round(box_len / r)) * 2
+
+    def coord(lo_face, hi_face):
+        kind = draw(st.sampled_from(["face", "below", "free"]))
+        if kind == "free":
+            return draw(st.floats(lo_face * r / 2, hi_face * r / 2, exclude_max=True))
+        v = draw(st.integers(lo_face, hi_face - 1)) * (r / 2)
+        return np.nextafter(v, -np.inf) if kind == "below" and v > lo_face * r / 2 else v
+
+    n_local = draw(st.integers(0, 40))
+    locs = [[coord(0, half_cells) for _ in range(3)] for _ in range(n_local)]
+    ghosts = []
+    for _ in range(draw(st.integers(0, 30))):
+        p = [coord(-2, half_cells + 2) for _ in range(3)]
+        if any(c < 0.0 or c >= box_len for c in p):
+            ghosts.append(p)
+    pos = np.array(locs + ghosts, dtype=np.float64).reshape(-1, 3)
+    return pos, len(ghosts), box_len, r
+
+
+class TestListsAgainstAllPairs:
+    """Every row holds exactly the particles within r of its local, by the
+    O(N^2) oracle over locals and ghosts, at both cell edges and for both
+    list kinds, on coordinates on cell faces and one ulp below them."""
+
+    @given(face_clouds())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_brute_force(self, case):
+        pos, n_ghost, box_len, r = case
+        store = make_store(pos, n_ghost=n_ghost)
+        n_local = store.n_local
+        want = []
+        for i in range(n_local):
+            d = pos - pos[i]
+            rsq = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+            want.append({j for j in np.flatnonzero(rsq < r * r).tolist() if j != i})
+        for shell, half in itertools.product(SHELLS, (False, True)):
+            with pytest.MonkeyPatch.context() as mp:
+                force_shell(mp, shell)
+                grid = build_cell_grid(store, AABB.cube(0.0, box_len), r)
+            assert grid.shell == shell
+            lists = build_neighbor_lists(store, grid, r, half=half)
+            for i in range(n_local):
+                row = lists.partners[lists.start[i] : lists.start[i + 1]].tolist()
+                assert len(row) == len(set(row))
+                assert set(row) == {j for j in want[i] if j > i or not half}
+            if half:
+                local_pairs = [(min(i, j), max(i, j)) for i, j in lists.pairs().tolist() if j < n_local]
+                assert len(local_pairs) == len(set(local_pairs))
+                assert set(local_pairs) == {(i, j) for i in range(n_local) for j in want[i] if i < j < n_local}
 
 
 class TestDisplacement:
@@ -335,14 +457,14 @@ class TestDisplacement:
             max_displacement_since_rebuild(store, lists)
 
 
-def edge_cloud(box, r, n=301, seed=5):
-    """Points of a grid box and its ghost shell, a third of them exactly on
-    cell faces (lo plus multiples of r), and points on lo, on hi and near
-    the outer face of the shell."""
+def edge_cloud(box, r, edge, n=301, seed=5):
+    """Points of a grid box and its ghost shell (r wide), a third of them
+    exactly on cell faces (lo plus multiples of the cell edge), and points
+    on lo, on hi and near the outer face of the shell."""
     rng = np.random.default_rng(seed)
     lo, hi, shell = box.lo, box.hi, 0.999 * r
     pts = rng.uniform(lo - shell, hi + shell, size=(n, 3))
-    faces = lo + r * rng.integers(0, int(box.extent().max() / r) + 1, size=(n // 3, 3))
+    faces = lo + edge * rng.integers(0, int(box.extent().max() / edge) + 1, size=(n // 3, 3))
     pts[: n // 3] = np.minimum(faces, hi + shell)
     pts[n // 3] = lo
     pts[n // 3 + 1] = hi
@@ -359,27 +481,35 @@ class TestPerAxisOracles:
     R = 2.8
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
-    def test_cell_coords_match_broadcast(self, layout):
-        pos = edge_cloud(self.BOX, self.R)
-        store = make_store(pos, n_ghost=37, layout=layout)
-        before = store.positions.buf.copy()
-        grid = build_cell_grid(store, self.BOX, self.R)
-        want = np.floor((pos - self.BOX.lo) / self.R).astype(np.int64) + 1
-        assert grid.coords.shape == (pos.shape[0], 3) and grid.coords.dtype == np.int64
-        np.testing.assert_array_equal(grid.coords, want)
-        np.testing.assert_array_equal(grid.counts, np.bincount(grid.cell_id(want), minlength=grid.counts.size))
-        assert store.positions.buf.tobytes() == before.tobytes()
+    def test_cell_coords_match_broadcast(self, layout, monkeypatch):
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            edge = self.R / shell
+            pos = edge_cloud(self.BOX, self.R, edge)
+            store = make_store(pos, n_ghost=37, layout=layout)
+            before = store.positions.buf.copy()
+            grid = build_cell_grid(store, self.BOX, self.R)
+            want = np.floor((pos - self.BOX.lo) / edge).astype(np.int64) + shell
+            assert grid.coords.shape == (pos.shape[0], 3) and grid.coords.dtype == np.int64
+            np.testing.assert_array_equal(grid.coords, want)
+            np.testing.assert_array_equal(grid.counts, np.bincount(grid.cell_id(want), minlength=grid.counts.size))
+            assert grid.sorted_positions.tobytes() == pos[grid.members].T.copy().tobytes()
+            assert store.positions.buf.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("kind, row", [("local", 4), ("ghost", 300)])
-    def test_far_particle_named(self, kind, row):
-        pos = edge_cloud(self.BOX, self.R)
-        pos[row, 1] = self.BOX.hi[1] + 2 * self.R
-        store = make_store(pos, n_ghost=37)
-        with pytest.raises(ProtocolError, match=rf"^{kind} particle {row} at \[.*\] lies more than one cell shell"):
-            build_cell_grid(store, self.BOX, self.R)
+    def test_far_particle_named(self, kind, row, monkeypatch):
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            pos = edge_cloud(self.BOX, self.R, self.R / shell)
+            pos[row, 1] = self.BOX.hi[1] + 2 * self.R
+            store = make_store(pos, n_ghost=37)
+            with pytest.raises(
+                ProtocolError, match=rf"^{kind} particle {row} at \[.*\] lies beyond the ghost shell \(r = 2.8 wide\)"
+            ):
+                build_cell_grid(store, self.BOX, self.R)
 
     def test_nan_particle_rejected(self):
-        pos = edge_cloud(self.BOX, self.R)
+        pos = edge_cloud(self.BOX, self.R, self.R)
         pos[9, 2] = np.nan
         store = make_store(pos, n_ghost=37)
         with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match=r"^local particle 9 at \[.*nan\]"):
