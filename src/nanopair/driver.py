@@ -150,7 +150,7 @@ def _reneighbor(state: SimState, world: RankWorld, cfg: SimConfig):
     with timers.track("neigh"):
         r = cfg.interaction_radius()
         grid_box = world.domain.grid_box_for(store)
-        grid = build_cell_grid(store, grid_box, r)
+        grid = build_cell_grid(store, grid_box, r, cfg.half_neighbor)
         state.lists = build_neighbor_lists(store, grid, r, cfg.half_neighbor)
     state.steps_since_rebuild = 0
 

@@ -3,8 +3,11 @@
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
 on first use in a process and returns the loaded library with the argument
 types of its functions declared: `bin_cells` (the cell binning, which also
-writes the cell-ordered copy of the positions), `build_lists` (the CSR
-neighbor-list build over the stencil's z-runs of cells), `pair_forces` (the
+writes the cell-ordered copy of the positions and, for half lists, bins the
+locals and the ghosts apart and records each local's slot), `build_lists`
+(the CSR neighbor-list build over the stencil's z-runs of cells: the whole
+stencil for full lists; for half lists the upper half stencil over the
+locals and the whole stencil over the ghosts), `pair_forces` (the
 force kernel over the list's rows, half-list reactions included), the
 per-step particle loops `kick_drift` and `kick` (the integrators),
 `max_displacement` (the displacement check), `gather_rows` and `put_rows`
@@ -104,13 +107,14 @@ def library() -> ctypes.CDLL:
     i64 = ctypes.c_int64
     dll.bin_cells.argtypes = [
         f64, i64, f64, ctypes.c_double, i64, idx,  # x, n, lo, h, k, dims
-        idx, idx, idx, i32, f64,  # coords, cell_of, start, members, xs
+        i64, ctypes.c_int,  # n_local, split
+        idx, idx, idx, i32, f64, idx,  # coords, cell_of, start, members, xs, slot
     ]
     dll.bin_cells.restype = i64
     dll.build_lists.argtypes = [
         f64, f64, i64,  # x, xs, n_total
-        i32, idx,  # members, start
-        idx, idx, i64, ctypes.c_double, ctypes.c_int,  # cell_of, runs, n_runs, rsq_max, half
+        i32, idx, idx,  # members, start, cell_of
+        idx, idx, i64, ctypes.c_double, ctypes.c_int,  # slot, runs, n_runs, rsq_max, half
         i64, i64, i32, i64,  # row0, n_local, buf, cap
         idx, ctypes.POINTER(i64),  # row_start, need
     ]

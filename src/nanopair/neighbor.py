@@ -18,6 +18,16 @@ offset), built by one compiled pass over the locals (see
 contiguous z-runs of the cell list and of the cell-ordered positions.
 pair_kernel.c holds both next to the force loop, which reads the lists' rows
 as they were built.
+
+Half lists find each local pair once, as miniMD and LAMMPS do
+("half/bin/newton"): the grid bins the locals and the ghosts apart, as two
+CSR ranges over the same cells, and a local reads the upper half of the
+stencil over the locals (its own cell behind it, then the cells after its
+own in (dx, dy, dz) order) and the whole stencil over the ghosts. A pair of
+locals is thus owned by the one in the lower cell id (x slowest, z
+fastest), or in one cell by the lower index: the one binned first; a pair with a ghost always lives on the local, since no
+force is sent back to the ghost's owner. Full lists read one range over the
+whole stencil, and a grid binned for one kind cannot serve the other.
 """
 
 from __future__ import annotations
@@ -58,19 +68,27 @@ class CellGrid:
     """Spatial bins over the rank box plus a ghost shell r wide, as a CSR cell list.
 
     Cells have edge r / shell, so `shell` cells span r. Cell ids run over
-    the shell-inclusive grid, z fastest (see `cell_id`). Cell c holds
-    members[start[c]:start[c + 1]], in ascending index order, and
-    sorted_positions[:, start[c]:start[c + 1]] are their coordinates.
+    the shell-inclusive grid, z fastest (see `cell_id`). The list is read by
+    key: key range c holds members[start[c]:start[c + 1]], in ascending
+    index order, and sorted_positions[:, start[c]:start[c + 1]] are their
+    coordinates. A grid for full lists has one key per cell. A grid for half
+    lists (`half`) bins the locals and the ghosts apart: key c holds the
+    locals of cell c and key n_cells + c its ghosts, and slot[i] is local
+    i's offset in members. `counts` and `occupants` describe whole cells
+    (locals and ghosts) for either kind.
     """
 
     origin: np.ndarray
     cell_size: float
     shell: int  # cells per interaction radius: 1 (edge r) or 2 (edge r/2)
     dims: np.ndarray  # interior cell counts per axis (excludes the shell)
+    half: bool  # binned for half lists: locals and ghosts apart
+    n_local: int  # locals binned; particles from n_local on are ghosts
     coords: np.ndarray  # (n_total, 3) shell-shifted integer cell coordinates, a transposed (3, n_total) array
     cell_of: np.ndarray  # (n_total,) int64 cell id of each particle
-    start: np.ndarray  # (n_cells + 1,) int64 offsets of each cell's members
-    members: np.ndarray  # (n_total,) int32 particle indices, cell by cell
+    start: np.ndarray  # (n_keys + 1,) int64 offsets of each key's members; n_keys = 2 n_cells if half else n_cells
+    members: np.ndarray  # (n_total,) int32 particle indices, key by key
+    slot: np.ndarray  # (n_local,) int64 members offset of each local if half, else empty
     positions: np.ndarray  # (3, n_total) coordinate-major positions that were binned
     sorted_positions: np.ndarray  # (3, n_total) the same, in members order
 
@@ -79,21 +97,35 @@ class CellGrid:
         return self.dims + 2 * self.shell
 
     @property
+    def n_cells(self) -> int:
+        return int(np.prod(self.shell_dims))
+
+    @property
     def counts(self) -> np.ndarray:
-        """(n_cells,) occupancy."""
-        return np.diff(self.start)
+        """(n_cells,) occupancy, locals and ghosts."""
+        counts = np.diff(self.start)
+        return counts[: self.n_cells] + counts[self.n_cells :] if self.half else counts
 
     @property
     def occupants(self) -> np.ndarray:
-        """(n_cells, max_occupancy) particle indices, -1 padded, built from the CSR on each access.
+        """(n_cells, max_occupancy) particle indices of each cell, ascending,
+        -1 padded, built from the CSR on each access.
 
-        Only the benchmark's tracer reads it (perfbench/tracing.py, for the
-        width); nothing in the package does.
+        A half grid's cell lists its locals, then its ghosts (which have the
+        higher indices). Only the benchmark's tracer reads it
+        (perfbench/tracing.py, for the width); nothing in the package does.
         """
         counts = self.counts
         table = np.full((counts.size, max(int(counts.max(initial=0)), 1)), -1, dtype=np.int32)
-        cell = self.cell_of[self.members]
-        table[cell, np.arange(self.members.size) - self.start[cell]] = self.members
+        key = np.repeat(np.arange(self.start.size - 1), np.diff(self.start))
+        column = np.arange(self.members.size) - self.start[key]
+        cell = key
+        if self.half:
+            ghost = key >= self.n_cells
+            cell = np.where(ghost, key - self.n_cells, key)
+            # a ghost goes behind its cell's locals
+            column += ghost * np.diff(self.start[: self.n_cells + 1])[cell]
+        table[cell, column] = self.members
         return table
 
     def cell_id(self, coords: np.ndarray) -> np.ndarray:
@@ -101,20 +133,32 @@ class CellGrid:
         return (coords[..., 0] * gd[1] + coords[..., 1]) * gd[2] + coords[..., 2]
 
     def runs(self) -> np.ndarray:
-        """(n_runs, 2) int64 stencil runs of cells, as (offset, length).
+        """(n_runs, 2) int64 stencil runs of key ranges, as (offset, length):
+        the runs the list build reads around a local's cell, in order.
 
-        Run s covers the cells (dx, dy, -k) .. (dx, dy, k) around a cell,
-        k = `shell`, for the (2k + 1)^2 pairs (dx, dy) in order, dx slowest:
-        2k + 1 consecutive cell ids from the cell's id plus the offset. The
-        runs together are the (2k + 1)^3 cells within r of the cell, x
-        slowest, z fastest.
+        Run (dx, dy) covers the cells (dx, dy, -k) .. (dx, dy, k) around a
+        cell, k = `shell`: 2k + 1 consecutive cell ids from the cell's id
+        plus the offset. A full grid's table is the (2k + 1)^2 runs, (dx, dy)
+        in order, dx slowest: together the (2k + 1)^3 cells within r of the
+        cell, x slowest, z fastest. A half grid's table is the upper half
+        stencil over the locals, then the same (2k + 1)^2 runs over the
+        ghosts (their offsets plus n_cells): first the own run, the cells
+        (0, 0, 0) .. (0, 0, k), which the build starts behind the local
+        (`slot`), then the (0, dy > 0) runs and the (dx > 0) runs, 2k^2 +
+        2k + 1 in all (5 at edge r, 13 at edge r/2).
         """
         k = self.shell
-        steps = np.array([(dx, dy, -k) for dx in range(-k, k + 1) for dy in range(-k, k + 1)], dtype=np.int64)
-        return np.column_stack([self.cell_id(steps), np.full(len(steps), 2 * k + 1, dtype=np.int64)])
+        plane = [(dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1)]
+        steps = np.array([(dx, dy, -k) for dx, dy in plane], dtype=np.int64)
+        table = np.column_stack([self.cell_id(steps), np.full(len(steps), 2 * k + 1, dtype=np.int64)])
+        if not self.half:
+            return table
+        upper = np.array([(dx, dy) > (0, 0) for dx, dy in plane])
+        own = np.array([[self.cell_id(np.zeros(3, dtype=np.int64)), k + 1]], dtype=np.int64)
+        return np.vstack([own, table[upper], table + [self.n_cells, 0]])
 
 
-def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid:
+def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float, half: bool = False) -> CellGrid:
     """Bin every local and ghost particle into cells of edge r, or r/2 when dense.
 
     The edge is r/2 when the box, rounded up to whole cells of edge r, holds
@@ -122,8 +166,13 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid
     otherwise. One compiled pass (`bin_cells` in pair_kernel.c) takes
     floor((x - lo) / edge) per axis and sorts the particles by cell, keeping
     index order within a cell, and copies the positions into that order.
-    ProtocolError names the first particle beyond the ghost shell (more
-    than r outside the interior cells, which cover the box), or with a NaN
+    With `half` (a grid for half lists) it sorts the locals and the ghosts
+    into two ranges of cells, locals first, and records each local's slot.
+    Full lists keep one range: binned apart, they would read up to 25 more
+    runs per local, of ghost cells that are mostly empty on one rank, and a
+    grid and list build on a one-rank 12^3 LJ state took about 15 % longer.
+    ProtocolError names the first particle beyond the ghost shell (more than
+    r outside the interior cells, which cover the box), or with a NaN
     coordinate.
     """
     if r <= 0:
@@ -136,16 +185,19 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid
     edge = r / shell
     if shell > 1:
         dims = np.maximum(1, np.ceil(rank_aabb.extent() / edge - 1e-12).astype(np.int64))
+    n_local = store.n_local
     coords = np.empty((3, n), dtype=np.int64)
     cell_of = np.empty(n, dtype=np.int64)
-    start = np.empty(int(np.prod(dims + 2 * shell)) + 1, dtype=np.int64)
+    start = np.empty((2 if half else 1) * int(np.prod(dims + 2 * shell)) + 1, dtype=np.int64)
     members = np.empty(n, dtype=np.int32)
+    slot = np.empty(n_local if half else 0, dtype=np.int64)
     xs = np.empty((3, n))
     f64, i32, i64 = np.float64, np.int32, np.int64
     bad = kernel.library().bin_cells(
         kernel.address(xyz, f64, (3, n)), n, kernel.address(lo, f64, (3,)), edge, shell,
-        kernel.address(dims, i64, (3,)), kernel.address(coords, i64), kernel.address(cell_of, i64),
-        kernel.address(start, i64), kernel.address(members, i32), kernel.address(xs, f64),
+        kernel.address(dims, i64, (3,)), n_local, half, kernel.address(coords, i64),
+        kernel.address(cell_of, i64), kernel.address(start, i64), kernel.address(members, i32),
+        kernel.address(xs, f64), kernel.address(slot, i64),
     )
     if bad >= 0:
         kind = "local" if bad < store.n_local else "ghost"
@@ -154,8 +206,8 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float) -> CellGrid
             f"of the cells over the rank box {lo}..{rank_aabb.hi}; an exchange was probably missed"
         )
     return CellGrid(
-        origin=lo, cell_size=edge, shell=shell, dims=dims, coords=coords.T, cell_of=cell_of,
-        start=start, members=members, positions=xyz, sorted_positions=xs,
+        origin=lo, cell_size=edge, shell=shell, dims=dims, half=half, n_local=n_local, coords=coords.T,
+        cell_of=cell_of, start=start, members=members, slot=slot, positions=xyz, sorted_positions=xs,
     )
 
 
@@ -165,9 +217,13 @@ class NeighborLists:
 
     A CSR list, like the cell list: row i, the partners of local i in build
     order, is partners[start[i]:start[i + 1]], and the rows lie back to back.
-    Entries may lie beyond the force cutoff, inside the Verlet buffer. The
-    lists belong to a store with n_local locals and n_total particles; any
-    other count means the store changed since the build.
+    Entries may lie beyond the force cutoff, inside the Verlet buffer. Half
+    lists hold each local pair once, on the row of the local in the lower
+    cell id (see `build_neighbor_lists`), so a row may name local partners
+    of lower index; a pair with a ghost always
+    lives on the local's row. The lists belong to a store with n_local
+    locals and n_total particles; any other count means the store changed
+    since the build.
 
     The compiled loops take partners, start and the reference positions by
     address: each is checked and its address taken once, when the lists are
@@ -229,40 +285,52 @@ def build_neighbor_lists(
 ) -> NeighborLists:
     """Collect, for each local particle, every other particle within r.
 
-    Half mode keeps one ordered copy per local pair (owned by the lower
-    index); pairs with a ghost partner always live on the local particle.
+    Half mode keeps one copy per local pair, found once: from the local in
+    the lower cell id or, when both share a cell, from the lower index. Pairs with a ghost partner always live on the
+    local particle. The grid must be binned for the same kind
+    (`build_cell_grid(..., half)`); ProtocolError otherwise, since a half
+    build on a full grid would miss the ghosts of lower cells.
 
     One compiled pass (`build_lists` in pair_kernel.c) takes the locals in
-    index order. For each, it walks the (2k + 1)^3 cells around the local's
-    cell (k = `grid.shell`) as the (2k + 1)^2 runs of `grid.runs()`, in
-    order: the cells dz = -k .. k of one (dx, dy) are consecutive ids, so
-    their members are one slice of `grid.members`, and their coordinates
-    the same slice of `grid.sorted_positions`. Within a cell it takes the
-    members in index order, and keeps a candidate that passes the index rule
-    and lies within r, by its squared distance summed x, y, z in that order.
-    Each call writes the rows back to back into a fresh buffer of
-    _LIST_BUFFER entries and stops before a row whose candidates (the run
-    lengths summed) might not fit, so the next call resumes at that row; a
-    row with more candidates than a buffer holds gets a buffer of its own
-    size. Each call writes its rows' ends into `start`. The filled prefixes
+    index order. For each, it walks the runs of `grid.runs()` around the
+    local's cell, in order (k = `grid.shell`): the cells dz = -k .. k of one
+    (dx, dy) are consecutive ids, so their members are one slice of
+    `grid.members`, and their coordinates the same slice of
+    `grid.sorted_positions`. Full lists walk the (2k + 1)^3 cells of the
+    stencil as (2k + 1)^2 runs and keep every candidate but the local
+    itself. Half lists walk the upper half stencil over the locals, whose
+    first run (the local's own cell and the cells above it in z) starts
+    behind the local (`grid.slot`), then the whole stencil over the ghosts,
+    with no index rule. Within a cell it takes the members in index order,
+    and keeps a candidate that lies within r, by its squared distance summed
+    x, y, z in that order. Each call writes the rows back to back into a
+    fresh buffer of _LIST_BUFFER entries and stops before a row whose
+    candidates (the run lengths summed) might not fit, so the next call
+    resumes at that row; a row with more candidates than a buffer holds
+    gets a buffer of its own size. Each call writes its rows' ends into `start`. The filled prefixes
     of the buffers, concatenated once, are `partners`; when one call built
     every row, its buffer itself is, cut to the prefix in place
     (`ndarray.resize`, a realloc that returns the tail to the heap).
 
     Positions and cells come from the grid, as it binned them, so the lists
-    match the grid by construction. The grid must bin as many particles as
-    the store holds, and every local must lie in an interior cell, not in the
-    ghost shell, so that all the stencil's cells around it exist;
+    match the grid by construction. The grid must bin as many particles and
+    locals as the store holds, and every local must lie in an interior cell,
+    not in the ghost shell, so that all the stencil's cells around it exist;
     ProtocolError otherwise.
     """
     n_local = store.n_local
     start = np.zeros(n_local + 1, dtype=np.int64)
     filled = []  # each call's buffer and the entries it filled
     ref_positions = np.empty((3, 0))
+    if grid.half != half:
+        want, got = ("half", "full") if half else ("full", "half")
+        raise ProtocolError(f"{want} lists need a cell grid binned for {want} lists, not for {got} lists")
     if grid.cell_of.shape[0] != store.n_total:
         raise ProtocolError(
             f"the cell grid bins {grid.cell_of.shape[0]} particles, the store holds {store.n_total}"
         )
+    if grid.n_local != n_local:
+        raise ProtocolError(f"the cell grid bins {grid.n_local} locals, the store holds {n_local}")
     if n_local:
         # per axis, on the contiguous (3, n_total) rows the grid transposed
         outside = np.zeros(n_local, dtype=bool)
@@ -285,7 +353,8 @@ def build_neighbor_lists(
         args = (
             kernel.address(xyz, f64, (3, n)), kernel.address(grid.sorted_positions, f64, (3, n)), n,
             kernel.address(grid.members, i32, (n,)), kernel.address(grid.start, i64),
-            kernel.address(grid.cell_of, i64), kernel.address(runs, i64), runs.shape[0], r * r, half,
+            kernel.address(grid.cell_of, i64), kernel.address(grid.slot, i64), kernel.address(runs, i64),
+            runs.shape[0], r * r, half,
         )
         start_p = kernel.address(start, i64)
         size = _LIST_BUFFER

@@ -1,9 +1,12 @@
 /* The compiled loops of nanopair: the cell binning behind
  * nanopair.neighbor.build_cell_grid (a counting sort into a CSR cell list
- * of cells of edge r or r/2, with a cell-ordered copy of the positions), the
- * Verlet-list build behind nanopair.neighbor.build_neighbor_lists, which
- * reads each local's stencil (27 cells of edge r, or 125 of edge r/2) as 9
- * or 25 contiguous z-runs of that list and of the copy, the pair-force row
+ * of cells of edge r or r/2, with a cell-ordered copy of the positions; for
+ * half lists the locals and the ghosts go to two ranges over the same
+ * cells), the Verlet-list build behind nanopair.neighbor.build_neighbor_lists,
+ * which reads each local's stencil (27 cells of edge r, or 125 of edge r/2)
+ * as 9 or 25 contiguous z-runs of that list and of the copy (for half lists:
+ * the upper half stencil, 5 or 13 runs, over the locals, so each local pair
+ * is found once, and the whole stencil over the ghosts), the pair-force row
  * loops behind nanopair.potential.compute_forces, which also sum the
  * half-list reactions, and the per-step particle loops: the two
  * integrator kicks and the drift (nanopair.driver), the displacement check
@@ -417,19 +420,26 @@ void put_rows(const int64_t *map, double *x, int64_t start, int64_t k, const dou
  * with f outside [-k, dims[d] + k - 1] lies beyond the shell. Writes the
  * shell-shifted coordinates f + k to coords (3, n), the cell id
  * (c0 * g1 + c1) * g2 + c2 (g = dims + 2k) to cell_of (n,), and the CSR cell
- * list: cell c holds members[start[c] .. start[c + 1]), in index order (a
- * counting sort, so stable). The scatter that fills members also copies
- * each particle's coordinates to its slot of xs (3, n): xs[d][p] =
- * x[d][members[p]], so a loop over a run of members reads the coordinates
- * in order instead of gathering them. Returns -1, or the first particle
- * beyond the shell; the outputs are then incomplete. */
-int64_t bin_cells(const double *x, int64_t n, const double *lo, double h, int64_t k,
-                  const int64_t *dims, int64_t *coords, int64_t *cell_of, int64_t *start,
-                  int32_t *members, double *xs)
+ * list, a counting sort (so stable) by key: key range c holds
+ * members[start[c] .. start[c + 1]), in index order. Without split a
+ * particle's key is its cell, so start has n_cells + 1 entries. With split
+ * (for half lists) locals [0, n_local) and ghosts are binned apart, as two
+ * ranges over the same cells: a local's key is its cell, a ghost's is
+ * n_cells + its cell, so start has 2 n_cells + 1 entries, and slot[i]
+ * receives the members offset of local i. The scatter that fills members
+ * also copies each particle's coordinates to its slot of xs (3, n):
+ * xs[d][p] = x[d][members[p]], so a loop over a run of members reads the
+ * coordinates in order instead of gathering them. Returns -1, or the first
+ * particle beyond the shell; the outputs are then incomplete. */
+static inline __attribute__((always_inline)) int64_t bin_keys(
+    const double *x, int64_t n, const double *lo, double h, int64_t k,
+    const int64_t *dims, int64_t n_local, const int split, int64_t *coords, int64_t *cell_of,
+    int64_t *start, int32_t *members, double *xs, int64_t *slot)
 {
     const int64_t g[3] = {dims[0] + 2 * k, dims[1] + 2 * k, dims[2] + 2 * k};
     const int64_t n_cells = g[0] * g[1] * g[2];
-    for (int64_t c = 0; c <= n_cells; ++c)
+    const int64_t n_keys = split ? 2 * n_cells : n_cells;
+    for (int64_t c = 0; c <= n_keys; ++c)
         start[c] = 0;
     for (int64_t i = 0; i < n; ++i) {
         int64_t cell = 0;
@@ -442,51 +452,76 @@ int64_t bin_cells(const double *x, int64_t n, const double *lo, double h, int64_
             cell = cell * g[d] + c;
         }
         cell_of[i] = cell;
-        start[cell + 1] += 1;
+        start[cell + (split && i >= n_local ? n_cells : 0) + 1] += 1;
     }
-    for (int64_t c = 0; c < n_cells; ++c)
+    for (int64_t c = 0; c < n_keys; ++c)
         start[c + 1] += start[c];
-    /* start[c] walks to the end of cell c, which is start[c + 1] before the walk */
+    /* start[c] walks to the end of key range c, which is start[c + 1] before the walk */
     for (int64_t i = 0; i < n; ++i) {
-        const int64_t p = start[cell_of[i]]++;
+        const int64_t p = start[cell_of[i] + (split && i >= n_local ? n_cells : 0)]++;
         members[p] = (int32_t)i;
         xs[p] = x[i];
         xs[n + p] = x[n + i];
         xs[2 * n + p] = x[2 * n + i];
+        if (split && i < n_local)
+            slot[i] = p;
     }
-    for (int64_t c = n_cells; c > 0; --c)
+    for (int64_t c = n_keys; c > 0; --c)
         start[c] = start[c - 1];
     start[0] = 0;
     return -1;
 }
 
+/* `bin_keys` with split fixed at compile time, so the single-range loops
+ * of full lists carry no key test. */
+int64_t bin_cells(const double *x, int64_t n, const double *lo, double h, int64_t k,
+                  const int64_t *dims, int64_t n_local, int split, int64_t *coords, int64_t *cell_of,
+                  int64_t *start, int32_t *members, double *xs, int64_t *slot)
+{
+    if (split)
+        return bin_keys(x, n, lo, h, k, dims, n_local, 1, coords, cell_of, start, members, xs, slot);
+    return bin_keys(x, n, lo, h, k, dims, n_local, 0, coords, cell_of, start, members, xs, slot);
+}
+
 /* List rows of locals [row0, n_local), in local order, into buf (cap
  * entries). Local i lies in cell cell_of[i]; its candidates are the members
- * of the stencil cells, read as the n_runs runs of the table runs (n_runs,
- * 2): run s is the runs[s][1] cells from cell_of[i] + runs[s][0] on, which
- * are consecutive ids (z-neighbours), so their members are the one slice
+ * of the cells that the n_runs runs of the table runs (n_runs, 2) name: run
+ * s is the runs[s][1] key ranges from cell_of[i] + runs[s][0] on, which are
+ * consecutive ids (z-neighbours), so their members are the one slice
  * members[start[b] .. start[b + runs[s][1]]) with b = cell_of[i] + runs[s][0],
  * and their coordinates the same slice of xs, the cell-ordered copy of the
  * positions x (both (3, n_total)). The runs are taken in table order and
- * each cell's members in index order. A candidate j is kept when the index
- * rule holds (half: j > i, full: j != i) and its squared distance, summed x,
- * y, z in that order from dx = x[j] - x[i], is below rsq_max. Every
- * candidate is written and only a kept one advances the end, so the loop
- * does not branch on the test. row_start[i + 1] receives the row's end,
+ * each slice in members order.
+ *
+ * Full lists read a single-range cell list over the whole stencil and keep
+ * a candidate j != i. Half lists read a cell list binned apart (see
+ * `bin_cells`) with no index rule: the upper half stencil over the locals,
+ * then the whole stencil over the ghosts, whose runs' offsets carry the
+ * ghost range's n_cells. Run 0 is the local's own z-run (dz = 0 .. k),
+ * which starts behind the local, at slot[i] + 1; the other upper runs are
+ * the (0, dy > 0) and the (dx > 0) runs. So a local pair is found once,
+ * from the local in the lower cell id, or, in one cell, from the one binned
+ * first (the lower index), and a pair of a local and a ghost from the local.
+ *
+ * A kept candidate lies within r: its squared distance, summed x, y, z in
+ * that order from dx = x[j] - x[i], is below rsq_max. Every candidate is
+ * written and only a kept one advances the end, so the loop does not
+ * branch on the test. row_start[i + 1] receives the row's end,
  * row_start[row0] plus its end in buf, so the rows of successive calls, put
  * back to back, are the CSR list whose row i is entries [row_start[i],
  * row_start[i + 1]).
  *
  * A row starts only if all its candidates fit behind the entries written so
- * far. A row has at most n_total candidates, so the run lengths are summed
- * only when fewer than n_total slots remain. Returns the first row not built
- * (n_local when all are); *need is then that row's candidate count, and buf
- * holds the row_start[return] - row_start[row0] entries of rows [row0,
- * return). */
+ * far. The runs name disjoint particles, so a row has at most n_total
+ * candidates, and the run lengths are summed only when fewer than n_total
+ * slots remain (for half lists run 0 counts from start[b], an upper bound).
+ * Returns the first row not built (n_local when all are); *need is then
+ * that row's candidate count, and buf holds the row_start[return] -
+ * row_start[row0] entries of rows [row0, return). */
 static inline __attribute__((always_inline)) int64_t list_rows(
     const double *x, const double *xs, int64_t n_total,
-    const int32_t *members, const int64_t *start,
-    const int64_t *cell_of, const int64_t *runs, int64_t n_runs, double rsq_max, const int half,
+    const int32_t *members, const int64_t *start, const int64_t *cell_of, const int64_t *slot,
+    const int64_t *runs, int64_t n_runs, double rsq_max, const int half,
     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
     int64_t *row_start, int64_t *need)
 {
@@ -509,11 +544,11 @@ static inline __attribute__((always_inline)) int64_t list_rows(
         for (int64_t s = 0; s < n_runs; ++s) {
             const int64_t b = c + runs[2 * s];
             const int64_t end = start[b + runs[2 * s + 1]];
-            for (int64_t k = start[b]; k < end; ++k) {
+            for (int64_t k = half && s == 0 ? slot[i] + 1 : start[b]; k < end; ++k) {
                 const int32_t j = members[k];
                 const double dx = xs[k] - xi, dy = ys[k] - yi, dz = zs[k] - zi;
                 const double rsq = dx * dx + dy * dy + dz * dz;
-                const int keep = (rsq < rsq_max) & (half ? j > i : j != i);
+                const int keep = half ? rsq < rsq_max : (rsq < rsq_max) & (j != i);
                 buf[e] = j;
                 e += keep;
             }
@@ -524,19 +559,19 @@ static inline __attribute__((always_inline)) int64_t list_rows(
     return n_local;
 }
 
-/* `list_rows` with the index rule fixed at compile time: one compare per
- * candidate instead of a select between two (3-8 % faster on a 6912-atom LJ
- * rank). */
+/* `list_rows` with the list kind fixed at compile time: the full-list loop
+ * keeps its one compare per candidate for the index rule, the half-list
+ * loop has none. slot is read only for half lists. */
 int64_t build_lists(const double *x, const double *xs, int64_t n_total,
-                    const int32_t *members, const int64_t *start,
-                    const int64_t *cell_of, const int64_t *runs, int64_t n_runs, double rsq_max, int half,
+                    const int32_t *members, const int64_t *start, const int64_t *cell_of,
+                    const int64_t *slot, const int64_t *runs, int64_t n_runs, double rsq_max, int half,
                     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
                     int64_t *row_start, int64_t *need)
 {
     if (half)
-        return list_rows(x, xs, n_total, members, start, cell_of, runs, n_runs, rsq_max, 1,
+        return list_rows(x, xs, n_total, members, start, cell_of, slot, runs, n_runs, rsq_max, 1,
                          row0, n_local, buf, cap, row_start, need);
-    return list_rows(x, xs, n_total, members, start, cell_of, runs, n_runs, rsq_max, 0,
+    return list_rows(x, xs, n_total, members, start, cell_of, slot, runs, n_runs, rsq_max, 0,
                      row0, n_local, buf, cap, row_start, need);
 }
 

@@ -124,7 +124,7 @@ class TestCompiledLoopsMatchNumpy:
     def test_nan_displacement_is_nan(self, layout, n_local):
         store = random_store(layout, n_local)
         lists = build_neighbor_lists(
-            store, build_cell_grid(store, AABB.cube(-1.0, 11.0), 2.8), 2.8, half=True
+            store, build_cell_grid(store, AABB.cube(-1.0, 11.0), 2.8, half=True), 2.8, half=True
         )
         moved = store.local_positions()
         moved[n_local - 1, 2] = np.nan  # the last local row: a partial cluster
@@ -187,7 +187,7 @@ class TestCompiledLoopsMatchNumpy:
         box = AABB.cube(-1.0, 11.0)
         energies, forces = [], []
         for s in (aos, store):
-            lists = build_neighbor_lists(s, build_cell_grid(s, box, r), r, half=half)
+            lists = build_neighbor_lists(s, build_cell_grid(s, box, r, half=half), r, half=half)
             assert np.any(lists.partners >= n_local)
             before = s.forces.buf.copy()
             energies.append(compute_forces(s, lists, law, accumulate_energy=True))
@@ -206,7 +206,7 @@ def test_no_address_taken_per_step(monkeypatch):
     """After the first force call, a step's integrators, displacement check
     and force call take no address: handles, lists and laws hold theirs."""
     store = random_store(clustered_layout(4), 13)
-    lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(-1.0, 11.0), 2.8), 2.8, half=True)
+    lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(-1.0, 11.0), 2.8, half=True), 2.8, half=True)
     law = LennardJones()
     compute_forces(store, lists, law)
     max_displacement_since_rebuild(store, lists)

@@ -56,3 +56,16 @@ def test_library_declares_prototype(result, name, params):
         else:
             assert declared is want, f"{name}: {param} declared as {declared}"
     assert fn.restype is _SCALARS[result], f"{name}: restype {fn.restype}, C returns {result}"
+
+
+def test_kernel_builds_without_warnings(monkeypatch):
+    """pair_kernel.c compiles with the package's flags plus -Wall -Wextra
+    -Werror: a warning (an unused parameter, a signed/unsigned comparison, a
+    missing return) fails the build, and the build's stderr names it."""
+    kernel.library.cache_clear()
+    monkeypatch.setattr(kernel, "_CC", (*kernel._CC, "-Wall", "-Wextra", "-Werror"))
+    try:
+        kernel.library()
+    finally:
+        monkeypatch.undo()
+        kernel.library.cache_clear()

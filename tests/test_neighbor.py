@@ -98,6 +98,49 @@ class TestCellGrid:
             # the cell-ordered copy is the positions gathered in member order, bit for bit
             assert grid.sorted_positions.tobytes() == pos[grid.members].T.copy().tobytes()
 
+    def test_half_grid_bins_locals_and_ghosts_apart(self, monkeypatch):
+        # key c holds the locals of cell c, key n_cells + c its ghosts, each
+        # in index order, and slot[i] is local i's offset in members
+        rng = np.random.default_rng(8)
+        box = AABB.cube(0.0, 10.0)
+        pos = rng.uniform(0, 10, size=(400, 3))
+        store = make_store(pos, n_ghost=50)
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            grid = build_cell_grid(store, box, 2.5, half=True)
+            assert grid.half and grid.n_local == 350
+            n_cells = grid.n_cells
+            cell = grid.cell_id(floor_cells(pos, box.lo, 2.5 / shell, shell))
+            np.testing.assert_array_equal(grid.cell_of, cell)
+            key = cell + np.where(np.arange(400) < 350, 0, n_cells)
+            counts = np.bincount(key, minlength=2 * n_cells)
+            np.testing.assert_array_equal(grid.start, np.concatenate([[0], np.cumsum(counts)]))
+            np.testing.assert_array_equal(grid.members, np.argsort(key, kind="stable"))
+            assert grid.slot.dtype == np.int64
+            np.testing.assert_array_equal(grid.members[grid.slot], np.arange(350))
+            assert grid.sorted_positions.tobytes() == pos[grid.members].T.copy().tobytes()
+            full = build_cell_grid(store, box, 2.5)
+            assert not full.half and full.start.size == n_cells + 1 and full.slot.size == 0
+
+    @pytest.mark.parametrize("n_ghost", [0, 50, 400])
+    def test_half_grid_describes_whole_cells(self, n_ghost, monkeypatch):
+        # counts and occupants count locals and ghosts together, whichever
+        # kind the grid was binned for (the tracer reads both)
+        rng = np.random.default_rng(10)
+        pos = rng.uniform(0, 10, size=(400, 3))
+        store = make_store(pos, n_ghost=n_ghost)
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            half = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5, half=True)
+            full = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+            np.testing.assert_array_equal(half.counts, full.counts)
+            assert half.counts.size == full.n_cells
+            occupants = half.occupants
+            np.testing.assert_array_equal(occupants, full.occupants)
+            for c in range(full.n_cells):
+                cell = full.members[full.start[c] : full.start[c + 1]]
+                assert occupants[c][occupants[c] >= 0].tolist() == cell.tolist()
+
     def test_nan_position_named(self):
         for row, kind in [(3, "local"), (370, "ghost")]:
             pos = np.random.default_rng(9).uniform(0, 10, size=(400, 3))
@@ -159,15 +202,43 @@ class TestNeighborLists:
         with pytest.raises(ProtocolError, match="bins 2 particles, the store holds 3"):
             build_neighbor_lists(store, grid, 2.5, half=False)
 
+    @pytest.mark.parametrize("half", [False, True])
+    def test_grid_of_other_local_count_rejected(self, half):
+        pos = [[5.0, 5.0, 5.0], [6.0, 5.0, 5.0], [-1.0, 5.0, 5.0]]
+        grid = build_cell_grid(make_store(pos, n_ghost=1), AABB.cube(0.0, 10.0), 2.5, half=half)
+        with pytest.raises(ProtocolError, match="^the cell grid bins 2 locals, the store holds 3$"):
+            build_neighbor_lists(make_store(pos), grid, 2.5, half=half)
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_grid_of_other_kind_rejected(self, half):
+        # half lists on a full grid would miss the ghosts of lower cells;
+        # full lists on a half grid would miss every local of lower cells
+        store = make_store([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0], [-1.0, 5.0, 5.0]], n_ghost=1)
+        grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5, half=not half)
+        want, got = ("half", "full") if half else ("full", "half")
+        with pytest.raises(ProtocolError, match=f"^{want} lists need a cell grid binned for {want} lists, not for {got} lists$"):
+            build_neighbor_lists(store, grid, 2.5, half=half)
+
     def test_pair_within_radius(self):
         box = AABB.cube(0.0, 12.0)
         r = 2.0
         store = make_store([[5.0, 5.0, 5.0], [5.0 + 0.9 * r, 5.0, 5.0]])
-        grid = build_cell_grid(store, box, r)
-        full = build_neighbor_lists(store, grid, r, half=False)
+        full = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=False)
         assert full.counts.tolist() == [1, 1]
-        half = build_neighbor_lists(store, grid, r, half=True)
+        half = build_neighbor_lists(store, build_cell_grid(store, box, r, half=True), r, half=True)
         assert sorted(half.counts.tolist()) == [0, 1]
+
+    @pytest.mark.parametrize("shell", SHELLS)
+    def test_half_pair_on_row_of_lower_cell(self, shell, monkeypatch):
+        # local 1 lies one cell below local 0 in x (x = 4 is a cell face at
+        # both edges): the pair is found once, from local 1's cell, so row 1
+        # names the lower index 0
+        force_shell(monkeypatch, shell)
+        r = 2.0
+        store = make_store([[4.1, 5.0, 5.0], [3.9, 5.0, 5.0], [4.0, 5.0, 6.0]])
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 12.0), r, half=True), r, half=True)
+        rows = [lists.partners[lists.start[i] : lists.start[i + 1]].tolist() for i in range(3)]
+        assert sorted(rows[1]) == [0, 2] and rows[0] == [2] and rows[2] == []
 
     def test_pair_beyond_radius(self):
         box = AABB.cube(0.0, 12.0)
@@ -184,7 +255,7 @@ class TestNeighborLists:
         r = 2.1
         pos = rng.uniform(0, 9, size=(300, 3))
         store = make_store(pos)
-        grid = build_cell_grid(store, box, r)
+        grid = build_cell_grid(store, box, r, half=half)
         lists = build_neighbor_lists(store, grid, r, half=half)
         got = lists.pairs()
         got_unordered = {(min(i, j), max(i, j)) for i, j in got}
@@ -192,7 +263,8 @@ class TestNeighborLists:
         assert got_unordered == want
         if half:
             assert len(got) == len(want)  # exactly one ordered copy per pair
-            assert np.all(got[:, 0] < got[:, 1])
+            # owned by the lower cell, not the lower index: many rows name lower locals
+            assert 0.25 < np.mean(got[:, 1] < got[:, 0]) < 0.75
         else:
             assert len(got) == 2 * len(want)
 
@@ -201,13 +273,14 @@ class TestNeighborLists:
         box = AABB.cube(0.0, 8.0)
         pos = rng.uniform(0, 8, size=(256, 3))
         store = make_store(pos)
-        grid = build_cell_grid(store, box, 2.8)
+        grid = build_cell_grid(store, box, 2.8, half=True)
         half = build_neighbor_lists(store, grid, 2.8, half=True)
         seen = {}
         for i, j in half.pairs():
             key = (min(i, j), max(i, j))
             assert key not in seen, "pair stored twice in half mode"
             seen[key] = True
+        assert set(seen) == brute_force_pairs(pos, 2.8), "pair missing in half mode"
 
     def test_full_mode_symmetric(self):
         rng = np.random.default_rng(14)
@@ -223,7 +296,7 @@ class TestNeighborLists:
         box = AABB.cube(0.0, 10.0)
         r = 2.0
         store = make_store([[9.5, 5.0, 5.0], [10.5, 5.0, 5.0]], n_ghost=1)
-        grid = build_cell_grid(store, box, r)
+        grid = build_cell_grid(store, box, r, half=True)
         half = build_neighbor_lists(store, grid, r, half=True)
         assert half.counts.tolist() == [1]
         assert half.partners[half.start[0] : half.start[1]].tolist() == [1]
@@ -233,7 +306,7 @@ class TestNeighborLists:
         box = AABB.cube(0.0, 8.0)
         pos = rng.uniform(0, 8, size=(150, 3))
         store = make_store(pos)
-        grid = build_cell_grid(store, box, 2.8)
+        grid = build_cell_grid(store, box, 2.8, half=True)
         a = build_neighbor_lists(store, grid, 2.8, half=True)
         b = build_neighbor_lists(store, grid, 2.8, half=True)
         np.testing.assert_array_equal(a.partners, b.partners)
@@ -261,25 +334,33 @@ def stencil(shell):
 
 def reference_lists(store, grid, r, half):
     """Per-local reference, from the positions alone: bin every particle by
-    the floor formula at the grid's edge, then for each local walk the
-    stencil cells in order and each cell's particles in index order, apply
-    the index rule, then the r^2 filter. Returns the rows, as lists of
-    partner indices."""
+    the floor formula at the grid's edge, then for each local walk its
+    candidates in build order and keep those within r. Full lists walk the
+    stencil cells in order and each cell's particles in index order, but
+    the local itself. Half lists walk the upper half stencil (the steps from
+    (0, 0, 0) on, in the same order) over the locals, only those behind the
+    local in its own cell, then the whole stencil over the ghosts. Returns
+    the rows, as lists of partner indices."""
     pos = store.all_positions()
+    n_local = store.n_local
     cells = {}
     for j, c in enumerate(floor_cells(pos, grid.origin, grid.cell_size, grid.shell)):
         cells.setdefault(tuple(c), []).append(j)
     rows = []
-    for i in range(store.n_local):
-        row = []
+    for i in range(n_local):
         here = floor_cells(pos[i], grid.origin, grid.cell_size, grid.shell)
-        for step in stencil(grid.shell):
-            for j in cells.get(tuple(here + step), []):
-                if j <= i if half else j == i:
-                    continue
-                d = pos[i] - pos[j]
-                if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < r * r:
-                    row.append(j)
+        members = [(step, cells.get(tuple(here + step), [])) for step in stencil(grid.shell)]
+        if half:
+            zero = (0, 0, 0)
+            walk = [j for step, js in members if step >= zero for j in js if j < n_local and (step > zero or j > i)]
+            walk += [j for step, js in members for j in js if j >= n_local]
+        else:
+            walk = [j for step, js in members for j in js if j != i]
+        row = []
+        for j in walk:
+            d = pos[i] - pos[j]
+            if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < r * r:
+                row.append(j)
         rows.append(row)
     return rows
 
@@ -319,7 +400,8 @@ def oracle_case(name):
 
 class TestExactLists:
     """The build must give exactly the per-local reference list, partner
-    order included, at both cell edges: forces sum the row in that order."""
+    order included, at both cell edges and for both list kinds: forces sum
+    the row in that order."""
 
     @pytest.mark.parametrize("buffer", [None, 64, "largest-row"], ids=["default-blocks", "tiny-blocks", "one-row"])
     @pytest.mark.parametrize("half", [False, True])
@@ -329,17 +411,24 @@ class TestExactLists:
         store = make_store(pos, n_ghost=n_ghost)
         for shell in SHELLS:
             force_shell(monkeypatch, shell)
-            grid = build_cell_grid(store, AABB.cube(0.0, box_len), r)
+            grid = build_cell_grid(store, AABB.cube(0.0, box_len), r, half=half)
             steps = np.array(stencil(shell))
-            # the run table walks the stencil in the reference's order
-            np.testing.assert_array_equal(
-                [off + t for off, length in grid.runs() for t in range(length)], grid.cell_id(steps)
-            )
+            # the run table walks the stencil in the reference's order: for
+            # half lists the upper half over the locals, then all over the ghosts
+            want_keys = grid.cell_id(steps)
+            if half:
+                upper = np.array([step >= (0, 0, 0) for step in stencil(shell)])
+                want_keys = np.concatenate([want_keys[upper], grid.n_cells + want_keys])
+            runs = grid.runs()
+            assert runs.shape[0] == ((2 * shell**2 + 2 * shell + 1) + (2 * shell + 1) ** 2 if half else (2 * shell + 1) ** 2)
+            np.testing.assert_array_equal([off + t for off, length in runs for t in range(length)], want_keys)
             size = buffer
             if buffer == "largest-row":
-                # the row with the most candidates fills the buffer exactly
-                cells = grid.cell_id(grid.coords[: store.n_local, None, :] + steps)
-                size = int(grid.counts[cells].sum(axis=1).max(initial=0))
+                # the row with the most candidates, counted as the build
+                # counts them (run lengths summed), fills the buffer exactly
+                first = grid.cell_of[: store.n_local, None] + runs[:, 0]
+                count = grid.start[first + runs[:, 1]] - grid.start[first]
+                size = int(count.sum(axis=1).max(initial=0))
             # 64 holds one or two rows per call; a row with more candidates
             # gets a buffer of its own size
             monkeypatch.setattr(neighbor, "_LIST_BUFFER", size or 1 << 18)
@@ -385,9 +474,11 @@ def face_clouds(draw):
 
 
 class TestListsAgainstAllPairs:
-    """Every row holds exactly the particles within r of its local, by the
-    O(N^2) oracle over locals and ghosts, at both cell edges and for both
-    list kinds, on coordinates on cell faces and one ulp below them."""
+    """The lists hold exactly the pairs within r, by the O(N^2) oracle over
+    locals and ghosts, at both cell edges, on coordinates on cell faces and
+    one ulp below them: a full row holds every particle within r of its
+    local; half rows hold every pair with a ghost on the local's row and
+    every local pair once, on either row."""
 
     @given(face_clouds())
     @settings(max_examples=60, deadline=None)
@@ -403,14 +494,20 @@ class TestListsAgainstAllPairs:
         for shell, half in itertools.product(SHELLS, (False, True)):
             with pytest.MonkeyPatch.context() as mp:
                 force_shell(mp, shell)
-                grid = build_cell_grid(store, AABB.cube(0.0, box_len), r)
+                grid = build_cell_grid(store, AABB.cube(0.0, box_len), r, half=half)
             assert grid.shell == shell
             lists = build_neighbor_lists(store, grid, r, half=half)
             for i in range(n_local):
                 row = lists.partners[lists.start[i] : lists.start[i + 1]].tolist()
                 assert len(row) == len(set(row))
-                assert set(row) == {j for j in want[i] if j > i or not half}
+                if half:
+                    # a subset of the oracle's set, every ghost pair on its local
+                    assert set(row) <= want[i]
+                    assert {j for j in row if j >= n_local} == {j for j in want[i] if j >= n_local}
+                else:
+                    assert set(row) == want[i]
             if half:
+                # every local-local pair exactly once, on either row
                 local_pairs = [(min(i, j), max(i, j)) for i, j in lists.pairs().tolist() if j < n_local]
                 assert len(local_pairs) == len(set(local_pairs))
                 assert set(local_pairs) == {(i, j) for i in range(n_local) for j in want[i] if i < j < n_local}
@@ -520,7 +617,7 @@ class TestPerAxisOracles:
         rng = np.random.default_rng(4)
         pos = rng.uniform(1, 7, size=(45, 3))  # not a multiple of either cluster size
         store = make_store(pos, n_ghost=6, layout=layout)
-        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
+        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8, half=True)
         lists = build_neighbor_lists(store, grid, 2.8, half=True)
         ref = store.local_positions()
         assert lists.ref_positions.shape == (3, 39)

@@ -83,7 +83,7 @@ def forces_of_pair(law, pos, half):
     """Local forces of a two-particle store in a box of edge 9, without ghosts."""
     store = ParticleStore(row_major_layout(), 2)
     store.append_locals(pos, np.zeros((2, 3)))
-    grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+    grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8, half=half)
     compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=half), law)
     return local_forces(store)
 
@@ -289,7 +289,7 @@ class TestComputeForces:
         results = {}
         for half in (False, True):
             store, box, r = periodic_store(cfg)
-            grid = build_cell_grid(store, box, r)
+            grid = build_cell_grid(store, box, r, half=half)
             lists = build_neighbor_lists(store, grid, r, half=half)
             compute_forces(store, lists, law)
             results[half] = local_forces(store)
@@ -298,7 +298,7 @@ class TestComputeForces:
     def test_forces_sum_to_zero_periodic(self):
         cfg = SimConfig(unit_cells=(4, 4, 4)).validate()
         store, box, r = periodic_store(cfg)
-        grid = build_cell_grid(store, box, r)
+        grid = build_cell_grid(store, box, r, half=True)
         lists = build_neighbor_lists(store, grid, r, half=True)
         compute_forces(store, lists, law_from_config(cfg))
         total = local_forces(store).sum(axis=0)
@@ -327,13 +327,13 @@ class TestComputeForces:
         store = ParticleStore(row_major_layout(), 2)
         store.append_locals(np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]]), np.zeros((2, 3)))
         box = AABB.cube(0.0, 9.0)
-        grid = build_cell_grid(store, box, 2.8)
         law = LennardJones(1.0, 1.0, 2.5)
-        e_half = compute_forces(
-            store, build_neighbor_lists(store, grid, 2.8, half=True), law, accumulate_energy=True
-        )
-        e_full = compute_forces(
-            store, build_neighbor_lists(store, grid, 2.8, half=False), law, accumulate_energy=True
+        e_half, e_full = (
+            compute_forces(
+                store, build_neighbor_lists(store, build_cell_grid(store, box, 2.8, half), 2.8, half), law,
+                accumulate_energy=True,
+            )
+            for half in (True, False)
         )
         assert e_half == pytest.approx(0.0, abs=1e-12)  # r = 1: the 12-6 terms cancel
         assert e_full == pytest.approx(e_half, abs=1e-12)
@@ -341,7 +341,7 @@ class TestComputeForces:
     def test_singular_pair_identified(self):
         store = ParticleStore(row_major_layout(), 2)
         store.append_locals(np.array([[4.0, 4.0, 4.0], [4.0, 4.0, 4.0]]), np.zeros((2, 3)))
-        grid = build_cell_grid(store, AABB.cube(0, 9), 2.8)
+        grid = build_cell_grid(store, AABB.cube(0, 9), 2.8, half=True)
         lists = build_neighbor_lists(store, grid, 2.8, half=True)
         with pytest.raises(SingularityError):
             compute_forces(store, lists, LennardJones())
@@ -359,7 +359,7 @@ class TestComputeForces:
         energy = {}
         for half in (False, True):
             store, box, r = periodic_store(cfg)
-            grid = build_cell_grid(store, box, r)
+            grid = build_cell_grid(store, box, r, half=half)
             lists = build_neighbor_lists(store, grid, r, half=half)
             energy[half] = compute_forces(store, lists, law, accumulate_energy=True)
         assert abs(energy[True] - energy[False]) < 1e-10
@@ -436,7 +436,7 @@ class TestComputeForces:
         # that start at the same offset
         store = ParticleStore(row_major_layout(), 6)
         store.append_locals(4.0 + np.outer(np.arange(6.0), [1.0, 0.0, 0.0]) / 2, np.zeros((6, 3)))
-        built = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8), 2.8, half=half)
+        built = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8, half=half), 2.8, half=half)
         rows = [row(built, i).tolist() for i in range(6)]
         bad = 5
         if where == "after-empty-rows":
@@ -465,9 +465,17 @@ class TestComputeForces:
     def test_fault_past_first_block(self, twin_at, bad_at, error, law, half):
         # local 125's row holds 299 clump partners; its twin (local 424) and a
         # partner index out of range are placed at the given entries of it, so
-        # the first fault in row order lies in the second staged block
+        # the first fault in row order lies in the second staged block. Half
+        # lists hold a local pair on the row of the cell that comes first, so
+        # the pairs of local 125 that other rows hold are moved to its row
         store, box = clumped_store(1.35, 2.8, twin=True)
-        lists = build_neighbor_lists(store, build_cell_grid(store, box, 2.8), 2.8, half=half)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, 2.8, half=half), 2.8, half=half)
+        if half:
+            pairs = lists.pairs()
+            theirs = pairs[:, 1] == 125
+            pairs[theirs] = pairs[theirs][:, ::-1]
+            partners, start = csr([pairs[pairs[:, 0] == i, 1] for i in range(lists.n_local)])
+            lists = replace(lists, partners=partners, start=start)
         partners = row(lists, 125)
         assert partners.size > max(twin_at, bad_at or 0) > KERNEL_BLOCK
         k = int(np.flatnonzero(partners == 424)[0])
@@ -488,8 +496,8 @@ class TestComputeForces:
         ghosts = np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]])[:n_ghost]
         if n_ghost:
             store.append_ghosts(ghosts, peer=1)
-        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
         for half in (False, True):
+            grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8, half=half)
             lists = build_neighbor_lists(store, grid, 2.8, half=half)
             assert lists.n_local == 0 and lists.pairs().shape == (0, 2)
             energy = compute_forces(store, lists, LennardJones(), accumulate_energy=True)
@@ -673,7 +681,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("half", [False, True])
     def test_matches_pair_loop(self, law, r, half):
         store, box = jittered_store(21, r)
-        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r, half=half), r, half=half)
         # the build puts the farthest cells last in each row; shuffling the
         # partners puts in-cutoff entries in every column, the last included
         rng = np.random.default_rng(5)
@@ -703,7 +711,7 @@ class TestKernelOracle:
     def test_row_order_bitwise(self, law, clump_radius, r, half):
         # a reordered sum passes the 1e-12 comparison above but not this one
         store, box = clumped_store(clump_radius, r)
-        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r, half=half), r, half=half)
         rng = np.random.default_rng(9)
         for i in range(store.n_local):
             row(lists, i)[...] = rng.permutation(row(lists, i))
@@ -727,7 +735,7 @@ class TestKernelOracle:
         # the clumped store's rows never reach a ghost; the jittered one's do,
         # across every face, and its force rows are written back through the map
         store, box = jittered_store(21, r)
-        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r, half=half), r, half=half)
         rng = np.random.default_rng(9)
         for i in range(store.n_local):
             row(lists, i)[...] = rng.permutation(row(lists, i))
@@ -748,15 +756,17 @@ class TestKernelOracle:
     )
     @pytest.mark.parametrize("fill", ["clumped", "jittered"])
     def test_row_order_bitwise_with_lower_local_partners(self, law, clump_radius, r, fill):
-        # the build puts a local pair in the row of its lower index; moving
-        # most of them to the other row makes rows name local partners j < i,
-        # whose reactions land on rows already summed: the kernel must sum
-        # the reactions over all rows first and subtract them after the last.
-        # Moving 90 % keeps both kinds of local partner in most rows and
+        # the build puts a local pair in the row of the local whose cell
+        # comes first (in one cell, of the lower index), so rows already name
+        # some local partners j < i, whose reactions land on rows already
+        # summed: the kernel must sum the reactions over all rows first and
+        # subtract them after the last. Moving 90 % of the local pairs to
+        # the other row and shuffling each row makes such partners common,
+        # in any order; it keeps both kinds of local partner in most rows and
         # leaves the clump's last rows longer than KERNEL_BLOCK; the jittered
         # store adds ghost partners, which the clumped one lacks
         store, box = clumped_store(clump_radius, r) if fill == "clumped" else jittered_store(21, r)
-        built = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=True)
+        built = build_neighbor_lists(store, build_cell_grid(store, box, r, half=True), r, half=True)
         n_local = store.n_local
         rng = np.random.default_rng(13)
         pairs = built.pairs()
@@ -788,7 +798,7 @@ def test_optimisation_level_keeps_bits(monkeypatch):
     ):
         for store, box in (clumped_store(clump_radius, r), jittered_store(21, r)):
             for half in (False, True):
-                lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=half)
+                lists = build_neighbor_lists(store, build_cell_grid(store, box, r, half=half), r, half=half)
                 cases.append((store, lists, law))
 
     def results():
