@@ -639,13 +639,13 @@ class _PlanRound:
     sends: list[_PlanSend]
     recvs: list[_PlanRecv]
     rows: np.ndarray = field(init=False, repr=False)  # (k, 3)
-    args: tuple = field(init=False, repr=False)  # gather_rows' (idx, shift, k, out)
+    args: tuple = field(init=False, repr=False)  # gather_rows' (width, idx, start, shift, k, out)
 
     def __post_init__(self) -> None:
         k = self.src_idx.shape[0]
         self.rows = np.empty((k, 3))
         self.args = (
-            kernel.address(self.src_idx, np.int64, (k,)), kernel.address(self.shift, np.float64, (k, 3)),
+            3, kernel.address(self.src_idx, np.int64, (k,)), 0, kernel.address(self.shift, np.float64, (k, 3)),
             k, kernel.address(self.rows, np.float64),
         )
 

@@ -71,7 +71,7 @@ class AABB:
 _LAYOUT_KINDS = ("aos", "soa", "aosoa")
 _POTENTIALS = ("lj", "sd")
 _FILLS = ("full", "half-diagonal")
-_INT_FIELDS = ("particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster", "rng_seed")
+_INT_FIELDS = ("particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster")
 _REAL_FIELDS = (
     "lattice_density", "dt", "cutoff", "verlet_buffer", "epsilon", "sigma",
     "stiffness", "damping", "diameter", "mass", "velocity_scale",
@@ -104,7 +104,6 @@ class SimConfig:
     layout_kind: str = "aos"
     aosoa_cluster: int = 8
     mass: float = 1.0
-    rng_seed: int = 42
     velocity_scale: float = 1.0
     fill: str = "full"
 

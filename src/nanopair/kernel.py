@@ -2,16 +2,19 @@
 
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
 on first use in a process and returns the loaded library with the argument
-types of its functions declared: `bin_cells` (the cell binning, which also
-writes the cell-ordered copy of the positions and, for half lists, bins the
-locals and the ghosts apart and records each local's slot), `build_lists`
-(the CSR neighbor-list build over the stencil's z-runs of cells: the whole
-stencil for full lists; for half lists the upper half stencil over the
-locals and the whole stencil over the ghosts), `pair_forces` (the
-force kernel over the list's rows, half-list reactions included), the
-per-step particle loops `kick_drift` and `kick` (the integrators),
-`max_displacement` (the displacement check), `gather_rows` and `put_rows`
-(the ghost refresh), and the epoch's particle loops `select_rows` (the
+types of its functions declared: `gather_rows` and `put_rows` (the row
+loops through which `ArrayHandle` reads and writes rows, and the ghost
+refresh's gather and write), `bin_cells` (the cell binning of the stored
+positions, which also writes the cell-ordered copy of the positions, finds
+the first local in the ghost shell and, for half lists, bins the locals and
+the ghosts apart and records each local's slot), `build_lists` (the CSR
+neighbor-list build over the stencil's z-runs of cells: the whole stencil
+for full lists; for half lists the upper half stencil over the locals and
+the whole stencil over the ghosts; it also copies the locals' positions
+out as the lists' reference), `pair_forces` (the force kernel over the
+list's rows, half-list reactions included), the per-step particle loops
+`kick_drift` and `kick` (the integrators), `max_displacement` (the
+displacement check), and the epoch's particle loops `select_rows` (the
 exchange and border tests of a round's pattern faces), `emit_rows` (the rows
 of a record or a border plan, shifted), `shift_rows` (exchange's departures
 moved through their face in place), `first_outside` (the ownership check
@@ -21,10 +24,9 @@ compiler is therefore a run-time requirement of this package. The driver,
 comm.py, neighbor.py, particles.py and potential.py all call into it, which
 is why the loader lives in its own module.
 
-The particle loops, and `pair_forces` for the positions, velocities and
-forces, work in place on the buffers of the store's `ArrayHandle`s, through
-the layout's index map (see nanopair.layout): no row is copied out of the
-layout and back.
+Every loop that reads or writes a particle array works in place on the
+buffer of its `ArrayHandle`, through the layout's index map (see
+nanopair.layout); the index map is the only way to address one.
 
 Array arguments are declared as plain addresses (`c_void_p`): a caller
 passes `address(a, dtype, shape)`, which checks the array once (an ndarray
@@ -106,17 +108,17 @@ def library() -> ctypes.CDLL:
     f64 = i32 = idx = ctypes.c_void_p
     i64 = ctypes.c_int64
     dll.bin_cells.argtypes = [
-        f64, i64, f64, ctypes.c_double, i64, idx,  # x, n, lo, h, k, dims
+        idx, f64, i64, f64, ctypes.c_double, i64, idx,  # map, x, n, lo, h, k, dims
         i64, ctypes.c_int,  # n_local, split
-        idx, idx, idx, i32, f64, idx,  # coords, cell_of, start, members, xs, slot
+        idx, idx, i32, f64, idx, ctypes.POINTER(i64),  # cell_of, start, members, xs, slot, shell_local
     ]
     dll.bin_cells.restype = i64
     dll.build_lists.argtypes = [
-        f64, f64, i64,  # x, xs, n_total
+        idx, f64, f64, i64,  # map, x, xs, n_total
         i32, idx, idx,  # members, start, cell_of
         idx, idx, i64, ctypes.c_double, ctypes.c_int,  # slot, runs, n_runs, rsq_max, half
         i64, i64, i32, i64,  # row0, n_local, buf, cap
-        idx, ctypes.POINTER(i64),  # row_start, need
+        idx, ctypes.POINTER(i64), f64,  # row_start, need, ref
     ]
     dll.build_lists.restype = i64
     # a particle array goes as its buffer and its index map (ArrayHandle.address, .map_address)
@@ -133,9 +135,9 @@ def library() -> ctypes.CDLL:
     dll.kick.restype = None
     dll.max_displacement.argtypes = [idx, f64, f64, i64]  # map, x, ref, n
     dll.max_displacement.restype = ctypes.c_double
-    dll.gather_rows.argtypes = [idx, f64, idx, f64, i64, f64]  # map, x, idx, shift, k, out
+    dll.gather_rows.argtypes = [idx, f64, i64, idx, i64, f64, i64, f64]  # map, x, width, idx, start, shift, k, out
     dll.gather_rows.restype = None
-    dll.put_rows.argtypes = [idx, f64, i64, i64, f64]  # map, x, start, k, rows
+    dll.put_rows.argtypes = [idx, f64, i64, idx, i64, i64, f64, i64]  # map, x, width, idx, start, k, rows, step
     dll.put_rows.restype = None
     dll.select_rows.argtypes = [idx, f64, i64, i64, idx, f64, ctypes.c_int, idx, idx]  # map, x, n, entries, axes, bounds, ge, idx, counts
     dll.select_rows.restype = None

@@ -20,19 +20,12 @@ The layout is fixed at handle creation, and so are `ArrayHandle.index_map`
 array, which the compiled loops of pair_kernel.c take to work in place on
 the buffer (see nanopair.kernel).
 
-In Python, every access goes through one zero-copy strided view of the
-buffer: (size_x, size_y) for row-major and column-major, (clusters, size_y,
-c) for clustered. A row range is a slice of that view and a row gather
-indexes one axis (clustered: the cluster and lane axes), so no per-element
-index array is built, and callers observe identical rows under every
-layout.
-
-`ArrayHandle.row_blocks` hands out the views that cover a row range: one
-block for row-major and column-major, up to three for clustered (a partial
-head cluster, the whole clusters, a partial tail cluster). The blocks depend
-only on the layout, size_x and the range, so the handles of one particle
-store, which share a layout and size_x, yield blocks that line up row for
-row.
+The index map is the only way to address a particle array. The row methods
+of `ArrayHandle` (`read_rows`, `read_rows_at`, `write_rows`, `write_rows_at`,
+`fill_rows`) are each one call of the compiled row loops `gather_rows` and
+`put_rows`, which read and write the buffer through the map in place, so
+callers observe identical rows under every layout and nothing here depends
+on the layout's kind.
 """
 
 from __future__ import annotations
@@ -128,12 +121,14 @@ class ArrayHandle:
     """A logical (size_x, size_y) array in one layout, accessed by rows.
 
     The buffer is padded to the layout's required capacity; padding elements
-    are zero-initialized and belong to no row. `view` is the zero-copy strided
-    view of the buffer; every row method reads or writes through it, and so
-    may a caller that indexes it directly (writes through it write the buffer).
-    `index_map` is the layout's (shift, A, B, mask) tuple for this size;
-    `address` and `map_address` are the data pointers of the buffer and of
-    the tuple as an int64 array, taken once here for the compiled loops.
+    are zero-initialized and belong to no row. `index_map` is the layout's
+    (shift, A, B, mask) tuple for this size; `address` and `map_address` are
+    the data pointers of the buffer and of the tuple as an int64 array,
+    taken once here for the compiled loops. The row methods work on float64
+    arrays only (TypeError otherwise) and raise IndexError for a row outside
+    [0, size_x). Rows are passed and returned row-major, (k, size_y); a
+    source that is not float64, C-contiguous and aligned (a wire payload, a
+    column slice) is copied once first.
     """
 
     def __init__(self, layout: LayoutDescriptor, size_x: int, size_y: int, dtype=np.float64):
@@ -142,95 +137,74 @@ class ArrayHandle:
         self.size_y = int(size_y)
         self.dtype = np.dtype(dtype)
         self.buf = np.zeros(layout.required_capacity(size_x, size_y), dtype=self.dtype)
-        if layout.kind is LayoutKind.ROW_MAJOR:
-            self.view = self.buf.reshape(self.size_x, self.size_y)
-        elif layout.kind is LayoutKind.COLUMN_MAJOR:
-            self.view = self.buf.reshape(self.size_y, self.size_x).T
-        else:
-            c = layout.cluster_size
-            self.view = self.buf.reshape(-(-self.size_x // c), self.size_y, c)
         self.index_map = layout.index_map(self.size_x, self.size_y)
         self._map = np.array(self.index_map, dtype=np.int64)
         self.address = kernel.address(self.buf, self.dtype)
         self.map_address = kernel.address(self._map, np.int64, (4,))
+        self._fill = np.zeros(self.size_y)  # the row that fill_rows repeats
+        self._fill_address = kernel.address(self._fill, np.float64)
 
-    def row_blocks(self, start: int, count: int):
-        """Cover rows [start, start+count) with zero-copy views of `view`.
-
-        Yields (a, b, block): rows start+a .. start+b-1 live in `block`,
-        whose leading axes hold those rows in order and whose last axis is y;
-        writes to a block write the buffer. Two handles with the same layout
-        and size_x yield blocks of the same shapes for the same range.
-        """
-        if count == 0:
-            return
+    def _span(self, start: int, count: int) -> None:
         if start < 0 or count < 0 or start + count > self.size_x:
             raise IndexError(f"rows [{start}, {start + count}) outside size_x={self.size_x}")
-        if self.layout.kind is not LayoutKind.CLUSTERED:
-            yield 0, count, self.view[start : start + count]
-            return
-        c, shift, stop = self.layout.cluster_size, self.layout.shift, start + count
-        k0, k1 = start >> shift, (stop - 1) >> shift
-        j0 = start & self.layout.mask
-        if k0 == k1:
-            yield 0, count, self.view[k0, :, j0 : j0 + count].T
-            return
-        # partial head cluster, whole clusters, partial tail cluster
-        head, tail = c - j0, stop - (k1 << shift)
-        yield 0, head, self.view[k0, :, j0:].T
-        if k1 > k0 + 1:
-            yield head, count - tail, self.view[k0 + 1 : k1].transpose(0, 2, 1)
-        yield count - tail, count, self.view[k1, :, :tail].T
+
+    def _indices(self, x_indices) -> np.ndarray:
+        x = np.ascontiguousarray(x_indices, dtype=np.int64).reshape(-1)
+        if x.size and (x.min() < 0 or x.max() >= self.size_x):
+            raise IndexError("row index outside size_x")
+        return x
+
+    def _source(self, rows, k: int) -> np.ndarray:
+        """`rows` as a (k, size_y) float64 array, C-contiguous and aligned:
+        copied once if it is not one already."""
+        rows = np.asarray(rows, dtype=np.float64)
+        if not (rows.flags.c_contiguous and rows.flags.aligned):
+            rows = rows.copy()
+        if rows.shape != (k, self.size_y):
+            raise ValueError(f"rows of shape {rows.shape}, expected {(k, self.size_y)}")
+        return rows
+
+    def _gather(self, idx, start: int, k: int) -> np.ndarray:
+        if self.dtype != np.float64:
+            raise TypeError(f"row methods need a float64 array, not {self.dtype}")
+        out = np.empty((k, self.size_y))
+        x = None if idx is None else idx.ctypes.data
+        kernel.library().gather_rows(self.map_address, self.address, self.size_y, x, start, None, k, out.ctypes.data)
+        return out
+
+    def _put(self, idx, start: int, k: int, rows_address: int, step: int) -> None:
+        if self.dtype != np.float64:
+            raise TypeError(f"row methods need a float64 array, not {self.dtype}")
+        x = None if idx is None else idx.ctypes.data
+        kernel.library().put_rows(self.map_address, self.address, self.size_y, x, start, k, rows_address, step)
 
     def read_rows(self, start: int = 0, count: int | None = None) -> np.ndarray:
         """Copy rows [start, start+count) out as a (count, size_y) array."""
         if count is None:
             count = self.size_x - start
-        out = np.empty((count, self.size_y), dtype=self.dtype)
-        for a, b, block in self.row_blocks(start, count):
-            out[a:b].reshape(block.shape)[...] = block
-        return out
-
-    def read_transposed(self, start: int, count: int) -> np.ndarray:
-        """Copy rows [start, start+count) out as a C-contiguous (size_y, count)
-        array: the transpose of `read_rows`, taken in one copy."""
-        out = np.empty((self.size_y, count), dtype=self.dtype)
-        for a, b, block in self.row_blocks(start, count):
-            # splitting the contiguous last axis of a column slice is a view
-            out[:, a:b].reshape((self.size_y, *block.shape[:-1]))[...] = np.moveaxis(block, -1, 0)
-        return out
-
-    def write_rows(self, start: int, rows: np.ndarray) -> None:
-        rows = np.asarray(rows)
-        for a, b, block in self.row_blocks(start, rows.shape[0]):
-            block[...] = rows[a:b].reshape(block.shape)
-
-    def fill_rows(self, start: int, count: int, value=0.0) -> None:
-        if count > 0:
-            for _, _, block in self.row_blocks(start, count):
-                block[...] = value
-
-    def _rows_key(self, x_indices):
-        """Index into `view` selecting the given rows; checks their range."""
-        x = np.asarray(x_indices, dtype=np.int64)
-        if x.size and (x.min() < 0 or x.max() >= self.size_x):
-            raise IndexError("row index outside size_x")
-        if self.layout.kind is LayoutKind.CLUSTERED:
-            return x >> self.layout.shift, slice(None), x & self.layout.mask
-        return x
+        self._span(start, count)
+        return self._gather(None, start, count)
 
     def read_rows_at(self, x_indices) -> np.ndarray:
         """Gather arbitrary rows as a (k, size_y) copy."""
-        key = self._rows_key(x_indices)
-        if self.layout.kind is LayoutKind.ROW_MAJOR:
-            return np.take(self.view, key, axis=0)
-        if self.layout.kind is LayoutKind.COLUMN_MAJOR:
-            # take along the contiguous axis of the (size_y, size_x) buffer
-            return np.take(self.view.T, key, axis=1).T
-        return self.view[key]
+        x = self._indices(x_indices)
+        return self._gather(x, 0, x.size)
+
+    def write_rows(self, start: int, rows: np.ndarray) -> None:
+        k = len(rows)
+        self._span(start, k)
+        rows = self._source(rows, k)
+        self._put(None, start, k, rows.ctypes.data, self.size_y)
 
     def write_rows_at(self, x_indices, rows: np.ndarray) -> None:
-        self.view[self._rows_key(x_indices)] = rows
+        x = self._indices(x_indices)
+        rows = self._source(rows, x.size)
+        self._put(x, 0, x.size, rows.ctypes.data, self.size_y)
+
+    def fill_rows(self, start: int, count: int, value=0.0) -> None:
+        self._span(start, count)
+        self._fill[...] = value
+        self._put(None, start, count, self._fill_address, 0)
 
     def grown(self, new_size_x: int) -> "ArrayHandle":
         """A new handle with the same layout and contents, larger size_x."""

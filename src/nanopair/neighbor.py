@@ -10,8 +10,9 @@ ghost cells, r wide, on each side; a particle farther out than that shell
 indicates a missed exchange and raises ProtocolError.
 
 The grid is a CSR cell list (compressed rows: one flat member array plus each
-cell's start offset), binned by one compiled counting sort (`bin_cells`),
-which also copies the positions into member order. The Verlet lists are CSR
+cell's start offset), binned by one compiled counting sort (`bin_cells`)
+that reads the stored positions in place through the layout's index map
+and copies them into member order. The Verlet lists are CSR
 in the same convention (one flat partner array plus each local's start
 offset), built by one compiled pass over the locals (see
 `build_neighbor_lists`), which reads each local's stencil as (2k + 1)^2
@@ -75,7 +76,9 @@ class CellGrid:
     lists (`half`) bins the locals and the ghosts apart: key c holds the
     locals of cell c and key n_cells + c its ghosts, and slot[i] is local
     i's offset in members. `counts` and `occupants` describe whole cells
-    (locals and ghosts) for either kind.
+    (locals and ghosts) for either kind. `shell_local` is the first local
+    that was binned into the ghost shell, or -1: the lists cannot be built
+    for it (see `build_neighbor_lists`).
     """
 
     origin: np.ndarray
@@ -84,13 +87,12 @@ class CellGrid:
     dims: np.ndarray  # interior cell counts per axis (excludes the shell)
     half: bool  # binned for half lists: locals and ghosts apart
     n_local: int  # locals binned; particles from n_local on are ghosts
-    coords: np.ndarray  # (n_total, 3) shell-shifted integer cell coordinates, a transposed (3, n_total) array
     cell_of: np.ndarray  # (n_total,) int64 cell id of each particle
     start: np.ndarray  # (n_keys + 1,) int64 offsets of each key's members; n_keys = 2 n_cells if half else n_cells
     members: np.ndarray  # (n_total,) int32 particle indices, key by key
     slot: np.ndarray  # (n_local,) int64 members offset of each local if half, else empty
-    positions: np.ndarray  # (3, n_total) coordinate-major positions that were binned
-    sorted_positions: np.ndarray  # (3, n_total) the same, in members order
+    sorted_positions: np.ndarray  # (3, n_total) coordinate-major positions that were binned, in members order
+    shell_local: int  # the first local binned into the ghost shell, or -1
 
     @property
     def shell_dims(self) -> np.ndarray:
@@ -163,9 +165,11 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float, half: bool 
 
     The edge is r/2 when the box, rounded up to whole cells of edge r, holds
     at least `_DENSE` particles (locals and ghosts) per cell of edge r, and r
-    otherwise. One compiled pass (`bin_cells` in pair_kernel.c) takes
-    floor((x - lo) / edge) per axis and sorts the particles by cell, keeping
-    index order within a cell, and copies the positions into that order.
+    otherwise. One compiled pass (`bin_cells` in pair_kernel.c) reads the
+    positions in place through the layout's index map, takes
+    floor((x - lo) / edge) per axis, sorts the particles by cell, keeping
+    index order within a cell, copies the positions into that order and
+    notes the first local that lies in the ghost shell (`shell_local`).
     With `half` (a grid for half lists) it sorts the locals and the ghosts
     into two ranges of cells, locals first, and records each local's slot.
     Full lists keep one range: binned apart, they would read up to 25 more
@@ -178,7 +182,6 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float, half: bool 
     if r <= 0:
         raise ValueError("interaction radius must be positive")
     n = store.n_total
-    xyz = store.positions.read_transposed(0, n)
     lo = rank_aabb.lo
     dims = np.maximum(1, np.ceil(rank_aabb.extent() / r - 1e-12).astype(np.int64))
     shell = 2 if n >= _DENSE * np.prod(dims) else 1
@@ -186,28 +189,29 @@ def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float, half: bool 
     if shell > 1:
         dims = np.maximum(1, np.ceil(rank_aabb.extent() / edge - 1e-12).astype(np.int64))
     n_local = store.n_local
-    coords = np.empty((3, n), dtype=np.int64)
     cell_of = np.empty(n, dtype=np.int64)
     start = np.empty((2 if half else 1) * int(np.prod(dims + 2 * shell)) + 1, dtype=np.int64)
     members = np.empty(n, dtype=np.int32)
     slot = np.empty(n_local if half else 0, dtype=np.int64)
     xs = np.empty((3, n))
+    shell_local = ctypes.c_int64()
     f64, i32, i64 = np.float64, np.int32, np.int64
+    h = store.positions
     bad = kernel.library().bin_cells(
-        kernel.address(xyz, f64, (3, n)), n, kernel.address(lo, f64, (3,)), edge, shell,
-        kernel.address(dims, i64, (3,)), n_local, half, kernel.address(coords, i64),
-        kernel.address(cell_of, i64), kernel.address(start, i64), kernel.address(members, i32),
-        kernel.address(xs, f64), kernel.address(slot, i64),
+        h.map_address, h.address, n, kernel.address(lo, f64, (3,)), edge, shell,
+        kernel.address(dims, i64, (3,)), n_local, half, kernel.address(cell_of, i64),
+        kernel.address(start, i64), kernel.address(members, i32), kernel.address(xs, f64),
+        kernel.address(slot, i64), ctypes.byref(shell_local),
     )
     if bad >= 0:
         kind = "local" if bad < store.n_local else "ghost"
         raise ProtocolError(
-            f"{kind} particle {bad} at {xyz[:, bad]} lies beyond the ghost shell (r = {r} wide) "
+            f"{kind} particle {bad} at {h.read_rows(bad, 1)[0]} lies beyond the ghost shell (r = {r} wide) "
             f"of the cells over the rank box {lo}..{rank_aabb.hi}; an exchange was probably missed"
         )
     return CellGrid(
-        origin=lo, cell_size=edge, shell=shell, dims=dims, half=half, n_local=n_local, coords=coords.T,
-        cell_of=cell_of, start=start, members=members, slot=slot, positions=xyz, sorted_positions=xs,
+        origin=lo, cell_size=edge, shell=shell, dims=dims, half=half, n_local=n_local, cell_of=cell_of,
+        start=start, members=members, slot=slot, sorted_positions=xs, shell_local=shell_local.value,
     )
 
 
@@ -267,9 +271,10 @@ class NeighborLists:
         """
         counts = self.counts
         handle = ArrayHandle(row_major_layout(), max(self.n_local, 1), max(int(counts.max(initial=0)), 1), np.int32)
-        handle.view[...] = -1
+        table = handle.buf.reshape(handle.size_x, handle.size_y)
+        table[...] = -1
         row = np.repeat(np.arange(self.n_local), counts)
-        handle.view[row, np.arange(row.size) - self.start[row]] = self.partners
+        table[row, np.arange(row.size) - self.start[row]] = self.partners
         return handle
 
     def pairs(self) -> np.ndarray:
@@ -292,8 +297,10 @@ def build_neighbor_lists(
     build on a full grid would miss the ghosts of lower cells.
 
     One compiled pass (`build_lists` in pair_kernel.c) takes the locals in
-    index order. For each, it walks the runs of `grid.runs()` around the
-    local's cell, in order (k = `grid.shell`): the cells dz = -k .. k of one
+    index order. For each, it reads the local's position in place through
+    the layout's index map, copies it to the lists' `ref_positions`, and
+    walks the runs of `grid.runs()` around the local's cell, in order
+    (k = `grid.shell`): the cells dz = -k .. k of one
     (dx, dy) are consecutive ids, so their members are one slice of
     `grid.members`, and their coordinates the same slice of
     `grid.sorted_positions`. Full lists walk the (2k + 1)^3 cells of the
@@ -312,11 +319,12 @@ def build_neighbor_lists(
     every row, its buffer itself is, cut to the prefix in place
     (`ndarray.resize`, a realloc that returns the tail to the heap).
 
-    Positions and cells come from the grid, as it binned them, so the lists
-    match the grid by construction. The grid must bin as many particles and
+    The candidates' positions and every cell come from the grid, as it
+    binned them, so the lists match the grid by construction; the store must
+    not move between the two builds. The grid must bin as many particles and
     locals as the store holds, and every local must lie in an interior cell,
-    not in the ghost shell, so that all the stencil's cells around it exist;
-    ProtocolError otherwise.
+    not in the ghost shell (`grid.shell_local`), so that all the stencil's
+    cells around it exist; ProtocolError otherwise.
     """
     n_local = store.n_local
     start = np.zeros(n_local + 1, dtype=np.int64)
@@ -331,38 +339,34 @@ def build_neighbor_lists(
         )
     if grid.n_local != n_local:
         raise ProtocolError(f"the cell grid bins {grid.n_local} locals, the store holds {n_local}")
+    if grid.shell_local >= 0:
+        raise ProtocolError(
+            f"local particle {grid.shell_local} lies in the ghost shell of the cell grid, "
+            "outside the box the grid was built for"
+        )
     if n_local:
-        # per axis, on the contiguous (3, n_total) rows the grid transposed
-        outside = np.zeros(n_local, dtype=bool)
-        for d, row in enumerate(grid.coords.T):
-            outside |= row[:n_local] < grid.shell
-            outside |= row[:n_local] >= grid.dims[d] + grid.shell
-        if np.any(outside):
-            i = int(np.argmax(outside))
-            raise ProtocolError(
-                f"local particle {i} lies in the ghost shell of the cell grid, "
-                "outside the box the grid was built for"
-            )
         lib = kernel.library()
-        xyz = grid.positions
-        ref_positions = xyz[:, :n_local].copy()
+        ref_positions = np.empty((3, n_local))
         runs = grid.runs()
         # arrays by address, each checked once (see kernel.address)
         f64, i32, i64 = np.float64, np.int32, np.int64
         n = store.n_total
+        h = store.positions
         args = (
-            kernel.address(xyz, f64, (3, n)), kernel.address(grid.sorted_positions, f64, (3, n)), n,
+            h.map_address, h.address, kernel.address(grid.sorted_positions, f64, (3, n)), n,
             kernel.address(grid.members, i32, (n,)), kernel.address(grid.start, i64),
             kernel.address(grid.cell_of, i64), kernel.address(grid.slot, i64), kernel.address(runs, i64),
             runs.shape[0], r * r, half,
         )
-        start_p = kernel.address(start, i64)
+        start_p, ref_p = kernel.address(start, i64), kernel.address(ref_positions, f64)
         size = _LIST_BUFFER
         need = ctypes.c_int64()
         row0 = 0
         while row0 < n_local:
             buf = np.empty(size, dtype=np.int32)
-            stop = lib.build_lists(*args, row0, n_local, kernel.address(buf, i32), size, start_p, ctypes.byref(need))
+            stop = lib.build_lists(
+                *args, row0, n_local, kernel.address(buf, i32), size, start_p, ctypes.byref(need), ref_p
+            )
             if stop == row0:
                 size = need.value
                 continue

@@ -1,18 +1,20 @@
-/* The compiled loops of nanopair: the cell binning behind
- * nanopair.neighbor.build_cell_grid (a counting sort into a CSR cell list
- * of cells of edge r or r/2, with a cell-ordered copy of the positions; for
- * half lists the locals and the ghosts go to two ranges over the same
- * cells), the Verlet-list build behind nanopair.neighbor.build_neighbor_lists,
- * which reads each local's stencil (27 cells of edge r, or 125 of edge r/2)
- * as 9 or 25 contiguous z-runs of that list and of the copy (for half lists:
- * the upper half stencil, 5 or 13 runs, over the locals, so each local pair
- * is found once, and the whole stencil over the ghosts), the pair-force row
- * loops behind nanopair.potential.compute_forces, which also sum the
- * half-list reactions, and the per-step particle loops: the two
- * integrator kicks and the drift (nanopair.driver), the displacement check
- * (nanopair.neighbor.max_displacement_since_rebuild) and the ghost refresh's
- * gather and write (nanopair.comm.synchronize,
- * nanopair.particles.ParticleStore.set_ghost_positions), and the epoch's
+/* The compiled loops of nanopair: the row loops of every particle array
+ * (nanopair.layout.ArrayHandle's row methods, the ghost refresh's gather
+ * in nanopair.comm.synchronize and its write in
+ * nanopair.particles.ParticleStore.set_ghost_positions), the cell binning
+ * behind nanopair.neighbor.build_cell_grid (a counting sort of the stored
+ * positions into a CSR cell list of cells of edge r or r/2, with a
+ * cell-ordered copy of the positions; for half lists the locals and the
+ * ghosts go to two ranges over the same cells), the Verlet-list build behind
+ * nanopair.neighbor.build_neighbor_lists, which reads each local's stencil
+ * (27 cells of edge r, or 125 of edge r/2) as 9 or 25 contiguous z-runs of
+ * that list and of the copy (for half lists: the upper half stencil, 5 or
+ * 13 runs, over the locals, so each local pair is found once, and the whole
+ * stencil over the ghosts), the pair-force row loops behind
+ * nanopair.potential.compute_forces, which also sum the half-list
+ * reactions, and the per-step particle loops: the two integrator kicks and
+ * the drift (nanopair.driver) and the displacement check
+ * (nanopair.neighbor.max_displacement_since_rebuild), and the epoch's
  * particle loops: the pattern entries' row selection, the emitted rows of a
  * record or a border plan, the in-place move of exchange's departures
  * and the ownership check (nanopair.comm.exchange, nanopair.comm.define_borders),
@@ -22,10 +24,12 @@
  * compiles this file once per process.
  *
  * Particle arrays are read and written in place, in the layout's buffer,
- * through its index map (see nanopair.layout): element (x, y) of an array of
- * 3 columns lives at buf[(x >> map[0]) * map[1] + y * map[2] + (x & map[3])].
- * Every particle loop does numpy's operations in numpy's order on each
- * element, so it gives the bits of the numpy formula it replaces.
+ * through its index map (see nanopair.layout), and only through it: element
+ * (x, y) of an array of w columns lives at
+ * buf[(x >> map[0]) * map[1] + y * map[2] + (x & map[3])], w = 3 for the
+ * particle arrays. Every particle loop does numpy's operations in numpy's
+ * order on each element, so it gives the bits of the numpy formula it
+ * replaces.
  *
  * `pair_forces` picks one row loop per law. The Lennard-Jones loop is staged:
  * per block of a row's entries it gathers the in-cutoff partners, evaluates
@@ -391,78 +395,120 @@ double max_displacement(const int64_t *map, const double *x, const double *ref, 
     return nan ? NAN : sqrt(best);
 }
 
-/* The ghost refresh's gather: out[r] = row idx[r] of x + shift[r], for
- * r < k; out and shift are row-major (k, 3). */
-void gather_rows(const int64_t *map, const double *x, const int64_t *idx,
-                 const double *shift, int64_t k, double *out)
+/* Rows of a particle array of `width` columns under the index map, read
+ * row-major: for r < k, out[r * width + y] = element (x_r, y) of x, with
+ * x_r = idx[r], or start + r without idx, plus shift[r * width + y] with
+ * shift. A missing shift adds nothing (not +0.0, which would turn a -0.0
+ * element into +0.0). */
+static inline __attribute__((always_inline)) void gather_width(
+    const int64_t *map, const double *x, const int64_t width, const int64_t *idx, int64_t start,
+    const double *shift, int64_t k, double *out)
 {
     for (int64_t r = 0; r < k; ++r) {
-        const double *row = x + row_at(map, idx[r]);
-        for (int y = 0; y < 3; ++y)
-            out[3 * r + y] = row[y * map[2]] + shift[3 * r + y];
+        const double *row = x + row_at(map, idx ? idx[r] : start + r);
+        for (int64_t y = 0; y < width; ++y)
+            out[width * r + y] = shift ? row[y * map[2]] + shift[width * r + y] : row[y * map[2]];
     }
 }
 
-/* Rows [start, start + k) of x := the row-major (k, 3) rows. */
-void put_rows(const int64_t *map, double *x, int64_t start, int64_t k, const double *rows)
+/* Rows of a particle array of `width` columns under the index map, written
+ * from row-major rows: for r < k, element (x_r, y) of x := rows[r * step + y],
+ * with x_r as in `gather_width`. step = width writes k rows; step = 0
+ * writes the one row k times (a fill). */
+static inline __attribute__((always_inline)) void put_width(
+    const int64_t *map, double *x, const int64_t width, const int64_t *idx, int64_t start,
+    int64_t k, const double *rows, int64_t step)
 {
     for (int64_t r = 0; r < k; ++r) {
-        double *row = x + row_at(map, start + r);
-        for (int y = 0; y < 3; ++y)
-            row[y * map[2]] = rows[3 * r + y];
+        double *row = x + row_at(map, idx ? idx[r] : start + r);
+        for (int64_t y = 0; y < width; ++y)
+            row[y * map[2]] = rows[step * r + y];
     }
 }
 
-/* Bins particles [0, n) of x into the cells of edge h whose interior starts
- * at lo: dims[d] interior cells per axis plus a shell of k cells on each
- * side. Per axis, f = floor((x - lo) / h), the arithmetic of the numpy
- * formula; f is tested as a double, so a NaN fails the test, and a particle
- * with f outside [-k, dims[d] + k - 1] lies beyond the shell. Writes the
- * shell-shifted coordinates f + k to coords (3, n), the cell id
- * (c0 * g1 + c1) * g2 + c2 (g = dims + 2k) to cell_of (n,), and the CSR cell
- * list, a counting sort (so stable) by key: key range c holds
- * members[start[c] .. start[c + 1]), in index order. Without split a
+/* `gather_width` and `put_width` with the particle arrays' width 3 fixed at
+ * compile time: with the width a run-time value the inner loop stays a
+ * loop, and a 10k-row ghost gather took twice as long. Every row access of
+ * nanopair.layout.ArrayHandle, the ghost refresh's gather
+ * (nanopair.comm.synchronize) and its write
+ * (nanopair.particles.ParticleStore.set_ghost_positions) go through them. */
+void gather_rows(const int64_t *map, const double *x, int64_t width, const int64_t *idx,
+                 int64_t start, const double *shift, int64_t k, double *out)
+{
+    if (width == 3)
+        gather_width(map, x, 3, idx, start, shift, k, out);
+    else
+        gather_width(map, x, width, idx, start, shift, k, out);
+}
+
+void put_rows(const int64_t *map, double *x, int64_t width, const int64_t *idx, int64_t start,
+              int64_t k, const double *rows, int64_t step)
+{
+    if (width == 3)
+        put_width(map, x, 3, idx, start, k, rows, step);
+    else
+        put_width(map, x, width, idx, start, k, rows, step);
+}
+
+/* Bins particles [0, n) of x (read through the index map) into the cells
+ * of edge h whose interior starts at lo: dims[d] interior cells per axis
+ * plus a shell of k cells on each side. Per axis, f = floor((x - lo) / h),
+ * the arithmetic of the numpy formula; f is tested as a double, so a NaN
+ * fails the test, and a particle with f outside [-k, dims[d] + k - 1] lies
+ * beyond the shell. Writes the cell id (c0 * g1 + c1) * g2 + c2, with the
+ * shell-shifted coordinates c = f + k and g = dims + 2k, to cell_of (n,),
+ * and the CSR cell list, a counting sort (so stable) by key: key range c
+ * holds members[start[c] .. start[c + 1]), in index order. Without split a
  * particle's key is its cell, so start has n_cells + 1 entries. With split
  * (for half lists) locals [0, n_local) and ghosts are binned apart, as two
  * ranges over the same cells: a local's key is its cell, a ghost's is
  * n_cells + its cell, so start has 2 n_cells + 1 entries, and slot[i]
  * receives the members offset of local i. The scatter that fills members
  * also copies each particle's coordinates to its slot of xs (3, n):
- * xs[d][p] = x[d][members[p]], so a loop over a run of members reads the
- * coordinates in order instead of gathering them. Returns -1, or the first
- * particle beyond the shell; the outputs are then incomplete. */
+ * xs[d][p] = element (members[p], d) of x, so a loop over a run of members
+ * reads the coordinates in order instead of gathering them. *shell_local
+ * receives the first local binned into the shell (a cell with some c < k or
+ * c >= dims[d] + k), or -1. Returns -1, or the first particle beyond the
+ * shell; the outputs are then incomplete. */
 static inline __attribute__((always_inline)) int64_t bin_keys(
-    const double *x, int64_t n, const double *lo, double h, int64_t k,
-    const int64_t *dims, int64_t n_local, const int split, int64_t *coords, int64_t *cell_of,
-    int64_t *start, int32_t *members, double *xs, int64_t *slot)
+    const int64_t *map, const double *x, int64_t n, const double *lo, double h, int64_t k,
+    const int64_t *dims, int64_t n_local, const int split, int64_t *cell_of,
+    int64_t *start, int32_t *members, double *xs, int64_t *slot, int64_t *shell_local)
 {
     const int64_t g[3] = {dims[0] + 2 * k, dims[1] + 2 * k, dims[2] + 2 * k};
     const int64_t n_cells = g[0] * g[1] * g[2];
     const int64_t n_keys = split ? 2 * n_cells : n_cells;
+    int64_t first_shell = -1;
     for (int64_t c = 0; c <= n_keys; ++c)
         start[c] = 0;
     for (int64_t i = 0; i < n; ++i) {
+        const double *row = x + row_at(map, i);
         int64_t cell = 0;
+        int inside = 1;
         for (int d = 0; d < 3; ++d) {
-            const double f = floor((x[d * n + i] - lo[d]) / h);
+            const double f = floor((row[d * map[2]] - lo[d]) / h);
             if (!(f >= (double)-k && f <= (double)(dims[d] + k - 1)))
                 return i;
             const int64_t c = (int64_t)f + k;
-            coords[d * n + i] = c;
+            inside &= c >= k && c < dims[d] + k;
             cell = cell * g[d] + c;
         }
+        if (!inside && i < n_local && first_shell < 0)
+            first_shell = i;
         cell_of[i] = cell;
         start[cell + (split && i >= n_local ? n_cells : 0) + 1] += 1;
     }
+    *shell_local = first_shell;
     for (int64_t c = 0; c < n_keys; ++c)
         start[c + 1] += start[c];
     /* start[c] walks to the end of key range c, which is start[c + 1] before the walk */
     for (int64_t i = 0; i < n; ++i) {
         const int64_t p = start[cell_of[i] + (split && i >= n_local ? n_cells : 0)]++;
+        const double *row = x + row_at(map, i);
         members[p] = (int32_t)i;
-        xs[p] = x[i];
-        xs[n + p] = x[n + i];
-        xs[2 * n + p] = x[2 * n + i];
+        xs[p] = row[0];
+        xs[n + p] = row[map[2]];
+        xs[2 * n + p] = row[2 * map[2]];
         if (split && i < n_local)
             slot[i] = p;
     }
@@ -474,13 +520,15 @@ static inline __attribute__((always_inline)) int64_t bin_keys(
 
 /* `bin_keys` with split fixed at compile time, so the single-range loops
  * of full lists carry no key test. */
-int64_t bin_cells(const double *x, int64_t n, const double *lo, double h, int64_t k,
-                  const int64_t *dims, int64_t n_local, int split, int64_t *coords, int64_t *cell_of,
-                  int64_t *start, int32_t *members, double *xs, int64_t *slot)
+int64_t bin_cells(const int64_t *map, const double *x, int64_t n, const double *lo, double h, int64_t k,
+                  const int64_t *dims, int64_t n_local, int split, int64_t *cell_of,
+                  int64_t *start, int32_t *members, double *xs, int64_t *slot, int64_t *shell_local)
 {
     if (split)
-        return bin_keys(x, n, lo, h, k, dims, n_local, 1, coords, cell_of, start, members, xs, slot);
-    return bin_keys(x, n, lo, h, k, dims, n_local, 0, coords, cell_of, start, members, xs, slot);
+        return bin_keys(map, x, n, lo, h, k, dims, n_local, 1, cell_of, start, members, xs, slot,
+                        shell_local);
+    return bin_keys(map, x, n, lo, h, k, dims, n_local, 0, cell_of, start, members, xs, slot,
+                    shell_local);
 }
 
 /* List rows of locals [row0, n_local), in local order, into buf (cap
@@ -489,9 +537,11 @@ int64_t bin_cells(const double *x, int64_t n, const double *lo, double h, int64_
  * s is the runs[s][1] key ranges from cell_of[i] + runs[s][0] on, which are
  * consecutive ids (z-neighbours), so their members are the one slice
  * members[start[b] .. start[b + runs[s][1]]) with b = cell_of[i] + runs[s][0],
- * and their coordinates the same slice of xs, the cell-ordered copy of the
- * positions x (both (3, n_total)). The runs are taken in table order and
- * each slice in members order.
+ * and their coordinates the same slice of xs, the cell-ordered (3, n_total)
+ * copy of the positions x. The runs are taken in table order and each slice
+ * in members order. Local i's own coordinates are read from x through the
+ * index map and copied to ref[d * n_local + i], the (3, n_local) positions
+ * the lists were built at.
  *
  * Full lists read a single-range cell list over the whole stencil and keep
  * a candidate j != i. Half lists read a cell list binned apart (see
@@ -519,13 +569,12 @@ int64_t bin_cells(const double *x, int64_t n, const double *lo, double h, int64_
  * that row's candidate count, and buf holds the row_start[return] -
  * row_start[row0] entries of rows [row0, return). */
 static inline __attribute__((always_inline)) int64_t list_rows(
-    const double *x, const double *xs, int64_t n_total,
+    const int64_t *map, const double *x, const double *xs, int64_t n_total,
     const int32_t *members, const int64_t *start, const int64_t *cell_of, const int64_t *slot,
     const int64_t *runs, int64_t n_runs, double rsq_max, const int half,
     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
-    int64_t *row_start, int64_t *need)
+    int64_t *row_start, int64_t *need, double *ref)
 {
-    const double *y = x + n_total, *z = y + n_total;
     const double *ys = xs + n_total, *zs = ys + n_total;
     const int64_t base = row_start[row0];
     int64_t e = 0;
@@ -540,7 +589,11 @@ static inline __attribute__((always_inline)) int64_t list_rows(
                 return i;
             }
         }
-        const double xi = x[i], yi = y[i], zi = z[i];
+        const double *row = x + row_at(map, i);
+        const double xi = row[0], yi = row[map[2]], zi = row[2 * map[2]];
+        ref[i] = xi;
+        ref[n_local + i] = yi;
+        ref[2 * n_local + i] = zi;
         for (int64_t s = 0; s < n_runs; ++s) {
             const int64_t b = c + runs[2 * s];
             const int64_t end = start[b + runs[2 * s + 1]];
@@ -562,17 +615,17 @@ static inline __attribute__((always_inline)) int64_t list_rows(
 /* `list_rows` with the list kind fixed at compile time: the full-list loop
  * keeps its one compare per candidate for the index rule, the half-list
  * loop has none. slot is read only for half lists. */
-int64_t build_lists(const double *x, const double *xs, int64_t n_total,
+int64_t build_lists(const int64_t *map, const double *x, const double *xs, int64_t n_total,
                     const int32_t *members, const int64_t *start, const int64_t *cell_of,
                     const int64_t *slot, const int64_t *runs, int64_t n_runs, double rsq_max, int half,
                     int64_t row0, int64_t n_local, int32_t *buf, int64_t cap,
-                    int64_t *row_start, int64_t *need)
+                    int64_t *row_start, int64_t *need, double *ref)
 {
     if (half)
-        return list_rows(x, xs, n_total, members, start, cell_of, slot, runs, n_runs, rsq_max, 1,
-                         row0, n_local, buf, cap, row_start, need);
-    return list_rows(x, xs, n_total, members, start, cell_of, slot, runs, n_runs, rsq_max, 0,
-                     row0, n_local, buf, cap, row_start, need);
+        return list_rows(map, x, xs, n_total, members, start, cell_of, slot, runs, n_runs, rsq_max, 1,
+                         row0, n_local, buf, cap, row_start, need, ref);
+    return list_rows(map, x, xs, n_total, members, start, cell_of, slot, runs, n_runs, rsq_max, 0,
+                     row0, n_local, buf, cap, row_start, need, ref);
 }
 
 /* Whether coordinate c passes a face test against bound b: from above on

@@ -144,7 +144,8 @@ class ParticleStore:
         if not (pos.flags.aligned and pos.flags.c_contiguous):
             pos = pos.copy()
         h = self.positions
-        kernel.library().put_rows(h.map_address, h.address, start, k, kernel.address(pos, np.float64, (k, 3)))
+        rows = kernel.address(pos, np.float64, (k, 3))
+        kernel.library().put_rows(h.map_address, h.address, 3, None, start, k, rows, 3)
 
 
 def lattice_positions(cfg: SimConfig, domain: AABB) -> np.ndarray:

@@ -272,7 +272,7 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("value", [2.5, 4.0, "4", True])
     @pytest.mark.parametrize(
-        "field", ["particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster", "rng_seed"]
+        "field", ["particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster"]
     )
     def test_non_integer_field_rejected(self, field, value):
         # 4.0 is in (1, 2, 4) and 2.5 > 0, so only a type check catches these
@@ -281,7 +281,7 @@ class TestSimConfig:
             SimConfig(**kwargs).validate()
 
     def test_numpy_integer_fields_accepted(self):
-        SimConfig(unit_cells=(6, 6, 6), steps=np.int64(3), rng_seed=np.int64(411)).validate()
+        SimConfig(unit_cells=(6, 6, 6), steps=np.int64(3), aosoa_cluster=np.int64(4)).validate()
 
     def test_spring_dashpot_contact_cutoff_accepted(self):
         SimConfig(potential_kind="sd", cutoff=1.0, diameter=1.0, damping=0.0).validate()

@@ -4,7 +4,10 @@ ghost write, the force write-back of `compute_forces`, and the epoch's loops
 (the exchange and border selections with their emitted rows, the ownership
 check, the bounding box). Each must give the bits of the numpy formula on
 `read_rows` copies and leave every other byte of the buffers (ghost rows,
-unused rows, the padding lanes of the last cluster) as it was. The
+unused rows, the padding lanes of the last cluster) as it was. The row
+methods (`read_rows`, `write_rows` and the rest) are themselves compiled
+loops; tests/test_layout.py checks them against `index_2d`, the index
+formula in pure numpy, which makes them the reference here. The
 integrators are covered in tests/test_driver.py, the compaction of the
 locals in tests/test_particles.py and the load histogram in
 tests/test_core.py."""
@@ -62,7 +65,7 @@ def buffers(store):
 
 
 def with_rows(handle, start, rows):
-    """The handle's buffer bytes with `rows` written from row `start` on, by the numpy row path."""
+    """The handle's buffer bytes with `rows` written from row `start` on, by `write_rows`."""
     want = ArrayHandle(handle.layout, handle.size_x, handle.size_y)
     want.buf[:] = handle.buf
     want.write_rows(start, rows)
@@ -92,8 +95,8 @@ class TestIndexMap:
         shift, a, b, mask = h.index_map
         x, y = np.meshgrid(np.arange(size_x), np.arange(size_y), indexing="ij")
         offsets = (x >> shift) * a + y * b + (x & mask)
-        # read_rows goes through `view`, so the buffer element at each offset
-        # must be the view's element (x, y)
+        # read_rows goes through the compiled row loop, so the buffer element
+        # at each offset of the formula must be the row loop's element (x, y)
         np.testing.assert_array_equal(h.buf[offsets], h.read_rows())
 
     @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
@@ -142,7 +145,7 @@ class TestCompiledLoopsMatchNumpy:
         before = buffers(store)
         h = store.positions
         kernel.library().gather_rows(
-            h.map_address, h.address, kernel.address(idx, np.int64), kernel.address(shift, np.float64),
+            h.map_address, h.address, 3, kernel.address(idx, np.int64), 0, kernel.address(shift, np.float64),
             idx.size, kernel.address(got, np.float64),
         )
         np.testing.assert_array_equal(got, want)
@@ -195,8 +198,8 @@ class TestCompiledLoopsMatchNumpy:
             assert with_rows(s.forces, 0, forces[-1]) == s.forces.buf.tobytes()
             # only the local rows changed: ghosts, unused rows and padding did not
             after = s.forces.buf.copy()
-            written = ArrayHandle(s.layout, s.capacity, 3, dtype=np.int8)
-            written.write_rows(0, np.ones((n_local, 3), dtype=np.int8))
+            written = ArrayHandle(s.layout, s.capacity, 3)
+            written.write_rows(0, np.ones((n_local, 3)))
             np.testing.assert_array_equal(after[written.buf == 0], before[written.buf == 0])
         np.testing.assert_array_equal(forces[1], forces[0])
         assert energies[1] == energies[0]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nanopair.comm import WIRE_EXCHANGE, WIRE_SYNC, pack_particles, unpack_particles
 from nanopair.layout import (
     ArrayHandle,
     LayoutKind,
@@ -83,18 +84,6 @@ class TestBulkRows:
         for i in range(n):
             np.testing.assert_array_equal(a.buf[index_2d(lay, n, 3, i, np.arange(3))], vals[i])
         np.testing.assert_array_equal(a.read_rows(5, 7), vals[5:12])
-
-    @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
-    @pytest.mark.parametrize("start,count", [(0, 29), (0, 23), (5, 17), (9, 2), (12, 0)])
-    def test_read_transposed_matches_rows(self, lay, start, count):
-        # 29 rows: partial last clusters, and ranges that start and end
-        # inside a cluster, span whole clusters or stay within one
-        rng = np.random.default_rng(6)
-        a = ArrayHandle(lay, 29, 3)
-        a.write_rows(0, rng.normal(size=(29, 3)))
-        got = a.read_transposed(start, count)
-        assert got.flags.c_contiguous and got.shape == (3, count)
-        np.testing.assert_array_equal(got, a.read_rows(start, count).T)
 
     def test_soa_and_aos_buffers_are_permutations(self):
         rng = np.random.default_rng(1)
@@ -199,6 +188,58 @@ class TestRowViews:
         np.testing.assert_array_equal(a.buf, want)
 
 
+class TestRowSources:
+    @pytest.mark.parametrize("lay", VIEW_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
+    @pytest.mark.parametrize("source", ["wire-payload", "column-slice", "exchange-slice"])
+    def test_write_from_view_equals_write_from_copy(self, lay, source):
+        # a wire payload starts 5 bytes into its record (not aligned), a
+        # column slice of 6-wide records is not C-contiguous, and exchange's
+        # data[:, :3] is both
+        rng = np.random.default_rng(12)
+        n = 11
+        records = rng.normal(size=(n, 6))
+        if source == "wire-payload":
+            _, rows = unpack_particles(pack_particles(WIRE_SYNC, records[:, :3]))
+        elif source == "column-slice":
+            rows = records[:, :3]
+        else:
+            _, data = unpack_particles(pack_particles(WIRE_EXCHANGE, records))
+            rows = data[:, :3]
+        assert not (rows.flags.aligned and rows.flags.c_contiguous)
+        picked = rng.permutation(17)[:n]
+        got, want = ArrayHandle(lay, 17, 3), ArrayHandle(lay, 17, 3)
+        got.write_rows(4, rows)
+        want.write_rows(4, rows.copy())
+        assert got.buf.tobytes() == want.buf.tobytes()
+        got.write_rows_at(picked, rows)
+        want.write_rows_at(picked, rows.copy())
+        assert got.buf.tobytes() == want.buf.tobytes()
+
+    def test_negative_zero_kept(self):
+        # a read adds no shift: -0.0 + 0.0 would come back as +0.0
+        for lay in VIEW_LAYOUTS:
+            a = ArrayHandle(lay, 9, 3)
+            a.fill_rows(0, 9, -0.0)
+            a.write_rows_at([2, 5], np.full((2, 3), -0.0))
+            for rows in (a.read_rows(), a.read_rows_at([5, 2, 8])):
+                assert np.all(np.signbit(rows))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.float32])
+    def test_row_methods_need_float64(self, dtype):
+        a = ArrayHandle(row_major_layout(), 5, 3, dtype=dtype)
+        calls = [
+            lambda: a.read_rows(0, 2),
+            lambda: a.read_rows_at([1, 3]),
+            lambda: a.write_rows(0, np.ones((2, 3))),
+            lambda: a.write_rows_at([1, 3], np.ones((2, 3))),
+            lambda: a.fill_rows(0, 2, 1.0),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="float64"):
+                call()
+        assert not a.buf.any()
+
+
 def test_layout_from_config():
     assert layout_from_config("aos").kind.value == "row_major"
     assert layout_from_config("soa").kind.value == "column_major"
@@ -206,38 +247,3 @@ def test_layout_from_config():
     assert lay.kind.value == "clustered" and lay.cluster_size == 16
     with pytest.raises(ValueError):
         layout_from_config("blocked")
-
-
-class TestRowBlocks:
-    @given(handle_and_rows())
-    @settings(max_examples=200)
-    def test_blocks_cover_the_range_in_order(self, case):
-        a, start, count, _ = case
-        blocks = list(a.row_blocks(start, count))
-        bounds = [(lo, hi) for lo, hi, _ in blocks]
-        # back to back from 0 to count, and none when count is 0
-        assert [lo for lo, _ in bounds] == [0, *(hi for _, hi in bounds)][: len(bounds)]
-        assert sum(hi - lo for lo, hi in bounds) == count
-        # each block holds its rows, in order, with y last; writes reach the buffer
-        for lo, hi, block in blocks:
-            want = a.buf[reference_index(a, np.arange(start + lo, start + hi))]
-            np.testing.assert_array_equal(block.reshape(-1, a.size_y), want)
-            block *= -1.0
-        span = reference_index(a, np.arange(start, start + count))
-        assert np.all(a.buf[span] < 0)
-        assert np.count_nonzero(a.buf < 0) == count * a.size_y
-
-    @pytest.mark.parametrize("lay", ALL_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
-    @pytest.mark.parametrize("start,count", [(0, 29), (0, 3), (5, 17), (9, 2), (12, 0)])
-    def test_handles_of_one_shape_line_up(self, lay, start, count):
-        # in-place arithmetic between two handles' blocks is arithmetic on their rows
-        rng = np.random.default_rng(9)
-        a, b = ArrayHandle(lay, 29, 3), ArrayHandle(lay, 29, 3)
-        a.write_rows(0, rng.normal(size=(29, 3)))
-        b.write_rows(0, rng.normal(size=(29, 3)))
-        want = a.read_rows(0, 29)
-        want[start : start + count] += 0.5 * b.read_rows(start, count)
-        for (a0, a1, x), (b0, b1, y) in zip(a.row_blocks(start, count), b.row_blocks(start, count)):
-            assert (a0, a1, x.shape) == (b0, b1, y.shape)
-            x += 0.5 * y
-        np.testing.assert_array_equal(a.read_rows(0, 29), want)

@@ -40,6 +40,11 @@ def make_store(pos, n_ghost=0, layout=None):
     return store
 
 
+def cell_coords(grid):
+    """(n_total, 3) shell-shifted cell coordinates, decoded from grid.cell_of."""
+    return np.column_stack(np.unravel_index(grid.cell_of, grid.shell_dims))
+
+
 def brute_force_pairs(pos, r):
     """O(N^2) oracle: unordered index pairs closer than r."""
     pairs = set()
@@ -68,7 +73,7 @@ class TestCellGrid:
             force_shell(monkeypatch, shell)
             grid = build_cell_grid(store, box, 2.8)
             assert grid.shell == shell and grid.cell_size == 2.8 / shell
-            np.testing.assert_array_equal(grid.coords[0] - shell, want)
+            np.testing.assert_array_equal(cell_coords(grid)[0] - shell, want)
 
     def test_boundary_goes_to_higher_cell(self, monkeypatch):
         box = AABB.cube(0.0, 8.4)
@@ -76,7 +81,7 @@ class TestCellGrid:
         for shell, want in [(1, [1, 0, 0]), (2, [2, 1, 0])]:
             force_shell(monkeypatch, shell)
             grid = build_cell_grid(store, box, 2.8)
-            np.testing.assert_array_equal(grid.coords[0] - shell, want)
+            np.testing.assert_array_equal(cell_coords(grid)[0] - shell, want)
 
     def test_every_particle_binned_once(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -165,7 +170,7 @@ class TestCellGrid:
                     store = make_store([[5.0, 5.0, 5.0], ghost], n_ghost=1)
                     if ok:
                         grid = build_cell_grid(store, box, 2.5)
-                        assert grid.coords[1][axis] in (0, grid.shell_dims[axis] - 1)
+                        assert cell_coords(grid)[1][axis] in (0, grid.shell_dims[axis] - 1)
                     else:
                         with pytest.raises(ProtocolError, match=r"^ghost particle 1 at .* beyond the ghost shell \(r = 2.5 wide\)"):
                             build_cell_grid(store, box, 2.5)
@@ -194,6 +199,18 @@ class TestNeighborLists:
             grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
             with pytest.raises(ProtocolError, match="local particle 1 lies in the ghost shell"):
                 build_neighbor_lists(store, grid, 2.5, half=False)
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_shell_local_is_first_local_in_shell(self, half, monkeypatch):
+        # the grid names the first local outside its interior cells (of two,
+        # on different axes and sides), and never a ghost: ghosts belong there
+        for shell in SHELLS:
+            force_shell(monkeypatch, shell)
+            box = AABB.cube(0.0, 10.0)
+            locals_ = [[5.0, 5.0, 5.0], [5.0, 5.0, 7.0], [5.0, -0.1, 5.0], [5.0, 5.0, 10.2]]
+            ghost = [[-1.0, 5.0, 5.0]]
+            assert build_cell_grid(make_store(locals_ + ghost, n_ghost=1), box, 2.5, half).shell_local == 2
+            assert build_cell_grid(make_store(locals_[:2] + ghost, n_ghost=1), box, 2.5, half).shell_local == -1
 
     def test_grid_of_other_store_rejected(self):
         store = make_store([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0]])
@@ -571,8 +588,8 @@ def edge_cloud(box, r, edge, n=301, seed=5):
 
 class TestPerAxisOracles:
     """build_cell_grid and max_displacement_since_rebuild read the positions
-    coordinate-major and work one axis at a time; they must give exactly
-    what the (n, 3) formulas gave, on every layout."""
+    in place through the layout's index map and work one axis at a time;
+    they must give exactly what the (n, 3) formulas gave, on every layout."""
 
     BOX = AABB((-0.7, 0.2, 1.0), (9.3, 7.9, 11.6))
     R = 2.8
@@ -587,8 +604,8 @@ class TestPerAxisOracles:
             before = store.positions.buf.copy()
             grid = build_cell_grid(store, self.BOX, self.R)
             want = np.floor((pos - self.BOX.lo) / edge).astype(np.int64) + shell
-            assert grid.coords.shape == (pos.shape[0], 3) and grid.coords.dtype == np.int64
-            np.testing.assert_array_equal(grid.coords, want)
+            assert grid.cell_of.shape == (pos.shape[0],) and grid.cell_of.dtype == np.int64
+            np.testing.assert_array_equal(cell_coords(grid), want)
             np.testing.assert_array_equal(grid.counts, np.bincount(grid.cell_id(want), minlength=grid.counts.size))
             assert grid.sorted_positions.tobytes() == pos[grid.members].T.copy().tobytes()
             assert store.positions.buf.tobytes() == before.tobytes()
