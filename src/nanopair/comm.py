@@ -6,6 +6,7 @@ The phases, run per communication epoch:
                   every other rank a histogram of its particles along each
                   axis (one compiled pass); all ranks move the slab cuts to
                   the same count-balanced positions and rebuild their pattern
+                  (or keep it, with its arrays, when no cut moves)
 * exchange        migrate ownership of particles that left their rank's
                   region (positions wrapped across periodic boundaries,
                   velocities travel along)
@@ -15,19 +16,19 @@ The phases, run per communication epoch:
 
 A pattern entry is data, not code: the face of this rank's slab it stands
 for (axis, side and coordinate) and the periodic shift of what crosses it.
-Exchange and border definition test every row against all of a round's
-faces in one compiled pass over the layout buffer (`select_rows` in
-pair_kernel.c, through the layout's index map), as the positions were when
-the round started, and compiled loops emit the picked rows plus their shift
-(exchange first moves its departures by the shift in place).
 
 Exchange, border definition and synchronization send one record per remote
 peer and stencil round: a peer's record holds the rows of every entry that
 goes to it, in entry order, and the receiver appends them in that order
-(as locals, or as ghosts in consecutive slots). The plan freezes, per
-round, one gather index and one shift array over all of the round's rows,
-so a refresh reads the source rows once per round and delivers each peer's
-slice as one record (in place for this rank's own periodic images).
+(as locals, or as ghosts in consecutive slots). Per rank, a round of
+exchange or of border definition is one compiled pass (`exchange_round`,
+`border_round`) over the round's faces, one record sent and one received
+per remote peer, and one compiled call per edit of the store
+(`compact_locals`, `append_locals`, `append_ghosts`, the last also for this
+rank's own periodic images). The plan freezes, per round, one gather index
+and one shift array over all of the round's rows, so a refresh reads the
+source rows once per round and delivers each peer's slice as one record
+(in place for this rank's own periodic images).
 
 Rank programs are written as generators that ``yield`` at collective barrier
 points; a runner advances all ranks one barrier at a time, so every send of a
@@ -43,20 +44,21 @@ displacements in rank order, 2 (P - 1) records in all.
 There is one domain decomposition: each rank owns a slab of a near-cubic
 rank grid and talks to its six face neighbours, one round per axis.
 
-Wire records are little-endian: u8 kind (0 exchange, 1 border, 2 sync,
-4 load, 5 displacement), u32 row count, then count x width f8 payload. Kind
-3 is retired and never reused, and the other numbers are kept on purpose, so
-that a kind byte means the same record in every version. A row is one
-particle: 6 reals (position, velocity) for exchange, 3 (position) for border
-and sync. A load record has 3 rows, one per axis, of LOAD_BINS particle
-counts; a displacement record has one row of one real per rank it carries
-(one on the way to rank 0, P on the way back).
+Wire records are little-endian: an 8-byte header (u8 kind, three zero
+bytes, u32 row count), so the count x width f8 payload starts 8-aligned in
+its record and is read in place. Kinds: 0 exchange, 1 border, 2 sync, 4
+load, 5 displacement; kind 3 is retired and never reused, and the other
+numbers are kept on purpose, so that a kind byte means the same record in
+every version. A row is one particle: 6 reals (position, velocity) for
+exchange, 3 (position) for border and sync. A load record has 3 rows, one
+per axis, of LOAD_BINS particle counts; a displacement record has one row
+of one real per rank it carries (one on the way to rank 0, P on the way
+back).
 """
 
 from __future__ import annotations
 
 import struct
-import threading
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -105,7 +107,10 @@ WIRE_DISPLACEMENT = 5
 # their edges (or on a clamp bound).
 LOAD_BINS = 256
 
-_HEADER = struct.Struct("<BI")
+_GROWTH = 1.5  # growth factor of the round passes' work arrays
+
+# kind, three pad bytes (zero), row count: the payload after it is 8-aligned
+_HEADER = struct.Struct("<B3xI")
 _WIDTH = {
     WIRE_EXCHANGE: 6,
     WIRE_BORDER: 3,
@@ -124,13 +129,15 @@ def pack_particles(kind: int, payload: np.ndarray) -> bytes:
 
 def unpack_particles(blob: bytes) -> tuple[int, np.ndarray]:
     """(kind, count x width payload) of a record; ProtocolError on a record
-    that is cut short, too long or of an unknown kind. The payload is a
-    read-only view of `blob`."""
+    that is cut short, too long, of an unknown kind or with a nonzero pad
+    byte. The payload is a read-only view of `blob`."""
     if len(blob) < _HEADER.size:
         raise ProtocolError(f"wire record of {len(blob)} bytes is shorter than its header")
     kind, count = _HEADER.unpack_from(blob)
     if kind not in _WIDTH:
         raise ProtocolError(f"wire record of unknown kind {kind}")
+    if any(blob[1:4]):
+        raise ProtocolError(f"wire record of kind {kind} has a nonzero pad byte in its header")
     width = _WIDTH[kind]
     size = len(blob) - _HEADER.size
     if size != 8 * count * width:
@@ -144,27 +151,24 @@ def unpack_particles(blob: bytes) -> tuple[int, np.ndarray]:
 
 
 class MailboxTransport:
-    """In-process message passing with one FIFO queue per (src, dst) pair."""
+    """In-process message passing with one FIFO queue per (src, dst) pair;
+    the ranks run on one thread, so nothing locks."""
 
     def __init__(self, size: int):
         self.size = size
-        self._lock = threading.Lock()
         self._boxes: dict[tuple[int, int], deque[bytes]] = {}
 
     def send(self, src: int, dst: int, blob: bytes) -> None:
-        with self._lock:
-            self._boxes.setdefault((src, dst), deque()).append(blob)
+        self._boxes.setdefault((src, dst), deque()).append(blob)
 
     def recv(self, dst: int, src: int) -> bytes:
-        with self._lock:
-            box = self._boxes.get((src, dst))
-            if not box:
-                raise ProtocolError(f"rank {dst} expected a message from {src} but none arrived")
-            return box.popleft()
+        box = self._boxes.get((src, dst))
+        if not box:
+            raise ProtocolError(f"rank {dst} expected a message from {src} but none arrived")
+        return box.popleft()
 
     def pending(self) -> int:
-        with self._lock:
-            return sum(len(b) for b in self._boxes.values())
+        return sum(len(b) for b in self._boxes.values())
 
 
 @dataclass
@@ -172,7 +176,7 @@ class RankDomain:
     """Per-rank ownership region and ghost-layer width.
 
     `ownership` holds one box, the rank's slab between the current cuts;
-    `balance_slabs` replaces it every epoch.
+    `balance_slabs` replaces it when a cut moves.
     """
 
     rank: int
@@ -224,6 +228,79 @@ class PatternEntry:
 
 
 @dataclass
+class _Work:
+    """Work arrays of the round passes, shared by a pattern's rounds, with
+    their addresses: picks of n rows per entry (`idx`), exchange's keep mask,
+    and `cap` emitted rows (`out`, 6 or 3 wide), their sources and shifts."""
+
+    entries: int
+    n: int = -1
+    cap: int = -1
+
+    def fit(self, n: int, k: int) -> None:
+        if n > self.n:
+            self.n = max(n, int(self.n * _GROWTH))
+            self.idx = np.empty(self.entries * self.n, dtype=np.int64)
+            self.keep = np.empty(self.n, dtype=bool)
+            self.idx_address, self.keep_address = kernel.address(self.idx, np.int64), kernel.address(self.keep, bool)
+        if k > self.cap:
+            self.cap = max(k, int(self.cap * _GROWTH))
+            self.out, self.src, self.diff = np.empty(6 * self.cap), np.empty(self.cap, np.int64), np.empty((self.cap, 3))
+            self.out_address, self.diff_address = kernel.address(self.out, float), kernel.address(self.diff, float)
+            self.src_address = kernel.address(self.src, np.int64)
+
+
+class _RoundPass:
+    """One stencil round's entries as the arguments of its compiled passes.
+
+    The entries' peers form groups, `peers`, in order of first appearance
+    (this rank among them when it sends itself periodic images); a pass
+    writes each group's row count to `counts`. `recv_peers` are the remote
+    peers that send to this rank, in order of first appearance.
+    """
+
+    def __init__(self, entries: list[PatternEntry], me: int, spacing: float, box_address: int, work: _Work):
+        self.peers = list(dict.fromkeys(e.send_to for e in entries))
+        self.recv_peers = [p for p in dict.fromkeys(e.recv_from for e in entries) if p != me]
+        self.work = work
+        self.counts = np.empty(len(self.peers), dtype=np.int64)
+        self._arrays = (
+            np.array([(e.dim, e.side) for e in entries], dtype=np.int64),
+            np.array([e.face for e in entries]),
+            np.array([e.face - spacing if e.side > 0 else e.face + spacing for e in entries]),
+            np.array([e.shift for e in entries]),
+            np.array([self.peers.index(e.send_to) for e in entries], dtype=np.int64),
+            np.empty(len(entries), dtype=np.int64),  # picks per entry
+            self.counts,
+        )
+        axes, faces, bounds, shifts, group, picked, counts = (kernel.address(a, a.dtype) for a in self._arrays)
+        k, g, own = len(entries), len(self.peers), self.peers.index(me) if me in self.peers else -1
+        self._exchange = (k, axes, faces, shifts, group, g, own, picked, counts, box_address)
+        self._border = (k, axes, bounds, shifts, group, g, picked, counts)
+
+    def run(self, store: ParticleStore, exchange: bool) -> int:
+        """`exchange_round` over the locals or `border_round` over every row
+        (see pair_kernel.c); returns the pass's row count. A pass whose rows
+        do not fit the work arrays changes nothing: they grow, it runs again."""
+        w, x, k = self.work, store.positions, 0
+        n = store.n_local if exchange else store.n_total
+        while True:
+            w.fit(n, k)
+            if exchange:
+                k = kernel.library().exchange_round(
+                    x.map_address, x.address, store.velocities.address, n, *self._exchange,
+                    w.idx_address, w.keep_address, w.cap, w.out_address,
+                )
+            else:
+                k = kernel.library().border_round(
+                    x.map_address, x.address, n, *self._border,
+                    w.idx_address, w.cap, w.src_address, w.out_address, w.diff_address,
+                )
+            if k <= w.cap:
+                return k
+
+
+@dataclass
 class CommPattern:
     """The face stencil: barrier-separated rounds of peer entries, one per axis.
 
@@ -231,14 +308,24 @@ class CommPattern:
     by hopping over successive faces. Within a round the two entries' exchange
     tests are disjoint, so each particle leaves through at most one face.
     `rank_grid` and `cuts` (per-axis slab boundaries) are what the pattern was
-    built on, and `spacing` is the border width; `balance_slabs` moves the
-    cuts and builds the next pattern.
+    built on, `spacing` is the border width, `rank` is this rank and
+    `global_box` the periodic domain; `balance_slabs` moves the cuts and
+    builds the next pattern. `passes` holds each round's compiled passes.
     """
 
     rounds: list[list[PatternEntry]]
     rank_grid: tuple[int, int, int]
     cuts: tuple[np.ndarray, np.ndarray, np.ndarray]
     spacing: float
+    rank: int
+    global_box: AABB
+    passes: list[_RoundPass] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        work = _Work(max((len(entries) for entries in self.rounds), default=0))
+        self._box = np.array(self.global_box.min + self.global_box.max)
+        box = kernel.address(self._box, np.float64, (6,))
+        self.passes = [_RoundPass(entries, self.rank, self.spacing, box, work) for entries in self.rounds]
 
 
 @dataclass
@@ -307,51 +394,42 @@ def six_stencil_pattern(
     spacing: float,
     cuts=None,
 ) -> CommPattern:
-    """Face-neighbor pattern over a rank grid, one round per dimension.
-
-    Slabs lie between `cuts` (per-axis boundaries, uniform by default).
+    """Face-neighbor pattern over a rank grid, one round per dimension;
+    slabs lie between `cuts` (per-axis boundaries, uniform by default).
 
     Each entry carries its face of this rank's slab (see PatternEntry): a
     local departs through it when strictly outside the slab there, and a row
     is a border row when within `spacing` of it. Both are emitted shifted by
     the domain length when the face is the periodic boundary.
     """
-    gx, gy, gz = rank_grid
     if cuts is None:
         cuts = uniform_cuts(global_box, rank_grid)
     coords = rank_grid_coords(this_rank, rank_grid)
     slab = slab_bounds(global_box, rank_grid, coords, cuts)
     ext = global_box.extent()
+
+    def neighbour(dim, direction):
+        c = list(coords)
+        c[dim] = (coords[dim] + direction) % rank_grid[dim]
+        return rank_grid_index(c, rank_grid)
+
     rounds = []
     for dim in range(3):
         entries = []
         for direction in (+1, -1):
-            peer_coords = list(coords)
-            peer_coords[dim] = (coords[dim] + direction) % rank_grid[dim]
-            peer = rank_grid_index(peer_coords, rank_grid)
-            at_edge = (
-                coords[dim] == rank_grid[dim] - 1 if direction > 0 else coords[dim] == 0
-            )
             shift = np.zeros(3)
-            if at_edge:
-                shift[dim] = -ext[dim] if direction > 0 else ext[dim]
+            if coords[dim] == (rank_grid[dim] - 1 if direction > 0 else 0):  # a face on the domain boundary
+                shift[dim] = -direction * ext[dim]
             face = slab.hi[dim] if direction > 0 else slab.lo[dim]
-            # the peer in the opposite direction feeds my receives for
+            # the neighbour in the opposite direction feeds my receives for
             # this direction's traffic
-            recv_coords = list(coords)
-            recv_coords[dim] = (coords[dim] - direction) % rank_grid[dim]
             entries.append(
-                PatternEntry(
-                    send_to=peer,
-                    recv_from=rank_grid_index(recv_coords, rank_grid),
-                    dim=dim,
-                    side=direction,
-                    face=float(face),
-                    shift=shift,
-                )
+                PatternEntry(neighbour(dim, direction), neighbour(dim, -direction), dim, direction, float(face), shift)
             )
         rounds.append(entries)
-    return CommPattern(rounds, rank_grid=tuple(rank_grid), cuts=cuts, spacing=spacing)
+    return CommPattern(
+        rounds, rank_grid=tuple(rank_grid), cuts=cuts, spacing=spacing, rank=this_rank, global_box=global_box
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +496,8 @@ def balance_slabs(world: RankWorld, store: ParticleStore):
     axis, a LOAD_BINS histogram of its local positions, wrapped into the
     domain. Every rank sums the histograms in rank order, so all ranks derive
     the same cuts, then rebuilds its ownership slab and its pattern from
-    them; the exchange that follows moves the particles.
+    them; the exchange that follows moves the particles. When no cut moves,
+    the slab and the pattern (with its arrays) stay as they are.
     """
     if world.size == 1:
         return
@@ -442,6 +521,8 @@ def balance_slabs(world: RankWorld, store: ParticleStore):
         total += data
     spacing = world.domain.spacing
     cuts = tuple(_balanced_cuts(old, total[d], spacing) for d, old in enumerate(pattern.cuts))
+    if all(new.tobytes() == old.tobytes() for new, old in zip(cuts, pattern.cuts)):
+        return
     grid = pattern.rank_grid
     world.domain.ownership = [slab_bounds(box, grid, rank_grid_coords(me, grid), cuts)]
     world.pattern = six_stencil_pattern(grid, me, box, spacing, cuts)
@@ -491,106 +572,33 @@ def _displacements(world: RankWorld, peer: int, rows: int) -> np.ndarray:
     return data[:, 0]
 
 
-def _picks(store: ParticleStore, n: int, entries: list[PatternEntry], bounds, ge: bool) -> list[np.ndarray]:
-    """Per entry, in entry order, the rows of [0, n) that its face test picks,
-    in increasing row order, from one compiled pass over the rows
-    (`select_rows`): x[dim] against the entry's bound, from above on a +1
-    side (>= with `ge`, else >) and from below (<) on a -1 side. A NaN
-    coordinate passes no test."""
-    k = len(entries)
-    axes = np.array([(e.dim, e.side) for e in entries], dtype=np.int64)
-    bounds = np.array(bounds, dtype=np.float64)
-    idx = np.empty((k, n), dtype=np.int64)
-    counts = np.empty(k, dtype=np.int64)
-    h = store.positions
-    kernel.library().select_rows(
-        h.map_address, h.address, n, k, kernel.address(axes, np.int64), kernel.address(bounds, np.float64),
-        ge, kernel.address(idx, np.int64), kernel.address(counts, np.int64),
-    )
-    return [idx[e, :c] for e, c in enumerate(counts.tolist())]
-
-
-def _emit(store: ParticleStore, group: list[tuple[PatternEntry, np.ndarray]], exchange: bool):
-    """The rows one peer gets from `group`'s (entry, picked rows) pairs: entry
-    by entry, in entry order, each picked row's position, followed by its
-    velocity in an exchange record, whose rows `exchange` has already moved
-    through their face; a border row gets the entry's shift. Returns the
-    (k, 6 or 3) rows and, for border rows, the (k, 3) shift each row got,
-    emitted - position (`emit_rows`)."""
-    k = sum(idx.size for _, idx in group)
-    width = 6 if exchange else 3
-    out = np.empty((k, width))
-    diff = None if exchange else np.empty((k, 3))
-    x, v = store.positions, store.velocities
-    lib, a = kernel.library(), 0
-    for entry, idx in group:
-        b = a + idx.size
-        lib.emit_rows(
-            x.map_address, x.address, v.address if exchange else None, kernel.address(idx, np.int64),
-            idx.size, None if exchange else kernel.address(entry.shift, np.float64, (3,)), width,
-            kernel.address(out[a:b], np.float64), None if exchange else kernel.address(diff[a:b], np.float64),
-        )
-        a = b
-    return out, diff
-
-
-def _by_peer(items: list, peer_of) -> dict[int, list]:
-    """The items grouped by peer, peers in order of first appearance and
-    items in their order within each group."""
-    groups: dict[int, list] = {}
-    for item in items:
-        groups.setdefault(peer_of(item), []).append(item)
-    return groups
-
-
 def exchange(world: RankWorld, store: ParticleStore):
     """Move particles that left this rank's region to their new owners.
 
     Runs on every rank at an epoch boundary, one stencil round per axis: a
     local strictly outside the slab through a face goes to that face's
     neighbour, so a particle past an edge or a corner reaches the diagonal
-    owner over two or three rounds. A round tests every local against all of
-    its entries' faces in one compiled pass (`_picks`), as the positions
-    were when the round started; then it moves every departure through its
-    face in place (position plus the entry's shift, `shift_rows`), which
-    leaves this rank's own periodic images wrapped, sends every remote peer
-    one exchange record with the departures of all of its entries (position,
-    then velocity; entry by entry, in entry order, in row order), and
-    compacts the survivors in order. Rounding can put a row moved across the
-    periodic boundary on a face that no rank owns, and the move corrects
-    both cases: a local so little below the global lower face that x + L
-    rounds onto the upper face wraps to the lower face and stays, since its
-    owner is this rank; a local that leaves through the upper face and
-    lands below the lower face comes up to it. After the final round every
+    owner over two or three rounds. A round's compiled pass
+    (`exchange_round`) picks the departures as the round starts and moves
+    them through their face in place (wrapping this rank's own periodic
+    images); every remote peer gets one record of its departures (position,
+    then velocity), the survivors are compacted in order, and the records
+    received after the barrier are appended. After the final round every
     local must lie in the slab, or ProtocolError: a particle more than one
     slab away is lost, and a NaN coordinate never departs.
     """
     store.clear_ghosts()
     me = world.rank
-    lib = kernel.library()
-    box = np.array(world.global_box.min + world.global_box.max)
-    box_p = kernel.address(box, np.float64, (6,))
-    for entries in world.pattern.rounds:
-        n, h = store.n_local, store.positions
-        picks = _picks(store, n, entries, [e.face for e in entries], ge=True)
-        keep = np.ones(n, dtype=bool)
-        remote = []
-        for entry, idx in zip(entries, picks):
-            moved = lib.shift_rows(
-                h.map_address, h.address, kernel.address(idx, np.int64), idx.size,
-                kernel.address(entry.shift, np.float64, (3,)), box_p,
-            )
-            if entry.send_to != me:
-                keep[idx[:moved]] = False
-                remote.append((entry, idx[:moved]))
-        for peer, group in _by_peer(remote, lambda pick: pick[0].send_to).items():
-            rows, _ = _emit(store, group, exchange=True)
-            world.transport.send(me, peer, pack_particles(WIRE_EXCHANGE, rows))
-        store.compact_locals(keep)
+    for rnd in world.pattern.passes:
+        rnd.run(store, exchange=True)
+        rows, a = rnd.work.out.reshape(-1, 6), 0
+        for peer, k in zip(rnd.peers, rnd.counts.tolist()):
+            if peer != me:
+                world.transport.send(me, peer, pack_particles(WIRE_EXCHANGE, rows[a : a + k]))
+                a += k
+        store.compact_locals(rnd.work.keep[: store.n_local])
         yield
-        for peer in _by_peer(entries, lambda e: e.recv_from):
-            if peer == me:
-                continue
+        for peer in rnd.recv_peers:
             kind, data = unpack_particles(world.transport.recv(me, peer))
             if kind != WIRE_EXCHANGE:
                 raise ProtocolError(f"rank {me} expected exchange record, got kind {kind}")
@@ -598,7 +606,7 @@ def exchange(world: RankWorld, store: ParticleStore):
                 store.append_locals(data[:, :3], data[:, 3:])
     boxes = np.array([box.min + box.max for box in world.domain.ownership])
     h = store.positions
-    i = lib.first_outside(
+    i = kernel.library().first_outside(
         h.map_address, h.address, store.n_local, len(boxes), kernel.address(boxes, np.float64, (len(boxes), 6))
     )
     if i >= 0:
@@ -663,48 +671,39 @@ class BorderPlan:
 def define_borders(world: RankWorld, store: ParticleStore):
     """Pick border particles, materialize ghosts on the receivers, keep the plan.
 
-    A round picks the rows [0, n) of the store as it starts, n its row
-    count then, within the pattern's spacing of each entry's face, in one
-    compiled pass (`_picks`). It sends every remote peer one border record
-    with the rows of all of its entries (position plus shift, entry by
-    entry, in entry order, in row order), and appends this rank's own
-    periodic images in place. Later rounds scan ghosts created by earlier
-    rounds, which is how edge and corner images propagate across dimensions
-    under the face stencil. A NaN coordinate is never a border row.
-    `synchronize` replays the plan only on a store of the same counts, so
-    its gathers stay in range.
+    A round's compiled pass (`border_round`) picks the rows [0, n) of the
+    store as it starts, n its row count then, within the pattern's spacing
+    of each entry's face, and writes the round's gather index and shifts.
+    Every remote peer gets one border record with the rows of all of its
+    entries (position plus shift), and this rank's own periodic images are
+    appended in place. Later rounds scan ghosts of earlier rounds, so edge
+    and corner images propagate across dimensions. A NaN coordinate is
+    never a border row. `synchronize` replays the plan only on a store of
+    the same counts, so its gathers stay in range.
     """
     me = world.rank
     if store.n_ghost:
         raise ProtocolError(f"rank {me}: define_borders must start with an empty ghost region")
-    spacing = world.pattern.spacing
     plan_rounds: list[_PlanRound] = []
-    for entries in world.pattern.rounds:
-        bounds = [e.face - spacing if e.side > 0 else e.face + spacing for e in entries]
-        picks = _picks(store, store.n_total, entries, bounds, ge=False)
-        src_idx, shift, sends = [], [], []
-        n = 0
-        for peer, group in _by_peer(list(zip(entries, picks)), lambda pick: pick[0].send_to).items():
-            emitted, diff = _emit(store, group, exchange=False)
-            src_idx.extend(idx for _, idx in group)
-            shift.append(diff)
-            rows = slice(n, n + emitted.shape[0])
-            n += emitted.shape[0]
+    for rnd in world.pattern.passes:
+        n, w = rnd.run(store, exchange=False), rnd.work
+        rows, sends, a = w.out.reshape(-1, 3), [], 0
+        for peer, k in zip(rnd.peers, rnd.counts.tolist()):
+            part, a = slice(a, a + k), a + k
             if peer == me:
-                sends.append(_PlanSend(me, rows, ghost_start=store.append_ghosts(emitted, peer=me)))
+                sends.append(_PlanSend(me, part, ghost_start=store.append_ghosts(rows[part], peer=me)))
             else:
-                world.transport.send(me, peer, pack_particles(WIRE_BORDER, emitted))
-                sends.append(_PlanSend(peer, rows))
+                world.transport.send(me, peer, pack_particles(WIRE_BORDER, rows[part]))
+                sends.append(_PlanSend(peer, part))
+        src_idx, shift = w.src[:n].copy(), w.diff[:n].copy()
         yield
         recvs = []
-        for peer in _by_peer(entries, lambda e: e.recv_from):
-            if peer == me:
-                continue
+        for peer in rnd.recv_peers:
             kind, data = unpack_particles(world.transport.recv(me, peer))
             if kind != WIRE_BORDER:
                 raise ProtocolError(f"rank {me} expected border record, got kind {kind}")
             recvs.append(_PlanRecv(peer, store.append_ghosts(data, peer=peer), data.shape[0]))
-        plan_rounds.append(_PlanRound(np.concatenate(src_idx), np.concatenate(shift), sends, recvs))
+        plan_rounds.append(_PlanRound(src_idx, shift, sends, recvs))
     return BorderPlan(plan_rounds, n_local=store.n_local, n_ghost=store.n_ghost)
 
 

@@ -14,15 +14,17 @@ the whole stencil over the ghosts; it also copies the locals' positions
 out as the lists' reference), `pair_forces` (the force kernel over the
 list's rows, half-list reactions included), the per-step particle loops
 `kick_drift` and `kick` (the integrators), `max_displacement` (the
-displacement check), and the epoch's particle loops `select_rows` (the
-exchange and border tests of a round's pattern faces), `emit_rows` (the rows
-of a record or a border plan, shifted), `shift_rows` (exchange's departures
-moved through their face in place), `first_outside` (the ownership check
-after exchange), `load_histogram` (the load balance), `bounding_box` (the
-cell grid's box) and `compact_rows` (the compaction of the locals). A C
-compiler is therefore a run-time requirement of this package. The driver,
-comm.py, neighbor.py, particles.py and potential.py all call into it, which
-is why the loader lives in its own module.
+displacement check), and the epoch's particle loops `exchange_round` and
+`border_round` (one stencil round of exchange or of border definition: the
+face tests of the round's pattern entries, exchange's in-place move of its
+departures, and the emitted rows of every peer), `append_rows` (the rows
+that `ParticleStore.append_locals` and `append_ghosts` add),
+`first_outside` (the ownership check after exchange), `load_histogram`
+(the load balance), `bounding_box` (the cell grid's box) and
+`compact_rows` (the compaction of the locals). A C compiler is therefore a
+run-time requirement of this package. The driver, comm.py, neighbor.py,
+particles.py and potential.py all call into it, which is why the loader
+lives in its own module.
 
 Every loop that reads or writes a particle array works in place on the
 buffer of its `ArrayHandle`, through the layout's index map (see
@@ -37,8 +39,10 @@ times the cost, and taking the pointer itself costs about 2 us. So the
 addresses of what lives across steps are taken once: an `ArrayHandle`'s
 buffer and index map when the handle is built, a law's parameters when the
 law first runs, a neighbor list's partners, row starts and reference
-positions when the lists are made, and a border plan's gather index, shifts
-and refresh rows when the plan is made.
+positions when the lists are made, a pattern's per-round face arrays and
+its round passes' work arrays when the pattern is built (and when a work
+array grows), and a border plan's gather index, shifts and refresh rows
+when the plan is made.
 """
 
 from __future__ import annotations
@@ -72,8 +76,7 @@ def address(a, dtype, shape=None) -> int:
 
     TypeError unless `a` is a C-contiguous, aligned ndarray of `dtype` and,
     when `shape` is given, of that shape: the loop would read the wrong
-    memory, or read it misaligned, which C leaves undefined (a view 5 bytes
-    into a wire record is such an array).
+    memory, or read it misaligned, which C leaves undefined.
     """
     if not isinstance(a, np.ndarray):
         raise TypeError(f"compiled loop argument must be an ndarray, got {type(a).__name__}")
@@ -139,12 +142,22 @@ def library() -> ctypes.CDLL:
     dll.gather_rows.restype = None
     dll.put_rows.argtypes = [idx, f64, i64, idx, i64, i64, f64, i64]  # map, x, width, idx, start, k, rows, step
     dll.put_rows.restype = None
-    dll.select_rows.argtypes = [idx, f64, i64, i64, idx, f64, ctypes.c_int, idx, idx]  # map, x, n, entries, axes, bounds, ge, idx, counts
-    dll.select_rows.restype = None
-    dll.emit_rows.argtypes = [idx, f64, f64, idx, i64, f64, i64, f64, f64]  # map, x, v, idx, k, shift, width, out, diff
-    dll.emit_rows.restype = None
-    dll.shift_rows.argtypes = [idx, f64, idx, i64, f64, f64]  # map, x, idx, k, shift, box
-    dll.shift_rows.restype = i64
+    dll.exchange_round.argtypes = [
+        idx, f64, f64, i64,  # map, x, v, n
+        i64, idx, f64, f64, idx, i64, i64,  # n_entries, axes, faces, shifts, group, n_groups, own
+        idx, idx, f64,  # picked, counts, box
+        idx, ctypes.c_void_p, i64, f64,  # idx, keep (bool), cap, out
+    ]
+    dll.exchange_round.restype = i64
+    dll.border_round.argtypes = [
+        idx, f64, i64,  # map, x, n
+        i64, idx, f64, f64, idx, i64,  # n_entries, axes, bounds, shifts, group, n_groups
+        idx, idx,  # picked, counts
+        idx, i64, idx, f64, f64,  # idx, cap, src, out, diff
+    ]
+    dll.border_round.restype = i64
+    dll.append_rows.argtypes = [idx, f64, f64, f64, i64, i64, f64, i64, f64, i64]  # map, x, v, f, start, k, pos, step, vel, step
+    dll.append_rows.restype = None
     dll.first_outside.argtypes = [idx, f64, i64, i64, f64]  # map, x, n, n_boxes, boxes
     dll.first_outside.restype = i64
     dll.bounding_box.argtypes = [idx, f64, i64, f64, f64]  # map, x, n, lo, hi

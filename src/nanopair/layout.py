@@ -127,8 +127,8 @@ class ArrayHandle:
     taken once here for the compiled loops. The row methods work on float64
     arrays only (TypeError otherwise) and raise IndexError for a row outside
     [0, size_x). Rows are passed and returned row-major, (k, size_y); a
-    source that is not float64, C-contiguous and aligned (a wire payload, a
-    column slice) is copied once first.
+    source that is not float64, C-contiguous and aligned (a column slice) is
+    copied once first.
     """
 
     def __init__(self, layout: LayoutDescriptor, size_x: int, size_y: int, dtype=np.float64):

@@ -15,13 +15,15 @@
  * reactions, and the per-step particle loops: the two integrator kicks and
  * the drift (nanopair.driver) and the displacement check
  * (nanopair.neighbor.max_displacement_since_rebuild), and the epoch's
- * particle loops: the pattern entries' row selection, the emitted rows of a
- * record or a border plan, the in-place move of exchange's departures
- * and the ownership check (nanopair.comm.exchange, nanopair.comm.define_borders),
+ * particle loops: one pass per stencil round of exchange and of border
+ * definition (the face tests of the round's pattern entries, exchange's
+ * in-place move of its departures, every peer's emitted rows) and the
+ * ownership check (nanopair.comm.exchange, nanopair.comm.define_borders),
  * the load histogram (nanopair.comm.balance_slabs), the bounding box
- * (nanopair.comm.RankDomain.grid_box_for) and the compaction of the locals
- * (nanopair.particles.ParticleStore.compact_locals). nanopair.kernel
- * compiles this file once per process.
+ * (nanopair.comm.RankDomain.grid_box_for), and the appends and the
+ * compaction of the store (nanopair.particles.ParticleStore.append_locals,
+ * append_ghosts, compact_locals). nanopair.kernel compiles this file once
+ * per process.
  *
  * Particle arrays are read and written in place, in the layout's buffer,
  * through its index map (see nanopair.layout), and only through it: element
@@ -637,11 +639,11 @@ static inline int face_test(double c, double b, int64_t side, int ge)
 }
 
 /* One pass over rows [0, n) for pattern entries e0 and, with two, e1 (see
- * `select_rows`): every row index is written and only a picked one advances
+ * `select_faces`): every row index is written and only a picked one advances
  * its entry's count, so the loop does not branch on the tests. */
 static inline __attribute__((always_inline)) void select_pass(
     const int64_t *map, const double *x, int64_t n, const int64_t *axes, const double *bounds,
-    int ge, int64_t e0, const int two, int64_t *restrict idx, int64_t *restrict counts)
+    int ge, int64_t e0, const int two, int64_t *restrict idx, int64_t *restrict picked)
 {
     const int64_t e1 = two ? e0 + 1 : e0;
     const int64_t d0 = axes[2 * e0] * map[2], s0 = axes[2 * e0 + 1];
@@ -658,75 +660,165 @@ static inline __attribute__((always_inline)) void select_pass(
             k1 += face_test(row[d1], b1, s1, ge);
         }
     }
-    counts[e0] = k0;
+    picked[e0] = k0;
     if (two)
-        counts[e1] = k1;
+        picked[e1] = k1;
 }
 
 /* The rows of [0, n) that each of a round's n_entries pattern entries picks:
  * entry e tests coordinate axes[2 e] of a row against bounds[e] from the
  * side axes[2 e + 1] (see `face_test`). Entry e's rows go to idx[e * n ...],
- * in increasing row order, and their number to counts[e]. The entries are
+ * in increasing row order, and their number to picked[e]. The entries are
  * taken two to a pass over the rows, so a round of the face stencil (one
  * entry per face of its axis) reads every row once. */
-void select_rows(const int64_t *map, const double *x, int64_t n,
-                 int64_t n_entries, const int64_t *axes, const double *bounds, int ge,
-                 int64_t *idx, int64_t *counts)
+static void select_faces(const int64_t *map, const double *x, int64_t n, int64_t n_entries,
+                         const int64_t *axes, const double *bounds, int ge, int64_t *idx, int64_t *picked)
 {
     int64_t e = 0;
     for (; e + 1 < n_entries; e += 2)
-        select_pass(map, x, n, axes, bounds, ge, e, 1, idx, counts);
+        select_pass(map, x, n, axes, bounds, ge, e, 1, idx, picked);
     if (e < n_entries)
-        select_pass(map, x, n, axes, bounds, ge, e, 0, idx, counts);
+        select_pass(map, x, n, axes, bounds, ge, e, 0, idx, picked);
 }
 
-/* The rows of a record or of a border plan, for r < k: out[r * width + y] =
- * element (idx[r], y) of x, plus shift[y] (y < 3) with shift, then, with v,
- * out[r * width + 3 + y] = element (idx[r], y) of v; with diff, diff[3 r + y]
- * = that out value - element (idx[r], y) of x, the shift a ghost refresh
- * replays. */
-void emit_rows(const int64_t *map, const double *x, const double *v, const int64_t *idx,
-               int64_t k, const double *shift, int64_t width, double *out, double *diff)
+/* Exchange's move of `row` of x through a face, in place: element y +=
+ * shift[y], which is 0, or +-(hi[y] - lo[y]) across a periodic face of the
+ * box (lo x, y, z, then hi x, y, z). Rounding can put the sum on a face that
+ * no rank owns. A row that left through the lower face (shift[y] > 0) and
+ * whose sum reaches hi lay so little below lo that its image is lo: it moves
+ * to lo and stays with this rank, which owns lo. A row that left through the
+ * upper face and whose sum falls below lo comes up to lo. Returns whether
+ * the row stays. */
+static int move_row(const int64_t *map, double *row, const double *shift, const double *box)
 {
-    for (int64_t r = 0; r < k; ++r) {
-        const int64_t o = row_at(map, idx[r]);
-        for (int y = 0; y < 3; ++y) {
-            const double c = x[o + y * map[2]];
-            const double emitted = shift ? c + shift[y] : c;
-            out[r * width + y] = emitted;
-            if (v)
-                out[r * width + 3 + y] = v[o + y * map[2]];
-            if (diff)
-                diff[3 * r + y] = emitted - c;
-        }
+    int stays = 0;
+    for (int y = 0; y < 3; ++y) {
+        const double lo = box[y], s = shift[y], w = row[y * map[2]] + s;
+        const int home = s > 0.0 && w >= box[3 + y];
+        row[y * map[2]] = home || (s < 0.0 && w < lo) ? lo : w;
+        stays |= home;
     }
+    return stays;
 }
 
-/* Exchange's move of rows idx[0 .. k) through a face, in place: element
- * (idx[r], y) of x += shift[y], which is 0, or +-(hi[y] - lo[y]) across a
- * periodic face of the box (lo x, y, z, then hi x, y, z). Rounding can put
- * the sum on a face that no rank owns. A row that left through the lower
- * face (shift[y] > 0) and whose sum reaches hi lay so little below lo that
- * its image is lo: it moves to lo and stays with this rank, which owns lo. A
- * row that left through the upper face and whose sum falls below lo comes up
- * to lo. The rows that do not stay keep their order in idx[0 .. return). */
-int64_t shift_rows(const int64_t *map, double *x, int64_t *idx, int64_t k, const double *shift,
-                   const double *box)
+/* One stencil round of exchange (nanopair.comm.exchange) over the locals
+ * [0, n) of x and v. A round's entry e stands for a face: it picks the rows
+ * strictly outside the slab there (`select_faces` with ge, against faces[e])
+ * as the round starts, and sends them to peer group group[e]; the groups
+ * number the entries' peers in order of first appearance, and group `own`
+ * is this rank (-1: none). Returns the rows that the remote entries picked,
+ * an upper bound of the departures; if that exceeds cap, nothing else is
+ * done, and the caller grows out and calls again. Otherwise every picked
+ * row moves through its face in place, entry by entry in entry order
+ * (`move_row` with shifts[3 e ...]), keep[i] (numpy's bool) is set to 0 for
+ * a row that departs to a remote peer, else 1, and the departures are
+ * written as 6-wide rows (position as moved, velocity) to out, grouped by
+ * peer group, entry by entry within a group and in row order within an
+ * entry; counts[g] receives group g's rows (0 for own). idx (n_entries * n)
+ * and picked (n_entries) are work arrays. */
+int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n,
+                       int64_t n_entries, const int64_t *axes, const double *faces, const double *shifts,
+                       const int64_t *group, int64_t n_groups, int64_t own, int64_t *picked,
+                       int64_t *counts, const double *box, int64_t *idx, uint8_t *keep, int64_t cap,
+                       double *out)
 {
-    int64_t moved = 0;
-    for (int64_t r = 0; r < k; ++r) {
-        double *row = x + row_at(map, idx[r]);
-        int stays = 0;
-        for (int y = 0; y < 3; ++y) {
-            const double lo = box[y], s = shift[y], w = row[y * map[2]] + s;
-            const int home = s > 0.0 && w >= box[3 + y];
-            row[y * map[2]] = home || (s < 0.0 && w < lo) ? lo : w;
-            stays |= home;
+    select_faces(map, x, n, n_entries, axes, faces, 1, idx, picked);
+    int64_t need = 0;
+    for (int64_t e = 0; e < n_entries; ++e)
+        need += group[e] == own ? 0 : picked[e];
+    if (need > cap)
+        return need;
+    for (int64_t i = 0; i < n; ++i)
+        keep[i] = 1;
+    for (int64_t e = 0; e < n_entries; ++e) {
+        int64_t *rows = idx + e * n, moved = 0;
+        for (int64_t r = 0; r < picked[e]; ++r) {
+            if (!move_row(map, x + row_at(map, rows[r]), shifts + 3 * e, box))
+                rows[moved++] = rows[r];
         }
-        if (!stays)
-            idx[moved++] = idx[r];
+        picked[e] = moved;
+        if (group[e] != own) {
+            for (int64_t r = 0; r < moved; ++r)
+                keep[rows[r]] = 0;
+        }
     }
-    return moved;
+    int64_t m = 0;
+    for (int64_t g = 0; g < n_groups; ++g) {
+        const int64_t first = m;
+        for (int64_t e = 0; e < n_entries && g != own; ++e) {
+            if (group[e] != g)
+                continue;
+            for (int64_t r = 0; r < picked[e]; ++r, ++m) {
+                const int64_t o = row_at(map, idx[e * n + r]);
+                for (int y = 0; y < 3; ++y) {
+                    out[6 * m + y] = x[o + y * map[2]];
+                    out[6 * m + 3 + y] = v[o + y * map[2]];
+                }
+            }
+        }
+        counts[g] = m - first;
+    }
+    return need;
+}
+
+/* One stencil round of border definition (nanopair.comm.define_borders)
+ * over rows [0, n) of x: entry e picks the rows within the border of its
+ * face (`select_faces` without ge, against bounds[e]) as the round starts,
+ * for peer group group[e] (see `exchange_round`). Returns the rows picked,
+ * k; if k exceeds cap, nothing else is done, and the caller grows the
+ * outputs and calls again. Otherwise, grouped by peer group, entry by entry
+ * within a group and in row order within an entry, row m of the round
+ * gets src[m] = its row index, out[3 m + y] = its element y plus
+ * shifts[3 e + y] and diff[3 m + y] = that sum less the element, the shift
+ * that the ghost refresh replays; counts[g] receives group g's rows. idx
+ * (n_entries * n) and picked (n_entries) are work arrays. */
+int64_t border_round(const int64_t *map, const double *x, int64_t n,
+                     int64_t n_entries, const int64_t *axes, const double *bounds, const double *shifts,
+                     const int64_t *group, int64_t n_groups, int64_t *picked, int64_t *counts,
+                     int64_t *idx, int64_t cap, int64_t *src, double *out, double *diff)
+{
+    select_faces(map, x, n, n_entries, axes, bounds, 0, idx, picked);
+    int64_t k = 0;
+    for (int64_t e = 0; e < n_entries; ++e)
+        k += picked[e];
+    if (k > cap)
+        return k;
+    int64_t m = 0;
+    for (int64_t g = 0; g < n_groups; ++g) {
+        const int64_t first = m;
+        for (int64_t e = 0; e < n_entries; ++e) {
+            if (group[e] != g)
+                continue;
+            const double *shift = shifts + 3 * e;
+            for (int64_t r = 0; r < picked[e]; ++r, ++m) {
+                const int64_t i = idx[e * n + r], o = row_at(map, i);
+                src[m] = i;
+                for (int y = 0; y < 3; ++y) {
+                    const double c = x[o + y * map[2]], emitted = c + shift[y];
+                    out[3 * m + y] = emitted;
+                    diff[3 * m + y] = emitted - c;
+                }
+            }
+        }
+        counts[g] = m - first;
+    }
+    return k;
+}
+
+/* Appends k rows at row `start` of three particle arrays under one index
+ * map: x from the rows pos[r * pos_step ...], v from vel[r * vel_step ...]
+ * or zeros without vel, f zeros. A step is the distance between rows in
+ * doubles, so the two halves of 6-wide exchange rows are read in place. */
+void append_rows(const int64_t *map, double *x, double *v, double *f, int64_t start, int64_t k,
+                 const double *pos, int64_t pos_step, const double *vel, int64_t vel_step)
+{
+    static const double zero[3] = {0.0, 0.0, 0.0};
+    put_width(map, x, 3, NULL, start, k, pos, pos_step);
+    if (vel)
+        put_width(map, v, 3, NULL, start, k, vel, vel_step);
+    else
+        put_width(map, v, 3, NULL, start, k, zero, 0);
+    put_width(map, f, 3, NULL, start, k, zero, 0);
 }
 
 /* The first of rows [0, n) that lies in none of the n_boxes half-open boxes

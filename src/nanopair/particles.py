@@ -67,22 +67,23 @@ class ParticleStore:
     # -- local-region editing ----------------------------------------------
 
     def append_locals(self, pos: np.ndarray, vel: np.ndarray) -> None:
-        """Append locals after the current ones.
+        """Append locals after the current ones, with zero forces, in one
+        compiled call (`append_rows`).
 
-        Requires an empty ghost region (exchange clears ghosts first).
+        The (k, 3) rows are read in place by row stride, so the two halves of
+        a (k, 6) exchange payload are not copied. Requires an empty ghost
+        region (exchange clears ghosts first).
         """
         if self.n_ghost != 0:
             raise RuntimeError("append_locals requires an empty ghost region")
-        pos = np.atleast_2d(pos)
-        vel = np.atleast_2d(vel)
+        pos, pos_step = _rows(pos)
+        vel, vel_step = _rows(vel)
         k = pos.shape[0]
-        if k == 0:
-            return
-        self.ensure_capacity(self.n_local + k)
-        self.positions.write_rows(self.n_local, pos)
-        self.velocities.write_rows(self.n_local, vel)
-        self.forces.fill_rows(self.n_local, k, 0.0)
-        self.n_local += k
+        if vel.shape[0] != k:
+            raise ValueError(f"{k} positions but {vel.shape[0]} velocities")
+        if k:
+            self._append(self.n_local, k, pos.ctypes.data, pos_step, vel.ctypes.data, vel_step)
+            self.n_local += k
 
     def compact_locals(self, keep: np.ndarray) -> None:
         """Drop locals where `keep` is False, preserving the survivors' order.
@@ -109,31 +110,40 @@ class ParticleStore:
         self.n_ghost = 0
 
     def append_ghosts(self, pos: np.ndarray, peer: int) -> int:
-        """Append ghost copies; returns the starting ghost slot (absolute index).
+        """Append ghost copies with zero velocities and forces, in one
+        compiled call (`append_rows`); returns the starting ghost slot
+        (absolute index).
 
         `peer`, the rank the copies came from, is not stored; the border plan
         keeps what synchronization needs. The parameter stays because the
         benchmark's tracer counts this method's rows through a hook with the
         signature (self, pos, peer).
         """
-        pos = np.atleast_2d(pos)
+        pos, step = _rows(pos)
         k = pos.shape[0]
         start = self.n_total
-        self.ensure_capacity(start + k)
-        self.positions.write_rows(start, pos)
-        self.velocities.fill_rows(start, k, 0.0)
-        self.forces.fill_rows(start, k, 0.0)
-        self.n_ghost += k
+        if k:
+            self._append(start, k, pos.ctypes.data, step, None, 0)
+            self.n_ghost += k
         return start
+
+    def _append(self, start: int, k: int, pos: int, pos_step: int, vel: int | None, vel_step: int) -> None:
+        """Rows [start, start + k) from the rows at addresses `pos` and, if
+        given, `vel`, `pos_step` and `vel_step` doubles apart (`append_rows`)."""
+        self.ensure_capacity(start + k)
+        x = self.positions
+        kernel.library().append_rows(
+            x.map_address, x.address, self.velocities.address, self.forces.address, start, k,
+            pos, pos_step, vel, vel_step,
+        )
 
     def set_ghost_positions(self, start: int, pos: np.ndarray) -> None:
         """Write the (k, 3) rows `pos` over the ghost rows [start, start + k),
         in place through the layout's index map (one compiled loop).
 
-        IndexError if the rows reach outside the ghost region. Rows that
-        are not C-contiguous and aligned are copied first: a wire payload
-        starts 5 bytes into its record, and the compiled loop must not load
-        misaligned doubles.
+        IndexError if the rows reach outside the ghost region; TypeError
+        (from `kernel.address`) unless `pos` is C-contiguous and aligned, as
+        a wire payload is.
         """
         pos = np.asarray(pos, dtype=np.float64)
         k = pos.shape[0]
@@ -141,11 +151,22 @@ class ParticleStore:
             raise IndexError(
                 f"rows [{start}, {start + k}) outside the ghost region [{self.n_local}, {self.n_total})"
             )
-        if not (pos.flags.aligned and pos.flags.c_contiguous):
-            pos = pos.copy()
         h = self.positions
         rows = kernel.address(pos, np.float64, (k, 3))
         kernel.library().put_rows(h.map_address, h.address, 3, None, start, k, rows, 3)
+
+
+def _rows(a) -> tuple[np.ndarray, int]:
+    """`a` as (k, 3) float64 rows whose three elements are adjacent and
+    aligned, and the distance between rows in doubles. Such an array (also a
+    row slice of wider rows, as an exchange payload's half) is not copied;
+    anything else is copied once."""
+    a = np.atleast_2d(np.asarray(a, dtype=np.float64))
+    if a.ndim != 2 or a.shape[1] != 3:
+        raise ValueError(f"rows of shape {a.shape}, expected (k, 3)")
+    if not (a.flags.aligned and a.strides[1] == 8 and a.strides[0] % 8 == 0):
+        a = np.ascontiguousarray(a)
+    return a, a.strides[0] // 8
 
 
 def lattice_positions(cfg: SimConfig, domain: AABB) -> np.ndarray:

@@ -234,6 +234,20 @@ class TestCountBalancedSlabs:
             np.testing.assert_array_equal(got, want)
         assert transport.pending() == 0
 
+    def test_pattern_kept_while_no_cut_moves(self):
+        # the first balance of the half-diagonal fill moves the x cut, so
+        # the slab and the pattern are rebuilt; a second one at the same
+        # positions leaves every cut, and keeps both objects
+        pos, vel = initial_state(SD)
+        worlds, stores, transport = make_worlds(SD, 2, pos, vel)
+        for moves in (True, False):
+            before = [(w.pattern, w.domain.ownership) for w in worlds]
+            run_phase([balance_slabs(w, s) for w, s in zip(worlds, stores)])
+            for w, (pattern, ownership) in zip(worlds, before):
+                assert (w.pattern is not pattern) == moves and (w.domain.ownership is not ownership) == moves
+                assert (w.pattern.cuts[0].tobytes() != pattern.cuts[0].tobytes()) == moves
+        assert transport.pending() == 0
+
     def test_cuts_clamped_to_spacing_and_old_neighbours(self):
         old = np.array([0.0, 5.0, 10.0, 15.0, 20.0])
         hist = np.zeros(LOAD_BINS)
@@ -383,6 +397,21 @@ class TestWireFaults:
         for cut in (blob[:-8], blob[:-3], blob[:3]):
             with pytest.raises(ProtocolError):
                 unpack_particles(cut)
+
+    def test_header_is_eight_bytes_and_payload_aligned(self):
+        # u8 kind, three zero bytes, u32 count
+        rows = np.arange(6.0).reshape(2, 3)
+        blob = pack_particles(WIRE_BORDER, rows)
+        assert blob[:8] == bytes([WIRE_BORDER, 0, 0, 0, 2, 0, 0, 0]) and len(blob) == 8 + rows.nbytes
+        kind, data = unpack_particles(blob)
+        assert kind == WIRE_BORDER and data.flags.aligned and data.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("pad", [1, 2, 3])
+    def test_nonzero_pad_byte_rejected(self, pad):
+        blob = bytearray(pack_particles(WIRE_SYNC, np.ones((1, 3))))
+        blob[pad] = 7
+        with pytest.raises(ProtocolError, match="^wire record of kind 2 has a nonzero pad byte in its header$"):
+            unpack_particles(bytes(blob))
 
     def test_unknown_kind_rejected(self):
         # kind 3 is retired, and no kind above 5 exists
@@ -781,7 +810,7 @@ def test_undefined_behaviour_sanitizer_keeps_bits(monkeypatch, capfd):
     """The compiled loops, built at -O1 under UBSan with every report fatal,
     run the three 6^3 golden workloads to the final states of the normal
     build, bit for bit. UBSan ends the test process with exit status 1 at a
-    misaligned load (such as a double read 5 bytes into a wire record), a
+    misaligned load (such as a double read 5 bytes into a buffer), a
     signed overflow or an out-of-range shift in any loop; output capture is
     off while the sanitized loops run, so its report reaches the terminal."""
     want = {name: final_state_hash(name) for name in GOLDEN_WORKLOADS}

@@ -157,13 +157,24 @@ class TestCompiledLoopsMatchNumpy:
         store = random_store(layout, n_local)
         rows = np.random.default_rng(3).uniform(0, 10, (count, 3))
         if wire:
+            # the payload after the 8-byte header is read in place
             _, rows = unpack_particles(pack_particles(WIRE_SYNC, rows))
-            assert not rows.flags.aligned
+            assert rows.flags.aligned and rows.flags.c_contiguous and not rows.flags.writeable
         start = n_local + first
         want = buffers(store)
         want[0] = with_rows(store.positions, start, rows)
         store.set_ghost_positions(start, rows)
         assert buffers(store) == want
+
+    def test_misaligned_ghost_write_rejected(self, layout, n_local):
+        # the compiled write takes rows in place and would load misaligned
+        # doubles: such rows are refused, not copied
+        store = random_store(layout, n_local)
+        rows = np.frombuffer(bytes(5) + np.ones((2, 3)).tobytes(), offset=5).reshape(2, 3)
+        before = buffers(store)
+        with pytest.raises(TypeError, match="not aligned"):
+            store.set_ghost_positions(n_local, rows)
+        assert buffers(store) == before
 
     def test_ghost_write_outside_ghosts_rejected(self, layout, n_local):
         store = random_store(layout, n_local)
@@ -440,7 +451,9 @@ def exchange_matches_reference(layout, ranks, box):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
-@pytest.mark.parametrize("ranks", [1, 2, 4])
+# P = 3 (grid 3 x 1 x 1) is the one grid here whose rounds send their two entries
+# to two different remote peers; P = 8 is the 2 x 2 x 2 grid
+@pytest.mark.parametrize("ranks", [1, 2, 3, 4, 8])
 class TestEpochLoopsMatchNumpy:
     def test_exchange(self, layout, ranks):
         # the records (selection, emitted rows, velocities, order), the
@@ -547,7 +560,7 @@ class TestEpochBoxesMatchNumpy:
             store.append_ghosts(np.full((N_GHOST, 3), -50.0), peer=0)
             owned = bool(world.domain.owns(row)[0])
             gen = exchange(world, store)
-            world.pattern.rounds = []  # the ownership check alone: no round runs
+            world.pattern.passes = []  # the ownership check alone: no round runs
             if owned:
                 assert list(gen) == []
             else:

@@ -40,8 +40,9 @@ PROTOTYPES = exported_prototypes()
 def test_source_defines_the_loops():
     names = [name for _, name, _ in PROTOTYPES]
     assert len(names) == len(set(names))
-    assert {"bin_cells", "build_lists", "pair_forces", "emit_rows", "shift_rows"} <= set(names)
-    assert "spread_rows" not in names and "lj_rows" not in names
+    assert {"bin_cells", "build_lists", "pair_forces", "exchange_round", "border_round", "append_rows"} <= set(names)
+    # deleted loops, replaced by the round passes and by the CSR lists
+    assert not {"select_rows", "emit_rows", "shift_rows", "spread_rows", "lj_rows"} & set(names)
 
 
 @pytest.mark.parametrize("result,name,params", PROTOTYPES, ids=[name for _, name, _ in PROTOTYPES])

@@ -190,22 +190,27 @@ class TestRowViews:
 
 class TestRowSources:
     @pytest.mark.parametrize("lay", VIEW_LAYOUTS, ids=lambda l: l.kind.value + str(l.cluster_size))
-    @pytest.mark.parametrize("source", ["wire-payload", "column-slice", "exchange-slice"])
+    @pytest.mark.parametrize("source", ["wire-payload", "column-slice", "exchange-slice", "misaligned"])
     def test_write_from_view_equals_write_from_copy(self, lay, source):
-        # a wire payload starts 5 bytes into its record (not aligned), a
-        # column slice of 6-wide records is not C-contiguous, and exchange's
-        # data[:, :3] is both
+        # a wire payload is a read-only view of its record, aligned after
+        # the 8-byte header; a column slice of 6-wide records is not
+        # C-contiguous, and exchange's data[:, :3] is both; a view 5 bytes
+        # into a buffer is not aligned
         rng = np.random.default_rng(12)
         n = 11
         records = rng.normal(size=(n, 6))
         if source == "wire-payload":
             _, rows = unpack_particles(pack_particles(WIRE_SYNC, records[:, :3]))
+            assert rows.flags.aligned and rows.flags.c_contiguous and not rows.flags.writeable
         elif source == "column-slice":
             rows = records[:, :3]
-        else:
+        elif source == "exchange-slice":
             _, data = unpack_particles(pack_particles(WIRE_EXCHANGE, records))
             rows = data[:, :3]
-        assert not (rows.flags.aligned and rows.flags.c_contiguous)
+            assert not (rows.flags.c_contiguous or rows.flags.writeable)
+        else:
+            rows = np.frombuffer(bytes(5) + records[:, :3].tobytes(), offset=5).reshape(n, 3)
+            assert not rows.flags.aligned
         picked = rng.permutation(17)[:n]
         got, want = ArrayHandle(lay, 17, 3), ArrayHandle(lay, 17, 3)
         got.write_rows(4, rows)

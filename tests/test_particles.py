@@ -3,7 +3,8 @@ import pytest
 
 from nanopair.core import SimConfig
 from nanopair.layout import ArrayHandle, clustered_layout, column_major_layout, row_major_layout
-from nanopair.particles import ParticleStore, lattice_positions
+from nanopair.comm import WIRE_EXCHANGE, pack_particles, unpack_particles
+from nanopair.particles import ParticleStore, _rows, lattice_positions
 
 LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(8)]
 
@@ -107,6 +108,44 @@ class TestRegionEditing:
                 shadow.extend(map(tuple, rows))
             assert store.n_local == len(shadow)
         np.testing.assert_array_equal(local_state(store), np.array(shadow).reshape(-1, 6))
+
+    @pytest.mark.parametrize("lay", LAYOUTS, ids=lambda l: l.kind.value)
+    def test_append_exchange_payload_in_place(self, lay):
+        # the two halves of a (k, 6) exchange payload are read by row
+        # stride, not copied, and give what appending copies gives
+        rows = np.random.default_rng(5).normal(size=(7, 6))
+        _, data = unpack_particles(pack_particles(WIRE_EXCHANGE, rows))
+        for half in (data[:, :3], data[:, 3:]):
+            got, step = _rows(half)
+            assert np.shares_memory(got, data) and step == 6
+        got, want = ParticleStore(lay, 4), ParticleStore(lay, 4)
+        got.append_locals(data[:, :3], data[:, 3:])
+        want.append_locals(rows[:, :3].copy(), rows[:, 3:].copy())
+        for g, w in zip((got.positions, got.velocities, got.forces), (want.positions, want.velocities, want.forces)):
+            assert g.buf.tobytes() == w.buf.tobytes()
+        np.testing.assert_array_equal(local_state(got), rows)
+
+    @pytest.mark.parametrize("lay", LAYOUTS, ids=lambda l: l.kind.value)
+    def test_appends_zero_forces_and_ghost_velocities(self, lay):
+        # over stale rows: locals get their velocities and zero forces,
+        # ghosts zero velocities and forces, and the rows behind are not written
+        store = ParticleStore(lay, 8)
+        for h in (store.velocities, store.forces):
+            h.fill_rows(0, 8, 7.0)
+        store.append_locals(np.ones((3, 3)), np.full((3, 3), 2.0))
+        store.append_ghosts(np.ones((2, 3)), peer=1)
+        np.testing.assert_array_equal(store.velocities.read_rows(0, 5), [[2.0] * 3] * 3 + [[0.0] * 3] * 2)
+        np.testing.assert_array_equal(store.forces.read_rows(0, 5), np.zeros((5, 3)))
+        for h in (store.velocities, store.forces):
+            np.testing.assert_array_equal(h.read_rows(5, 3), np.full((3, 3), 7.0))
+
+    def test_append_rejects_mismatched_rows(self):
+        store = ParticleStore(row_major_layout(), 4)
+        with pytest.raises(ValueError, match="2 positions but 3 velocities"):
+            store.append_locals(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match=r"rows of shape \(2, 4\), expected \(k, 3\)"):
+            store.append_ghosts(np.zeros((2, 4)), peer=0)
+        assert store.n_total == 0
 
     def test_ghosts_stay_contiguous_after_local_edits(self):
         # local edits need an empty ghost region, so they cannot split it
