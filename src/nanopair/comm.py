@@ -2,11 +2,10 @@
 
 The phases, run per communication epoch:
 
-* load balance    (worlds with more than one rank) every rank sends
-                  every other rank a histogram of its particles along each
-                  axis (one compiled pass); all ranks move the slab cuts to
-                  the same count-balanced positions and rebuild their pattern
-                  (or keep it, with its arrays, when no cut moves)
+* load balance    (worlds with more than one rank) rank 0 sums every
+                  rank's histogram of its particles along each axis (one
+                  compiled pass) and sends the sum back; all ranks move the
+                  slab cuts to the same count-balanced positions
 * exchange        migrate ownership of particles that left their rank's
                   region (positions wrapped across periodic boundaries,
                   velocities travel along)
@@ -15,7 +14,9 @@ The phases, run per communication epoch:
 * synchronization replay the plan every step to refresh ghost positions
 
 A pattern entry is data, not code: the face of this rank's slab it stands
-for (axis, side and coordinate) and the periodic shift of what crosses it.
+for (axis and side) and the periodic shift of what crosses it. The pattern
+is pure topology, built once per run: a cut move changes the slab, and the
+compiled passes read each face's coordinate from the slab as they run.
 
 Exchange, border definition and synchronization send one record per remote
 peer and stencil round: a peer's record holds the rows of every entry that
@@ -36,10 +37,11 @@ sub-phase is posted before any matching receive runs.
 
 Between epochs, every step, the ranks of a multi-rank world also all-gather
 their largest displacement since the last rebuild (`gather_displacements`),
-so that all of them can start an epoch early at the same step. The gather is
-rooted at rank 0 and takes two barriers: every other rank sends rank 0 its
-one-row record, and rank 0 sends every other rank one record of all P
-displacements in rank order, 2 (P - 1) records in all.
+so that all of them can start an epoch early at the same step. The load
+balance and this gather are one collective, rooted at rank 0 over two
+barriers: every other rank sends rank 0 one record, and rank 0 combines all
+P in rank order (loads by summing, displacements by stacking) and sends
+every other rank one record of the result, 2 (P - 1) records in all.
 
 There is one domain decomposition: each rank owns a slab of a near-cubic
 rank grid and talks to its six face neighbours, one round per axis.
@@ -118,6 +120,8 @@ _WIDTH = {
     WIRE_LOAD: LOAD_BINS,
     WIRE_DISPLACEMENT: 1,
 }
+_NAMES = {WIRE_EXCHANGE: "an exchange", WIRE_BORDER: "a border", WIRE_SYNC: "a sync", WIRE_LOAD: "a load",
+          WIRE_DISPLACEMENT: "a displacement"}
 
 
 def pack_particles(kind: int, payload: np.ndarray) -> bytes:
@@ -175,8 +179,9 @@ class MailboxTransport:
 class RankDomain:
     """Per-rank ownership region and ghost-layer width.
 
-    `ownership` holds one box, the rank's slab between the current cuts;
-    `balance_slabs` replaces it when a cut moves.
+    `ownership` holds one box, the rank's slab between the current cuts,
+    which `balance_slabs` sets at every epoch; the compiled passes of the
+    epoch read the faces of the pattern's entries from it.
     """
 
     rank: int
@@ -189,6 +194,11 @@ class RankDomain:
         for box in self.ownership:
             mask |= box.contains(points)
         return mask
+
+    def packed(self) -> np.ndarray:
+        """The ownership boxes as an (n, 6) array, lo x, y, z then hi x, y, z
+        per box, as the compiled passes read them."""
+        return np.array([box.min + box.max for box in self.ownership])
 
     def grid_box_for(self, store: ParticleStore) -> AABB:
         """Bounding box of the store's particles, or the slab when it is empty.
@@ -208,22 +218,23 @@ class RankDomain:
 
 @dataclass
 class PatternEntry:
-    """One peer relation: whom to send to, whom to receive from, and the
-    slab face between them, as data.
+    """One peer relation: whom to send to, whom to receive from, and which
+    face of the slab lies between them, as data.
 
     The face is the plane x[dim] = face on the `side` (+1 upper, -1 lower)
-    of the slab. A local departs through it in exchange when strictly
-    outside the slab there (x[dim] >= face, or x[dim] < face); a row is a
-    border row when within the pattern's spacing of it (x[dim] > face -
-    spacing, or x[dim] < face + spacing). Either is emitted as x + shift,
-    the periodic shift (all zero unless the face is the domain boundary).
+    of the rank's slab, its coordinate read from the slab (`RankDomain
+    .ownership[0]`) when a pass runs. A local departs through it in exchange
+    when strictly outside the slab there (x[dim] >= face, or x[dim] < face);
+    a row is a border row when within the pattern's spacing of it (x[dim] >
+    face - spacing, or x[dim] < face + spacing). Either is emitted as x +
+    shift, the periodic shift (all zero unless the face is the domain
+    boundary).
     """
 
     send_to: int
     recv_from: int
     dim: int
     side: int
-    face: float
     shift: np.ndarray  # (3,) float64
 
 
@@ -256,7 +267,8 @@ class _RoundPass:
     The entries' peers form groups, `peers`, in order of first appearance
     (this rank among them when it sends itself periodic images); a pass
     writes each group's row count to `counts`. `recv_peers` are the remote
-    peers that send to this rank, in order of first appearance.
+    peers that send to this rank, in order of first appearance. The faces
+    are not here: a pass reads them from the slab it is given.
     """
 
     def __init__(self, entries: list[PatternEntry], me: int, spacing: float, box_address: int, work: _Work):
@@ -266,34 +278,34 @@ class _RoundPass:
         self.counts = np.empty(len(self.peers), dtype=np.int64)
         self._arrays = (
             np.array([(e.dim, e.side) for e in entries], dtype=np.int64),
-            np.array([e.face for e in entries]),
-            np.array([e.face - spacing if e.side > 0 else e.face + spacing for e in entries]),
             np.array([e.shift for e in entries]),
             np.array([self.peers.index(e.send_to) for e in entries], dtype=np.int64),
             np.empty(len(entries), dtype=np.int64),  # picks per entry
             self.counts,
         )
-        axes, faces, bounds, shifts, group, picked, counts = (kernel.address(a, a.dtype) for a in self._arrays)
+        axes, shifts, group, picked, counts = (kernel.address(a, a.dtype) for a in self._arrays)
         k, g, own = len(entries), len(self.peers), self.peers.index(me) if me in self.peers else -1
-        self._exchange = (k, axes, faces, shifts, group, g, own, picked, counts, box_address)
-        self._border = (k, axes, bounds, shifts, group, g, picked, counts)
+        self._exchange = (k, axes, shifts, group, g, own, picked, counts, box_address)
+        self._border = (spacing, k, axes, shifts, group, g, picked, counts)
 
-    def run(self, store: ParticleStore, exchange: bool) -> int:
+    def run(self, store: ParticleStore, slab: int, exchange: bool) -> int:
         """`exchange_round` over the locals or `border_round` over every row
-        (see pair_kernel.c); returns the pass's row count. A pass whose rows
-        do not fit the work arrays changes nothing: they grow, it runs again."""
+        (see pair_kernel.c), against the faces of `slab` (the address of
+        six doubles, `RankDomain.packed`); returns the pass's row count. A
+        pass whose rows do not fit the work arrays changes nothing: they
+        grow, it runs again."""
         w, x, k = self.work, store.positions, 0
         n = store.n_local if exchange else store.n_total
         while True:
             w.fit(n, k)
             if exchange:
                 k = kernel.library().exchange_round(
-                    x.map_address, x.address, store.velocities.address, n, *self._exchange,
+                    x.map_address, x.address, store.velocities.address, n, slab, *self._exchange,
                     w.idx_address, w.keep_address, w.cap, w.out_address,
                 )
             else:
                 k = kernel.library().border_round(
-                    x.map_address, x.address, n, *self._border,
+                    x.map_address, x.address, n, slab, *self._border,
                     w.idx_address, w.cap, w.src_address, w.out_address, w.diff_address,
                 )
             if k <= w.cap:
@@ -307,10 +319,12 @@ class CommPattern:
     One round per axis lets a particle or a ghost cross an edge or a corner
     by hopping over successive faces. Within a round the two entries' exchange
     tests are disjoint, so each particle leaves through at most one face.
-    `rank_grid` and `cuts` (per-axis slab boundaries) are what the pattern was
-    built on, `spacing` is the border width, `rank` is this rank and
-    `global_box` the periodic domain; `balance_slabs` moves the cuts and
-    builds the next pattern. `passes` holds each round's compiled passes.
+    `rank_grid` is the rank grid, `cuts` the current per-axis slab
+    boundaries, `spacing` the border width, `rank` this rank and
+    `global_box` the periodic domain. The pattern is topology only and is
+    built once per run: `balance_slabs` moves `cuts` and the rank's slab,
+    and the passes read the faces from the slab. `passes` holds each round's
+    compiled passes, which keep their work arrays for the whole run.
     """
 
     rounds: list[list[PatternEntry]]
@@ -397,15 +411,14 @@ def six_stencil_pattern(
     """Face-neighbor pattern over a rank grid, one round per dimension;
     slabs lie between `cuts` (per-axis boundaries, uniform by default).
 
-    Each entry carries its face of this rank's slab (see PatternEntry): a
-    local departs through it when strictly outside the slab there, and a row
-    is a border row when within `spacing` of it. Both are emitted shifted by
-    the domain length when the face is the periodic boundary.
+    Each entry names a face of this rank's slab (see PatternEntry): a local
+    departs through it when strictly outside the slab there, and a row is a
+    border row when within `spacing` of it. Both are emitted shifted by the
+    domain length when the face is the periodic boundary.
     """
     if cuts is None:
         cuts = uniform_cuts(global_box, rank_grid)
     coords = rank_grid_coords(this_rank, rank_grid)
-    slab = slab_bounds(global_box, rank_grid, coords, cuts)
     ext = global_box.extent()
 
     def neighbour(dim, direction):
@@ -420,12 +433,9 @@ def six_stencil_pattern(
             shift = np.zeros(3)
             if coords[dim] == (rank_grid[dim] - 1 if direction > 0 else 0):  # a face on the domain boundary
                 shift[dim] = -direction * ext[dim]
-            face = slab.hi[dim] if direction > 0 else slab.lo[dim]
             # the neighbour in the opposite direction feeds my receives for
             # this direction's traffic
-            entries.append(
-                PatternEntry(neighbour(dim, direction), neighbour(dim, -direction), dim, direction, float(face), shift)
-            )
+            entries.append(PatternEntry(neighbour(dim, direction), neighbour(dim, -direction), dim, direction, shift))
         rounds.append(entries)
     return CommPattern(
         rounds, rank_grid=tuple(rank_grid), cuts=cuts, spacing=spacing, rank=this_rank, global_box=global_box
@@ -488,88 +498,74 @@ def _load_histogram(store: ParticleStore, box: AABB) -> np.ndarray:
     return hist
 
 
+def _receive(world: RankWorld, peer: int, kind: int, rows: int | None = None) -> np.ndarray:
+    """The payload of the next record from `peer`; ProtocolError, naming
+    both ranks, unless it is of `kind` and, when `rows` is given, of that
+    many rows."""
+    got, data = unpack_particles(world.transport.recv(world.rank, peer))
+    if got != kind or rows not in (None, data.shape[0]):
+        size = "" if rows is None else f" of {rows} rows"
+        raise ProtocolError(
+            f"rank {world.rank} expected {_NAMES[kind]} record{size} from rank {peer}, "
+            f"got kind {got} with {data.shape[0]} rows"
+        )
+    return data
+
+
+def _rooted(world: RankWorld, kind: int, record: np.ndarray, combine, rows: int):
+    """`combine` of every rank's `record`, in rank order, on every rank.
+
+    Rooted at rank 0, over two barriers: every other rank sends rank 0 its
+    record (as many rows as rank 0's own); rank 0 combines all P records in
+    rank order and sends every other rank one record of the result, of
+    `rows` rows: 2 (P - 1) records in all, and every rank holds the same
+    bytes. A world of one rank returns at once, with no message and no
+    barrier.
+    """
+    if world.size == 1:
+        return combine([record])
+    me, root = world.rank, 0
+    if me != root:
+        world.transport.send(me, root, pack_particles(kind, record))
+    yield
+    if me == root:
+        out = combine([record if p == root else _receive(world, p, kind, len(record)) for p in range(world.size)])
+        blob = pack_particles(kind, out)
+        for peer in range(1, world.size):
+            world.transport.send(root, peer, blob)
+    yield
+    if me != root:
+        out = _receive(world, root, kind, rows).copy()
+    return out
+
+
 def balance_slabs(world: RankWorld, store: ParticleStore):
     """Move the slab cuts so each slab holds about the same particle count.
 
     Runs at an epoch boundary, before exchange. A world of one rank returns
-    without a barrier. Each rank sends every other rank a load record: per
-    axis, a LOAD_BINS histogram of its local positions, wrapped into the
-    domain. Every rank sums the histograms in rank order, so all ranks derive
-    the same cuts, then rebuilds its ownership slab and its pattern from
-    them; the exchange that follows moves the particles. When no cut moves,
-    the slab and the pattern (with its arrays) stay as they are.
+    without a barrier. Each rank's load record is, per axis, a LOAD_BINS
+    histogram of its local positions, wrapped into the domain; rank 0 sums
+    them in rank order and sends every rank the sum (`_rooted`), so all
+    ranks derive the same cuts from the same bytes. Each rank then sets the
+    pattern's cuts and its ownership slab; the pattern itself, built once,
+    stays, and the exchange that follows moves the particles.
     """
     if world.size == 1:
         return
-    pattern = world.pattern
-    me = world.rank
-    box = world.global_box
-    hist = _load_histogram(store, box)
-    blob = pack_particles(WIRE_LOAD, hist)
-    for peer in range(world.size):
-        if peer != me:
-            world.transport.send(me, peer, blob)
-    yield
-    total = np.zeros_like(hist)
-    for peer in range(world.size):
-        if peer == me:
-            total += hist
-            continue
-        kind, data = unpack_particles(world.transport.recv(me, peer))
-        if kind != WIRE_LOAD:
-            raise ProtocolError(f"rank {me} expected load record from {peer}, got kind {kind}")
-        total += data
+    pattern, grid = world.pattern, world.pattern.rank_grid
+    hist = _load_histogram(store, world.global_box)
+    total = yield from _rooted(world, WIRE_LOAD, hist, lambda parts: sum(parts, np.zeros_like(hist)), 3)
     spacing = world.domain.spacing
-    cuts = tuple(_balanced_cuts(old, total[d], spacing) for d, old in enumerate(pattern.cuts))
-    if all(new.tobytes() == old.tobytes() for new, old in zip(cuts, pattern.cuts)):
-        return
-    grid = pattern.rank_grid
-    world.domain.ownership = [slab_bounds(box, grid, rank_grid_coords(me, grid), cuts)]
-    world.pattern = six_stencil_pattern(grid, me, box, spacing, cuts)
+    pattern.cuts = tuple(_balanced_cuts(old, total[d], spacing) for d, old in enumerate(pattern.cuts))
+    world.domain.ownership = [slab_bounds(world.global_box, grid, rank_grid_coords(world.rank, grid), pattern.cuts)]
 
 
 def gather_displacements(world: RankWorld, displacement: float):
-    """Every rank's displacement, in rank order, on every rank.
-
-    Rooted at rank 0, over two barriers: every other rank sends rank 0 a
-    one-row displacement record; rank 0 collects them in rank order and
-    sends every other rank one record of all of them. A world of one rank
-    returns at once, without a message or a barrier. ProtocolError, naming
-    the receiving and the sending rank, on a record of another kind or
-    shape.
-    """
-    if world.size == 1:
-        return np.array([displacement])
-    me, root = world.rank, 0
-    if me != root:
-        world.transport.send(me, root, pack_particles(WIRE_DISPLACEMENT, np.array([[displacement]])))
-    yield
-    if me == root:
-        out = np.empty(world.size)
-        out[root] = displacement
-        for peer in range(world.size):
-            if peer != root:
-                out[peer] = _displacements(world, peer, 1)[0]
-        blob = pack_particles(WIRE_DISPLACEMENT, out[:, None])
-        for peer in range(world.size):
-            if peer != root:
-                world.transport.send(root, peer, blob)
-    yield
-    if me != root:
-        out = _displacements(world, root, world.size).copy()
-    return out
-
-
-def _displacements(world: RankWorld, peer: int, rows: int) -> np.ndarray:
-    """The `rows` displacements of the record from `peer`; ProtocolError if
-    it is not a displacement record of that many rows."""
-    kind, data = unpack_particles(world.transport.recv(world.rank, peer))
-    if kind != WIRE_DISPLACEMENT or data.shape != (rows, 1):
-        raise ProtocolError(
-            f"rank {world.rank} expected a displacement record from rank {peer}, got kind {kind} "
-            f"with {data.shape[0]} rows"
-        )
-    return data[:, 0]
+    """Every rank's displacement, in rank order, on every rank: one-row
+    records stacked at rank 0 (`_rooted`). A world of one rank returns at
+    once, without a message or a barrier."""
+    out = yield from _rooted(world, WIRE_DISPLACEMENT, np.array([[displacement]]), np.concatenate, world.size)
+    return out[:, 0]
 
 
 def exchange(world: RankWorld, store: ParticleStore):
@@ -589,8 +585,10 @@ def exchange(world: RankWorld, store: ParticleStore):
     """
     store.clear_ghosts()
     me = world.rank
+    boxes = world.domain.packed()
+    slab = kernel.address(boxes, np.float64, (len(boxes), 6))
     for rnd in world.pattern.passes:
-        rnd.run(store, exchange=True)
+        rnd.run(store, slab, exchange=True)
         rows, a = rnd.work.out.reshape(-1, 6), 0
         for peer, k in zip(rnd.peers, rnd.counts.tolist()):
             if peer != me:
@@ -599,16 +597,10 @@ def exchange(world: RankWorld, store: ParticleStore):
         store.compact_locals(rnd.work.keep[: store.n_local])
         yield
         for peer in rnd.recv_peers:
-            kind, data = unpack_particles(world.transport.recv(me, peer))
-            if kind != WIRE_EXCHANGE:
-                raise ProtocolError(f"rank {me} expected exchange record, got kind {kind}")
-            if data.shape[0]:
-                store.append_locals(data[:, :3], data[:, 3:])
-    boxes = np.array([box.min + box.max for box in world.domain.ownership])
+            data = _receive(world, peer, WIRE_EXCHANGE)
+            store.append_locals(data[:, :3], data[:, 3:])
     h = store.positions
-    i = kernel.library().first_outside(
-        h.map_address, h.address, store.n_local, len(boxes), kernel.address(boxes, np.float64, (len(boxes), 6))
-    )
+    i = kernel.library().first_outside(h.map_address, h.address, store.n_local, len(boxes), slab)
     if i >= 0:
         raise ProtocolError(
             f"rank {me}: after exchange, local particle at "
@@ -685,8 +677,10 @@ def define_borders(world: RankWorld, store: ParticleStore):
     if store.n_ghost:
         raise ProtocolError(f"rank {me}: define_borders must start with an empty ghost region")
     plan_rounds: list[_PlanRound] = []
+    boxes = world.domain.packed()
+    slab = kernel.address(boxes, np.float64, (len(boxes), 6))
     for rnd in world.pattern.passes:
-        n, w = rnd.run(store, exchange=False), rnd.work
+        n, w = rnd.run(store, slab, exchange=False), rnd.work
         rows, sends, a = w.out.reshape(-1, 3), [], 0
         for peer, k in zip(rnd.peers, rnd.counts.tolist()):
             part, a = slice(a, a + k), a + k
@@ -699,9 +693,7 @@ def define_borders(world: RankWorld, store: ParticleStore):
         yield
         recvs = []
         for peer in rnd.recv_peers:
-            kind, data = unpack_particles(world.transport.recv(me, peer))
-            if kind != WIRE_BORDER:
-                raise ProtocolError(f"rank {me} expected border record, got kind {kind}")
+            data = _receive(world, peer, WIRE_BORDER)
             recvs.append(_PlanRecv(peer, store.append_ghosts(data, peer=peer), data.shape[0]))
         plan_rounds.append(_PlanRound(src_idx, shift, sends, recvs))
     return BorderPlan(plan_rounds, n_local=store.n_local, n_ghost=store.n_ghost)
@@ -734,12 +726,4 @@ def synchronize(world: RankWorld, store: ParticleStore, plan: BorderPlan):
                 world.transport.send(me, s.peer, pack_particles(WIRE_SYNC, rows[s.rows]))
         yield
         for r in rnd.recvs:
-            kind, data = unpack_particles(world.transport.recv(me, r.peer))
-            if kind != WIRE_SYNC:
-                raise ProtocolError(f"rank {me} expected sync record, got kind {kind}")
-            if data.shape[0] != r.count:
-                raise ProtocolError(
-                    f"rank {me}: sync from {r.peer} carries {data.shape[0]} particles, "
-                    f"plan expects {r.count}"
-                )
-            store.set_ghost_positions(r.ghost_start, data)
+            store.set_ghost_positions(r.ghost_start, _receive(world, r.peer, WIRE_SYNC, r.count))

@@ -40,11 +40,6 @@ class AABB:
     def from_arrays(cls, lo, hi) -> "AABB":
         return cls(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
 
-    @classmethod
-    def cube(cls, lo: float, hi: float) -> "AABB":
-        lo, hi = float(lo), float(hi)
-        return cls((lo, lo, lo), (hi, hi, hi))
-
     @property
     def lo(self) -> np.ndarray:
         return np.array(self.min, dtype=np.float64)
@@ -72,6 +67,12 @@ _LAYOUT_KINDS = ("aos", "soa", "aosoa")
 _POTENTIALS = ("lj", "sd")
 _FILLS = ("full", "half-diagonal")
 _INT_FIELDS = ("particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster")
+
+
+def _is_integer(value) -> bool:
+    """A Python or numpy integer, and not a bool (True would count as 1)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
 _REAL_FIELDS = (
     "lattice_density", "dt", "cutoff", "verlet_buffer", "epsilon", "sigma",
     "stiffness", "damping", "diameter", "mass", "velocity_scale",
@@ -109,12 +110,12 @@ class SimConfig:
 
     def validate(self) -> "SimConfig":
         uc = self.unit_cells
-        if len(uc) != 3 or any((not isinstance(n, int)) or n <= 0 for n in uc):
+        if len(uc) != 3 or not all(_is_integer(n) and n > 0 for n in uc):
             raise ConfigError(f"unit_cells must be three positive integers, got {uc!r}")
         # 4.0 would pass the checks below, and a float cluster size breaks the power-of-two test
         for name in _INT_FIELDS:
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.particles_per_cell not in (1, 2, 4):
             raise ConfigError(

@@ -39,10 +39,12 @@ times the cost, and taking the pointer itself costs about 2 us. So the
 addresses of what lives across steps are taken once: an `ArrayHandle`'s
 buffer and index map when the handle is built, a law's parameters when the
 law first runs, a neighbor list's partners, row starts and reference
-positions when the lists are made, a pattern's per-round face arrays and
-its round passes' work arrays when the pattern is built (and when a work
-array grows), and a border plan's gather index, shifts and refresh rows
-when the plan is made.
+positions when the lists are made, a pattern's per-round entry arrays
+(axes, shifts, peer groups) and its round passes' work arrays when the
+pattern is built, once per run (and when a work array grows), and a border
+plan's gather index, shifts and refresh rows when the plan is made. The
+faces are not among them: a round pass reads them from the rank's slab,
+which the phase packs as it starts, so a cut move changes no address.
 """
 
 from __future__ import annotations
@@ -143,15 +145,15 @@ def library() -> ctypes.CDLL:
     dll.put_rows.argtypes = [idx, f64, i64, idx, i64, i64, f64, i64]  # map, x, width, idx, start, k, rows, step
     dll.put_rows.restype = None
     dll.exchange_round.argtypes = [
-        idx, f64, f64, i64,  # map, x, v, n
-        i64, idx, f64, f64, idx, i64, i64,  # n_entries, axes, faces, shifts, group, n_groups, own
+        idx, f64, f64, i64, f64,  # map, x, v, n, slab
+        i64, idx, f64, idx, i64, i64,  # n_entries, axes, shifts, group, n_groups, own
         idx, idx, f64,  # picked, counts, box
         idx, ctypes.c_void_p, i64, f64,  # idx, keep (bool), cap, out
     ]
     dll.exchange_round.restype = i64
     dll.border_round.argtypes = [
-        idx, f64, i64,  # map, x, n
-        i64, idx, f64, f64, idx, i64,  # n_entries, axes, bounds, shifts, group, n_groups
+        idx, f64, i64, f64, ctypes.c_double,  # map, x, n, slab, spacing
+        i64, idx, f64, idx, i64,  # n_entries, axes, shifts, group, n_groups
         idx, idx,  # picked, counts
         idx, i64, idx, f64, f64,  # idx, cap, src, out, diff
     ]

@@ -16,10 +16,11 @@
  * the drift (nanopair.driver) and the displacement check
  * (nanopair.neighbor.max_displacement_since_rebuild), and the epoch's
  * particle loops: one pass per stencil round of exchange and of border
- * definition (the face tests of the round's pattern entries, exchange's
- * in-place move of its departures, every peer's emitted rows) and the
- * ownership check (nanopair.comm.exchange, nanopair.comm.define_borders),
- * the load histogram (nanopair.comm.balance_slabs), the bounding box
+ * definition (the face tests of the round's pattern entries against the
+ * faces of the rank's slab, exchange's in-place move of its departures,
+ * every peer's emitted rows) and the ownership check
+ * (nanopair.comm.exchange, nanopair.comm.define_borders), the load
+ * histogram (nanopair.comm.balance_slabs), the bounding box
  * (nanopair.comm.RankDomain.grid_box_for), and the appends and the
  * compaction of the store (nanopair.particles.ParticleStore.append_locals,
  * append_ghosts, compact_locals). nanopair.kernel compiles this file once
@@ -642,13 +643,14 @@ static inline int face_test(double c, double b, int64_t side, int ge)
  * `select_faces`): every row index is written and only a picked one advances
  * its entry's count, so the loop does not branch on the tests. */
 static inline __attribute__((always_inline)) void select_pass(
-    const int64_t *map, const double *x, int64_t n, const int64_t *axes, const double *bounds,
-    int ge, int64_t e0, const int two, int64_t *restrict idx, int64_t *restrict picked)
+    const int64_t *map, const double *x, int64_t n, const int64_t *axes, const double *slab,
+    double pad, int ge, int64_t e0, const int two, int64_t *restrict idx, int64_t *restrict picked)
 {
     const int64_t e1 = two ? e0 + 1 : e0;
     const int64_t d0 = axes[2 * e0] * map[2], s0 = axes[2 * e0 + 1];
     const int64_t d1 = axes[2 * e1] * map[2], s1 = axes[2 * e1 + 1];
-    const double b0 = bounds[e0], b1 = bounds[e1];
+    const double b0 = s0 > 0 ? slab[3 + axes[2 * e0]] - pad : slab[axes[2 * e0]] + pad;
+    const double b1 = s1 > 0 ? slab[3 + axes[2 * e1]] - pad : slab[axes[2 * e1]] + pad;
     int64_t *restrict out0 = idx + e0 * n, *restrict out1 = idx + e1 * n;
     int64_t k0 = 0, k1 = 0;
     for (int64_t i = 0; i < n; ++i) {
@@ -666,19 +668,23 @@ static inline __attribute__((always_inline)) void select_pass(
 }
 
 /* The rows of [0, n) that each of a round's n_entries pattern entries picks:
- * entry e tests coordinate axes[2 e] of a row against bounds[e] from the
- * side axes[2 e + 1] (see `face_test`). Entry e's rows go to idx[e * n ...],
- * in increasing row order, and their number to picked[e]. The entries are
- * taken two to a pass over the rows, so a round of the face stencil (one
- * entry per face of its axis) reads every row once. */
+ * entry e tests coordinate axes[2 e] of a row from the side axes[2 e + 1]
+ * (see `face_test`) against its face of the slab (lo x, y, z, then hi x, y,
+ * z: the upper face on side +1, the lower on side -1) moved `pad` inward; a
+ * pad of 0 leaves the face as it is, up to the sign of a zero, which no
+ * test sees. Entry e's rows go to idx[e * n ...], in increasing row order,
+ * and their number to picked[e]. The entries are taken two to a pass
+ * over the rows, so a round of the face stencil (one entry per face of its
+ * axis) reads every row once. */
 static void select_faces(const int64_t *map, const double *x, int64_t n, int64_t n_entries,
-                         const int64_t *axes, const double *bounds, int ge, int64_t *idx, int64_t *picked)
+                         const int64_t *axes, const double *slab, double pad, int ge, int64_t *idx,
+                         int64_t *picked)
 {
     int64_t e = 0;
     for (; e + 1 < n_entries; e += 2)
-        select_pass(map, x, n, axes, bounds, ge, e, 1, idx, picked);
+        select_pass(map, x, n, axes, slab, pad, ge, e, 1, idx, picked);
     if (e < n_entries)
-        select_pass(map, x, n, axes, bounds, ge, e, 0, idx, picked);
+        select_pass(map, x, n, axes, slab, pad, ge, e, 0, idx, picked);
 }
 
 /* Exchange's move of `row` of x through a face, in place: element y +=
@@ -702,13 +708,14 @@ static int move_row(const int64_t *map, double *row, const double *shift, const 
 }
 
 /* One stencil round of exchange (nanopair.comm.exchange) over the locals
- * [0, n) of x and v. A round's entry e stands for a face: it picks the rows
- * strictly outside the slab there (`select_faces` with ge, against faces[e])
- * as the round starts, and sends them to peer group group[e]; the groups
- * number the entries' peers in order of first appearance, and group `own`
- * is this rank (-1: none). Returns the rows that the remote entries picked,
- * an upper bound of the departures; if that exceeds cap, nothing else is
- * done, and the caller grows out and calls again. Otherwise every picked
+ * [0, n) of x and v. A round's entry e stands for a face of the slab (the
+ * rank's ownership box as six doubles, lo then hi): it picks the rows
+ * strictly outside the slab there (`select_faces` with ge, against the face
+ * itself) as the round starts, and sends them to peer group group[e]; the
+ * groups number the entries' peers in order of first appearance, and group
+ * `own` is this rank (-1: none). Returns the rows that the remote entries
+ * picked, an upper bound of the departures; if that exceeds cap, nothing
+ * else is done, and the caller grows out and calls again. Otherwise every picked
  * row moves through its face in place, entry by entry in entry order
  * (`move_row` with shifts[3 e ...]), keep[i] (numpy's bool) is set to 0 for
  * a row that departs to a remote peer, else 1, and the departures are
@@ -716,13 +723,13 @@ static int move_row(const int64_t *map, double *row, const double *shift, const 
  * peer group, entry by entry within a group and in row order within an
  * entry; counts[g] receives group g's rows (0 for own). idx (n_entries * n)
  * and picked (n_entries) are work arrays. */
-int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n,
-                       int64_t n_entries, const int64_t *axes, const double *faces, const double *shifts,
+int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n, const double *slab,
+                       int64_t n_entries, const int64_t *axes, const double *shifts,
                        const int64_t *group, int64_t n_groups, int64_t own, int64_t *picked,
                        int64_t *counts, const double *box, int64_t *idx, uint8_t *keep, int64_t cap,
                        double *out)
 {
-    select_faces(map, x, n, n_entries, axes, faces, 1, idx, picked);
+    select_faces(map, x, n, n_entries, axes, slab, 0.0, 1, idx, picked);
     int64_t need = 0;
     for (int64_t e = 0; e < n_entries; ++e)
         need += group[e] == own ? 0 : picked[e];
@@ -762,22 +769,23 @@ int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n
 }
 
 /* One stencil round of border definition (nanopair.comm.define_borders)
- * over rows [0, n) of x: entry e picks the rows within the border of its
- * face (`select_faces` without ge, against bounds[e]) as the round starts,
- * for peer group group[e] (see `exchange_round`). Returns the rows picked,
- * k; if k exceeds cap, nothing else is done, and the caller grows the
- * outputs and calls again. Otherwise, grouped by peer group, entry by entry
+ * over rows [0, n) of x: entry e picks the rows within `spacing` of its
+ * face of the slab (`select_faces` without ge, against face - spacing on
+ * side +1 and face + spacing on side -1, each one rounded double operation)
+ * as the round starts, for peer group group[e] (see `exchange_round`).
+ * Returns the rows picked, k; if k exceeds cap, nothing else is done, and
+ * the caller grows the outputs and calls again. Otherwise, grouped by peer group, entry by entry
  * within a group and in row order within an entry, row m of the round
  * gets src[m] = its row index, out[3 m + y] = its element y plus
  * shifts[3 e + y] and diff[3 m + y] = that sum less the element, the shift
  * that the ghost refresh replays; counts[g] receives group g's rows. idx
  * (n_entries * n) and picked (n_entries) are work arrays. */
-int64_t border_round(const int64_t *map, const double *x, int64_t n,
-                     int64_t n_entries, const int64_t *axes, const double *bounds, const double *shifts,
+int64_t border_round(const int64_t *map, const double *x, int64_t n, const double *slab, double spacing,
+                     int64_t n_entries, const int64_t *axes, const double *shifts,
                      const int64_t *group, int64_t n_groups, int64_t *picked, int64_t *counts,
                      int64_t *idx, int64_t cap, int64_t *src, double *out, double *diff)
 {
-    select_faces(map, x, n, n_entries, axes, bounds, 0, idx, picked);
+    select_faces(map, x, n, n_entries, axes, slab, spacing, 0, idx, picked);
     int64_t k = 0;
     for (int64_t e = 0; e < n_entries; ++e)
         k += picked[e];

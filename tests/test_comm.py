@@ -18,6 +18,7 @@ from nanopair.comm import (
     RankDomain,
     RankWorld,
     _balanced_cuts,
+    _load_histogram,
     balance_slabs,
     define_borders,
     exchange,
@@ -234,18 +235,80 @@ class TestCountBalancedSlabs:
             np.testing.assert_array_equal(got, want)
         assert transport.pending() == 0
 
-    def test_pattern_kept_while_no_cut_moves(self):
-        # the first balance of the half-diagonal fill moves the x cut, so
-        # the slab and the pattern are rebuilt; a second one at the same
-        # positions leaves every cut, and keeps both objects
+    @pytest.mark.parametrize("ranks", [2, 3, 8])
+    def test_one_rooted_collective(self, ranks):
+        # every other rank sends rank 0 its histogram, and rank 0 sends each
+        # of them the sum: 2 (P - 1) load records. Every rank's new cuts are
+        # those of the histograms summed in rank order
         pos, vel = initial_state(SD)
-        worlds, stores, transport = make_worlds(SD, 2, pos, vel)
-        for moves in (True, False):
-            before = [(w.pattern, w.domain.ownership) for w in worlds]
+        worlds, stores, transport = make_worlds(SD, ranks, pos, vel, RecordingTransport)
+        total = np.zeros((3, LOAD_BINS))
+        for s in stores:
+            total += _load_histogram(s, SD.domain())
+        spacing = SD.interaction_radius()
+        want = [_balanced_cuts(old, total[d], spacing) for d, old in enumerate(worlds[0].pattern.cuts)]
+        run_phase([balance_slabs(w, s) for w, s in zip(worlds, stores)])
+        up = [(r, 0, WIRE_LOAD, 3) for r in range(1, ranks)]
+        down = [(0, r, WIRE_LOAD, 3) for r in range(1, ranks)]
+        assert transport.records == up + down
+        assert transport.pending() == 0
+        assert worlds[0].pattern.cuts[0].tobytes() != uniform_cuts(SD.domain(), factor_rank_grid(ranks))[0].tobytes()
+        for w in worlds:
+            assert [c.tobytes() for c in w.pattern.cuts] == [c.tobytes() for c in want]
+
+    @pytest.mark.parametrize("ranks", [2, 3])
+    def test_pattern_kept_when_cuts_move(self, ranks):
+        # an epoch at the uniform cuts, then a balance that moves the x cut:
+        # each rank keeps its pattern object, with the work arrays its
+        # passes grew, and the next exchange and border definition give the
+        # records, stores and plans of a pattern built fresh on the new cuts
+        pos, vel = initial_state(SD)
+        runs = []
+        for fresh in (False, True):
+            worlds, stores, transport = make_worlds(SD, ranks, pos, vel, RecordingTransport)
+            patterns = [w.pattern for w in worlds]
+            run_phase([exchange(w, s) for w, s in zip(worlds, stores)])
+            border_plans(worlds, stores)
+            work = [(w.pattern.passes[0].work, w.pattern.passes[0].work.n) for w in worlds]
             run_phase([balance_slabs(w, s) for w, s in zip(worlds, stores)])
-            for w, (pattern, ownership) in zip(worlds, before):
-                assert (w.pattern is not pattern) == moves and (w.domain.ownership is not ownership) == moves
-                assert (w.pattern.cuts[0].tobytes() != pattern.cuts[0].tobytes()) == moves
+            assert all(w.pattern is p for w, p in zip(worlds, patterns))
+            box, grid = SD.domain(), factor_rank_grid(ranks)
+            assert worlds[0].pattern.cuts[0].tobytes() != uniform_cuts(box, grid)[0].tobytes()
+            for w, (kept, n) in zip(worlds, work):
+                assert w.pattern.passes[0].work is kept and kept.n == n > 0
+                assert w.domain.ownership == [slab_bounds(box, grid, rank_grid_coords(w.rank, grid), w.pattern.cuts)]
+                if fresh:
+                    w.pattern = six_stencil_pattern(grid, w.rank, box, w.pattern.spacing, w.pattern.cuts)
+            transport.blobs.clear()
+            run_phase([exchange(w, s) for w, s in zip(worlds, stores)])
+            plans = border_plans(worlds, stores)
+            assert transport.pending() == 0
+            runs.append((transport.blobs, stores, plans))
+        (got_blobs, got_stores, got_plans), (want_blobs, want_stores, want_plans) = runs
+        assert got_blobs == want_blobs
+        for got, want in zip(got_stores, want_stores):
+            assert (got.n_local, got.n_ghost) == (want.n_local, want.n_ghost)
+            for a, b in zip((got.positions, got.velocities, got.forces), (want.positions, want.velocities, want.forces)):
+                assert a.buf.tobytes() == b.buf.tobytes()
+        for got, want in zip(got_plans, want_plans):
+            assert (got.n_local, got.n_ghost) == (want.n_local, want.n_ghost)
+            for a, b in zip(got.rounds, want.rounds):
+                assert a.src_idx.tobytes() == b.src_idx.tobytes() and a.shift.tobytes() == b.shift.tobytes()
+                assert a.sends == b.sends and a.recvs == b.recvs
+
+    def test_patterns_kept_over_a_run(self):
+        # the cuts of the half-diagonal run move at several epochs, and
+        # every rank keeps the pattern object it started with
+        cfg, ranks = GOLDEN_WORKLOADS["sd-halfdiag-p2"]
+        worlds, stores, transport = make_worlds(cfg, ranks, *initial_state(cfg, 411))
+        patterns = [w.pattern for w in worlds]
+        gens = [rank_program(cfg, w, s) for w, s in zip(worlds, stores)]
+        cuts = [worlds[0].pattern.cuts[0].tobytes()]
+        while not isinstance(advance(gens)[0], RankReport):
+            if cuts[-1] != worlds[0].pattern.cuts[0].tobytes():
+                cuts.append(worlds[0].pattern.cuts[0].tobytes())
+            assert all(w.pattern is p for w, p in zip(worlds, patterns))
+        assert len(cuts) > 2
         assert transport.pending() == 0
 
     def test_cuts_clamped_to_spacing_and_old_neighbours(self):
@@ -318,20 +381,21 @@ class TestPerAxisOracles:
         lo, ext = box.lo, box.extent()
         # locals jittered (some out of the domain), then one on every bin
         # edge of every axis, and some on the faces and lengths out
-        moved = stores[0].local_positions()
+        moved = stores[1].local_positions()
         moved += np.random.default_rng(14).normal(scale=0.3, size=moved.shape)
         edges = lo + ext * (np.arange(LOAD_BINS) / LOAD_BINS)[:, None]
         far = [lo - 0.1 * ext, box.hi, np.nextafter(box.hi, -np.inf), box.hi + 2.0 * ext]
         moved = np.concatenate([moved, edges, far])
-        stores[0].positions.write_rows(0, moved[: stores[0].n_local])
-        extra = moved[stores[0].n_local :]
-        stores[0].append_locals(extra, np.zeros_like(extra))
-        gen = balance_slabs(worlds[0], stores[0])
+        stores[1].positions.write_rows(0, moved[: stores[1].n_local])
+        extra = moved[stores[1].n_local :]
+        stores[1].append_locals(extra, np.zeros_like(extra))
+        # rank 1 sends its load record to rank 0, the root, before the first barrier
+        gen = balance_slabs(worlds[1], stores[1])
         next(gen)
         wrapped = pbc_correct(moved, box)
         bins = np.clip(np.floor((wrapped - lo) / ext * LOAD_BINS).astype(np.int64), 0, LOAD_BINS - 1)
         want = np.stack([np.bincount(bins[:, d], minlength=LOAD_BINS) for d in range(3)]).astype(np.float64)
-        kind, got = unpack_particles(transport.recv(1, 0))
+        kind, got = unpack_particles(transport.recv(0, 1))
         assert kind == WIRE_LOAD
         np.testing.assert_array_equal(got, want)
 
@@ -383,11 +447,13 @@ class TestEarlyEpoch:
         assert reports[0].rebuilds == cfg.steps
 
 
-def border_mask(entry, pos, spacing):
+def border_mask(entry, slab, pos, spacing):
     """Numpy reference of an entry's border test: the rows of the (n, 3)
-    positions within `spacing` of its face."""
+    positions within `spacing` of its face of the slab."""
     c = pos[:, entry.dim]
-    return c > entry.face - spacing if entry.side > 0 else c < entry.face + spacing
+    if entry.side > 0:
+        return c > slab.max[entry.dim] - spacing
+    return c < slab.min[entry.dim] + spacing
 
 
 class TestWireFaults:
@@ -429,7 +495,7 @@ class TestWireFaults:
         gen = gather_displacements(worlds[0], 0.01)
         assert next(gen) is None
         with pytest.raises(
-            ProtocolError, match="^rank 0 expected a displacement record from rank 1, got kind 2 with 1 rows$"
+            ProtocolError, match="^rank 0 expected a displacement record of 1 rows from rank 1, got kind 2 with 1 rows$"
         ):
             next(gen)
         # rank 0 sends a sync record where rank 1 expects the gathered
@@ -439,7 +505,7 @@ class TestWireFaults:
         assert next(gen) is None
         assert next(gen) is None
         with pytest.raises(
-            ProtocolError, match="^rank 1 expected a displacement record from rank 0, got kind 2 with 2 rows$"
+            ProtocolError, match="^rank 1 expected a displacement record of 2 rows from rank 0, got kind 2 with 2 rows$"
         ):
             next(gen)
 
@@ -454,7 +520,21 @@ class TestWireFaults:
         assert next(gen) is None
         with pytest.raises(
             ProtocolError,
-            match=f"^rank 1 expected a displacement record from rank 0, got kind 5 with {rows} rows$",
+            match=f"^rank 1 expected a displacement record of 2 rows from rank 0, got kind 5 with {rows} rows$",
+        ):
+            next(gen)
+
+    def test_reduced_load_of_other_kind_rejected(self):
+        # rank 0 sends a sync record where rank 1 expects the summed load
+        # histograms; rank 1 reads it after the second barrier
+        pos, vel = initial_state(SD)
+        worlds, stores, transport = make_worlds(SD, 2, pos, vel)
+        transport.send(0, 1, pack_particles(WIRE_SYNC, np.zeros((3, 3))))
+        gen = balance_slabs(worlds[1], stores[1])
+        assert next(gen) is None
+        assert next(gen) is None
+        with pytest.raises(
+            ProtocolError, match="^rank 1 expected a load record of 3 rows from rank 0, got kind 2 with 3 rows$"
         ):
             next(gen)
 
@@ -477,17 +557,20 @@ class TestWireFaults:
 
 
 class RecordingTransport(MailboxTransport):
-    """A mailbox that also keeps (src, dst, kind, row count) of every record
-    sent and (src, dst, row) of every exchanged particle."""
+    """A mailbox that also keeps (src, dst, kind, row count) and (src, dst,
+    bytes) of every record sent and (src, dst, row) of every exchanged
+    particle."""
 
     def __init__(self, size):
         super().__init__(size)
         self.records = []
         self.exchanged = []
+        self.blobs = []
 
     def send(self, src, dst, blob):
         kind, data = unpack_particles(blob)
         self.records.append((src, dst, kind, data.shape[0]))
+        self.blobs.append((src, dst, bytes(blob)))
         if kind == WIRE_EXCHANGE:
             self.exchanged.extend((src, dst, row) for row in data)
         super().send(src, dst, blob)
@@ -546,13 +629,25 @@ class TestProtocolFaults:
     @pytest.mark.parametrize(
         "start, wrong, message",
         [
-            (lambda w, s: balance_slabs(w[0], s[0]), WIRE_SYNC, "rank 0 expected load record from 1, got kind 2"),
-            (lambda w, s: exchange(w[0], s[0]), WIRE_BORDER, "rank 0 expected exchange record, got kind 1"),
-            (lambda w, s: define_borders(w[0], s[0]), WIRE_EXCHANGE, "rank 0 expected border record, got kind 0"),
+            (
+                lambda w, s: balance_slabs(w[0], s[0]),
+                WIRE_SYNC,
+                "rank 0 expected a load record of 3 rows from rank 1, got kind 2 with 0 rows",
+            ),
+            (
+                lambda w, s: exchange(w[0], s[0]),
+                WIRE_BORDER,
+                "rank 0 expected an exchange record from rank 1, got kind 1 with 0 rows",
+            ),
+            (
+                lambda w, s: define_borders(w[0], s[0]),
+                WIRE_EXCHANGE,
+                "rank 0 expected a border record from rank 1, got kind 0 with 0 rows",
+            ),
             (
                 lambda w, s: synchronize(w[0], s[0], border_plans(w, s)[0]),
                 WIRE_BORDER,
-                "rank 0 expected sync record, got kind 1",
+                r"rank 0 expected a sync record of \d+ rows from rank 1, got kind 1 with 0 rows",
             ),
         ],
         ids=["balance_slabs", "exchange", "define_borders", "synchronize"],
@@ -575,7 +670,8 @@ class TestProtocolFaults:
             x_round = worlds[1].pattern.rounds[0]
             assert [e.send_to for e in x_round] == [0, 0]
             border = stores[1].all_positions()
-            count = sum(int(border_mask(e, border, worlds[1].pattern.spacing).sum()) for e in x_round)
+            slab, spacing = worlds[1].domain.ownership[0], worlds[1].pattern.spacing
+            count = sum(int(border_mask(e, slab, border, spacing).sum()) for e in x_round)
             plan = border_plans(worlds, stores)[0]
             assert [(r.peer, r.count) for r in plan.rounds[0].recvs] == [(1, count)]
             transport.send(1, 0, pack_particles(WIRE_SYNC, np.zeros((count + wrong, 3))))
@@ -583,7 +679,7 @@ class TestProtocolFaults:
             assert next(gen) is None
             with pytest.raises(
                 ProtocolError,
-                match=rf"^rank 0: sync from 1 carries {count + wrong} particles, plan expects {count}$",
+                match=rf"^rank 0 expected a sync record of {count} rows from rank 1, got kind 2 with {count + wrong} rows$",
             ):
                 next(gen)
 

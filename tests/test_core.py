@@ -8,7 +8,7 @@ from nanopair.core import AABB, ConfigError, SimConfig
 from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
 from nanopair.particles import ParticleStore
 
-BOX8 = AABB.cube(0.0, 8.0)
+BOX8 = AABB((0.0,) * 3, (8.0,) * 3)
 
 
 def pbc_correct(p, global_box: AABB):
@@ -282,6 +282,18 @@ class TestSimConfig:
 
     def test_numpy_integer_fields_accepted(self):
         SimConfig(unit_cells=(6, 6, 6), steps=np.int64(3), aosoa_cluster=np.int64(4)).validate()
+
+    def test_numpy_integer_unit_cells_accepted(self):
+        # the integer rule of the integer fields above
+        cfg = SimConfig(unit_cells=(np.int64(6),) * 3).validate()
+        assert cfg.domain() == SimConfig(unit_cells=(6, 6, 6)).domain()
+
+    @pytest.mark.parametrize("cells", [(True, True, True), (np.bool_(True),) * 3, (6, 6, 6.0)])
+    def test_non_integer_unit_cells_rejected(self, cells):
+        # at a density this low, (True, True, True) would pass the domain
+        # check as a 1 x 1 x 1 lattice
+        with pytest.raises(ConfigError, match="^unit_cells must be three positive integers"):
+            SimConfig(unit_cells=cells, lattice_density=0.01).validate()
 
     def test_spring_dashpot_contact_cutoff_accepted(self):
         SimConfig(potential_kind="sd", cutoff=1.0, diameter=1.0, damping=0.0).validate()

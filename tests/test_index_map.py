@@ -127,7 +127,7 @@ class TestCompiledLoopsMatchNumpy:
     def test_nan_displacement_is_nan(self, layout, n_local):
         store = random_store(layout, n_local)
         lists = build_neighbor_lists(
-            store, build_cell_grid(store, AABB.cube(-1.0, 11.0), 2.8, half=True), 2.8, half=True
+            store, build_cell_grid(store, AABB((-1.0,) * 3, (11.0,) * 3), 2.8, half=True), 2.8, half=True
         )
         moved = store.local_positions()
         moved[n_local - 1, 2] = np.nan  # the last local row: a partial cluster
@@ -198,7 +198,7 @@ class TestCompiledLoopsMatchNumpy:
         aos.append_ghosts(store.positions.read_rows(n_local, N_GHOST), peer=1)
         aos.velocities.write_rows(0, store.velocities.read_rows(0, store.n_total))
         r = 2.8 if isinstance(law, LennardJones) else 6.3
-        box = AABB.cube(-1.0, 11.0)
+        box = AABB((-1.0,) * 3, (11.0,) * 3)
         energies, forces = [], []
         for s in (aos, store):
             lists = build_neighbor_lists(s, build_cell_grid(s, box, r, half=half), r, half=half)
@@ -220,7 +220,7 @@ def test_no_address_taken_per_step(monkeypatch):
     """After the first force call, a step's integrators, displacement check
     and force call take no address: handles, lists and laws hold theirs."""
     store = random_store(clustered_layout(4), 13)
-    lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(-1.0, 11.0), 2.8, half=True), 2.8, half=True)
+    lists = build_neighbor_lists(store, build_cell_grid(store, AABB((-1.0,) * 3, (11.0,) * 3), 2.8, half=True), 2.8, half=True)
     law = LennardJones()
     compute_forces(store, lists, law)
     max_displacement_since_rebuild(store, lists)
@@ -239,7 +239,7 @@ def test_no_address_taken_per_step(monkeypatch):
 # the epoch's loops against numpy references of the formulas they replaced
 # ---------------------------------------------------------------------------
 
-EPOCH_BOX = AABB.cube(0.0, 12.0)
+EPOCH_BOX = AABB((0.0,) * 3, (12.0,) * 3)
 SPACING = 2.8
 
 
@@ -325,6 +325,13 @@ def numpy_compact(store, keep):
         store.n_local = first + int(tail.sum())
 
 
+def face_of(world, entry):
+    """The coordinate of an entry's face: the upper or lower bound of the
+    rank's slab on the entry's axis."""
+    slab = world.domain.ownership[0]
+    return slab.max[entry.dim] if entry.side > 0 else slab.min[entry.dim]
+
+
 def exchange_reference(world, store):
     """Numpy reference of `exchange`: per round, every entry's test on a copy
     of the locals as the round starts (x[dim] >= face upward, < face
@@ -343,7 +350,8 @@ def exchange_reference(world, store):
         records = {}
         for e in entries:
             c = pos[:, e.dim]
-            idx = np.nonzero(c >= e.face if e.side > 0 else c < e.face)[0]
+            face = face_of(world, e)
+            idx = np.nonzero(c >= face if e.side > 0 else c < face)[0]
             emitted = pos[idx] + e.shift
             lo, hi = world.global_box.min[e.dim], world.global_box.max[e.dim]
             w = emitted[:, e.dim]
@@ -393,7 +401,8 @@ def borders_reference(world, store):
         groups = {}
         for e in entries:
             c = pos[:, e.dim]
-            idx = np.nonzero(c > e.face - spacing if e.side > 0 else c < e.face + spacing)[0]
+            face = face_of(world, e)
+            idx = np.nonzero(c > face - spacing if e.side > 0 else c < face + spacing)[0]
             groups.setdefault(e.send_to, []).append((idx, pos[idx] + e.shift))
         src, shift, sends, n = [], [], [], 0
         for peer, picked in groups.items():
@@ -468,7 +477,7 @@ class TestEpochLoopsMatchNumpy:
     def test_exchange_off_origin(self, layout, ranks):
         # off the origin, the row on an upper periodic face would also
         # emerge at x - L below the lower face: it comes up to the lower face
-        box = AABB.cube(0.1, 12.1)
+        box = AABB((0.1,) * 3, (12.1,) * 3)
         assert box.max[0] - box.extent()[0] < box.min[0]
         assert np.nextafter(box.min[0], -np.inf) + box.extent()[0] == box.max[0]
         exchange_matches_reference(layout, ranks, box)

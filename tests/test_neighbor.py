@@ -67,7 +67,7 @@ class TestCellGrid:
     """Binning at both cell edges: r (one shell cell per r) and r/2 (two)."""
 
     def test_floor_binning_example(self, monkeypatch):
-        box = AABB.cube(0.0, 8.4)
+        box = AABB((0.0,) * 3, (8.4,) * 3)
         store = make_store([[5.7, 0.1, 0.2]])
         for shell, want in [(1, [2, 0, 0]), (2, [4, 0, 0])]:
             force_shell(monkeypatch, shell)
@@ -76,7 +76,7 @@ class TestCellGrid:
             np.testing.assert_array_equal(cell_coords(grid)[0] - shell, want)
 
     def test_boundary_goes_to_higher_cell(self, monkeypatch):
-        box = AABB.cube(0.0, 8.4)
+        box = AABB((0.0,) * 3, (8.4,) * 3)
         store = make_store([[2.8, 1.4, 0.0]])
         for shell, want in [(1, [1, 0, 0]), (2, [2, 1, 0])]:
             force_shell(monkeypatch, shell)
@@ -85,7 +85,7 @@ class TestCellGrid:
 
     def test_every_particle_binned_once(self, monkeypatch):
         rng = np.random.default_rng(8)
-        box = AABB.cube(0.0, 10.0)
+        box = AABB((0.0,) * 3, (10.0,) * 3)
         pos = rng.uniform(0, 10, size=(400, 3))
         store = make_store(pos, n_ghost=50)
         for shell in SHELLS:
@@ -107,7 +107,7 @@ class TestCellGrid:
         # key c holds the locals of cell c, key n_cells + c its ghosts, each
         # in index order, and slot[i] is local i's offset in members
         rng = np.random.default_rng(8)
-        box = AABB.cube(0.0, 10.0)
+        box = AABB((0.0,) * 3, (10.0,) * 3)
         pos = rng.uniform(0, 10, size=(400, 3))
         store = make_store(pos, n_ghost=50)
         for shell in SHELLS:
@@ -136,8 +136,8 @@ class TestCellGrid:
         store = make_store(pos, n_ghost=n_ghost)
         for shell in SHELLS:
             force_shell(monkeypatch, shell)
-            half = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5, half=True)
-            full = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+            half = build_cell_grid(store, AABB((0.0,) * 3, (10.0,) * 3), 2.5, half=True)
+            full = build_cell_grid(store, AABB((0.0,) * 3, (10.0,) * 3), 2.5)
             np.testing.assert_array_equal(half.counts, full.counts)
             assert half.counts.size == full.n_cells
             occupants = half.occupants
@@ -154,12 +154,12 @@ class TestCellGrid:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ProtocolError, match=rf"^{kind} particle {row} at \[.*nan"):
-                    build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+                    build_cell_grid(store, AABB((0.0,) * 3, (10.0,) * 3), 2.5)
 
     def test_ghost_shell_accepted_beyond_rejected(self, monkeypatch):
         # the shell is r wide at either edge: a ghost just inside r of the
         # box is binned, one just beyond r is not, on both sides of each axis
-        box = AABB.cube(0.0, 10.0)
+        box = AABB((0.0,) * 3, (10.0,) * 3)
         for shell in SHELLS:
             force_shell(monkeypatch, shell)
             for axis, side in itertools.product(range(3), (-1, 1)):
@@ -196,7 +196,7 @@ class TestNeighborLists:
         for shell, x in itertools.product(SHELLS, (-2.4, -0.1, 10.0, 12.4)):
             force_shell(monkeypatch, shell)
             store = make_store([[5.0, 5.0, 5.0], [x, 5.0, 5.0]])
-            grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+            grid = build_cell_grid(store, AABB((0.0,) * 3, (10.0,) * 3), 2.5)
             with pytest.raises(ProtocolError, match="local particle 1 lies in the ghost shell"):
                 build_neighbor_lists(store, grid, 2.5, half=False)
 
@@ -206,7 +206,7 @@ class TestNeighborLists:
         # on different axes and sides), and never a ghost: ghosts belong there
         for shell in SHELLS:
             force_shell(monkeypatch, shell)
-            box = AABB.cube(0.0, 10.0)
+            box = AABB((0.0,) * 3, (10.0,) * 3)
             locals_ = [[5.0, 5.0, 5.0], [5.0, 5.0, 7.0], [5.0, -0.1, 5.0], [5.0, 5.0, 10.2]]
             ghost = [[-1.0, 5.0, 5.0]]
             assert build_cell_grid(make_store(locals_ + ghost, n_ghost=1), box, 2.5, half).shell_local == 2
@@ -214,7 +214,7 @@ class TestNeighborLists:
 
     def test_grid_of_other_store_rejected(self):
         store = make_store([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0]])
-        grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (10.0,) * 3), 2.5)
         store.append_ghosts(np.array([[-1.0, 5.0, 5.0]]), peer=0)
         with pytest.raises(ProtocolError, match="bins 2 particles, the store holds 3"):
             build_neighbor_lists(store, grid, 2.5, half=False)
@@ -222,7 +222,7 @@ class TestNeighborLists:
     @pytest.mark.parametrize("half", [False, True])
     def test_grid_of_other_local_count_rejected(self, half):
         pos = [[5.0, 5.0, 5.0], [6.0, 5.0, 5.0], [-1.0, 5.0, 5.0]]
-        grid = build_cell_grid(make_store(pos, n_ghost=1), AABB.cube(0.0, 10.0), 2.5, half=half)
+        grid = build_cell_grid(make_store(pos, n_ghost=1), AABB((0.0,) * 3, (10.0,) * 3), 2.5, half=half)
         with pytest.raises(ProtocolError, match="^the cell grid bins 2 locals, the store holds 3$"):
             build_neighbor_lists(make_store(pos), grid, 2.5, half=half)
 
@@ -231,13 +231,13 @@ class TestNeighborLists:
         # half lists on a full grid would miss the ghosts of lower cells;
         # full lists on a half grid would miss every local of lower cells
         store = make_store([[5.0, 5.0, 5.0], [6.0, 5.0, 5.0], [-1.0, 5.0, 5.0]], n_ghost=1)
-        grid = build_cell_grid(store, AABB.cube(0.0, 10.0), 2.5, half=not half)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (10.0,) * 3), 2.5, half=not half)
         want, got = ("half", "full") if half else ("full", "half")
         with pytest.raises(ProtocolError, match=f"^{want} lists need a cell grid binned for {want} lists, not for {got} lists$"):
             build_neighbor_lists(store, grid, 2.5, half=half)
 
     def test_pair_within_radius(self):
-        box = AABB.cube(0.0, 12.0)
+        box = AABB((0.0,) * 3, (12.0,) * 3)
         r = 2.0
         store = make_store([[5.0, 5.0, 5.0], [5.0 + 0.9 * r, 5.0, 5.0]])
         full = build_neighbor_lists(store, build_cell_grid(store, box, r), r, half=False)
@@ -253,12 +253,12 @@ class TestNeighborLists:
         force_shell(monkeypatch, shell)
         r = 2.0
         store = make_store([[4.1, 5.0, 5.0], [3.9, 5.0, 5.0], [4.0, 5.0, 6.0]])
-        lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 12.0), r, half=True), r, half=True)
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB((0.0,) * 3, (12.0,) * 3), r, half=True), r, half=True)
         rows = [lists.partners[lists.start[i] : lists.start[i + 1]].tolist() for i in range(3)]
         assert sorted(rows[1]) == [0, 2] and rows[0] == [2] and rows[2] == []
 
     def test_pair_beyond_radius(self):
-        box = AABB.cube(0.0, 12.0)
+        box = AABB((0.0,) * 3, (12.0,) * 3)
         r = 2.0
         store = make_store([[5.0, 5.0, 5.0], [5.0 + 1.1 * r, 5.0, 5.0]])
         grid = build_cell_grid(store, box, r)
@@ -268,7 +268,7 @@ class TestNeighborLists:
     @pytest.mark.parametrize("half", [False, True])
     def test_random_cloud_matches_brute_force(self, half):
         rng = np.random.default_rng(21)
-        box = AABB.cube(0.0, 9.0)
+        box = AABB((0.0,) * 3, (9.0,) * 3)
         r = 2.1
         pos = rng.uniform(0, 9, size=(300, 3))
         store = make_store(pos)
@@ -287,7 +287,7 @@ class TestNeighborLists:
 
     def test_half_symmetry_partition(self):
         rng = np.random.default_rng(13)
-        box = AABB.cube(0.0, 8.0)
+        box = AABB((0.0,) * 3, (8.0,) * 3)
         pos = rng.uniform(0, 8, size=(256, 3))
         store = make_store(pos)
         grid = build_cell_grid(store, box, 2.8, half=True)
@@ -301,7 +301,7 @@ class TestNeighborLists:
 
     def test_full_mode_symmetric(self):
         rng = np.random.default_rng(14)
-        box = AABB.cube(0.0, 8.0)
+        box = AABB((0.0,) * 3, (8.0,) * 3)
         pos = rng.uniform(0, 8, size=(200, 3))
         store = make_store(pos)
         grid = build_cell_grid(store, box, 2.8)
@@ -310,7 +310,7 @@ class TestNeighborLists:
         assert all((j, i) in pairs for i, j in pairs)
 
     def test_ghost_pairs_stored_on_local(self):
-        box = AABB.cube(0.0, 10.0)
+        box = AABB((0.0,) * 3, (10.0,) * 3)
         r = 2.0
         store = make_store([[9.5, 5.0, 5.0], [10.5, 5.0, 5.0]], n_ghost=1)
         grid = build_cell_grid(store, box, r, half=True)
@@ -320,7 +320,7 @@ class TestNeighborLists:
 
     def test_deterministic_rebuild(self):
         rng = np.random.default_rng(3)
-        box = AABB.cube(0.0, 8.0)
+        box = AABB((0.0,) * 3, (8.0,) * 3)
         pos = rng.uniform(0, 8, size=(150, 3))
         store = make_store(pos)
         grid = build_cell_grid(store, box, 2.8, half=True)
@@ -335,7 +335,7 @@ class TestNeighborLists:
         monkeypatch.setattr(neighbor, "_LIST_BUFFER", 16)
         rng = np.random.default_rng(5)
         pos = 5.0 + rng.uniform(-0.1, 0.1, size=(60, 3))
-        box = AABB.cube(0.0, 10.0)
+        box = AABB((0.0,) * 3, (10.0,) * 3)
         store = make_store(pos)
         grid = build_cell_grid(store, box, 2.5)
         lists = build_neighbor_lists(store, grid, 2.5, half=False)
@@ -428,7 +428,7 @@ class TestExactLists:
         store = make_store(pos, n_ghost=n_ghost)
         for shell in SHELLS:
             force_shell(monkeypatch, shell)
-            grid = build_cell_grid(store, AABB.cube(0.0, box_len), r, half=half)
+            grid = build_cell_grid(store, AABB((0.0,) * 3, (box_len,) * 3), r, half=half)
             steps = np.array(stencil(shell))
             # the run table walks the stencil in the reference's order: for
             # half lists the upper half over the locals, then all over the ghosts
@@ -511,7 +511,7 @@ class TestListsAgainstAllPairs:
         for shell, half in itertools.product(SHELLS, (False, True)):
             with pytest.MonkeyPatch.context() as mp:
                 force_shell(mp, shell)
-                grid = build_cell_grid(store, AABB.cube(0.0, box_len), r, half=half)
+                grid = build_cell_grid(store, AABB((0.0,) * 3, (box_len,) * 3), r, half=half)
             assert grid.shell == shell
             lists = build_neighbor_lists(store, grid, r, half=half)
             for i in range(n_local):
@@ -533,14 +533,14 @@ class TestListsAgainstAllPairs:
 class TestDisplacement:
     def test_zero_after_build(self):
         store = make_store(np.random.default_rng(0).uniform(0, 8, size=(50, 3)))
-        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         assert max_displacement_since_rebuild(store, lists) == 0.0
 
     def test_single_mover(self):
         pos = np.random.default_rng(1).uniform(1, 7, size=(50, 3))
         store = make_store(pos)
-        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         p = store.positions.read_rows(7, 1)
         p[0, 0] += 0.125
@@ -551,7 +551,7 @@ class TestDisplacement:
         rng = np.random.default_rng(2)
         pos = rng.uniform(1, 7, size=(30, 3))
         store = make_store(pos)
-        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         k, s = 12, 0.05
         for _ in range(k):
@@ -564,7 +564,7 @@ class TestDisplacement:
     def test_stale_lists_rejected(self, n_before):
         # lists built on an empty rank are stale too once the rank gains locals
         store = make_store(np.random.default_rng(3).uniform(1, 7, size=(n_before, 3)))
-        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         store.append_locals([[4.0, 4.0, 4.0]], [[0.0, 0.0, 0.0]])
         with pytest.raises(ProtocolError, match=f"^store has {n_before + 1} locals but lists were built for {n_before}$"):
@@ -634,7 +634,7 @@ class TestPerAxisOracles:
         rng = np.random.default_rng(4)
         pos = rng.uniform(1, 7, size=(45, 3))  # not a multiple of either cluster size
         store = make_store(pos, n_ghost=6, layout=layout)
-        grid = build_cell_grid(store, AABB.cube(0, 8), 2.8, half=True)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8, half=True)
         lists = build_neighbor_lists(store, grid, 2.8, half=True)
         ref = store.local_positions()
         assert lists.ref_positions.shape == (3, 39)
@@ -665,7 +665,7 @@ class TestPerAxisOracles:
     def test_nan_displacement_is_nan(self):
         pos = np.random.default_rng(6).uniform(1, 7, size=(20, 3))
         store = make_store(pos)
-        lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0, 8), 2.8), 2.8, half=False)
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8), 2.8, half=False)
         moved = pos.copy()
         moved[3, 1] = np.nan
         store.positions.write_rows(0, moved)

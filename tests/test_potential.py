@@ -82,7 +82,7 @@ def forces_of_pair(law, pos, half):
     """Local forces of a two-particle store in a box of edge 9, without ghosts."""
     store = ParticleStore(row_major_layout(), 2)
     store.append_locals(pos, np.zeros((2, 3)))
-    grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8, half=half)
+    grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8, half=half)
     compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=half), law)
     return local_forces(store)
 
@@ -238,7 +238,7 @@ def jittered_store(seed, r):
     diameter 1, and ghost partners across every face."""
     rng = np.random.default_rng(seed)
     n_side, spacing = 5, 1.1
-    box = AABB.cube(0.0, n_side * spacing)
+    box = AABB((0.0,) * 3, (n_side * spacing,) * 3)
     sites = np.stack(np.meshgrid(*[np.arange(n_side)] * 3, indexing="ij"), -1).reshape(-1, 3)
     pos = (sites + 0.5) * spacing + rng.uniform(-0.25, 0.25, size=sites.shape)
     vel = rng.normal(size=pos.shape)
@@ -265,7 +265,7 @@ def clumped_store(clump_radius, r, twin=False):
         clump[-1] = clump[0]
     pos = np.vstack([lattice, clump, [[9.0, 3.0, 9.0]]])
     vel = rng.normal(size=pos.shape)
-    box = AABB.cube(0.0, 12.0)
+    box = AABB((0.0,) * 3, (12.0,) * 3)
     return with_periodic_ghosts(pos, vel, box, r), box
 
 
@@ -276,7 +276,7 @@ class TestComputeForces:
         store.append_locals(
             np.array([[4.0, 4.0, 4.0], [4.0 + r0, 4.0, 4.0]]), np.zeros((2, 3))
         )
-        box = AABB.cube(0.0, 9.0)
+        box = AABB((0.0,) * 3, (9.0,) * 3)
         grid = build_cell_grid(store, box, 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         compute_forces(store, lists, LennardJones(1.0, 1.0, 2.5))
@@ -325,7 +325,7 @@ class TestComputeForces:
     def test_energy_flag(self):
         store = ParticleStore(row_major_layout(), 2)
         store.append_locals(np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]]), np.zeros((2, 3)))
-        box = AABB.cube(0.0, 9.0)
+        box = AABB((0.0,) * 3, (9.0,) * 3)
         law = LennardJones(1.0, 1.0, 2.5)
         e_half, e_full = (
             compute_forces(
@@ -340,7 +340,7 @@ class TestComputeForces:
     def test_singular_pair_identified(self):
         store = ParticleStore(row_major_layout(), 2)
         store.append_locals(np.array([[4.0, 4.0, 4.0], [4.0, 4.0, 4.0]]), np.zeros((2, 3)))
-        grid = build_cell_grid(store, AABB.cube(0, 9), 2.8, half=True)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8, half=True)
         lists = build_neighbor_lists(store, grid, 2.8, half=True)
         with pytest.raises(SingularityError):
             compute_forces(store, lists, LennardJones())
@@ -370,7 +370,7 @@ class TestComputeForces:
         sites = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), -1).reshape(-1, 3)
         store = ParticleStore(row_major_layout(), 64)
         store.append_locals(1.0 + 1.2 * sites[:40], np.zeros((40, 3)))
-        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         if edit == "drop_local":
             store.compact_locals(np.arange(40) > 0)
@@ -380,7 +380,7 @@ class TestComputeForces:
             counts = "40 locals and 41 particles .* 40 locals and 40 particles"
         with pytest.raises(ProtocolError, match=counts):
             compute_forces(store, lists, LennardJones())
-        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8)
         compute_forces(store, build_neighbor_lists(store, grid, 2.8, half=False), LennardJones())
 
     @pytest.mark.parametrize("edit", ["partner", "late-partner"])
@@ -399,7 +399,7 @@ class TestComputeForces:
         pos = np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0]])
         store = ParticleStore(row_major_layout(), 2)
         store.append_locals(pos, np.zeros((2, 3)))
-        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8)
         lists = build_neighbor_lists(store, grid, 2.8, half=False)
         row(lists, 1)[0] = 2
         with pytest.raises(ProtocolError, match="list row 1 names particle 2 of 2"):
@@ -417,7 +417,7 @@ class TestComputeForces:
         # row 0 also names a particle out of range, and no force row is written
         store = ParticleStore(row_major_layout(), 3)
         store.append_locals(np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0], [6.0, 4.0, 4.0]]), np.zeros((3, 3)))
-        lists = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8), 2.8, half=False)
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8), 2.8, half=False)
         assert lists.start.tolist() == [0, 2, 4, 6]
         lists.partners[0] = 3
         lists.start[edit] = value
@@ -435,7 +435,7 @@ class TestComputeForces:
         # that start at the same offset
         store = ParticleStore(row_major_layout(), 6)
         store.append_locals(4.0 + np.outer(np.arange(6.0), [1.0, 0.0, 0.0]) / 2, np.zeros((6, 3)))
-        built = build_neighbor_lists(store, build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8, half=half), 2.8, half=half)
+        built = build_neighbor_lists(store, build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8, half=half), 2.8, half=half)
         rows = [row(built, i).tolist() for i in range(6)]
         bad = 5
         if where == "after-empty-rows":
@@ -496,7 +496,7 @@ class TestComputeForces:
         if n_ghost:
             store.append_ghosts(ghosts, peer=1)
         for half in (False, True):
-            grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8, half=half)
+            grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8, half=half)
             lists = build_neighbor_lists(store, grid, 2.8, half=half)
             assert lists.n_local == 0 and lists.pairs().shape == (0, 2)
             energy = compute_forces(store, lists, LennardJones(), accumulate_energy=True)
@@ -512,7 +512,7 @@ class TestKernelArguments:
         """Three particles in a row: full lists of 6 entries."""
         store = ParticleStore(row_major_layout(), 3)
         store.append_locals(np.array([[4.0, 4.0, 4.0], [5.0, 4.0, 4.0], [6.0, 4.0, 4.0]]), np.zeros((3, 3)))
-        grid = build_cell_grid(store, AABB.cube(0.0, 9.0), 2.8)
+        grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8)
         return store, build_neighbor_lists(store, grid, 2.8, half=False)
 
     def test_addresses_taken_when_made(self):
