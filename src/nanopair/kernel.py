@@ -12,9 +12,12 @@ neighbor-list build over the stencil's z-runs of cells: the whole stencil
 for full lists; for half lists the upper half stencil over the locals and
 the whole stencil over the ghosts; it also copies the locals' positions
 out as the lists' reference), `pair_forces` (the force kernel over the
-list's rows, half-list reactions included), the per-step particle loops
+list's rows, half-list reactions included; when pruning, it also writes
+the rows' entries within r_c + delta as an inner list, and the positions
+as its reference), the per-step particle loops
 `kick_drift` and `kick` (the integrators), `max_displacement` (the
-displacement check), and the epoch's particle loops `exchange_round` and
+displacement checks of the Verlet lists, over the locals, and of the inner
+list, over every row), and the epoch's particle loops `exchange_round` and
 `border_round` (one stencil round of exchange or of border definition: the
 face tests of the round's pattern entries, exchange's in-place move of its
 departures, and the emitted rows of every peer), `append_rows` (the rows
@@ -39,7 +42,8 @@ times the cost, and taking the pointer itself costs about 2 us. So the
 addresses of what lives across steps are taken once: an `ArrayHandle`'s
 buffer and index map when the handle is built, a law's parameters when the
 law first runs, a neighbor list's partners, row starts and reference
-positions when the lists are made, a pattern's per-round entry arrays
+positions when the lists are made (an inner list's buffers when they
+grow), a pattern's per-round entry arrays
 (axes, shifts, peer groups) and its round passes' work arrays when the
 pattern is built, once per run (and when a work array grows), and a border
 plan's gather index, shifts and refresh rows when the plan is made. The
@@ -132,6 +136,7 @@ def library() -> ctypes.CDLL:
         idx, f64, f64, f64, i64,  # map, positions, velocities, forces, n_total
         i32, i64, idx,  # partners, n_entries, start
         i64, ctypes.c_int, f64,  # n_local, half, row energies (NULL: not accumulated)
+        ctypes.c_double, i32, idx, f64,  # prune_rsq, inner partners (NULL: no prune), inner starts, ref
     ]
     dll.pair_forces.restype = i64
     dll.kick_drift.argtypes = [idx, i64, ctypes.c_double, ctypes.c_double, f64, f64, f64]  # map, n, k, dt, v, f, x

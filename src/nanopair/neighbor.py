@@ -29,11 +29,21 @@ locals is thus owned by the one in the lower cell id (x slowest, z
 fastest), or in one cell by the lower index: the one binned first; a pair with a ghost always lives on the local, since no
 force is sent back to the ghost's owner. Full lists read one range over the
 whole stencil, and a grid binned for one kind cannot serve the other.
+
+The Verlet lists reach r = r_c + buffer, so that they serve until a
+particle moves half the buffer. Between those rebuilds a rank holds an
+inner list (`InnerLists`, after the dual pair list of Páll et al., J. Chem.
+Phys. 153, 134110, 2020): the entries that lay within r_c + delta, delta a
+third of the buffer, when the force kernel last ran the Verlet lists and
+pruned them. Forces run from it until any of the rank's rows, locals or
+ghosts, moves just below delta / 2, and give the Verlet lists' bits. On the
+LJ workloads it holds about 72 % of the entries.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +56,7 @@ from .particles import ParticleStore
 
 __all__ = [
     "CellGrid",
+    "InnerLists",
     "NeighborLists",
     "build_cell_grid",
     "build_neighbor_lists",
@@ -62,6 +73,18 @@ _DENSE = 8.0
 # fills it row by row, so memory stays bounded however many candidates the
 # rank has; a 6912-atom LJ rank has 1.9M at edge r/2 (7.5 MB as int32)
 _LIST_BUFFER = 1 << 18
+
+# the margin of an inner list's trigger below delta / 2, as a share of its
+# reach r_c + delta (see InnerLists). The kernel's rsq and the measured moves
+# are differences of stored doubles, squared and summed: each lies within a
+# few units of 2^-53 of its exact value, relative to itself. So an entry the
+# prune measured at r_c + delta, whose two rows then move toward each other
+# by measured moves just below delta / 2, could come out a few 1e-16 (r_c +
+# delta) inside r_c, and change the force. A margin of about 4e-16 (r_c +
+# delta) rules that out; 1e-12 is thousands of times that, and far below a
+# move that matters: 2.6e-12 at r_c + delta = 2.6, where LJ rows move at most
+# about 0.005 per step
+_ROUNDING = 1e-12
 
 
 @dataclass
@@ -148,16 +171,34 @@ class CellGrid:
         (0, 0, 0) .. (0, 0, k), which the build starts behind the local
         (`slot`), then the (0, dy > 0) runs and the (dx > 0) runs, 2k^2 +
         2k + 1 in all (5 at edge r, 13 at edge r/2).
+
+        The table depends only on the shell, the grid's shell-inclusive
+        dimensions and the list kind, so it is built once per such triple
+        (see `_stencil_runs`) and is read-only.
         """
-        k = self.shell
-        plane = [(dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1)]
-        steps = np.array([(dx, dy, -k) for dx, dy in plane], dtype=np.int64)
-        table = np.column_stack([self.cell_id(steps), np.full(len(steps), 2 * k + 1, dtype=np.int64)])
-        if not self.half:
-            return table
-        upper = np.array([(dx, dy) > (0, 0) for dx, dy in plane])
-        own = np.array([[self.cell_id(np.zeros(3, dtype=np.int64)), k + 1]], dtype=np.int64)
-        return np.vstack([own, table[upper], table + [self.n_cells, 0]])
+        return _stencil_runs(self.shell, tuple(int(d) for d in self.shell_dims), self.half)
+
+
+@functools.lru_cache(maxsize=64)
+def _stencil_runs(k: int, shell_dims: tuple[int, int, int], half: bool) -> np.ndarray:
+    """`CellGrid.runs` of a grid with shell k and these shell-inclusive
+    dimensions, binned for half lists or not, as a read-only array. A rank's
+    grid keeps its dimensions over most epochs, so the cache (a few per rank
+    and list kind) spares the build this table's Python."""
+    _, gy, gz = shell_dims
+
+    def cell_id(dx, dy, dz):
+        return (dx * gy + dy) * gz + dz
+
+    plane = [(dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1)]
+    table = [(cell_id(dx, dy, -k), 2 * k + 1) for dx, dy in plane]
+    if half:
+        n_cells = int(np.prod(shell_dims))
+        upper = [run for run, step in zip(table, plane) if step > (0, 0)]
+        table = [(cell_id(0, 0, 0), k + 1), *upper, *((off + n_cells, length) for off, length in table)]
+    runs = np.array(table, dtype=np.int64)
+    runs.flags.writeable = False
+    return runs
 
 
 def build_cell_grid(store: ParticleStore, rank_aabb: AABB, r: float, half: bool = False) -> CellGrid:
@@ -229,6 +270,13 @@ class NeighborLists:
     locals and n_total particles; any other count means the store changed
     since the build.
 
+    The reference positions are those the rows were measured at: of the
+    n_local locals for Verlet lists (from `build_neighbor_lists`), whose
+    moves bound the rebuild; of all n_total rows for an inner list (see
+    `InnerLists`), whose exactness needs the ghosts' moves too. Verlet lists
+    may carry the rank's `InnerLists` (`inner`): a force call on them then
+    also prunes them into it (see nanopair.potential.compute_forces).
+
     The compiled loops take partners, start and the reference positions by
     address: each is checked and its address taken once, when the lists are
     made (also by `dataclasses.replace`). TypeError (`kernel.address`) on an
@@ -241,11 +289,12 @@ class NeighborLists:
     half: bool
     partners: np.ndarray  # (n_entries,) int32 partner indices, row by row
     start: np.ndarray  # (n_local + 1,) int64 offsets of each row's partners
-    ref_positions: np.ndarray  # (3, n_local) coordinate-major local positions at build time
+    ref_positions: np.ndarray  # (3, n_local), or (3, n_total) for an inner list: coordinate-major positions
     n_local: int
     n_total: int  # locals plus ghosts at build time
     args: tuple = field(init=False, repr=False, compare=False)  # pair_forces' (partners, n_entries, start)
     ref_positions_address: int = field(init=False, repr=False, compare=False)
+    inner: InnerLists | None = field(default=None, repr=False, compare=False)  # pruned into by a force call
 
     def __post_init__(self) -> None:
         if np.shape(self.start) != (self.n_local + 1,):
@@ -253,7 +302,8 @@ class NeighborLists:
         n = np.size(self.partners)
         args = (kernel.address(self.partners, np.int32, (n,)), n, kernel.address(self.start, np.int64))
         object.__setattr__(self, "args", args)
-        ref = kernel.address(self.ref_positions, np.float64, (3, self.n_local))
+        rows = self.n_total if np.shape(self.ref_positions)[1:] == (self.n_total,) else self.n_local
+        ref = kernel.address(self.ref_positions, np.float64, (3, rows))
         object.__setattr__(self, "ref_positions_address", ref)
 
     @property
@@ -282,13 +332,82 @@ class NeighborLists:
         return np.column_stack([np.repeat(np.arange(self.n_local), self.counts), self.partners])
 
 
+class InnerLists:
+    """A rank's inner pair list: the entries of its Verlet lists that lay
+    within r_c + `delta` at the last prune.
+
+    Verlet lists that carry this object (`NeighborLists.inner`) prune into
+    it whenever forces run from them (nanopair.potential.compute_forces):
+    the force kernel writes the entries with rsq < (r_c + delta)^2, in row
+    order, into buffers held here, and copies the positions of all n_total
+    rows, locals and ghosts, as the reference. `lists` then holds those rows
+    as NeighborLists over the buffers, and `trigger` the move that ends
+    them. While no row has moved `trigger` from its reference, forces from
+    `lists` equal forces from the Verlet lists bit for bit: an entry left
+    out lay at least r_c + delta apart and each of its rows moved less than
+    delta / 2, so it still lies beyond r_c, where the kernel skips it; the
+    kept entries are an in-order subsequence of each row, so every sum,
+    reactions and energies included, adds the same terms in the same order.
+    `trigger` is delta / 2 less a rounding margin (see `_ROUNDING`).
+
+    The buffers only grow (by an eighth more than a prune needs), and their
+    addresses are taken when they do, so a rank's prunes reuse them. A prune
+    rewrites them: the rows of `lists` hold until the next prune, or until
+    `drop`.
+    """
+
+    def __init__(self, delta: float):
+        if not delta >= 0.0:
+            raise ValueError(f"the inner list's reach past the cutoff must be non-negative, got {delta}")
+        self.delta = delta
+        self.lists: NeighborLists | None = None
+        self.trigger = 0.0
+        # partners, row starts and reference positions, and their addresses
+        self._buffers = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64), np.empty(0))
+        self._addresses = (0, 0, 0)
+
+    def drop(self) -> None:
+        """Forget the pruned rows: the next force call on the Verlet lists prunes anew."""
+        self.lists = None
+
+    def buffers(self, outer: NeighborLists) -> tuple[int, int, int]:
+        """Addresses of the partners, row starts and reference positions that
+        a prune of `outer` writes, each buffer grown to fit it."""
+        needs = (outer.partners.size, outer.n_local + 1, 3 * outer.n_total)
+        if any(buf.size < need for buf, need in zip(self._buffers, needs)):
+            self._buffers = tuple(
+                buf if buf.size >= need else np.empty(need + need // 8, dtype=buf.dtype)
+                for buf, need in zip(self._buffers, needs)
+            )
+            self._addresses = tuple(kernel.address(buf, buf.dtype) for buf in self._buffers)
+        return self._addresses
+
+    def take(self, outer: NeighborLists, reach: float) -> None:
+        """Hold the rows that a prune of `outer` at `reach` (r_c + delta) just wrote."""
+        partners, start, ref = self._buffers
+        n_local, n_total = outer.n_local, outer.n_total
+        self.lists = NeighborLists(
+            half=outer.half,
+            partners=partners[: start[n_local]],
+            start=start[: n_local + 1],
+            ref_positions=ref[: 3 * n_total].reshape(3, n_total),
+            n_local=n_local,
+            n_total=n_total,
+        )
+        self.trigger = 0.5 * self.delta - _ROUNDING * reach
+
+
 def build_neighbor_lists(
     store: ParticleStore,
     grid: CellGrid,
     r: float,
     half: bool,
+    inner: InnerLists | None = None,
 ) -> NeighborLists:
     """Collect, for each local particle, every other particle within r.
+
+    The lists carry `inner`, the rank's inner list, which a force call on
+    them prunes them into (see `InnerLists`).
 
     Half mode keeps one copy per local pair, found once: from the local in
     the lower cell id or, when both share a cell, from the lower index. Pairs with a ghost partner always live on the
@@ -387,23 +506,29 @@ def build_neighbor_lists(
         ref_positions=ref_positions,
         n_local=n_local,
         n_total=store.n_total,
+        inner=inner,
     )
 
 
 def max_displacement_since_rebuild(store: ParticleStore, lists: NeighborLists) -> float:
-    """Largest local-particle move since the lists were built.
+    """Largest move since the lists were built, or pruned, of the rows their
+    reference positions cover: the locals of Verlet lists, every row of an
+    inner list.
 
-    One compiled loop (`max_displacement`) reads the local positions in
-    place through the layout's index map and sums the squared moves x, y, z
-    in that order; NaN when a move is NaN. ProtocolError when the store's
-    local count differs from the lists', also for lists built without
-    locals.
+    One compiled loop (`max_displacement`) reads the positions in place
+    through the layout's index map and sums the squared moves x, y, z in
+    that order; NaN when a move is NaN. ProtocolError when the store's local
+    count differs from the lists', also for lists built without locals, and
+    for an inner list when its particle count does.
     """
     if store.n_local != lists.n_local:
         raise ProtocolError(
             f"store has {store.n_local} locals but lists were built for {lists.n_local}"
         )
+    rows = lists.ref_positions.shape[1]
+    if rows != lists.n_local and store.n_total != lists.n_total:
+        raise ProtocolError(f"store has {store.n_total} particles but lists were pruned for {lists.n_total}")
     if lists.n_local == 0:
         return 0.0
     h = store.positions
-    return kernel.library().max_displacement(h.map_address, h.address, lists.ref_positions_address, lists.n_local)
+    return kernel.library().max_displacement(h.map_address, h.address, lists.ref_positions_address, rows)

@@ -12,8 +12,10 @@
  * 13 runs, over the locals, so each local pair is found once, and the whole
  * stencil over the ghosts), the pair-force row loops behind
  * nanopair.potential.compute_forces, which also sum the half-list
- * reactions, and the per-step particle loops: the two integrator kicks and
- * the drift (nanopair.driver) and the displacement check
+ * reactions and, when asked, prune the rows into an inner list (the entries
+ * within r_c + delta, nanopair.neighbor.InnerLists), and the per-step
+ * particle loops: the two integrator kicks and the drift (nanopair.driver)
+ * and the displacement check of the Verlet lists and of the inner list
  * (nanopair.neighbor.max_displacement_since_rebuild), and the epoch's
  * particle loops: one pass per stencil round of exchange and of border
  * definition (the face tests of the round's pattern entries against the
@@ -35,7 +37,8 @@
  * replaces.
  *
  * `pair_forces` picks one row loop per law. The Lennard-Jones loop is staged:
- * per block of a row's entries it gathers the in-cutoff partners, evaluates
+ * per block of a row's entries it gathers the in-cutoff partners (and, when
+ * pruning, the partners within r_c + delta), evaluates
  * the law on them in loops the compiler vectorises (two doubles per SSE2
  * register), and sums in row order. The spring-dashpot loop stays scalar: its
  * rows hold a few entries and few of those are in contact. Both follow the
@@ -106,18 +109,25 @@ static int64_t first_fault(const double *x, int64_t n_total, const int32_t *part
  * scalar loop over the row, bit for bit. An entry at or beyond the cutoff
  * would add s * delta = +-0 to a sum that starts at +0.0; leaving it out
  * changes no bit. A NaN rsq is kept, so a non-finite position still
- * reaches the caller as a non-finite force. */
+ * reaches the caller as a non-finite force.
+ *
+ * With prune, pass (1) also writes the partners of the entries with rsq <
+ * prune_rsq to inner, in row order, by the same compress store (every entry
+ * is written, only a kept one advances the end), and inner_start[i + 1] is
+ * the end of row i's kept entries; a NaN rsq is kept there too. */
 static inline __attribute__((always_inline)) int64_t lj_rows(
     const double *prm, double cutoff_rsq,
     const double *x, int64_t n_total,
     const int32_t *partners, const int64_t *start,
     int64_t n_local, const int half,
-    const int64_t *map, double *force, double *react, double *energy)
+    const int64_t *map, double *force, double *react, double *energy,
+    const int prune, double prune_rsq, int32_t *inner, int64_t *inner_start)
 {
     const double *y = x + n_total, *z = y + n_total;
     const double eps = prm[0], sigma6 = prm[1];
     double dx[BLOCK], dy[BLOCK], dz[BLOCK], rsq[BLOCK], s[BLOCK], pe[BLOCK];
     int32_t jj[BLOCK];
+    int64_t o = 0; /* end of the inner list */
     for (int64_t i = 0; i < n_local; ++i) {
         const double xi = x[i], yi = y[i], zi = z[i];
         double fx = 0.0, fy = 0.0, fz = 0.0, e_sum = 0.0;
@@ -144,6 +154,10 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
                 jj[e] = j;
                 coincident |= r2 == 0.0;
                 e += !(r2 >= cutoff_rsq);
+                if (prune) {
+                    inner[o] = j;
+                    o += !(r2 >= prune_rsq);
+                }
             }
             if (coincident)
                 return first_fault(x, n_total, partners, i, b, b + m);
@@ -179,6 +193,8 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
         own[2 * map[2]] = fz;
         if (energy)
             energy[i] = e_sum;
+        if (prune)
+            inner_start[i + 1] = o;
     }
     return -1;
 }
@@ -187,16 +203,20 @@ static inline __attribute__((always_inline)) int64_t lj_rows(
  * diameter), with the outputs and the return value of `lj_rows`, in one
  * scalar loop per row: rows hold a few entries, few of them in contact, and
  * those are the only ones evaluated. The dashpot term reads v only with
- * use_vel. */
-static int64_t sd_rows(
+ * use_vel. With prune, the entries with rsq < prune_rsq go to the inner list
+ * as in `lj_rows`, stored before the cutoff test skips an entry out of
+ * contact. */
+static inline __attribute__((always_inline)) int64_t sd_rows(
     const double *prm, double cutoff_rsq, int use_vel,
     const double *x, const double *v, int64_t n_total,
     const int32_t *partners, const int64_t *start,
     int64_t n_local, int half,
-    const int64_t *map, double *force, double *react, double *energy)
+    const int64_t *map, double *force, double *react, double *energy,
+    const int prune, double prune_rsq, int32_t *inner, int64_t *inner_start)
 {
     const double *y = x + n_total, *z = y + n_total;
     const double *vx = v, *vy = v + n_total, *vz = vy + n_total;
+    int64_t o = 0; /* end of the inner list */
     for (int64_t i = 0; i < n_local; ++i) {
         const double xi = x[i], yi = y[i], zi = z[i];
         double fx = 0.0, fy = 0.0, fz = 0.0, e_sum = 0.0;
@@ -209,6 +229,10 @@ static int64_t sd_rows(
             const double rsq = dx * dx + dy * dy + dz * dz;
             if (rsq == 0.0)
                 return k;
+            if (prune) {
+                inner[o] = j;
+                o += !(rsq >= prune_rsq);
+            }
             if (!(rsq < cutoff_rsq))
                 continue;
             const double dist = sqrt(rsq);
@@ -243,6 +267,8 @@ static int64_t sd_rows(
         own[2 * map[2]] = fz;
         if (energy)
             energy[i] = e_sum;
+        if (prune)
+            inner_start[i + 1] = o;
     }
     return -1;
 }
@@ -278,19 +304,30 @@ enum { FAULT_STARTS = -2, FAULT_MEMORY = -3, FAULT_NON_FINITE = -4 };
  * first faulty entry (see `lj_rows`), or a FAULT code; the
  * local force rows are then incomplete. The Lennard-Jones loop is specialised
  * on half at compile time: a reaction scatter in its summing pass would keep
- * the compiler from vectorising that pass for full lists too. */
+ * the compiler from vectorising that pass for full lists too.
+ *
+ * With a non-NULL inner the call also prunes: inner (room for n_entries)
+ * and inner_start (n_local + 1) receive, as CSR rows, the entries with rsq <
+ * prune_rsq in row order, and the positions are copied into ref, (3,
+ * n_total), which the loops then read in place of their own copy: ref holds
+ * the positions the pruned rows were measured at. Both row loops are
+ * specialised on pruning at compile time, so a call that does not prune runs
+ * a loop without the inner list's stores. On a return other than -1 the
+ * inner rows are incomplete. */
 int64_t pair_forces(
     int law, const double *prm, double cutoff_rsq, int use_vel,
     const int64_t *map, const double *pos, const double *vel, double *force, int64_t n_total,
     const int32_t *partners, int64_t n_entries, const int64_t *start,
-    int64_t n_local, int half, double *energy)
+    int64_t n_local, int half, double *energy,
+    double prune_rsq, int32_t *inner, int64_t *inner_start, double *ref)
 {
     if (start[0] != 0 || start[n_local] != n_entries)
         return FAULT_STARTS;
     for (int64_t i = 0; i < n_local; ++i)
         if (start[i + 1] < start[i])
             return FAULT_STARTS;
-    double *x = malloc(3 * n_total * sizeof(double));
+    double *copy = inner ? NULL : malloc(3 * n_total * sizeof(double));
+    double *x = inner ? ref : copy;
     double *v = use_vel ? malloc(3 * n_total * sizeof(double)) : NULL;
     /* calloc: the reaction sums start at +0.0 */
     double *react = half ? calloc(3 * n_local, sizeof(double)) : NULL;
@@ -300,15 +337,26 @@ int64_t pair_forces(
     transpose_rows(map, pos, n_total, x);
     if (use_vel)
         transpose_rows(map, vel, n_total, v);
-    if (law != LAW_LJ)
+    if (inner)
+        inner_start[0] = 0;
+    if (law != LAW_LJ && inner)
         bad = sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, partners, start,
-                      n_local, half, map, force, react, energy);
+                      n_local, half, map, force, react, energy, 1, prune_rsq, inner, inner_start);
+    else if (law != LAW_LJ)
+        bad = sd_rows(prm, cutoff_rsq, use_vel, x, v, n_total, partners, start,
+                      n_local, half, map, force, react, energy, 0, 0.0, NULL, NULL);
+    else if (half && inner)
+        bad = lj_rows(prm, cutoff_rsq, x, n_total, partners, start,
+                      n_local, 1, map, force, react, energy, 1, prune_rsq, inner, inner_start);
     else if (half)
         bad = lj_rows(prm, cutoff_rsq, x, n_total, partners, start,
-                      n_local, 1, map, force, react, energy);
+                      n_local, 1, map, force, react, energy, 0, 0.0, NULL, NULL);
+    else if (inner)
+        bad = lj_rows(prm, cutoff_rsq, x, n_total, partners, start,
+                      n_local, 0, map, force, react, energy, 1, prune_rsq, inner, inner_start);
     else
         bad = lj_rows(prm, cutoff_rsq, x, n_total, partners, start,
-                      n_local, 0, map, force, react, energy);
+                      n_local, 0, map, force, react, energy, 0, 0.0, NULL, NULL);
     if (bad != -1)
         goto done;
     for (int64_t i = 0; i < n_local; ++i) {
@@ -321,7 +369,7 @@ int64_t pair_forces(
         }
     }
 done:
-    free(x);
+    free(copy);
     free(v);
     free(react);
     return bad;

@@ -11,7 +11,9 @@ reference in the same operation order, which the loops match bit for bit.
 The Lennard-Jones loop gathers the in-cutoff partners of a block of row
 entries, evaluates the law on them two lanes at a time and sums in row
 order, so it computes the same bits as one scalar pass; the spring-dashpot
-loop, whose rows are short and mostly out of contact, stays scalar.
+loop, whose rows are short and mostly out of contact, stays scalar. Both
+loops can also prune the rows they run into an inner list (see
+`compute_forces` and nanopair.neighbor.InnerLists).
 `nanopair.kernel` compiles pair_kernel.c once per process with the system C
 compiler, for these loops and for the neighbor build alike, so a C compiler
 is a run-time requirement of this package.
@@ -20,6 +22,7 @@ is a run-time requirement of this package.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,6 +147,14 @@ def compute_forces(
     once, not per call: the law's when it first runs, the lists' when they
     are made (see nanopair.kernel).
 
+    Lists that carry an `InnerLists` (`lists.inner`, see nanopair.neighbor)
+    are pruned by the same call: the kernel also writes every entry with
+    rsq < (r_c + delta)^2 to the inner list, in row order, and copies the
+    positions of all n_total rows as its reference, with r_c the law's
+    cutoff and delta the inner list's. Only a call that returns holds the
+    pruned rows (`InnerLists.lists`); the forces are those of a call
+    without the prune, bit for bit.
+
     With accumulate_energy the total pair potential energy is returned;
     otherwise returns None. A half-list entry with a ghost partner carries
     half the pair energy, since the ghost's owner stores the same pair.
@@ -168,15 +179,23 @@ def compute_forces(
     if n_local == 0:
         return 0.0 if accumulate_energy else None
     row_energy = np.empty(n_local) if accumulate_energy else None
+    inner = lists.inner
+    prune = (0.0, None, None, None)
+    if inner is not None:
+        reach = math.sqrt(law.cutoff_rsq) + inner.delta
+        prune = (reach * reach, *inner.buffers(lists))
     pos = store.positions
     status = kernel.library().pair_forces(
         law.kernel_args[0], law.params_address, law.cutoff_rsq, law.needs_velocities,
         pos.map_address, pos.address, store.velocities.address, store.forces.address, n_total,
         *lists.args, n_local, lists.half,
         None if row_energy is None else kernel.address(row_energy, np.float64),
+        *prune,
     )
     if status != -1:
         _raise_fault(status, lists, n_local, n_total)
+    if inner is not None:
+        inner.take(lists, reach)
     return None if row_energy is None else float(row_energy.sum())
 
 

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from nanopair import kernel
+from nanopair import driver, kernel
 from nanopair.comm import (
     LOAD_BINS,
     WIRE_BORDER,
@@ -900,6 +900,61 @@ class TestGoldenBits:
     @pytest.mark.parametrize("name", list(GOLDEN_WORKLOADS))
     def test_final_state_hash(self, name):
         assert final_state_hash(name) == GOLDEN_HASHES[name]
+
+
+def golden_reports(name, seed=411):
+    cfg, ranks = GOLDEN_WORKLOADS[name]
+    layout = layout_from_config(cfg.layout_kind, cfg.aosoa_cluster)
+    return run_lockstep(cfg, ranks, *initial_state(cfg, seed), layout=layout)[3]
+
+
+class TestInnerListsInRuns:
+    """Each rank prunes its Verlet lists into an inner list on its own; the
+    runs end in the bits of forces from the Verlet lists at every step."""
+
+    @pytest.mark.parametrize("name", list(GOLDEN_WORKLOADS))
+    def test_golden_runs_take_both_paths(self, name):
+        # so the sanitizer run of the golden workloads covers the pruning
+        # loops (every epoch prunes) and the inner lists (the other steps).
+        # Both LJ runs also prune between epochs; the SD run does not: its
+        # largest move within a 10-step interval is 0.034 against a 0.05
+        # trigger, so TestInnerListsInRuns' faster SD run covers that case
+        for rep in golden_reports(name):
+            assert rep.rebuilds <= rep.prunes < rep.steps
+            if name.startswith("lj"):
+                assert rep.prunes > rep.rebuilds
+
+    def test_epoch_steps_run_from_verlet_lists(self, monkeypatch):
+        # every epoch drops the inner list, so its step's forces come from the
+        # new Verlet lists; the report counts the steps that did
+        calls = []
+        forces = driver.compute_forces
+
+        def spy(store, lists, law):
+            calls.append(lists.inner is not None)
+            return forces(store, lists, law)
+
+        monkeypatch.setattr(driver, "compute_forces", spy)
+        (rep,) = golden_reports("lj-p1-full")
+        assert len(calls) == rep.steps + 1
+        outer = [step for step, from_outer in enumerate(calls) if from_outer]
+        assert {0, 20, 40} <= set(outer)
+        assert len(outer) - 1 == rep.prunes > rep.rebuilds
+
+    def test_same_bits_as_verlet_lists_every_step(self, monkeypatch):
+        # the golden hashes already hold the LJ runs to the bits of forces
+        # from the Verlet lists; this SD run is fast enough to prune between
+        # epochs, on each rank at its own steps
+        cfg, ranks = SD.with_overrides(layout_kind="aosoa", aosoa_cluster=8, velocity_scale=1.5), 2
+        layout = layout_from_config(cfg.layout_kind, cfg.aosoa_cluster)
+        state = initial_state(cfg, 411)
+        _, stores, _, reports = run_lockstep(cfg, ranks, *state, layout=layout)
+        assert all(rep.rebuilds < rep.prunes < rep.steps for rep in reports)
+        monkeypatch.setattr(driver, "_force_lists", lambda s: s.lists)
+        _, outer_stores, _, outer_reports = run_lockstep(cfg, ranks, *state, layout=layout)
+        assert all(rep.prunes == rep.steps for rep in outer_reports)
+        for got, want in zip(gather(stores), gather(outer_stores)):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_undefined_behaviour_sanitizer_keeps_bits(monkeypatch, capfd):

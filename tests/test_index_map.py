@@ -38,7 +38,7 @@ from nanopair.core import AABB
 from nanopair.errors import ProtocolError
 from nanopair.driver import final_integrate, initial_integrate
 from nanopair.layout import ArrayHandle, clustered_layout, column_major_layout, row_major_layout
-from nanopair.neighbor import build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
+from nanopair.neighbor import InnerLists, build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
 from nanopair.particles import ParticleStore
 from nanopair.potential import LennardJones, SpringDashpot, compute_forces
 
@@ -233,6 +233,29 @@ def test_no_address_taken_per_step(monkeypatch):
     max_displacement_since_rebuild(store, lists)
     compute_forces(store, lists, law)
     final_integrate(store, 0.001, 1.0)
+
+
+def test_no_address_taken_per_inner_step(monkeypatch):
+    """A step from an inner list takes no address either: its displacement
+    check over every row and its force call use the addresses the prune's
+    lists hold, and the prune itself reuses its buffers' addresses."""
+    store = random_store(clustered_layout(4), 13)
+    inner = InnerLists(0.1)
+    grid = build_cell_grid(store, AABB((-1.0,) * 3, (11.0,) * 3), 2.8, half=True)
+    lists = build_neighbor_lists(store, grid, 2.8, True, inner)
+    law = LennardJones()
+    compute_forces(store, lists, law)
+    addresses = inner.buffers(lists)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel.address called during a step")
+
+    monkeypatch.setattr(kernel, "address", refuse)
+    initial_integrate(store, 0.001, 1.0)
+    max_displacement_since_rebuild(store, inner.lists)
+    compute_forces(store, inner.lists, law)
+    final_integrate(store, 0.001, 1.0)
+    assert inner.buffers(lists) is addresses
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,13 @@ from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError
 from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
 from nanopair.neighbor import (
+    InnerLists,
     build_cell_grid,
     build_neighbor_lists,
     max_displacement_since_rebuild,
 )
 from nanopair.particles import ParticleStore, lattice_positions
+from nanopair.potential import LennardJones, compute_forces
 
 
 LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4), clustered_layout(8)]
@@ -530,6 +532,42 @@ class TestListsAgainstAllPairs:
                 assert set(local_pairs) == {(i, j) for i in range(n_local) for j in want[i] if i < j < n_local}
 
 
+def numpy_runs(grid):
+    """The run table as `CellGrid.runs` built it before the table was cached:
+    numpy over the stencil's cell ids."""
+    k = grid.shell
+    plane = [(dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1)]
+    steps = np.array([(dx, dy, -k) for dx, dy in plane], dtype=np.int64)
+    table = np.column_stack([grid.cell_id(steps), np.full(len(steps), 2 * k + 1, dtype=np.int64)])
+    if not grid.half:
+        return table
+    upper = np.array([(dx, dy) > (0, 0) for dx, dy in plane])
+    own = np.array([[grid.cell_id(np.zeros(3, dtype=np.int64)), k + 1]], dtype=np.int64)
+    return np.vstack([own, table[upper], table + [grid.n_cells, 0]])
+
+
+class TestStencilRuns:
+    @pytest.mark.parametrize("half", [False, True])
+    @pytest.mark.parametrize("shell", SHELLS)
+    @pytest.mark.parametrize("box_len", [3.0, 7.5, 11.2])
+    def test_cached_table_equals_numpy_table(self, box_len, shell, half, monkeypatch):
+        force_shell(monkeypatch, shell)
+        pos = np.random.default_rng(4).uniform(0, box_len, size=(40, 3))
+        grid = build_cell_grid(make_store(pos), AABB((0.0,) * 3, (box_len,) * 3), 2.8, half=half)
+        runs = grid.runs()
+        assert runs.dtype == np.int64 and runs.flags.c_contiguous
+        np.testing.assert_array_equal(runs, numpy_runs(grid))
+
+    def test_one_read_only_table_per_shell_dims_and_kind(self):
+        store = make_store(np.random.default_rng(5).uniform(0, 8, size=(30, 3)))
+        box = AABB((0.0,) * 3, (8.0,) * 3)
+        full, again, half = (build_cell_grid(store, box, 2.8, half=h) for h in (False, False, True))
+        assert full.runs() is again.runs()
+        assert half.runs() is not full.runs()
+        with pytest.raises(ValueError, match="read-only"):
+            full.runs()[0, 0] = 1
+
+
 class TestDisplacement:
     def test_zero_after_build(self):
         store = make_store(np.random.default_rng(0).uniform(0, 8, size=(50, 3)))
@@ -559,6 +597,23 @@ class TestDisplacement:
             step *= s / np.linalg.norm(step, axis=1)[:, None]
             store.positions.write_rows(0, store.local_positions() + step)
         assert max_displacement_since_rebuild(store, lists) <= k * s + 1e-12
+
+    def test_inner_list_covers_ghosts(self):
+        # an inner list's reference holds every row: a ghost's move counts
+        pos = np.random.default_rng(6).uniform(1, 7, size=(40, 3))
+        store = make_store(pos, n_ghost=10)
+        inner = InnerLists(0.1)
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8), 2.8, False, inner)
+        compute_forces(store, lists, LennardJones())
+        assert inner.lists.ref_positions.shape == (3, 40)
+        p = store.positions.read_rows(35, 1)
+        p[0, 1] -= 0.25
+        store.positions.write_rows(35, p)
+        assert max_displacement_since_rebuild(store, lists) == 0.0
+        assert max_displacement_since_rebuild(store, inner.lists) == 0.25
+        store.append_ghosts([[4.0, 4.0, 4.0]], peer=0)
+        with pytest.raises(ProtocolError, match="^store has 41 particles but lists were pruned for 40$"):
+            max_displacement_since_rebuild(store, inner.lists)
 
     @pytest.mark.parametrize("n_before", [0, 5])
     def test_stale_lists_rejected(self, n_before):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from nanopair import kernel
 from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError, SingularityError
-from nanopair.layout import row_major_layout
-from nanopair.neighbor import build_cell_grid, build_neighbor_lists
+from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
+from nanopair.neighbor import InnerLists, build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
 from nanopair.particles import ParticleStore
 from nanopair.potential import (
     LennardJones,
@@ -777,6 +777,141 @@ class TestKernelOracle:
         got_energy = compute_forces(store, lists, law, accumulate_energy=True)
         np.testing.assert_array_equal(local_forces(store), want)
         assert got_energy == want_energy
+
+
+# the laws of the inner-list tests, with the reach of their Verlet lists
+INNER_LAWS = [
+    (LennardJones(1.0, 1.0, 2.5), 2.8),
+    (SpringDashpot(stiffness=100.0, damping=0.0, diameter=1.0), 1.3),
+    (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 1.3),
+]
+INNER_LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4)]
+# a third of the 0.3 buffer, as the driver takes it
+INNER_DELTA = 0.1
+
+
+def jittered_in(layout, seed, r):
+    """jittered_store(seed, r) copied into a store of `layout`."""
+    src, box = jittered_store(seed, r)
+    store = ParticleStore(layout, src.n_total)
+    store.append_locals(src.local_positions(), src.local_velocities())
+    store.append_ghosts(src.positions.read_rows(src.n_local, src.n_ghost), peer=0)
+    return store, box
+
+
+def forces_and_energy(store, lists, law):
+    energy = compute_forces(store, lists, law, accumulate_energy=True)
+    return local_forces(store), energy
+
+
+class TestInnerLists:
+    """Forces from an inner list equal forces from the Verlet lists it was
+    pruned from, bit for bit, until a row moves its trigger (delta / 2 less
+    the rounding margin)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(range(len(INNER_LAWS))),
+        layout=st.sampled_from(range(len(INNER_LAYOUTS))),
+        half=st.booleans(),
+        seed=st.integers(0, 2**31),
+        reach=st.floats(0.5, 1.0),
+    )
+    def test_forces_equal_after_moves_below_trigger(self, case, layout, half, seed, reach):
+        law, r = INNER_LAWS[case]
+        store, box = jittered_in(INNER_LAYOUTS[layout], seed % 1000, r)
+        grid = build_cell_grid(store, box, r, half=half)
+        inner = InnerLists(INNER_DELTA)
+        lists = build_neighbor_lists(store, grid, r, half, inner)
+        plain = replace(lists, inner=None)
+        want = forces_and_energy(store, plain, law)
+        # the pruning call gives the Verlet lists' bits, and keeps fewer entries
+        got = forces_and_energy(store, lists, law)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert 0 < inner.lists.partners.size < lists.partners.size
+        assert 0.5 * INNER_DELTA - 1e-11 < inner.trigger < 0.5 * INNER_DELTA
+        # every row, ghosts included, moves in a random direction by `reach`
+        # of the way to the trigger, just below it at reach = 1
+        rng = np.random.default_rng(seed)
+        move = rng.normal(size=(store.n_total, 3))
+        move *= reach * (1.0 - 1e-9) * inner.trigger / np.linalg.norm(move, axis=1)[:, None]
+        store.positions.write_rows(0, store.positions.read_rows(0, store.n_total) + move)
+        assert max_displacement_since_rebuild(store, inner.lists) < inner.trigger
+        want = forces_and_energy(store, plain, law)
+        got = forces_and_energy(store, inner.lists, law)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+    @pytest.mark.parametrize("half", [False, True])
+    def test_head_on_pair_at_the_reach_stays_out(self, half):
+        # the closest approach the trigger allows: a pair the prune measured
+        # just beyond r_c + delta, whose rows then move straight toward each
+        # other by just below the trigger; it stays beyond r_c, so it adds
+        # nothing, from the inner list (which dropped it) or the Verlet lists
+        law = LennardJones(1.0, 1.0, 2.5)
+        gap = 2.5 + INNER_DELTA
+        while True:
+            # rows 0 and 1 are `gap` apart; row 2 is 1 from row 0 and 3.6 from row 1
+            store = ParticleStore(row_major_layout(), 3)
+            store.append_locals(np.array([[3.0, 4.0, 4.0], [3.0 + gap, 4.0, 4.0], [2.0, 4.0, 4.0]]), np.zeros((3, 3)))
+            inner = InnerLists(INNER_DELTA)
+            grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8, half)
+            lists = build_neighbor_lists(store, grid, 2.8, half, inner)
+            compute_forces(store, lists, law)
+            if 1 not in row(inner.lists, 0) and 0 not in row(inner.lists, 1):
+                break
+            gap = np.nextafter(gap, np.inf)
+        assert 1 in row(lists, 0) or 0 in row(lists, 1)
+        assert gap - (2.5 + INNER_DELTA) < 1e-14
+        step = inner.trigger
+        while True:
+            pos = store.positions.read_rows(0, 3)
+            pos[0, 0] += step
+            pos[1, 0] -= step
+            moved = store.positions.read_rows(0, 3)
+            store.positions.write_rows(0, pos)
+            if max_displacement_since_rebuild(store, inner.lists) < inner.trigger:
+                break
+            store.positions.write_rows(0, moved)
+            step = np.nextafter(step, 0.0)
+        want = forces_and_energy(store, replace(lists, inner=None), law)
+        got = forces_and_energy(store, inner.lists, law)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        # the pair adds nothing: row 1 has no other partner
+        assert want[0][1].tolist() == [0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("law,r", INNER_LAWS[:2], ids=["lj", "sd"])
+    def test_failed_prune_keeps_no_inner_list(self, law, r):
+        # a faulty Verlet entry raises at the prune, which then holds no rows
+        store, box = jittered_in(row_major_layout(), 1, r)
+        inner = InnerLists(INNER_DELTA)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r, half=True), r, True, inner)
+        compute_forces(store, lists, law)
+        assert inner.lists is not None
+        inner.drop()
+        row(lists, 7)[0] = store.n_total
+        with pytest.raises(ProtocolError, match=f"list row 7 names particle {store.n_total} of {store.n_total}"):
+            compute_forces(store, lists, law)
+        assert inner.lists is None
+
+    def test_buffers_grow_only(self):
+        law, r = INNER_LAWS[0]
+        inner = InnerLists(INNER_DELTA)
+        sizes = []
+        for seed in (1, 2, 3):
+            store, box = jittered_in(row_major_layout(), seed, r)
+            lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, False, inner)
+            compute_forces(store, lists, law)
+            sizes.append(tuple(buf.size for buf in inner._buffers))
+            addresses = inner._addresses
+            assert inner.buffers(lists) is addresses
+        assert sizes[0] <= sizes[1] <= sizes[2]
+
+    def test_negative_delta_rejected(self):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            InnerLists(-0.1)
 
 
 def test_optimisation_level_keeps_bits(monkeypatch):
