@@ -179,26 +179,29 @@ class MailboxTransport:
 class RankDomain:
     """Per-rank ownership region and ghost-layer width.
 
-    `ownership` holds one box, the rank's slab between the current cuts,
-    which `balance_slabs` sets at every epoch; the compiled passes of the
-    epoch read the faces of the pattern's entries from it.
+    `ownership` holds exactly one box, the rank's slab between the current
+    cuts, which `balance_slabs` sets at every epoch; the compiled passes of
+    the epoch read the faces of the pattern's entries from it, and the
+    ownership check after exchange tests it alone. ValueError when it is set
+    to any other number of boxes.
     """
 
     rank: int
     ownership: list[AABB]
     spacing: float
 
+    def __setattr__(self, name, value) -> None:
+        if name == "ownership" and len(value) != 1:
+            raise ValueError(f"a rank owns exactly one box, got {len(value)}")
+        super().__setattr__(name, value)
+
     def owns(self, points: np.ndarray) -> np.ndarray:
-        points = np.atleast_2d(points)
-        mask = np.zeros(points.shape[0], dtype=bool)
-        for box in self.ownership:
-            mask |= box.contains(points)
-        return mask
+        return self.ownership[0].contains(points)
 
     def packed(self) -> np.ndarray:
-        """The ownership boxes as an (n, 6) array, lo x, y, z then hi x, y, z
-        per box, as the compiled passes read them."""
-        return np.array([box.min + box.max for box in self.ownership])
+        """The slab as six doubles, lo x, y, z then hi x, y, z, as the compiled passes read it."""
+        slab = self.ownership[0]
+        return np.array(slab.min + slab.max, dtype=np.float64)
 
     def grid_box_for(self, store: ParticleStore) -> AABB:
         """Bounding box of the store's particles, or the slab when it is empty.
@@ -585,8 +588,8 @@ def exchange(world: RankWorld, store: ParticleStore):
     """
     store.clear_ghosts()
     me = world.rank
-    boxes = world.domain.packed()
-    slab = kernel.address(boxes, np.float64, (len(boxes), 6))
+    faces = world.domain.packed()
+    slab = kernel.address(faces, np.float64, (6,))
     for rnd in world.pattern.passes:
         rnd.run(store, slab, exchange=True)
         rows, a = rnd.work.out.reshape(-1, 6), 0
@@ -600,7 +603,7 @@ def exchange(world: RankWorld, store: ParticleStore):
             data = _receive(world, peer, WIRE_EXCHANGE)
             store.append_locals(data[:, :3], data[:, 3:])
     h = store.positions
-    i = kernel.library().first_outside(h.map_address, h.address, store.n_local, len(boxes), slab)
+    i = kernel.library().first_outside(h.map_address, h.address, store.n_local, slab)
     if i >= 0:
         raise ProtocolError(
             f"rank {me}: after exchange, local particle at "
@@ -677,8 +680,8 @@ def define_borders(world: RankWorld, store: ParticleStore):
     if store.n_ghost:
         raise ProtocolError(f"rank {me}: define_borders must start with an empty ghost region")
     plan_rounds: list[_PlanRound] = []
-    boxes = world.domain.packed()
-    slab = kernel.address(boxes, np.float64, (len(boxes), 6))
+    faces = world.domain.packed()
+    slab = kernel.address(faces, np.float64, (6,))
     for rnd in world.pattern.passes:
         n, w = rnd.run(store, slab, exchange=False), rnd.work
         rows, sends, a = w.out.reshape(-1, 3), [], 0

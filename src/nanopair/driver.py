@@ -7,22 +7,18 @@ for trajectory dumps. Step order:
 
 1. half-kick + drift;
 2. on every reneigh_interval-th step, a full epoch: balance, exchange,
-   borders, then the cell grid and the Verlet lists are rebuilt, and the
-   inner list is dropped;
+   borders, then the cell grid and the Verlet lists are rebuilt;
 3. on any other step, the ranks all-gather their largest displacement since
    the last rebuild. If the largest of all reaches half the Verlet buffer,
    every rank starts a full epoch at this step; otherwise the ghosts are
-   refreshed and the lists stay. Then the rank reads the largest move of
-   any of its rows, locals and ghosts, since its last prune; from the
-   inner list's trigger on (just below delta / 2) it drops the inner list;
-4. forces: from the inner list while the rank holds one, else from the
-   Verlet lists, which prunes them into a new inner list (every entry
-   within r_c + delta, see nanopair.neighbor.InnerLists); then the closing
-   half-kick.
+   refreshed and the lists stay;
+4. forces from the Verlet lists (`compute_forces`, which runs their inner
+   list while it serves and otherwise prunes them into it, see
+   nanopair.potential.compute_forces); then the closing half-kick.
 
 Each rank prunes on its own, without a message: the inner list only skips
 entries that the kernel would skip, so the forces are those of the Verlet
-lists, bit for bit. delta is a third of the Verlet buffer (`_INNER_SHARE`).
+lists, bit for bit. New lists hold no inner rows, so an epoch's step prunes.
 
 Each rank's `PhaseTimers` count only the time its own program runs: the
 clock of a communication phase stops at every barrier (see `_timed`), while
@@ -48,18 +44,11 @@ from .comm import (
 )
 from .core import SimConfig
 from .errors import GuardViolation
-from .neighbor import InnerLists, build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
+from .neighbor import build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
 from .particles import ParticleStore
 from .potential import compute_forces, law_from_config
 
 __all__ = ["PhaseTimers", "SimState", "RankReport", "initial_integrate", "final_integrate", "rank_program"]
-
-# the inner list's reach past the cutoff (delta), as a share of the Verlet
-# buffer. On the three benchmark workloads a third kept 0.48-0.72 of the
-# entries and pruned every 4.5-10 steps per rank; a quarter ran as fast within
-# the measurement's spread but pruned half again as often, and a half kept
-# 0.65-0.83 and ran slower (ROADMAP, State)
-_INNER_SHARE = 1 / 3
 
 
 @dataclass
@@ -91,14 +80,13 @@ class SimState:
 
     step: int
     store: ParticleStore
-    inner: InnerLists
-    lists: object = None  # the Verlet lists, which carry `inner`
+    lists: object = None  # the Verlet lists, which hold their inner list
     plan: object = None
     timers: PhaseTimers = field(default_factory=PhaseTimers)
     steps_since_rebuild: int = 0
     max_displacement_seen: float = 0.0
     rebuilds: int = 0  # list rebuilds in the step loop, scheduled or triggered
-    prunes: int = 0  # force calls in the step loop that ran from the Verlet lists
+    prunes: int = 0  # force calls in the step loop that ran the Verlet rows (and pruned them)
 
 
 @dataclass
@@ -111,7 +99,7 @@ class RankReport:
     max_displacement_seen: float
     steps: int
     rebuilds: int  # list rebuilds in steps 1..steps, scheduled or triggered
-    prunes: int  # steps 1..steps whose forces ran from the Verlet lists (and pruned them)
+    prunes: int  # steps 1..steps whose forces ran the Verlet rows (and pruned them)
 
 
 def initial_integrate(store: ParticleStore, dt: float, mass: float) -> None:
@@ -171,8 +159,7 @@ def _reneighbor(state: SimState, world: RankWorld, cfg: SimConfig):
         r = cfg.interaction_radius()
         grid_box = world.domain.grid_box_for(store)
         grid = build_cell_grid(store, grid_box, r, cfg.half_neighbor)
-        state.lists = build_neighbor_lists(store, grid, r, cfg.half_neighbor, state.inner)
-        state.inner.drop()
+        state.lists = build_neighbor_lists(store, grid, r, cfg.half_neighbor)
     state.steps_since_rebuild = 0
 
 
@@ -201,19 +188,6 @@ def _lists_outlived(state: SimState, world: RankWorld, cfg: SimConfig):
     return True
 
 
-def _force_lists(state: SimState):
-    """The lists the step's forces run from: the inner list while no row has
-    moved its trigger since the prune, else the Verlet lists, which prune."""
-    inner = state.inner
-    if inner.lists is not None:
-        with state.timers.track("other"):
-            moved = max_displacement_since_rebuild(state.store, inner.lists)
-        if moved < inner.trigger:
-            return inner.lists
-        inner.drop()
-    return state.lists
-
-
 def rank_program(
     cfg: SimConfig,
     world: RankWorld,
@@ -231,7 +205,7 @@ def rank_program(
     it (see nanopair.backend).
     """
     law = law_from_config(cfg)
-    state = SimState(step=0, store=store, inner=InnerLists(_INNER_SHARE * cfg.verlet_buffer))
+    state = SimState(step=0, store=store)
     p0 = _momentum(store, cfg.mass)
 
     yield from _reneighbor(state, world, cfg)
@@ -249,10 +223,10 @@ def rank_program(
         else:
             yield from _timed(state.timers, "comm", synchronize(world, store, state.plan))
             state.steps_since_rebuild += 1
-        lists = _force_lists(state)
-        state.prunes += lists is state.lists
+        pruned = state.lists.inner.prunes
         with state.timers.track("force"):
-            compute_forces(store, lists, law)
+            compute_forces(store, state.lists, law)
+        state.prunes += state.lists.inner.prunes - pruned
         with state.timers.track("other"):
             final_integrate(store, cfg.dt, cfg.mass)
         yield ("step", step)

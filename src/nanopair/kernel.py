@@ -16,18 +16,18 @@ list's rows, half-list reactions included; when pruning, it also writes
 the rows' entries within r_c + delta as an inner list, and the positions
 as its reference), the per-step particle loops
 `kick_drift` and `kick` (the integrators), `max_displacement` (the
-displacement checks of the Verlet lists, over the locals, and of the inner
-list, over every row), and the epoch's particle loops `exchange_round` and
-`border_round` (one stencil round of exchange or of border definition: the
-face tests of the round's pattern entries, exchange's in-place move of its
-departures, and the emitted rows of every peer), `append_rows` (the rows
-that `ParticleStore.append_locals` and `append_ghosts` add),
-`first_outside` (the ownership check after exchange), `load_histogram`
-(the load balance), `bounding_box` (the cell grid's box) and
-`compact_rows` (the compaction of the locals). A C compiler is therefore a
-run-time requirement of this package. The driver, comm.py, neighbor.py,
-particles.py and potential.py all call into it, which is why the loader
-lives in its own module.
+displacement checks of the Verlet lists, over the locals, and of their
+inner list, over every row, before a force call), and the epoch's particle
+loops `exchange_round` and `border_round` (one stencil round of exchange or
+of border definition: the face tests of the round's pattern entries,
+exchange's in-place move of its departures, and the emitted rows of every
+peer), `append_rows` (the rows that `ParticleStore.append_locals` and
+`append_ghosts` add), `first_outside` (the ownership check after
+exchange), `load_histogram` (the load balance), `bounding_box` (the cell
+grid's box) and `compact_rows` (the compaction of the locals). A C
+compiler is therefore a run-time requirement of this package. The driver,
+comm.py, neighbor.py, particles.py and potential.py all call into it,
+which is why the loader lives in its own module.
 
 Every loop that reads or writes a particle array works in place on the
 buffer of its `ArrayHandle`, through the layout's index map (see
@@ -42,13 +42,13 @@ times the cost, and taking the pointer itself costs about 2 us. So the
 addresses of what lives across steps are taken once: an `ArrayHandle`'s
 buffer and index map when the handle is built, a law's parameters when the
 law first runs, a neighbor list's partners, row starts and reference
-positions when the lists are made (an inner list's buffers when they
-grow), a pattern's per-round entry arrays
-(axes, shifts, peer groups) and its round passes' work arrays when the
-pattern is built, once per run (and when a work array grows), and a border
-plan's gather index, shifts and refresh rows when the plan is made. The
-faces are not among them: a round pass reads them from the rank's slab,
-which the phase packs as it starts, so a cut move changes no address.
+positions when the lists are made, and their inner list's buffers at its
+first prune, a pattern's per-round entry arrays (axes, shifts, peer
+groups) and its round passes' work arrays when the pattern is built, once
+per run (and when a work array grows), and a border plan's gather index,
+shifts and refresh rows when the plan is made. The faces are not among
+them: a round pass reads them from the rank's slab, which the phase packs
+as it starts, so a cut move changes no address.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def library() -> ctypes.CDLL:
     dll.border_round.restype = i64
     dll.append_rows.argtypes = [idx, f64, f64, f64, i64, i64, f64, i64, f64, i64]  # map, x, v, f, start, k, pos, step, vel, step
     dll.append_rows.restype = None
-    dll.first_outside.argtypes = [idx, f64, i64, i64, f64]  # map, x, n, n_boxes, boxes
+    dll.first_outside.argtypes = [idx, f64, i64, f64]  # map, x, n, slab
     dll.first_outside.restype = i64
     dll.bounding_box.argtypes = [idx, f64, i64, f64, f64]  # map, x, n, lo, hi
     dll.bounding_box.restype = None

@@ -31,13 +31,14 @@ force is sent back to the ghost's owner. Full lists read one range over the
 whole stencil, and a grid binned for one kind cannot serve the other.
 
 The Verlet lists reach r = r_c + buffer, so that they serve until a
-particle moves half the buffer. Between those rebuilds a rank holds an
-inner list (`InnerLists`, after the dual pair list of Páll et al., J. Chem.
-Phys. 153, 134110, 2020): the entries that lay within r_c + delta, delta a
-third of the buffer, when the force kernel last ran the Verlet lists and
-pruned them. Forces run from it until any of the rank's rows, locals or
-ghosts, moves just below delta / 2, and give the Verlet lists' bits. On the
-LJ workloads it holds about 72 % of the entries.
+particle moves half the buffer. Each holds its own inner list (`InnerLists`,
+after the dual pair list of Páll et al., J. Chem. Phys. 153, 134110, 2020):
+the entries that lay within r_c + delta when a force call last ran the
+Verlet rows and pruned them. The force call decides alone whether those
+rows still serve or the Verlet rows run again (see
+nanopair.potential.compute_forces); both give the same bits. New lists
+hold no inner rows, so their first force call prunes. On the LJ workloads
+the inner rows hold about 72 % of the entries.
 """
 
 from __future__ import annotations
@@ -73,19 +74,6 @@ _DENSE = 8.0
 # fills it row by row, so memory stays bounded however many candidates the
 # rank has; a 6912-atom LJ rank has 1.9M at edge r/2 (7.5 MB as int32)
 _LIST_BUFFER = 1 << 18
-
-# the margin of an inner list's trigger below delta / 2, as a share of its
-# reach r_c + delta (see InnerLists). The kernel's rsq and the measured moves
-# are differences of stored doubles, squared and summed: each lies within a
-# few units of 2^-53 of its exact value, relative to itself. So an entry the
-# prune measured at r_c + delta, whose two rows then move toward each other
-# by measured moves just below delta / 2, could come out a few 1e-16 (r_c +
-# delta) inside r_c, and change the force. A margin of about 4e-16 (r_c +
-# delta) rules that out; 1e-12 is thousands of times that, and far below a
-# move that matters: 2.6e-12 at r_c + delta = 2.6, where LJ rows move at most
-# about 0.005 per step
-_ROUNDING = 1e-12
-
 
 @dataclass
 class CellGrid:
@@ -262,39 +250,39 @@ class NeighborLists:
 
     A CSR list, like the cell list: row i, the partners of local i in build
     order, is partners[start[i]:start[i + 1]], and the rows lie back to back.
-    Entries may lie beyond the force cutoff, inside the Verlet buffer. Half
-    lists hold each local pair once, on the row of the local in the lower
-    cell id (see `build_neighbor_lists`), so a row may name local partners
-    of lower index; a pair with a ghost always
-    lives on the local's row. The lists belong to a store with n_local
-    locals and n_total particles; any other count means the store changed
-    since the build.
+    Entries may lie beyond the force cutoff, inside the Verlet buffer, up to
+    `reach`. Half lists hold each local pair once, on the row of the local
+    in the lower cell id (see `build_neighbor_lists`), so a row may name
+    local partners of lower index; a pair with a ghost always lives on the
+    local's row. The lists belong to a store with n_local locals and n_total
+    particles; any other count means the store changed since the build.
+    `ref_positions` are the locals' positions at the build, whose moves
+    bound the rebuild (see `max_displacement_since_rebuild`).
 
-    The reference positions are those the rows were measured at: of the
-    n_local locals for Verlet lists (from `build_neighbor_lists`), whose
-    moves bound the rebuild; of all n_total rows for an inner list (see
-    `InnerLists`), whose exactness needs the ghosts' moves too. Verlet lists
-    may carry the rank's `InnerLists` (`inner`): a force call on them then
-    also prunes them into it (see nanopair.potential.compute_forces).
+    Each lists object owns its inner list (`inner`, see `InnerLists`), made
+    empty with the lists (also by `dataclasses.replace`). A force call runs
+    either the held inner rows or these rows, pruning them into `inner`
+    (see nanopair.potential.compute_forces). So rows edited in place are
+    not seen while the inner list holds rows, only from the next prune on.
 
     The compiled loops take partners, start and the reference positions by
     address: each is checked and its address taken once, when the lists are
-    made (also by `dataclasses.replace`). TypeError (`kernel.address`) on an
-    array of the wrong dtype, shape or memory layout, ProtocolError on
-    starts of another shape than (n_local + 1,). Whether the starts split
-    the partners into the rows is the compiled loop's check, since they may
-    be edited in place.
+    made. TypeError (`kernel.address`) on an array of the wrong dtype, shape
+    or memory layout, ProtocolError on starts of another shape than
+    (n_local + 1,). Whether the starts split the partners into the rows is
+    the compiled loop's check, since they may be edited in place.
     """
 
     half: bool
     partners: np.ndarray  # (n_entries,) int32 partner indices, row by row
     start: np.ndarray  # (n_local + 1,) int64 offsets of each row's partners
-    ref_positions: np.ndarray  # (3, n_local), or (3, n_total) for an inner list: coordinate-major positions
+    ref_positions: np.ndarray  # (3, n_local) coordinate-major positions of the locals at the build
     n_local: int
     n_total: int  # locals plus ghosts at build time
+    reach: float  # the radius the rows were built for, r_c plus the Verlet buffer
     args: tuple = field(init=False, repr=False, compare=False)  # pair_forces' (partners, n_entries, start)
     ref_positions_address: int = field(init=False, repr=False, compare=False)
-    inner: InnerLists | None = field(default=None, repr=False, compare=False)  # pruned into by a force call
+    inner: InnerLists = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if np.shape(self.start) != (self.n_local + 1,):
@@ -302,9 +290,9 @@ class NeighborLists:
         n = np.size(self.partners)
         args = (kernel.address(self.partners, np.int32, (n,)), n, kernel.address(self.start, np.int64))
         object.__setattr__(self, "args", args)
-        rows = self.n_total if np.shape(self.ref_positions)[1:] == (self.n_total,) else self.n_local
-        ref = kernel.address(self.ref_positions, np.float64, (3, rows))
+        ref = kernel.address(self.ref_positions, np.float64, (3, self.n_local))
         object.__setattr__(self, "ref_positions_address", ref)
+        object.__setattr__(self, "inner", InnerLists(n, self.n_local, self.n_total))
 
     @property
     def counts(self) -> np.ndarray:
@@ -333,68 +321,57 @@ class NeighborLists:
 
 
 class InnerLists:
-    """A rank's inner pair list: the entries of its Verlet lists that lay
-    within r_c + `delta` at the last prune.
+    """The inner list of one NeighborLists: the entries of its rows that lay
+    within r_c + delta at the last prune, as CSR rows in the same buffers
+    from prune to prune.
 
-    Verlet lists that carry this object (`NeighborLists.inner`) prune into
-    it whenever forces run from them (nanopair.potential.compute_forces):
-    the force kernel writes the entries with rsq < (r_c + delta)^2, in row
-    order, into buffers held here, and copies the positions of all n_total
-    rows, locals and ghosts, as the reference. `lists` then holds those rows
-    as NeighborLists over the buffers, and `trigger` the move that ends
-    them. While no row has moved `trigger` from its reference, forces from
-    `lists` equal forces from the Verlet lists bit for bit: an entry left
-    out lay at least r_c + delta apart and each of its rows moved less than
-    delta / 2, so it still lies beyond r_c, where the kernel skips it; the
-    kept entries are an in-order subsequence of each row, so every sum,
-    reactions and energies included, adds the same terms in the same order.
-    `trigger` is delta / 2 less a rounding margin (see `_ROUNDING`).
+    A prune (a force call that runs the Verlet rows, see
+    nanopair.potential.compute_forces) writes the entries with rsq < (r_c +
+    delta)^2, in row order, into `partners` and `start`, and the positions
+    of all n_total rows, locals and ghosts, into `ref_positions`; `hold`
+    then marks the rows held. While they are (`held`) and no row has moved
+    `trigger` from its reference, forces from them equal forces from the
+    Verlet rows bit for bit: an entry left out lay at least r_c + delta
+    apart and each of its rows moved less than delta / 2, so it still lies
+    beyond r_c, where the kernel skips it; the kept entries are an in-order
+    subsequence of each row, so every sum, reactions and energies included,
+    adds the same terms in the same order. Only a force call that returns
+    leaves rows held.
 
-    The buffers only grow (by an eighth more than a prune needs), and their
-    addresses are taken when they do, so a rank's prunes reuse them. A prune
-    rewrites them: the rows of `lists` hold until the next prune, or until
-    `drop`.
+    The buffers fit the largest prune of their lists, so they are made and
+    their addresses (`targets`) taken once, at the first prune. Not with the
+    lists: an epoch builds its new lists while the old ones and their
+    buffers still live, so buffers made then would add a second set to the
+    peak memory; made at the first prune, after the old lists are freed,
+    they reuse that memory. The object holds no reference to its lists, so
+    dropping the lists frees both without the cyclic garbage collector.
     """
 
-    def __init__(self, delta: float):
-        if not delta >= 0.0:
-            raise ValueError(f"the inner list's reach past the cutoff must be non-negative, got {delta}")
-        self.delta = delta
-        self.lists: NeighborLists | None = None
-        self.trigger = 0.0
-        # partners, row starts and reference positions, and their addresses
-        self._buffers = (np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int64), np.empty(0))
-        self._addresses = (0, 0, 0)
+    def __init__(self, n_entries: int, n_local: int, n_total: int):
+        self.sizes = (n_entries, n_local, n_total)
+        self.partners = self.start = self.ref_positions = None  # the buffers, from the first prune on
+        self.targets = ()  # their addresses: partners, row starts and reference positions
+        self.args = ()  # pair_forces' (partners, n_entries, start) of the held rows
+        self.held = False
+        self.trigger = 0.0  # the move of any row that ends the held rows
+        self.prunes = 0  # force calls that pruned
 
-    def drop(self) -> None:
-        """Forget the pruned rows: the next force call on the Verlet lists prunes anew."""
-        self.lists = None
+    def prune_targets(self) -> tuple[int, int, int]:
+        """The addresses a prune writes to, the buffers made on the first call."""
+        if not self.targets:
+            n_entries, n_local, n_total = self.sizes
+            self.partners = np.empty(n_entries, dtype=np.int32)
+            self.start = np.empty(n_local + 1, dtype=np.int64)
+            self.ref_positions = np.empty((3, n_total))
+            self.targets = tuple(kernel.address(a, a.dtype) for a in (self.partners, self.start, self.ref_positions))
+        return self.targets
 
-    def buffers(self, outer: NeighborLists) -> tuple[int, int, int]:
-        """Addresses of the partners, row starts and reference positions that
-        a prune of `outer` writes, each buffer grown to fit it."""
-        needs = (outer.partners.size, outer.n_local + 1, 3 * outer.n_total)
-        if any(buf.size < need for buf, need in zip(self._buffers, needs)):
-            self._buffers = tuple(
-                buf if buf.size >= need else np.empty(need + need // 8, dtype=buf.dtype)
-                for buf, need in zip(self._buffers, needs)
-            )
-            self._addresses = tuple(kernel.address(buf, buf.dtype) for buf in self._buffers)
-        return self._addresses
-
-    def take(self, outer: NeighborLists, reach: float) -> None:
-        """Hold the rows that a prune of `outer` at `reach` (r_c + delta) just wrote."""
-        partners, start, ref = self._buffers
-        n_local, n_total = outer.n_local, outer.n_total
-        self.lists = NeighborLists(
-            half=outer.half,
-            partners=partners[: start[n_local]],
-            start=start[: n_local + 1],
-            ref_positions=ref[: 3 * n_total].reshape(3, n_total),
-            n_local=n_local,
-            n_total=n_total,
-        )
-        self.trigger = 0.5 * self.delta - _ROUNDING * reach
+    def hold(self, trigger: float) -> None:
+        """Hold the rows a prune just wrote, until a row moves `trigger`."""
+        self.args = (self.targets[0], int(self.start[-1]), self.targets[1])
+        self.trigger = trigger
+        self.prunes += 1
+        self.held = True
 
 
 def build_neighbor_lists(
@@ -402,12 +379,8 @@ def build_neighbor_lists(
     grid: CellGrid,
     r: float,
     half: bool,
-    inner: InnerLists | None = None,
 ) -> NeighborLists:
     """Collect, for each local particle, every other particle within r.
-
-    The lists carry `inner`, the rank's inner list, which a force call on
-    them prunes them into (see `InnerLists`).
 
     Half mode keeps one copy per local pair, found once: from the local in
     the lower cell id or, when both share a cell, from the lower index. Pairs with a ghost partner always live on the
@@ -506,29 +479,23 @@ def build_neighbor_lists(
         ref_positions=ref_positions,
         n_local=n_local,
         n_total=store.n_total,
-        inner=inner,
+        reach=r,
     )
 
 
 def max_displacement_since_rebuild(store: ParticleStore, lists: NeighborLists) -> float:
-    """Largest move since the lists were built, or pruned, of the rows their
-    reference positions cover: the locals of Verlet lists, every row of an
-    inner list.
+    """Largest move of the locals since the lists were built.
 
     One compiled loop (`max_displacement`) reads the positions in place
     through the layout's index map and sums the squared moves x, y, z in
     that order; NaN when a move is NaN. ProtocolError when the store's local
-    count differs from the lists', also for lists built without locals, and
-    for an inner list when its particle count does.
+    count differs from the lists', also for lists built without locals.
     """
     if store.n_local != lists.n_local:
         raise ProtocolError(
             f"store has {store.n_local} locals but lists were built for {lists.n_local}"
         )
-    rows = lists.ref_positions.shape[1]
-    if rows != lists.n_local and store.n_total != lists.n_total:
-        raise ProtocolError(f"store has {store.n_total} particles but lists were pruned for {lists.n_total}")
     if lists.n_local == 0:
         return 0.0
     h = store.positions
-    return kernel.library().max_displacement(h.map_address, h.address, lists.ref_positions_address, rows)
+    return kernel.library().max_displacement(h.map_address, h.address, lists.ref_positions_address, lists.n_local)

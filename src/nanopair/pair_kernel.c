@@ -15,8 +15,9 @@
  * reactions and, when asked, prune the rows into an inner list (the entries
  * within r_c + delta, nanopair.neighbor.InnerLists), and the per-step
  * particle loops: the two integrator kicks and the drift (nanopair.driver)
- * and the displacement check of the Verlet lists and of the inner list
- * (nanopair.neighbor.max_displacement_since_rebuild), and the epoch's
+ * and the displacement checks of the Verlet lists, over the locals
+ * (nanopair.neighbor.max_displacement_since_rebuild), and of their inner
+ * list, over every row (nanopair.potential.compute_forces), and the epoch's
  * particle loops: one pass per stencil round of exchange and of border
  * definition (the face tests of the round's pattern entries against the
  * faces of the rank's slab, exchange's in-place move of its departures,
@@ -877,22 +878,17 @@ void append_rows(const int64_t *map, double *x, double *v, double *f, int64_t st
     put_width(map, f, 3, NULL, start, k, zero, 0);
 }
 
-/* The first of rows [0, n) that lies in none of the n_boxes half-open boxes
- * (6 doubles each: lo x, y, z, then hi x, y, z), or -1. A NaN coordinate
- * lies in no box. */
-int64_t first_outside(const int64_t *map, const double *x, int64_t n,
-                      int64_t n_boxes, const double *boxes)
+/* The first of rows [0, n) that lies outside the half-open slab (6
+ * doubles: lo x, y, z, then hi x, y, z), or -1. A NaN coordinate lies
+ * outside. */
+int64_t first_outside(const int64_t *map, const double *x, int64_t n, const double *slab)
 {
     for (int64_t i = 0; i < n; ++i) {
         const double *row = x + row_at(map, i);
-        int inside = 0;
-        for (int64_t b = 0; b < n_boxes && !inside; ++b) {
-            const double *lo = boxes + 6 * b, *hi = lo + 3;
-            inside = 1;
-            for (int y = 0; y < 3; ++y) {
-                const double c = row[y * map[2]];
-                inside &= c >= lo[y] && c < hi[y];
-            }
+        int inside = 1;
+        for (int y = 0; y < 3; ++y) {
+            const double c = row[y * map[2]];
+            inside &= c >= slab[y] && c < slab[3 + y];
         }
         if (!inside)
             return i;

@@ -12,8 +12,9 @@ The Lennard-Jones loop gathers the in-cutoff partners of a block of row
 entries, evaluates the law on them two lanes at a time and sums in row
 order, so it computes the same bits as one scalar pass; the spring-dashpot
 loop, whose rows are short and mostly out of contact, stays scalar. Both
-loops can also prune the rows they run into an inner list (see
-`compute_forces` and nanopair.neighbor.InnerLists).
+loops can also prune the rows they run into the lists' inner list, which
+`compute_forces` runs instead of the Verlet rows until a row has moved too
+far (see nanopair.neighbor.InnerLists); the forces are the same bits.
 `nanopair.kernel` compiles pair_kernel.c once per process with the system C
 compiler, for these loops and for the neighbor build alike, so a C compiler
 is a run-time requirement of this package.
@@ -122,6 +123,29 @@ def law_from_config(cfg):
 # `pair_forces` status codes below -1 (see pair_kernel.c)
 _FAULT_STARTS, _FAULT_MEMORY, _FAULT_NON_FINITE = -2, -3, -4
 
+# the inner list's reach past the cutoff (delta), as a share of the Verlet
+# lists' reach past it (the Verlet buffer). On the three benchmark workloads
+# a third kept 0.48-0.72 of the entries and pruned every 4.5-10 steps per
+# rank; a quarter ran as fast within the measurement's spread but pruned half
+# again as often, and a half kept 0.65-0.83 and ran slower (ROADMAP, State).
+# No force depends on it
+_INNER_SHARE = 1 / 3
+
+# the margin of the inner list's trigger below delta / 2, as a share of its
+# reach r_c + delta. The kernel's rsq and the measured moves are differences
+# of stored doubles, squared and summed: each lies within a few units of
+# 2^-53 of its exact value, relative to itself. So an entry the prune
+# measured at r_c + delta, whose two rows then move toward each other by
+# measured moves just below delta / 2, could come out a few 1e-16 (r_c +
+# delta) inside r_c, and change the force. A margin of about 4e-16 (r_c +
+# delta) rules that out; 1e-12 is thousands of times that, and far below a
+# move that matters: 2.6e-12 at r_c + delta = 2.6, where LJ rows move at most
+# about 0.005 per step
+_ROUNDING = 1e-12
+
+# the prune arguments of a call that does not prune
+_NO_PRUNE = (0.0, None, None, None)
+
 
 def compute_forces(
     store: ParticleStore,
@@ -147,13 +171,18 @@ def compute_forces(
     once, not per call: the law's when it first runs, the lists' when they
     are made (see nanopair.kernel).
 
-    Lists that carry an `InnerLists` (`lists.inner`, see nanopair.neighbor)
-    are pruned by the same call: the kernel also writes every entry with
-    rsq < (r_c + delta)^2 to the inner list, in row order, and copies the
-    positions of all n_total rows as its reference, with r_c the law's
-    cutoff and delta the inner list's. Only a call that returns holds the
-    pruned rows (`InnerLists.lists`); the forces are those of a call
-    without the prune, bit for bit.
+    The call runs one of two sets of rows. While the lists' inner list
+    (`lists.inner`, see nanopair.neighbor.InnerLists) holds rows and no row,
+    local or ghost, has moved its trigger since the prune (one compiled
+    `max_displacement` pass over the n_total rows), it runs those. Otherwise
+    it runs the Verlet rows and prunes them: the kernel also writes every
+    entry with rsq < (r_c + delta)^2 to the inner list, in row order, and
+    copies the positions of all n_total rows as its reference. r_c is the
+    law's cutoff and delta `_INNER_SHARE` of the lists' reach past it; the
+    trigger is delta / 2 less a rounding margin (`_ROUNDING`), and lists
+    that reach no farther than r_c get a negative one, so every call on them
+    prunes. Either way the forces are those of the Verlet rows, bit for bit.
+    Only a call that returns leaves rows held.
 
     With accumulate_energy the total pair potential energy is returned;
     otherwise returns None. A half-list entry with a ghost partner carries
@@ -167,8 +196,9 @@ def compute_forces(
     ProtocolError on lists that do not belong to the store as it is, and on
     row starts that do not split the partners into the n_local rows (checked
     before any row is read); a faulty list entry is reported for the first
-    one in row-major order. After an error the local force rows are
-    incomplete.
+    one in row-major order, in the rows the call ran: an entry edited into
+    the Verlet rows raises at the next prune. After an error the local force
+    rows are incomplete and the inner list holds no rows.
     """
     n_local, n_total = store.n_local, store.n_total
     if (n_local, n_total) != (lists.n_local, lists.n_total):
@@ -179,37 +209,46 @@ def compute_forces(
     if n_local == 0:
         return 0.0 if accumulate_energy else None
     row_energy = np.empty(n_local) if accumulate_energy else None
-    inner = lists.inner
-    prune = (0.0, None, None, None)
-    if inner is not None:
-        reach = math.sqrt(law.cutoff_rsq) + inner.delta
-        prune = (reach * reach, *inner.buffers(lists))
-    pos = store.positions
-    status = kernel.library().pair_forces(
+    inner, pos, lib = lists.inner, store.positions, kernel.library()
+    reuse = inner.held and (
+        lib.max_displacement(pos.map_address, pos.address, inner.targets[2], n_total) < inner.trigger
+    )
+    inner.held = False  # until the call returns
+    if reuse:
+        rows, prune = inner, _NO_PRUNE
+    else:
+        cutoff = math.sqrt(law.cutoff_rsq)
+        delta = _INNER_SHARE * (lists.reach - cutoff)
+        reach = cutoff + delta
+        rows, prune = lists, (reach * reach, *inner.prune_targets())
+    status = lib.pair_forces(
         law.kernel_args[0], law.params_address, law.cutoff_rsq, law.needs_velocities,
         pos.map_address, pos.address, store.velocities.address, store.forces.address, n_total,
-        *lists.args, n_local, lists.half,
+        *rows.args, n_local, lists.half,
         None if row_energy is None else kernel.address(row_energy, np.float64),
         *prune,
     )
     if status != -1:
-        _raise_fault(status, lists, n_local, n_total)
-    if inner is not None:
-        inner.take(lists, reach)
+        _raise_fault(status, rows, n_local, n_total)
+    if reuse:
+        inner.held = True
+    else:
+        inner.hold(0.5 * delta - _ROUNDING * reach)
     return None if row_energy is None else float(row_energy.sum())
 
 
-def _raise_fault(status: int, lists: NeighborLists, n_local: int, n_total: int):
-    """The error of a `pair_forces` status other than -1."""
+def _raise_fault(status: int, rows, n_local: int, n_total: int):
+    """The error of a `pair_forces` status other than -1, from the rows the
+    call ran: the Verlet lists, or their inner list."""
     if status >= 0:
         # the entry's row: the last one starting at or before it, past any empty rows
-        i = int(np.searchsorted(lists.start, status, "right")) - 1
-        j = int(lists.partners[status])
+        i = int(np.searchsorted(rows.start, status, "right")) - 1
+        j = int(rows.partners[status])
         if 0 <= j < n_total:
             raise SingularityError(f"coincident pair: local {i} and neighbor {j}")
         raise ProtocolError(f"list row {i} names particle {j} of {n_total}")
     if status == _FAULT_STARTS:
-        raise ProtocolError(f"list starts do not split {lists.partners.size} entries into {n_local} rows")
+        raise ProtocolError(f"list starts do not split {rows.args[1]} entries into {n_local} rows")
     if status == _FAULT_MEMORY:
         raise MemoryError(f"no memory for the force loop's copies of {n_total} particles")
     raise SingularityError(f"non-finite force on local {_FAULT_NON_FINITE - status}")

@@ -331,6 +331,23 @@ class TestCountBalancedSlabs:
         assert transport.pending() == 0
 
 
+class TestOneOwnershipBox:
+    """A rank owns one box: the round passes and the ownership check read
+    only the first, so a second one would be tested by `owns` alone."""
+
+    @pytest.mark.parametrize("n_boxes", [0, 2])
+    def test_other_box_counts_rejected(self, n_boxes):
+        box = SD.domain()
+        slabs = [slab_bounds(box, (2, 1, 1), (r, 0, 0)) for r in range(n_boxes)]
+        with pytest.raises(ValueError, match=f"^a rank owns exactly one box, got {n_boxes}$"):
+            RankDomain(rank=0, ownership=slabs, spacing=1.0)
+        domain = RankDomain(rank=0, ownership=[box], spacing=1.0)
+        with pytest.raises(ValueError, match=f"^a rank owns exactly one box, got {n_boxes}$"):
+            domain.ownership = slabs
+        assert domain.ownership == [box]
+        assert domain.packed().tolist() == [*box.min, *box.max]
+
+
 class TestPerAxisOracles:
     """`owns` and `grid_box_for` test and bound boxes one axis at a time; they
     must give exactly what the (n, 3) formulas gave."""
@@ -925,19 +942,20 @@ class TestInnerListsInRuns:
                 assert rep.prunes > rep.rebuilds
 
     def test_epoch_steps_run_from_verlet_lists(self, monkeypatch):
-        # every epoch drops the inner list, so its step's forces come from the
-        # new Verlet lists; the report counts the steps that did
-        calls = []
+        # new lists hold no inner rows, so an epoch step's forces run the
+        # Verlet rows; the report counts the steps 1..steps that did
+        pruned = []
         forces = driver.compute_forces
 
         def spy(store, lists, law):
-            calls.append(lists.inner is not None)
-            return forces(store, lists, law)
+            before = lists.inner.prunes
+            forces(store, lists, law)
+            pruned.append(lists.inner.prunes - before)
 
         monkeypatch.setattr(driver, "compute_forces", spy)
         (rep,) = golden_reports("lj-p1-full")
-        assert len(calls) == rep.steps + 1
-        outer = [step for step, from_outer in enumerate(calls) if from_outer]
+        assert len(pruned) == rep.steps + 1 and set(pruned) == {0, 1}
+        outer = [step for step, count in enumerate(pruned) if count]
         assert {0, 20, 40} <= set(outer)
         assert len(outer) - 1 == rep.prunes > rep.rebuilds
 
@@ -950,7 +968,13 @@ class TestInnerListsInRuns:
         state = initial_state(cfg, 411)
         _, stores, _, reports = run_lockstep(cfg, ranks, *state, layout=layout)
         assert all(rep.rebuilds < rep.prunes < rep.steps for rep in reports)
-        monkeypatch.setattr(driver, "_force_lists", lambda s: s.lists)
+        forces = driver.compute_forces
+
+        def verlet_rows(store, lists, law):
+            lists.inner.held = False  # the call runs the Verlet rows
+            return forces(store, lists, law)
+
+        monkeypatch.setattr(driver, "compute_forces", verlet_rows)
         _, outer_stores, _, outer_reports = run_lockstep(cfg, ranks, *state, layout=layout)
         assert all(rep.prunes == rep.steps for rep in outer_reports)
         for got, want in zip(gather(stores), gather(outer_stores)):

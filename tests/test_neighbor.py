@@ -11,7 +11,6 @@ from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError
 from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
 from nanopair.neighbor import (
-    InnerLists,
     build_cell_grid,
     build_neighbor_lists,
     max_displacement_since_rebuild,
@@ -599,21 +598,24 @@ class TestDisplacement:
         assert max_displacement_since_rebuild(store, lists) <= k * s + 1e-12
 
     def test_inner_list_covers_ghosts(self):
-        # an inner list's reference holds every row: a ghost's move counts
+        # the Verlet lists' reference holds the locals; their inner list's
+        # holds every row, so a ghost's move ends the held rows
         pos = np.random.default_rng(6).uniform(1, 7, size=(40, 3))
         store = make_store(pos, n_ghost=10)
-        inner = InnerLists(0.1)
-        lists = build_neighbor_lists(store, build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8), 2.8, False, inner)
+        lists = build_neighbor_lists(store, build_cell_grid(store, AABB((0.0,) * 3, (8.0,) * 3), 2.8), 2.8, False)
         compute_forces(store, lists, LennardJones())
-        assert inner.lists.ref_positions.shape == (3, 40)
+        assert lists.ref_positions.shape == (3, 30)
+        assert lists.inner.ref_positions.shape == (3, 40)
         p = store.positions.read_rows(35, 1)
         p[0, 1] -= 0.25
         store.positions.write_rows(35, p)
         assert max_displacement_since_rebuild(store, lists) == 0.0
-        assert max_displacement_since_rebuild(store, inner.lists) == 0.25
+        compute_forces(store, lists, LennardJones())
+        assert lists.inner.prunes == 2
         store.append_ghosts([[4.0, 4.0, 4.0]], peer=0)
-        with pytest.raises(ProtocolError, match="^store has 41 particles but lists were pruned for 40$"):
-            max_displacement_since_rebuild(store, inner.lists)
+        stale = "^store has 30 locals and 41 particles but the lists were built for 30 locals and 40 particles$"
+        with pytest.raises(ProtocolError, match=stale):
+            compute_forces(store, lists, LennardJones())
 
     @pytest.mark.parametrize("n_before", [0, 5])
     def test_stale_lists_rejected(self, n_before):

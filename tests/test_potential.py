@@ -9,7 +9,7 @@ from nanopair import kernel
 from nanopair.core import AABB, SimConfig
 from nanopair.errors import ProtocolError, SingularityError
 from nanopair.layout import clustered_layout, column_major_layout, row_major_layout
-from nanopair.neighbor import InnerLists, build_cell_grid, build_neighbor_lists, max_displacement_since_rebuild
+from nanopair.neighbor import build_cell_grid, build_neighbor_lists
 from nanopair.particles import ParticleStore
 from nanopair.potential import (
     LennardJones,
@@ -786,7 +786,8 @@ INNER_LAWS = [
     (SpringDashpot(stiffness=100.0, damping=3.0, diameter=1.0), 1.3),
 ]
 INNER_LAYOUTS = [row_major_layout(), column_major_layout(), clustered_layout(4)]
-# a third of the 0.3 buffer, as the driver takes it
+# delta of these lists, up to rounding: a third of their reach past the
+# cutoff (0.3), as compute_forces takes it
 INNER_DELTA = 0.1
 
 
@@ -804,10 +805,28 @@ def forces_and_energy(store, lists, law):
     return local_forces(store), energy
 
 
+def verlet_forces_and_energy(store, lists, law):
+    """Forces and energy from the Verlet rows: a copy of the lists holds no
+    inner rows, so its call runs them."""
+    return forces_and_energy(store, replace(lists), law)
+
+
+def inner_row(lists, i):
+    """Row i of the lists' held inner rows."""
+    inner = lists.inner
+    return inner.partners[inner.start[i] : inner.start[i + 1]]
+
+
+def inner_moved(store, lists):
+    """The largest move of any row since the prune, by the pass compute_forces reads."""
+    h, ref = store.positions, lists.inner.ref_positions
+    return kernel.library().max_displacement(h.map_address, h.address, kernel.address(ref, np.float64), store.n_total)
+
+
 class TestInnerLists:
-    """Forces from an inner list equal forces from the Verlet lists it was
-    pruned from, bit for bit, until a row moves its trigger (delta / 2 less
-    the rounding margin)."""
+    """Forces from the held inner rows equal forces from the Verlet rows they
+    were pruned from, bit for bit, until a row moves the trigger (delta / 2
+    less the rounding margin)."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -821,15 +840,15 @@ class TestInnerLists:
         law, r = INNER_LAWS[case]
         store, box = jittered_in(INNER_LAYOUTS[layout], seed % 1000, r)
         grid = build_cell_grid(store, box, r, half=half)
-        inner = InnerLists(INNER_DELTA)
-        lists = build_neighbor_lists(store, grid, r, half, inner)
-        plain = replace(lists, inner=None)
-        want = forces_and_energy(store, plain, law)
-        # the pruning call gives the Verlet lists' bits, and keeps fewer entries
+        lists = build_neighbor_lists(store, grid, r, half)
+        inner = lists.inner
+        # the first call prunes, gives the Verlet rows' bits, and keeps fewer entries
+        want = verlet_forces_and_energy(store, lists, law)
         got = forces_and_energy(store, lists, law)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
-        assert 0 < inner.lists.partners.size < lists.partners.size
+        assert inner.held and inner.prunes == 1
+        assert 0 < inner.args[1] < lists.partners.size
         assert 0.5 * INNER_DELTA - 1e-11 < inner.trigger < 0.5 * INNER_DELTA
         # every row, ghosts included, moves in a random direction by `reach`
         # of the way to the trigger, just below it at reach = 1
@@ -837,46 +856,47 @@ class TestInnerLists:
         move = rng.normal(size=(store.n_total, 3))
         move *= reach * (1.0 - 1e-9) * inner.trigger / np.linalg.norm(move, axis=1)[:, None]
         store.positions.write_rows(0, store.positions.read_rows(0, store.n_total) + move)
-        assert max_displacement_since_rebuild(store, inner.lists) < inner.trigger
-        want = forces_and_energy(store, plain, law)
-        got = forces_and_energy(store, inner.lists, law)
+        assert inner_moved(store, lists) < inner.trigger
+        want = verlet_forces_and_energy(store, lists, law)
+        got = forces_and_energy(store, lists, law)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
+        assert inner.held and inner.prunes == 1
 
     @pytest.mark.parametrize("half", [False, True])
     def test_head_on_pair_at_the_reach_stays_out(self, half):
         # the closest approach the trigger allows: a pair the prune measured
         # just beyond r_c + delta, whose rows then move straight toward each
         # other by just below the trigger; it stays beyond r_c, so it adds
-        # nothing, from the inner list (which dropped it) or the Verlet lists
+        # nothing, from the inner rows (which dropped it) or the Verlet rows
         law = LennardJones(1.0, 1.0, 2.5)
         gap = 2.5 + INNER_DELTA
         while True:
             # rows 0 and 1 are `gap` apart; row 2 is 1 from row 0 and 3.6 from row 1
             store = ParticleStore(row_major_layout(), 3)
             store.append_locals(np.array([[3.0, 4.0, 4.0], [3.0 + gap, 4.0, 4.0], [2.0, 4.0, 4.0]]), np.zeros((3, 3)))
-            inner = InnerLists(INNER_DELTA)
             grid = build_cell_grid(store, AABB((0.0,) * 3, (9.0,) * 3), 2.8, half)
-            lists = build_neighbor_lists(store, grid, 2.8, half, inner)
+            lists = build_neighbor_lists(store, grid, 2.8, half)
             compute_forces(store, lists, law)
-            if 1 not in row(inner.lists, 0) and 0 not in row(inner.lists, 1):
+            if 1 not in inner_row(lists, 0) and 0 not in inner_row(lists, 1):
                 break
             gap = np.nextafter(gap, np.inf)
         assert 1 in row(lists, 0) or 0 in row(lists, 1)
         assert gap - (2.5 + INNER_DELTA) < 1e-14
-        step = inner.trigger
+        step = lists.inner.trigger
         while True:
             pos = store.positions.read_rows(0, 3)
             pos[0, 0] += step
             pos[1, 0] -= step
             moved = store.positions.read_rows(0, 3)
             store.positions.write_rows(0, pos)
-            if max_displacement_since_rebuild(store, inner.lists) < inner.trigger:
+            if inner_moved(store, lists) < lists.inner.trigger:
                 break
             store.positions.write_rows(0, moved)
             step = np.nextafter(step, 0.0)
-        want = forces_and_energy(store, replace(lists, inner=None), law)
-        got = forces_and_energy(store, inner.lists, law)
+        want = verlet_forces_and_energy(store, lists, law)
+        got = forces_and_energy(store, lists, law)
+        assert lists.inner.prunes == 1
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         # the pair adds nothing: row 1 has no other partner
@@ -884,34 +904,55 @@ class TestInnerLists:
 
     @pytest.mark.parametrize("law,r", INNER_LAWS[:2], ids=["lj", "sd"])
     def test_failed_prune_keeps_no_inner_list(self, law, r):
-        # a faulty Verlet entry raises at the prune, which then holds no rows
+        # a faulty Verlet entry raises at the next prune, which then holds no
+        # rows: the call after it prunes again instead of running stale rows
         store, box = jittered_in(row_major_layout(), 1, r)
-        inner = InnerLists(INNER_DELTA)
-        lists = build_neighbor_lists(store, build_cell_grid(store, box, r, half=True), r, True, inner)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r, half=True), r, True)
         compute_forces(store, lists, law)
-        assert inner.lists is not None
-        inner.drop()
+        assert lists.inner.held
         row(lists, 7)[0] = store.n_total
-        with pytest.raises(ProtocolError, match=f"list row 7 names particle {store.n_total} of {store.n_total}"):
-            compute_forces(store, lists, law)
-        assert inner.lists is None
+        lists.inner.held = False
+        for _ in range(2):
+            with pytest.raises(ProtocolError, match=f"list row 7 names particle {store.n_total} of {store.n_total}"):
+                compute_forces(store, lists, law)
+            assert not lists.inner.held and lists.inner.prunes == 1
 
-    def test_buffers_grow_only(self):
+    def test_first_call_on_new_lists_prunes(self):
         law, r = INNER_LAWS[0]
-        inner = InnerLists(INNER_DELTA)
-        sizes = []
-        for seed in (1, 2, 3):
-            store, box = jittered_in(row_major_layout(), seed, r)
-            lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, False, inner)
-            compute_forces(store, lists, law)
-            sizes.append(tuple(buf.size for buf in inner._buffers))
-            addresses = inner._addresses
-            assert inner.buffers(lists) is addresses
-        assert sizes[0] <= sizes[1] <= sizes[2]
+        store, box = jittered_in(row_major_layout(), 2, r)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, False)
+        assert not lists.inner.held and lists.inner.prunes == 0
+        compute_forces(store, lists, law)
+        compute_forces(store, lists, law)
+        assert lists.inner.held and lists.inner.prunes == 1
+        # a copy is new lists, with an inner list of its own
+        copy = replace(lists)
+        assert copy.inner is not lists.inner
+        assert not copy.inner.held and copy.inner.prunes == 0
+        compute_forces(store, copy, law)
+        assert copy.inner.prunes == 1 and lists.inner.prunes == 1
 
-    def test_negative_delta_rejected(self):
-        with pytest.raises(ValueError, match="must be non-negative"):
-            InnerLists(-0.1)
+    def test_fault_named_from_held_rows(self):
+        # a coincident pair met in the held rows names its own local and
+        # partner: two locals 5/128 apart, each moved 5/256 toward the other
+        # (below the trigger), so they meet exactly
+        law, r = INNER_LAWS[0]
+        src, box = jittered_store(3, r)
+        pos = src.local_positions()
+        i, j = 60, 61
+        pos[j] = pos[i] + [5 / 128, 0.0, 0.0]
+        store = with_periodic_ghosts(pos, src.local_velocities(), box, r)
+        lists = build_neighbor_lists(store, build_cell_grid(store, box, r), r, False)
+        compute_forces(store, lists, law)
+        assert j in inner_row(lists, i)
+        assert lists.inner.start[i] != lists.start[i]
+        meet = pos[i] + [5 / 256, 0.0, 0.0]
+        store.positions.write_rows(i, np.stack([meet, meet]))
+        assert inner_moved(store, lists) < lists.inner.trigger
+        assert lists.inner.held
+        with pytest.raises(SingularityError, match=f"^coincident pair: local {i} and neighbor {j}$"):
+            compute_forces(store, lists, law)
+        assert not lists.inner.held and lists.inner.prunes == 1
 
 
 def test_optimisation_level_keeps_bits(monkeypatch):
