@@ -110,6 +110,7 @@ WIRE_DISPLACEMENT = 5
 LOAD_BINS = 256
 
 _GROWTH = 1.5  # growth factor of the round passes' work arrays
+_ROUND_ENTRIES = 2  # entries of a stencil round, ROUND_ENTRIES in pair_kernel.c
 
 # kind, three pad bytes (zero), row count: the payload after it is 8-aligned
 _HEADER = struct.Struct("<B3xI")
@@ -247,14 +248,13 @@ class _Work:
     their addresses: picks of n rows per entry (`idx`), exchange's keep mask,
     and `cap` emitted rows (`out`, 6 or 3 wide), their sources and shifts."""
 
-    entries: int
     n: int = -1
     cap: int = -1
 
     def fit(self, n: int, k: int) -> None:
         if n > self.n:
             self.n = max(n, int(self.n * _GROWTH))
-            self.idx = np.empty(self.entries * self.n, dtype=np.int64)
+            self.idx = np.empty(_ROUND_ENTRIES * self.n, dtype=np.int64)
             self.keep = np.empty(self.n, dtype=bool)
             self.idx_address, self.keep_address = kernel.address(self.idx, np.int64), kernel.address(self.keep, bool)
         if k > self.cap:
@@ -287,9 +287,9 @@ class _RoundPass:
             self.counts,
         )
         axes, shifts, group, picked, counts = (kernel.address(a, a.dtype) for a in self._arrays)
-        k, g, own = len(entries), len(self.peers), self.peers.index(me) if me in self.peers else -1
-        self._exchange = (k, axes, shifts, group, g, own, picked, counts, box_address)
-        self._border = (spacing, k, axes, shifts, group, g, picked, counts)
+        g, own = len(self.peers), self.peers.index(me) if me in self.peers else -1
+        self._exchange = (axes, shifts, group, g, own, picked, counts, box_address)
+        self._border = (spacing, axes, shifts, group, g, picked, counts)
 
     def run(self, store: ParticleStore, slab: int, exchange: bool) -> int:
         """`exchange_round` over the locals or `border_round` over every row
@@ -320,8 +320,10 @@ class CommPattern:
     """The face stencil: barrier-separated rounds of peer entries, one per axis.
 
     One round per axis lets a particle or a ghost cross an edge or a corner
-    by hopping over successive faces. Within a round the two entries' exchange
-    tests are disjoint, so each particle leaves through at most one face.
+    by hopping over successive faces. A round holds exactly two entries, the
+    upper and the lower face of its axis, as the compiled passes read them
+    (ValueError otherwise); their exchange tests are disjoint, so each
+    particle leaves through at most one face.
     `rank_grid` is the rank grid, `cuts` the current per-axis slab
     boundaries, `spacing` the border width, `rank` this rank and
     `global_box` the periodic domain. The pattern is topology only and is
@@ -339,7 +341,10 @@ class CommPattern:
     passes: list[_RoundPass] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        work = _Work(max((len(entries) for entries in self.rounds), default=0))
+        for d, entries in enumerate(self.rounds):
+            if len(entries) != _ROUND_ENTRIES:
+                raise ValueError(f"round {d} of the stencil holds {len(entries)} entries, not {_ROUND_ENTRIES}")
+        work = _Work()
         self._box = np.array(self.global_box.min + self.global_box.max)
         box = kernel.address(self._box, np.float64, (6,))
         self.passes = [_RoundPass(entries, self.rank, self.spacing, box, work) for entries in self.rounds]
@@ -347,12 +352,28 @@ class CommPattern:
 
 @dataclass
 class RankWorld:
+    """One rank's view of the world. The domain and the pattern each hold
+    the rank, the border spacing and (the pattern) the global box, read in
+    different places, so ValueError unless they agree with each other and
+    with `rank` and `global_box`: a mismatch would break the one-hop border
+    guarantee without an error."""
+
     size: int
     rank: int
     transport: MailboxTransport
     global_box: AABB
     domain: RankDomain
     pattern: CommPattern
+
+    def __post_init__(self) -> None:
+        if not self.domain.rank == self.rank == self.pattern.rank:
+            raise ValueError(
+                f"rank {self.rank} got a domain of rank {self.domain.rank} and a pattern of rank {self.pattern.rank}"
+            )
+        if self.domain.spacing != self.pattern.spacing:
+            raise ValueError(f"domain spacing {self.domain.spacing} != pattern spacing {self.pattern.spacing}")
+        if self.pattern.global_box != self.global_box:
+            raise ValueError(f"pattern box {self.pattern.global_box} != world box {self.global_box}")
 
 
 def factor_rank_grid(p: int) -> tuple[int, int, int]:
@@ -409,18 +430,15 @@ def six_stencil_pattern(
     this_rank: int,
     global_box: AABB,
     spacing: float,
-    cuts=None,
 ) -> CommPattern:
-    """Face-neighbor pattern over a rank grid, one round per dimension;
-    slabs lie between `cuts` (per-axis boundaries, uniform by default).
+    """Face-neighbor pattern over a rank grid, one round per dimension, at
+    the uniform cuts (`balance_slabs` moves them).
 
     Each entry names a face of this rank's slab (see PatternEntry): a local
     departs through it when strictly outside the slab there, and a row is a
     border row when within `spacing` of it. Both are emitted shifted by the
     domain length when the face is the periodic boundary.
     """
-    if cuts is None:
-        cuts = uniform_cuts(global_box, rank_grid)
     coords = rank_grid_coords(this_rank, rank_grid)
     ext = global_box.extent()
 
@@ -441,7 +459,8 @@ def six_stencil_pattern(
             entries.append(PatternEntry(neighbour(dim, direction), neighbour(dim, -direction), dim, direction, shift))
         rounds.append(entries)
     return CommPattern(
-        rounds, rank_grid=tuple(rank_grid), cuts=cuts, spacing=spacing, rank=this_rank, global_box=global_box
+        rounds, rank_grid=tuple(rank_grid), cuts=uniform_cuts(global_box, rank_grid), spacing=spacing,
+        rank=this_rank, global_box=global_box,
     )
 
 
@@ -552,6 +571,14 @@ def balance_slabs(world: RankWorld, store: ParticleStore):
     ranks derive the same cuts from the same bytes. Each rank then sets the
     pattern's cuts and its ownership slab; the pattern itself, built once,
     stays, and the exchange that follows moves the particles.
+
+    Each axis is balanced on its own marginal counts, which need not balance
+    the slabs of a grid that splits more than one axis: on a 2 x 2 x 2 grid
+    every axis can split the particles in half while the eight slabs do not
+    (with first-edge cuts, `lj-p8-half` at seed 1 ended 80 steps at a local
+    count max/mean of 1.127). The keep-if-no-better rule of `_balanced_cuts`
+    hides this on a lattice, not for a fill whose density varies along two
+    axes at once.
     """
     if world.size == 1:
         return

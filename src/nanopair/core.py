@@ -66,7 +66,7 @@ class AABB:
 _LAYOUT_KINDS = ("aos", "soa", "aosoa")
 _POTENTIALS = ("lj", "sd")
 _FILLS = ("full", "half-diagonal")
-_INT_FIELDS = ("particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster")
+_INT_FIELDS = ("steps", "reneigh_interval", "aosoa_cluster")
 
 
 def _is_integer(value) -> bool:
@@ -88,7 +88,6 @@ class SimConfig:
     """
 
     unit_cells: tuple[int, int, int] = (32, 32, 32)
-    particles_per_cell: int = 4
     lattice_density: float = 0.8442
     dt: float = 0.005
     steps: int = 100
@@ -117,10 +116,6 @@ class SimConfig:
             value = getattr(self, name)
             if not _is_integer(value):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.particles_per_cell not in (1, 2, 4):
-            raise ConfigError(
-                f"particles_per_cell must be 1, 2, or 4 (lattice basis), got {self.particles_per_cell}"
-            )
         # every comparison below is False for NaN, so finiteness is checked first
         for name in _REAL_FIELDS:
             if not math.isfinite(getattr(self, name)):
@@ -177,7 +172,8 @@ class SimConfig:
         return self.cutoff + self.verlet_buffer
 
     def lattice_constant(self) -> float:
-        return (self.particles_per_cell / self.lattice_density) ** (1.0 / 3.0)
+        """Edge of the FCC unit cell (four sites) at `lattice_density`."""
+        return (4 / self.lattice_density) ** (1.0 / 3.0)
 
     def domain(self) -> AABB:
         a = self.lattice_constant()

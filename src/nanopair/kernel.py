@@ -1,42 +1,24 @@
 """The compiled loops of pair_kernel.c (next to this file), built and loaded once.
 
 `library()` compiles the source with the system C compiler (`cc`, see `_CC`)
-on first use in a process and returns the loaded library with the argument
-types of its functions declared: `gather_rows` and `put_rows` (the row
-loops through which `ArrayHandle` reads and writes rows, and the ghost
-refresh's gather and write), `bin_cells` (the cell binning of the stored
-positions, which also writes the cell-ordered copy of the positions, finds
-the first local in the ghost shell and, for half lists, bins the locals and
-the ghosts apart and records each local's slot), `build_lists` (the CSR
-neighbor-list build over the stencil's z-runs of cells: the whole stencil
-for full lists; for half lists the upper half stencil over the locals and
-the whole stencil over the ghosts; it also copies the locals' positions
-out as the lists' reference), `pair_forces` (the force kernel over the
-list's rows, half-list reactions included; when pruning, it also writes
-the rows' entries within r_c + delta as an inner list, and the positions
-as its reference), the per-step particle loops
-`kick_drift` and `kick` (the integrators), `max_displacement` (the
-displacement checks of the Verlet lists, over the locals, and of their
-inner list, over every row, before a force call), and the epoch's particle
-loops `exchange_round` and `border_round` (one stencil round of exchange or
-of border definition: the face tests of the round's pattern entries,
-exchange's in-place move of its departures, and the emitted rows of every
-peer), `append_rows` (the rows that `ParticleStore.append_locals` and
-`append_ghosts` add), `first_outside` (the ownership check after
-exchange), `load_histogram` (the load balance), `bounding_box` (the cell
-grid's box) and `compact_rows` (the compaction of the locals). A C
-compiler is therefore a run-time requirement of this package. The driver,
-comm.py, neighbor.py, particles.py and potential.py all call into it,
-which is why the loader lives in its own module.
+on first use in a process and returns the loaded library with every loop
+declared from its own prototype (`prototypes`, `ctype`). The loader relies
+on one format rule of the source: an exported loop is a non-static
+definition, and each of its parameters is a pointer or an `int64_t`, `int`
+or `double` scalar (a result may also be `void`); anything else fails the
+load. A C compiler is therefore a run-time requirement of this package. The
+driver, comm.py, neighbor.py, particles.py and potential.py all call into
+it, which is why the loader lives in its own module.
 
 Every loop that reads or writes a particle array works in place on the
 buffer of its `ArrayHandle`, through the layout's index map (see
 nanopair.layout); the index map is the only way to address one.
 
-Array arguments are declared as plain addresses (`c_void_p`): a caller
-passes `address(a, dtype, shape)`, which checks the array once (an ndarray
-of that dtype, C-contiguous and aligned, of that shape where the caller
-knows it) and returns its data pointer. A converter such as
+Array arguments, like every pointer, are declared as plain addresses
+(`c_void_p`): a caller passes `address(a, dtype, shape)`, which checks the
+array once (an ndarray of that dtype, C-contiguous and aligned, of that
+shape where the caller knows it) and returns its data pointer; an
+out-parameter goes as `ctypes.byref`. A converter such as
 `np.ctypeslib.ndpointer` would check the same on every call at several
 times the cost, and taking the pointer itself costs about 2 us. So the
 addresses of what lives across steps are taken once: an `ArrayHandle`'s
@@ -55,6 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import re
 import subprocess
 import tempfile
 from pathlib import Path
@@ -74,7 +57,10 @@ import numpy as np
 _CC = ("cc", "-std=c99", "-O3", "-ffp-contract=off", "-fno-math-errno", "-shared", "-fPIC")
 _KERNEL_SOURCE = Path(__file__).with_name("pair_kernel.c")
 
-__all__ = ["library", "address"]
+__all__ = ["library", "address", "prototypes", "ctype"]
+
+# the ctypes type of each scalar type a loop may take or return
+_SCALARS = {"int64_t": ctypes.c_int64, "int": ctypes.c_int, "double": ctypes.c_double}
 
 
 def address(a, dtype, shape=None) -> int:
@@ -97,9 +83,39 @@ def address(a, dtype, shape=None) -> int:
     return a.ctypes.data
 
 
+def prototypes(source: str) -> list[tuple[str, str, list[str]]]:
+    """(result type, name, parameters as written) of every non-static
+    function that the C `source` defines, in source order; comments are
+    ignored, and a parameter list of `void` is empty."""
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    found = re.findall(r"^(?!static\b)(\w[\w \t*]*?)[ \t]*\b(\w+)\(([^)]*)\)\s*\{", source, flags=re.M)
+    return [(result, name, [p.strip() for p in params.split(",") if p.strip() not in ("", "void")])
+            for result, name, params in found]
+
+
+def ctype(decl: str, result: bool = False):
+    """The ctypes type that a C parameter as written (`const double *x`), or
+    with `result` a result type (`int64_t`), is declared as: any pointer is
+    an address, `c_void_p`; otherwise the type's words without `const` must
+    be exactly `int64_t`, `int` or `double`, or `void` for a result (None).
+    ValueError for any other type."""
+    if "*" in decl:
+        return ctypes.c_void_p
+    words = [w for w in decl.split() if w != "const"]
+    kind = " ".join(words if result else words[:-1])
+    if result and kind == "void":
+        return None
+    if kind not in _SCALARS:
+        raise ValueError(f"{decl!r} is neither a pointer nor one of {', '.join(_SCALARS)}")
+    return _SCALARS[kind]
+
+
 @functools.cache
 def library() -> ctypes.CDLL:
-    """pair_kernel.c, compiled and loaded once per process."""
+    """pair_kernel.c, compiled and loaded once per process, with every
+    non-static function declared from its prototype (`prototypes`, `ctype`);
+    RuntimeError if it does not compile or a parameter cannot be declared."""
+    source = _KERNEL_SOURCE.read_text()
     with tempfile.TemporaryDirectory() as tmp:
         lib = Path(tmp) / "pair_kernel.so"
         cmd = [*_CC, "-o", str(lib), str(_KERNEL_SOURCE), "-lm"]
@@ -113,64 +129,11 @@ def library() -> ctypes.CDLL:
                 f"{done.returncode}:\n{done.stderr}"
             )
         dll = ctypes.CDLL(str(lib))
-    # arrays by address (see `address`): float64, int32 and int64 elements
-    f64 = i32 = idx = ctypes.c_void_p
-    i64 = ctypes.c_int64
-    dll.bin_cells.argtypes = [
-        idx, f64, i64, f64, ctypes.c_double, i64, idx,  # map, x, n, lo, h, k, dims
-        i64, ctypes.c_int,  # n_local, split
-        idx, idx, i32, f64, idx, ctypes.POINTER(i64),  # cell_of, start, members, xs, slot, shell_local
-    ]
-    dll.bin_cells.restype = i64
-    dll.build_lists.argtypes = [
-        idx, f64, f64, i64,  # map, x, xs, n_total
-        i32, idx, idx,  # members, start, cell_of
-        idx, idx, i64, ctypes.c_double, ctypes.c_int,  # slot, runs, n_runs, rsq_max, half
-        i64, i64, i32, i64,  # row0, n_local, buf, cap
-        idx, ctypes.POINTER(i64), f64,  # row_start, need, ref
-    ]
-    dll.build_lists.restype = i64
-    # a particle array goes as its buffer and its index map (ArrayHandle.address, .map_address)
-    dll.pair_forces.argtypes = [
-        ctypes.c_int, f64, ctypes.c_double, ctypes.c_int,  # law, params, cutoff_rsq, use_vel
-        idx, f64, f64, f64, i64,  # map, positions, velocities, forces, n_total
-        i32, i64, idx,  # partners, n_entries, start
-        i64, ctypes.c_int, f64,  # n_local, half, row energies (NULL: not accumulated)
-        ctypes.c_double, i32, idx, f64,  # prune_rsq, inner partners (NULL: no prune), inner starts, ref
-    ]
-    dll.pair_forces.restype = i64
-    dll.kick_drift.argtypes = [idx, i64, ctypes.c_double, ctypes.c_double, f64, f64, f64]  # map, n, k, dt, v, f, x
-    dll.kick_drift.restype = None
-    dll.kick.argtypes = [idx, i64, ctypes.c_double, f64, f64]  # map, n, k, v, f
-    dll.kick.restype = None
-    dll.max_displacement.argtypes = [idx, f64, f64, i64]  # map, x, ref, n
-    dll.max_displacement.restype = ctypes.c_double
-    dll.gather_rows.argtypes = [idx, f64, i64, idx, i64, f64, i64, f64]  # map, x, width, idx, start, shift, k, out
-    dll.gather_rows.restype = None
-    dll.put_rows.argtypes = [idx, f64, i64, idx, i64, i64, f64, i64]  # map, x, width, idx, start, k, rows, step
-    dll.put_rows.restype = None
-    dll.exchange_round.argtypes = [
-        idx, f64, f64, i64, f64,  # map, x, v, n, slab
-        i64, idx, f64, idx, i64, i64,  # n_entries, axes, shifts, group, n_groups, own
-        idx, idx, f64,  # picked, counts, box
-        idx, ctypes.c_void_p, i64, f64,  # idx, keep (bool), cap, out
-    ]
-    dll.exchange_round.restype = i64
-    dll.border_round.argtypes = [
-        idx, f64, i64, f64, ctypes.c_double,  # map, x, n, slab, spacing
-        i64, idx, f64, idx, i64,  # n_entries, axes, shifts, group, n_groups
-        idx, idx,  # picked, counts
-        idx, i64, idx, f64, f64,  # idx, cap, src, out, diff
-    ]
-    dll.border_round.restype = i64
-    dll.append_rows.argtypes = [idx, f64, f64, f64, i64, i64, f64, i64, f64, i64]  # map, x, v, f, start, k, pos, step, vel, step
-    dll.append_rows.restype = None
-    dll.first_outside.argtypes = [idx, f64, i64, f64]  # map, x, n, slab
-    dll.first_outside.restype = i64
-    dll.bounding_box.argtypes = [idx, f64, i64, f64, f64]  # map, x, n, lo, hi
-    dll.bounding_box.restype = None
-    dll.load_histogram.argtypes = [idx, f64, i64, f64, i64, f64]  # map, x, n, box, bins, hist
-    dll.load_histogram.restype = None
-    dll.compact_rows.argtypes = [idx, f64, f64, f64, i64, ctypes.c_void_p]  # map, x, v, f, n, keep (bool)
-    dll.compact_rows.restype = i64
+    for result, name, params in prototypes(source):
+        fn = getattr(dll, name)
+        try:
+            fn.restype = ctype(result, result=True)
+            fn.argtypes = [ctype(param) for param in params]
+        except ValueError as exc:
+            raise RuntimeError(f"cannot declare {name} of {_KERNEL_SOURCE.name}: {exc}") from None
     return dll

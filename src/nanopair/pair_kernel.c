@@ -27,7 +27,9 @@
  * (nanopair.comm.RankDomain.grid_box_for), and the appends and the
  * compaction of the store (nanopair.particles.ParticleStore.append_locals,
  * append_ghosts, compact_locals). nanopair.kernel compiles this file once
- * per process.
+ * per process and declares every non-static definition from its prototype,
+ * so each parameter of an exported loop is a pointer or an int64_t, int or
+ * double scalar.
  *
  * Particle arrays are read and written in place, in the layout's buffer,
  * through its index map (see nanopair.layout), and only through it: element
@@ -688,52 +690,38 @@ static inline int face_test(double c, double b, int64_t side, int ge)
     return side > 0 ? (ge ? c >= b : c > b) : c < b;
 }
 
-/* One pass over rows [0, n) for pattern entries e0 and, with two, e1 (see
- * `select_faces`): every row index is written and only a picked one advances
- * its entry's count, so the loop does not branch on the tests. */
-static inline __attribute__((always_inline)) void select_pass(
-    const int64_t *map, const double *x, int64_t n, const int64_t *axes, const double *slab,
-    double pad, int ge, int64_t e0, const int two, int64_t *restrict idx, int64_t *restrict picked)
-{
-    const int64_t e1 = two ? e0 + 1 : e0;
-    const int64_t d0 = axes[2 * e0] * map[2], s0 = axes[2 * e0 + 1];
-    const int64_t d1 = axes[2 * e1] * map[2], s1 = axes[2 * e1 + 1];
-    const double b0 = s0 > 0 ? slab[3 + axes[2 * e0]] - pad : slab[axes[2 * e0]] + pad;
-    const double b1 = s1 > 0 ? slab[3 + axes[2 * e1]] - pad : slab[axes[2 * e1]] + pad;
-    int64_t *restrict out0 = idx + e0 * n, *restrict out1 = idx + e1 * n;
-    int64_t k0 = 0, k1 = 0;
-    for (int64_t i = 0; i < n; ++i) {
-        const double *row = x + row_at(map, i);
-        out0[k0] = i;
-        k0 += face_test(row[d0], b0, s0, ge);
-        if (two) {
-            out1[k1] = i;
-            k1 += face_test(row[d1], b1, s1, ge);
-        }
-    }
-    picked[e0] = k0;
-    if (two)
-        picked[e1] = k1;
-}
+/* The pattern entries of a stencil round: the upper and the lower face of
+ * its axis (nanopair.comm.CommPattern rejects a round of any other size). */
+enum { ROUND_ENTRIES = 2 };
 
-/* The rows of [0, n) that each of a round's n_entries pattern entries picks:
+/* The rows of [0, n) that each of a round's two pattern entries picks:
  * entry e tests coordinate axes[2 e] of a row from the side axes[2 e + 1]
  * (see `face_test`) against its face of the slab (lo x, y, z, then hi x, y,
  * z: the upper face on side +1, the lower on side -1) moved `pad` inward; a
  * pad of 0 leaves the face as it is, up to the sign of a zero, which no
  * test sees. Entry e's rows go to idx[e * n ...], in increasing row order,
- * and their number to picked[e]. The entries are taken two to a pass
- * over the rows, so a round of the face stencil (one entry per face of its
- * axis) reads every row once. */
-static void select_faces(const int64_t *map, const double *x, int64_t n, int64_t n_entries,
-                         const int64_t *axes, const double *slab, double pad, int ge, int64_t *idx,
-                         int64_t *picked)
+ * and their number to picked[e]. Both entries are taken in one pass over
+ * the rows, so a round of the face stencil (one entry per face of its axis)
+ * reads every row once: every row index is written and only a picked one
+ * advances its entry's count, so the loop does not branch on the tests. */
+static inline __attribute__((always_inline)) void select_pass(
+    const int64_t *map, const double *x, int64_t n, const int64_t *axes, const double *slab, double pad,
+    int ge, int64_t *restrict idx, int64_t *restrict picked)
 {
-    int64_t e = 0;
-    for (; e + 1 < n_entries; e += 2)
-        select_pass(map, x, n, axes, slab, pad, ge, e, 1, idx, picked);
-    if (e < n_entries)
-        select_pass(map, x, n, axes, slab, pad, ge, e, 0, idx, picked);
+    const int64_t d0 = axes[0] * map[2], s0 = axes[1], d1 = axes[2] * map[2], s1 = axes[3];
+    const double b0 = s0 > 0 ? slab[3 + axes[0]] - pad : slab[axes[0]] + pad;
+    const double b1 = s1 > 0 ? slab[3 + axes[2]] - pad : slab[axes[2]] + pad;
+    int64_t *restrict out0 = idx, *restrict out1 = idx + n;
+    int64_t k0 = 0, k1 = 0;
+    for (int64_t i = 0; i < n; ++i) {
+        const double *row = x + row_at(map, i);
+        out0[k0] = i;
+        k0 += face_test(row[d0], b0, s0, ge);
+        out1[k1] = i;
+        k1 += face_test(row[d1], b1, s1, ge);
+    }
+    picked[0] = k0;
+    picked[1] = k1;
 }
 
 /* Exchange's move of `row` of x through a face, in place: element y +=
@@ -759,7 +747,7 @@ static int move_row(const int64_t *map, double *row, const double *shift, const 
 /* One stencil round of exchange (nanopair.comm.exchange) over the locals
  * [0, n) of x and v. A round's entry e stands for a face of the slab (the
  * rank's ownership box as six doubles, lo then hi): it picks the rows
- * strictly outside the slab there (`select_faces` with ge, against the face
+ * strictly outside the slab there (`select_pass` with ge, against the face
  * itself) as the round starts, and sends them to peer group group[e]; the
  * groups number the entries' peers in order of first appearance, and group
  * `own` is this rank (-1: none). Returns the rows that the remote entries
@@ -770,23 +758,23 @@ static int move_row(const int64_t *map, double *row, const double *shift, const 
  * a row that departs to a remote peer, else 1, and the departures are
  * written as 6-wide rows (position as moved, velocity) to out, grouped by
  * peer group, entry by entry within a group and in row order within an
- * entry; counts[g] receives group g's rows (0 for own). idx (n_entries * n)
- * and picked (n_entries) are work arrays. */
+ * entry; counts[g] receives group g's rows (0 for own). idx (2 n) and
+ * picked (2) are work arrays. */
 int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n, const double *slab,
-                       int64_t n_entries, const int64_t *axes, const double *shifts,
+                       const int64_t *axes, const double *shifts,
                        const int64_t *group, int64_t n_groups, int64_t own, int64_t *picked,
                        int64_t *counts, const double *box, int64_t *idx, uint8_t *keep, int64_t cap,
                        double *out)
 {
-    select_faces(map, x, n, n_entries, axes, slab, 0.0, 1, idx, picked);
+    select_pass(map, x, n, axes, slab, 0.0, 1, idx, picked);
     int64_t need = 0;
-    for (int64_t e = 0; e < n_entries; ++e)
+    for (int64_t e = 0; e < ROUND_ENTRIES; ++e)
         need += group[e] == own ? 0 : picked[e];
     if (need > cap)
         return need;
     for (int64_t i = 0; i < n; ++i)
         keep[i] = 1;
-    for (int64_t e = 0; e < n_entries; ++e) {
+    for (int64_t e = 0; e < ROUND_ENTRIES; ++e) {
         int64_t *rows = idx + e * n, moved = 0;
         for (int64_t r = 0; r < picked[e]; ++r) {
             if (!move_row(map, x + row_at(map, rows[r]), shifts + 3 * e, box))
@@ -801,7 +789,7 @@ int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n
     int64_t m = 0;
     for (int64_t g = 0; g < n_groups; ++g) {
         const int64_t first = m;
-        for (int64_t e = 0; e < n_entries && g != own; ++e) {
+        for (int64_t e = 0; e < ROUND_ENTRIES && g != own; ++e) {
             if (group[e] != g)
                 continue;
             for (int64_t r = 0; r < picked[e]; ++r, ++m) {
@@ -819,7 +807,7 @@ int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n
 
 /* One stencil round of border definition (nanopair.comm.define_borders)
  * over rows [0, n) of x: entry e picks the rows within `spacing` of its
- * face of the slab (`select_faces` without ge, against face - spacing on
+ * face of the slab (`select_pass` without ge, against face - spacing on
  * side +1 and face + spacing on side -1, each one rounded double operation)
  * as the round starts, for peer group group[e] (see `exchange_round`).
  * Returns the rows picked, k; if k exceeds cap, nothing else is done, and
@@ -828,22 +816,22 @@ int64_t exchange_round(const int64_t *map, double *x, const double *v, int64_t n
  * gets src[m] = its row index, out[3 m + y] = its element y plus
  * shifts[3 e + y] and diff[3 m + y] = that sum less the element, the shift
  * that the ghost refresh replays; counts[g] receives group g's rows. idx
- * (n_entries * n) and picked (n_entries) are work arrays. */
+ * (2 n) and picked (2) are work arrays. */
 int64_t border_round(const int64_t *map, const double *x, int64_t n, const double *slab, double spacing,
-                     int64_t n_entries, const int64_t *axes, const double *shifts,
+                     const int64_t *axes, const double *shifts,
                      const int64_t *group, int64_t n_groups, int64_t *picked, int64_t *counts,
                      int64_t *idx, int64_t cap, int64_t *src, double *out, double *diff)
 {
-    select_faces(map, x, n, n_entries, axes, slab, spacing, 0, idx, picked);
+    select_pass(map, x, n, axes, slab, spacing, 0, idx, picked);
     int64_t k = 0;
-    for (int64_t e = 0; e < n_entries; ++e)
+    for (int64_t e = 0; e < ROUND_ENTRIES; ++e)
         k += picked[e];
     if (k > cap)
         return k;
     int64_t m = 0;
     for (int64_t g = 0; g < n_groups; ++g) {
         const int64_t first = m;
-        for (int64_t e = 0; e < n_entries; ++e) {
+        for (int64_t e = 0; e < ROUND_ENTRIES; ++e) {
             if (group[e] != g)
                 continue;
             const double *shift = shifts + 3 * e;

@@ -10,18 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernel
-from .core import AABB, ConfigError, SimConfig
+from .core import AABB, SimConfig
 from .layout import ArrayHandle, LayoutDescriptor
 
 __all__ = ["ParticleStore", "lattice_positions"]
 
-# Basis offsets (in unit-cell fractions) for the supported particles-per-cell
-# counts: simple cubic, body-centered, face-centered.
-_BASES = {
-    1: [(0.0, 0.0, 0.0)],
-    2: [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)],
-    4: [(0.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)],
-}
+# the four sites of the face-centred cubic unit cell (miniMD's lattice), in
+# unit-cell fractions
+_FCC = [(0.0, 0.0, 0.0), (0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)]
 
 _GROWTH = 1.5
 
@@ -170,21 +166,16 @@ def _rows(a) -> tuple[np.ndarray, int]:
 
 
 def lattice_positions(cfg: SimConfig, domain: AABB) -> np.ndarray:
-    """Deterministic lattice sites for the configured unit cells and basis.
+    """Deterministic FCC lattice sites for the configured unit cells.
 
     Site order is fixed (x-major cells, basis sites innermost) so every rank
     can regenerate the identical global arrangement.
     """
-    basis = _BASES.get(cfg.particles_per_cell)
-    if basis is None:
-        raise ConfigError(
-            f"particles_per_cell must be one of {sorted(_BASES)}, got {cfg.particles_per_cell}"
-        )
     a = cfg.lattice_constant()
     nx, ny, nz = cfg.unit_cells
     ix, iy, iz = np.meshgrid(np.arange(nx), np.arange(ny), np.arange(nz), indexing="ij")
     cells = np.stack([ix.ravel(), iy.ravel(), iz.ravel()], axis=1).astype(np.float64)
-    offsets = np.asarray(basis, dtype=np.float64)
+    offsets = np.asarray(_FCC, dtype=np.float64)
     pos = (cells[:, None, :] + offsets[None, :, :]).reshape(-1, 3) * a
     pos += domain.lo
     if cfg.fill == "half-diagonal":

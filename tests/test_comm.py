@@ -14,6 +14,7 @@ from nanopair.comm import (
     WIRE_EXCHANGE,
     WIRE_LOAD,
     WIRE_SYNC,
+    CommPattern,
     MailboxTransport,
     RankDomain,
     RankWorld,
@@ -278,7 +279,9 @@ class TestCountBalancedSlabs:
                 assert w.pattern.passes[0].work is kept and kept.n == n > 0
                 assert w.domain.ownership == [slab_bounds(box, grid, rank_grid_coords(w.rank, grid), w.pattern.cuts)]
                 if fresh:
-                    w.pattern = six_stencil_pattern(grid, w.rank, box, w.pattern.spacing, w.pattern.cuts)
+                    pattern = six_stencil_pattern(grid, w.rank, box, w.pattern.spacing)
+                    pattern.cuts = w.pattern.cuts
+                    w.pattern = pattern
             transport.blobs.clear()
             run_phase([exchange(w, s) for w, s in zip(worlds, stores)])
             plans = border_plans(worlds, stores)
@@ -346,6 +349,43 @@ class TestOneOwnershipBox:
             domain.ownership = slabs
         assert domain.ownership == [box]
         assert domain.packed().tolist() == [*box.min, *box.max]
+
+
+class TestWorldConsistency:
+    """The domain and the pattern each hold a copy of the rank, the border
+    spacing and the box, read in different places, so a world whose copies
+    disagree is rejected; and the compiled passes read two entries a round."""
+
+    def world(self, rank=1, domain_rank=1, pattern_rank=1, spacing=1.0, pattern_box=None):
+        box, grid = SD.domain(), (2, 1, 1)
+        domain = RankDomain(domain_rank, [slab_bounds(box, grid, rank_grid_coords(domain_rank, grid))], spacing)
+        pattern = six_stencil_pattern(grid, pattern_rank, pattern_box or box, 1.0)
+        return RankWorld(2, rank, MailboxTransport(2), box, domain, pattern)
+
+    def test_consistent_world_accepted(self):
+        assert self.world().pattern.rank == 1
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"rank": 0}, "rank 0 got a domain of rank 1 and a pattern of rank 1"),
+            ({"domain_rank": 0}, "rank 1 got a domain of rank 0 and a pattern of rank 1"),
+            ({"pattern_rank": 0}, "rank 1 got a domain of rank 1 and a pattern of rank 0"),
+            ({"spacing": 1.5}, "domain spacing 1.5 != pattern spacing 1.0"),
+            ({"pattern_box": AABB((0.0,) * 3, (1.0,) * 3)}, "pattern box .* != world box"),
+        ],
+    )
+    def test_disagreeing_world_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            self.world(**kwargs)
+
+    @pytest.mark.parametrize("keep", [0, 1, 3])
+    def test_round_of_other_size_rejected(self, keep):
+        box = SD.domain()
+        rounds = six_stencil_pattern((2, 1, 1), 0, box, 1.0).rounds
+        rounds[1] = (rounds[1] * 2)[:keep]
+        with pytest.raises(ValueError, match=f"^round 1 of the stencil holds {keep} entries, not 2$"):
+            CommPattern(rounds, (2, 1, 1), uniform_cuts(box, (2, 1, 1)), 1.0, 0, box)
 
 
 class TestPerAxisOracles:

@@ -240,7 +240,7 @@ class TestSimConfig:
             {"potential_kind": "eam"},
             {"layout_kind": "csr"},
             {"layout_kind": "aosoa", "aosoa_cluster": 6},
-            {"particles_per_cell": 3},
+            {"fill": "spiral"},
             {"unit_cells": (1, 1, 1)},  # domain smaller than interaction radius
         ],
     )
@@ -272,10 +272,10 @@ class TestSimConfig:
 
     @pytest.mark.parametrize("value", [2.5, 4.0, "4", True])
     @pytest.mark.parametrize(
-        "field", ["particles_per_cell", "steps", "reneigh_interval", "aosoa_cluster"]
+        "field", ["steps", "reneigh_interval", "aosoa_cluster"]
     )
     def test_non_integer_field_rejected(self, field, value):
-        # 4.0 is in (1, 2, 4) and 2.5 > 0, so only a type check catches these
+        # 4.0 is a power of two and 2.5 > 0, so only a type check catches these
         kwargs = {"unit_cells": (6, 6, 6), "layout_kind": "aosoa", field: value}
         with pytest.raises(ConfigError, match=f"^{field} must be an integer"):
             SimConfig(**kwargs).validate()
