@@ -20,16 +20,15 @@ Each rank prunes on its own, without a message: the inner list only skips
 entries that the kernel would skip, so the forces are those of the Verlet
 lists, bit for bit. New lists hold no inner rows, so an epoch's step prunes.
 
-Each rank's `PhaseTimers` count only the time its own program runs: the
-clock of a communication phase stops at every barrier (see `_timed`), while
-the other ranks run.
+The rank program keeps no clock; time is measured from outside it. The
+runner times each rank's slice between barriers, and a tracer rebinds this
+module's phase names, which each step looks up when it calls them. So
+nothing is timed when no one measures.
 """
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,30 +47,7 @@ from .neighbor import build_cell_grid, build_neighbor_lists, max_displacement_si
 from .particles import ParticleStore
 from .potential import compute_forces, law_from_config
 
-__all__ = ["PhaseTimers", "SimState", "RankReport", "initial_integrate", "final_integrate", "rank_program"]
-
-
-@dataclass
-class PhaseTimers:
-    force: float = 0.0
-    neigh: float = 0.0
-    comm: float = 0.0
-    other: float = 0.0
-
-    def add(self, phase: str, seconds: float) -> None:
-        setattr(self, phase, getattr(self, phase) + seconds)
-
-    @contextmanager
-    def track(self, phase: str):
-        """Time a block that does not yield (see `_timed` for one that does)."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.add(phase, time.perf_counter() - t0)
-
-    def total(self) -> float:
-        return self.force + self.neigh + self.comm + self.other
+__all__ = ["SimState", "RankReport", "initial_integrate", "final_integrate", "rank_program"]
 
 
 @dataclass
@@ -82,7 +58,6 @@ class SimState:
     store: ParticleStore
     lists: object = None  # the Verlet lists, which hold their inner list
     plan: object = None
-    timers: PhaseTimers = field(default_factory=PhaseTimers)
     steps_since_rebuild: int = 0
     max_displacement_seen: float = 0.0
     rebuilds: int = 0  # list rebuilds in the step loop, scheduled or triggered
@@ -95,7 +70,6 @@ class RankReport:
     n_local: int
     momentum_initial: np.ndarray
     momentum_final: np.ndarray
-    timers: PhaseTimers
     max_displacement_seen: float
     steps: int
     rebuilds: int  # list rebuilds in steps 1..steps, scheduled or triggered
@@ -131,35 +105,16 @@ def _momentum(store: ParticleStore, mass: float) -> np.ndarray:
     return mass * store.local_velocities().sum(axis=0)
 
 
-def _timed(timers: PhaseTimers, phase: str, gen):
-    """Run a phase generator to its end, passing on its barrier tokens.
-
-    The clock runs only while `gen` runs and stops at each yield, so
-    `phase` counts this rank's own slices, not the other ranks' slices
-    between them.
-    """
-    while True:
-        t0 = time.perf_counter()
-        try:
-            token = next(gen)
-        except StopIteration as stop:
-            return stop.value
-        finally:
-            timers.add(phase, time.perf_counter() - t0)
-        yield token
-
-
 def _reneighbor(state: SimState, world: RankWorld, cfg: SimConfig):
     """Full epoch: balance slabs, exchange, borders, re-bin, rebuild lists."""
-    timers, store = state.timers, state.store
-    yield from _timed(timers, "comm", balance_slabs(world, store))
-    yield from _timed(timers, "comm", exchange(world, store))
-    state.plan = yield from _timed(timers, "comm", define_borders(world, store))
-    with timers.track("neigh"):
-        r = cfg.interaction_radius()
-        grid_box = world.domain.grid_box_for(store)
-        grid = build_cell_grid(store, grid_box, r, cfg.half_neighbor)
-        state.lists = build_neighbor_lists(store, grid, r, cfg.half_neighbor)
+    store = state.store
+    yield from balance_slabs(world, store)
+    yield from exchange(world, store)
+    state.plan = yield from define_borders(world, store)
+    r = cfg.interaction_radius()
+    grid_box = world.domain.grid_box_for(store)
+    grid = build_cell_grid(store, grid_box, r, cfg.half_neighbor)
+    state.lists = build_neighbor_lists(store, grid, r, cfg.half_neighbor)
     state.steps_since_rebuild = 0
 
 
@@ -171,10 +126,9 @@ def _lists_outlived(state: SimState, world: RankWorld, cfg: SimConfig):
     bound is reached on the first step after a rebuild: a particle moved half
     the buffer in one step, so dt is too large for the buffer.
     """
-    with state.timers.track("other"):
-        disp = max_displacement_since_rebuild(state.store, state.lists)
-        state.max_displacement_seen = max(state.max_displacement_seen, disp)
-    disps = yield from _timed(state.timers, "comm", gather_displacements(world, disp))
+    disp = max_displacement_since_rebuild(state.store, state.lists)
+    state.max_displacement_seen = max(state.max_displacement_seen, disp)
+    disps = yield from gather_displacements(world, disp)
     bound = 0.5 * cfg.verlet_buffer
     if disps.max() < bound:
         return False
@@ -209,26 +163,22 @@ def rank_program(
     p0 = _momentum(store, cfg.mass)
 
     yield from _reneighbor(state, world, cfg)
-    with state.timers.track("force"):
-        compute_forces(store, state.lists, law)
+    compute_forces(store, state.lists, law)
     yield ("step", 0)
 
     for step in range(1, cfg.steps + 1):
         state.step = step
-        with state.timers.track("other"):
-            initial_integrate(store, cfg.dt, cfg.mass)
+        initial_integrate(store, cfg.dt, cfg.mass)
         if step % cfg.reneigh_interval == 0 or (yield from _lists_outlived(state, world, cfg)):
             yield from _reneighbor(state, world, cfg)
             state.rebuilds += 1
         else:
-            yield from _timed(state.timers, "comm", synchronize(world, store, state.plan))
+            yield from synchronize(world, store, state.plan)
             state.steps_since_rebuild += 1
         pruned = state.lists.inner.prunes
-        with state.timers.track("force"):
-            compute_forces(store, state.lists, law)
+        compute_forces(store, state.lists, law)
         state.prunes += state.lists.inner.prunes - pruned
-        with state.timers.track("other"):
-            final_integrate(store, cfg.dt, cfg.mass)
+        final_integrate(store, cfg.dt, cfg.mass)
         yield ("step", step)
 
     return RankReport(
@@ -236,7 +186,6 @@ def rank_program(
         n_local=store.n_local,
         momentum_initial=p0,
         momentum_final=_momentum(store, cfg.mass),
-        timers=state.timers,
         max_displacement_seen=state.max_displacement_seen,
         steps=cfg.steps,
         rebuilds=state.rebuilds,

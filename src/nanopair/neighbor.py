@@ -80,7 +80,8 @@ class CellGrid:
     """Spatial bins over the rank box plus a ghost shell r wide, as a CSR cell list.
 
     Cells have edge r / shell, so `shell` cells span r. Cell ids run over
-    the shell-inclusive grid, z fastest (see `cell_id`). The list is read by
+    the shell-inclusive grid `shell_dims` (g0, g1, g2), z fastest: cell
+    (c0, c1, c2) has id (c0 * g1 + c1) * g2 + c2. The list is read by
     key: key range c holds members[start[c]:start[c + 1]], in ascending
     index order, and sorted_positions[:, start[c]:start[c + 1]] are their
     coordinates. A grid for full lists has one key per cell. A grid for half
@@ -140,10 +141,6 @@ class CellGrid:
             column += ghost * np.diff(self.start[: self.n_cells + 1])[cell]
         table[cell, column] = self.members
         return table
-
-    def cell_id(self, coords: np.ndarray) -> np.ndarray:
-        gd = self.shell_dims
-        return (coords[..., 0] * gd[1] + coords[..., 1]) * gd[2] + coords[..., 2]
 
     def runs(self) -> np.ndarray:
         """(n_runs, 2) int64 stencil runs of key ranges, as (offset, length):

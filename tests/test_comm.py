@@ -1,7 +1,6 @@
 import functools
 import hashlib
 import inspect
-import time
 
 import numpy as np
 import pytest
@@ -475,7 +474,7 @@ class TestEarlyEpoch:
     # after a rebuild, well before the next scheduled epoch 10 steps on
     SPEED = 7.0
 
-    @pytest.mark.parametrize("ranks", [1, 2])
+    @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
     def test_fast_particle_rebuilds_early(self, ranks):
         pos, vel = with_fast_particle(SD, self.SPEED)
         _, stores, transport, reports = run_lockstep(SD, ranks, pos, vel)
@@ -489,7 +488,7 @@ class TestEarlyEpoch:
             ref_stores = run_lockstep(SD, 1, pos, vel)[1]
             assert matched_deviation(SD.domain().extent(), gather(ref_stores), gather(stores)) <= 1e-12
 
-    @pytest.mark.parametrize("ranks", [1, 2])
+    @pytest.mark.parametrize("ranks", [1, 2, 4, 8])
     def test_half_buffer_in_one_step_raises(self, ranks):
         # at dt = 0.03 the fast sphere moves about 0.21 in its first step
         cfg = SD.with_overrides(dt=0.03)
@@ -857,28 +856,37 @@ class TestSyncRecords:
             np.testing.assert_array_equal(s.positions.read_rows(s.n_local, s.n_ghost), before)
 
 
-class TestPhaseTimers:
-    """A rank's phase timers count only its own slices: their sum never
-    exceeds the time the runner spent inside that rank's program."""
+def barrier_rounds(cfg, ranks):
+    """The barrier rounds (`None` yields) before each step marker, setup first."""
+    worlds, stores, transport = make_worlds(cfg, ranks, *initial_state(cfg))
+    gens = [rank_program(cfg, w, s) for w, s in zip(worlds, stores)]
+    rounds, barriers = [], 0
+    while True:
+        tokens = advance(gens)
+        if isinstance(tokens[0], RankReport):
+            assert transport.pending() == 0
+            return rounds
+        assert all(t == tokens[0] for t in tokens), tokens
+        if tokens[0] is None:
+            barriers += 1
+        else:
+            assert tokens[0] == ("step", len(rounds))
+            rounds.append(barriers)
+            barriers = 0
 
-    @pytest.mark.parametrize("ranks", [1, 4])
-    def test_phase_sum_within_busy_time(self, ranks):
-        cfg = SD.with_overrides(steps=20)
-        worlds, stores, _ = make_worlds(cfg, ranks, *initial_state(cfg))
-        gens = [rank_program(cfg, w, s) for w, s in zip(worlds, stores)]
-        busy = np.zeros(ranks)
-        reports = [None] * ranks
-        while reports[0] is None:
-            for r, gen in enumerate(gens):
-                t0 = time.perf_counter()
-                try:
-                    next(gen)
-                except StopIteration as stop:
-                    reports[r] = stop.value
-                busy[r] += time.perf_counter() - t0
-        for rep, spent in zip(reports, busy):
-            assert rep.timers.comm > 0
-            assert rep.timers.total() <= spent
+
+class TestBarrierRounds:
+    """Setup and every epoch step run the load balance (2 rounds at P > 1,
+    none at P = 1), exchange (3) and borders (3); a plain step runs the
+    sync (3), after the displacement gather (2 rounds at P > 1, none at P = 1)."""
+
+    @pytest.mark.parametrize("ranks, epoch, plain", [(1, 6, 3), (2, 8, 5), (8, 8, 5)])
+    def test_rounds_per_step(self, ranks, epoch, plain):
+        rounds = barrier_rounds(LJ, ranks)
+        want = [epoch] + [
+            epoch if k % LJ.reneigh_interval == 0 else plain for k in range(1, LJ.steps + 1)
+        ]
+        assert rounds == want
 
 
 # NVE drift of the total energy per particle over 200 steps of 6^3 LJ:

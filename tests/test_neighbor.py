@@ -41,6 +41,13 @@ def make_store(pos, n_ghost=0, layout=None):
     return store
 
 
+def cell_id(grid, coords):
+    """Cell ids of (..., 3) shell-shifted cell coordinates by `CellGrid`'s
+    formula; being linear, it also maps a stencil step to an id offset."""
+    g = grid.shell_dims
+    return (coords[..., 0] * g[1] + coords[..., 1]) * g[2] + coords[..., 2]
+
+
 def cell_coords(grid):
     """(n_total, 3) shell-shifted cell coordinates, decoded from grid.cell_of."""
     return np.column_stack(np.unravel_index(grid.cell_of, grid.shell_dims))
@@ -93,7 +100,7 @@ class TestCellGrid:
             force_shell(monkeypatch, shell)
             grid = build_cell_grid(store, box, 2.5)
             assert sorted(grid.members.tolist()) == list(range(400))
-            want = grid.cell_id(floor_cells(pos, box.lo, 2.5 / shell, shell))
+            want = cell_id(grid, floor_cells(pos, box.lo, 2.5 / shell, shell))
             np.testing.assert_array_equal(grid.cell_of, want)
             counts = np.bincount(want, minlength=grid.start.size - 1)
             np.testing.assert_array_equal(grid.start, np.concatenate([[0], np.cumsum(counts)]))
@@ -116,7 +123,7 @@ class TestCellGrid:
             grid = build_cell_grid(store, box, 2.5, half=True)
             assert grid.half and grid.n_local == 350
             n_cells = grid.n_cells
-            cell = grid.cell_id(floor_cells(pos, box.lo, 2.5 / shell, shell))
+            cell = cell_id(grid, floor_cells(pos, box.lo, 2.5 / shell, shell))
             np.testing.assert_array_equal(grid.cell_of, cell)
             key = cell + np.where(np.arange(400) < 350, 0, n_cells)
             counts = np.bincount(key, minlength=2 * n_cells)
@@ -433,7 +440,7 @@ class TestExactLists:
             steps = np.array(stencil(shell))
             # the run table walks the stencil in the reference's order: for
             # half lists the upper half over the locals, then all over the ghosts
-            want_keys = grid.cell_id(steps)
+            want_keys = cell_id(grid, steps)
             if half:
                 upper = np.array([step >= (0, 0, 0) for step in stencil(shell)])
                 want_keys = np.concatenate([want_keys[upper], grid.n_cells + want_keys])
@@ -537,11 +544,11 @@ def numpy_runs(grid):
     k = grid.shell
     plane = [(dx, dy) for dx in range(-k, k + 1) for dy in range(-k, k + 1)]
     steps = np.array([(dx, dy, -k) for dx, dy in plane], dtype=np.int64)
-    table = np.column_stack([grid.cell_id(steps), np.full(len(steps), 2 * k + 1, dtype=np.int64)])
+    table = np.column_stack([cell_id(grid, steps), np.full(len(steps), 2 * k + 1, dtype=np.int64)])
     if not grid.half:
         return table
     upper = np.array([(dx, dy) > (0, 0) for dx, dy in plane])
-    own = np.array([[grid.cell_id(np.zeros(3, dtype=np.int64)), k + 1]], dtype=np.int64)
+    own = np.array([[cell_id(grid, np.zeros(3, dtype=np.int64)), k + 1]], dtype=np.int64)
     return np.vstack([own, table[upper], table + [grid.n_cells, 0]])
 
 
@@ -663,7 +670,7 @@ class TestPerAxisOracles:
             want = np.floor((pos - self.BOX.lo) / edge).astype(np.int64) + shell
             assert grid.cell_of.shape == (pos.shape[0],) and grid.cell_of.dtype == np.int64
             np.testing.assert_array_equal(cell_coords(grid), want)
-            np.testing.assert_array_equal(grid.counts, np.bincount(grid.cell_id(want), minlength=grid.counts.size))
+            np.testing.assert_array_equal(grid.counts, np.bincount(cell_id(grid, want), minlength=grid.counts.size))
             assert grid.sorted_positions.tobytes() == pos[grid.members].T.copy().tobytes()
             assert store.positions.buf.tobytes() == before.tobytes()
 
